@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/measures.h"
+#include "obs/stock_observers.h"
 #include "parser/parser.h"
 #include "parser/printer.h"
 #include "util/logging.h"
@@ -99,16 +100,19 @@ struct DynamicRun {
   ChaseResult result;
 };
 
+// Dynamic runs keep no per-step snapshots: whatever a run must measure per
+// step, `observer` measures live.
 DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
                        size_t max_steps, size_t max_instance,
                        std::optional<uint64_t> deadline_ms,
-                       bool keep_snapshots) {
+                       ChaseObserver* observer = nullptr) {
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.limits.max_instance_size = max_instance;
   options.limits.deadline_ms = deadline_ms;
-  options.keep_snapshots = keep_snapshots;
+  options.keep_snapshots = false;
+  options.observer = observer;
   DynamicRun run;
   StatusOr<ChaseResult> result = RunChase(kb, options);
   if (!result.ok()) return run;
@@ -256,8 +260,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
                            sandbox->rules};
         DynamicRun semi = RunBudgeted(
             crit, ChaseVariant::kSemiOblivious, options.critical_max_steps,
-            options.critical_max_instance * 4, options.deadline_ms,
-            /*keep_snapshots=*/false);
+            options.critical_max_instance * 4, options.deadline_ms);
         report.critical_ran = semi.ok;
         report.critical_terminated = semi.terminated;
         report.critical_interrupted = semi.interrupted;
@@ -274,8 +277,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
                                   sandbox2->rules};
               DynamicRun obl = RunBudgeted(
                   crit2, ChaseVariant::kOblivious, options.critical_max_steps,
-                  options.critical_max_instance * 4, options.deadline_ms,
-                  /*keep_snapshots=*/false);
+                  options.critical_max_instance * 4, options.deadline_ms);
               report.critical_oblivious_terminated = obl.terminated;
             }
           }
@@ -290,10 +292,10 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
   if (report.fes_evidence == FesEvidence::kNone && options.run_dynamic_probe) {
     std::optional<KnowledgeBase> sandbox = MakeSandbox(kb);
     if (sandbox.has_value()) {
+      MeasuresObserver treewidth(Measure::kTreewidthUpper);
       DynamicRun probe = RunBudgeted(
           *sandbox, ChaseVariant::kCore, options.probe_max_steps,
-          options.probe_max_instance, options.deadline_ms,
-          /*keep_snapshots=*/true);
+          options.probe_max_instance, options.deadline_ms, &treewidth);
       report.probe_ran = probe.ok;
       report.probe_core_terminated = probe.terminated;
       report.probe_interrupted = probe.interrupted;
@@ -302,8 +304,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
         report.fes_evidence = FesEvidence::kCoreRun;
         report.empirical = true;
       } else if (probe.ok && !probe.interrupted) {
-        const std::vector<int> series =
-            MeasureSeries(probe.result.derivation, Measure::kTreewidthUpper);
+        const std::vector<int>& series = treewidth.series();
         const BoundednessSummary tw =
             SummarizeBoundedness(series, options.tw_tail_window);
         report.probe_tw_uniform = tw.uniform_bound;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -51,7 +52,8 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // candidate target atoms under the current partial binding. Pattern
 // variables are renumbered into a dense local index so that the hot path
 // (estimates, unification, rollback) is array access, not hashing.
-// Not reusable.
+// Run() is called at most once; only retraction mode reuses a search, one
+// ExistsRetractionOnto query after another.
 //
 // Candidate generation has two backends. The columnar join path
 // (JoinCandidates) probes the target's per-predicate ColumnSegment: it picks
@@ -70,8 +72,10 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 class HomSearch {
  public:
   HomSearch(const AtomSet& pattern, const AtomSet& target,
-            const HomOptions& options)
-      : target_(target), options_(options) {
+            const HomOptions& options, bool retractions_only = false)
+      : target_(target),
+        options_(options),
+        retractions_only_(retractions_only) {
     backend_columnar_ = CurrentMatchBackend() == MatchBackend::kColumnar;
     // Injective and vars-to-vars searches prune candidates through mutable
     // search state (used_targets_); they keep the per-atom path.
@@ -82,6 +86,7 @@ class HomSearch {
     for (const Atom& atom : pattern.Atoms()) {
       PatAtom pat;
       pat.predicate = atom.predicate();
+      pat.segment = join_enabled_ ? target_.SegmentFor(pat.predicate) : nullptr;
       pat.static_best = target_.CountByPredicate(atom.predicate());
       for (Term t : atom.args()) {
         if (t.is_variable()) {
@@ -111,12 +116,70 @@ class HomSearch {
       }
       if (options_.injective) used_targets_.insert(term);
     }
+    // Variable occurrence lists (CSR): the atoms to re-score when a
+    // variable is bound or unbound.
+    occurrence_begin_.assign(var_terms_.size() + 1, 0);
+    for (const PatAtom& pat : pattern_atoms_) {
+      ForEachDistinctVar(pat, [&](uint32_t v) { ++occurrence_begin_[v + 1]; });
+    }
+    for (size_t v = 0; v < var_terms_.size(); ++v) {
+      occurrence_begin_[v + 1] += occurrence_begin_[v];
+    }
+    occurrences_.resize(occurrence_begin_.back());
+    std::vector<uint32_t> fill(occurrence_begin_.begin(),
+                               occurrence_begin_.end() - 1);
+    for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
+      ForEachDistinctVar(pattern_atoms_[i], [&](uint32_t v) {
+        occurrences_[fill[v]++] = static_cast<uint32_t>(i);
+      });
+    }
+    estimates_.resize(pattern_atoms_.size());
+    for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
+      estimates_[i] = EstimateCandidates(pattern_atoms_[i]);
+    }
+    candidate_buffers_.resize(pattern_atoms_.size() + 1);
+    if (retractions_only_) {
+      // Pattern and target are the same instance, so every image variable
+      // is a pattern variable; index them by vocabulary index.
+      for (size_t v = 0; v < var_terms_.size(); ++v) {
+        uint32_t index = var_terms_[v].index();
+        if (index >= local_of_image_.size()) {
+          local_of_image_.resize(index + 1, kNotVar);
+        }
+        local_of_image_[index] = static_cast<uint32_t>(v);
+      }
+    }
   }
 
   std::vector<Substitution> Run() {
     // An empty pattern has exactly one homomorphism: the seed itself.
     Search(pattern_atoms_.size());
     return std::move(results_);
+  }
+
+  // Retraction mode (pattern == target): true iff some retraction maps
+  // `from` onto `onto`. Binds the seed, searches, and rolls back, so the
+  // compiled pattern serves any number of calls.
+  bool ExistsRetractionOnto(const Atom& from, const Atom& onto) {
+    TWCHASE_CHECK(retractions_only_);
+    PatAtom seed;
+    seed.predicate = from.predicate();
+    for (Term t : from.args()) {
+      seed.args.push_back(t.is_variable()
+                              ? Arg{local_of_image_[t.index()], Term()}
+                              : Arg{kNotVar, t});
+    }
+    const size_t mark = trail_.size();
+    if (!TryUnify(seed, onto)) {
+      RollbackTo(mark);
+      return false;
+    }
+    Rescore(mark);
+    Search(pattern_atoms_.size());
+    RollbackTo(mark);
+    const bool found = !results_.empty();
+    results_.clear();
+    return found;
   }
 
  private:
@@ -130,6 +193,7 @@ class HomSearch {
 
   struct PatAtom {
     PredicateId predicate = 0;
+    const ColumnSegment* segment = nullptr;  // join path; null = legacy path
     std::vector<Arg> args;
     size_t static_best = 0;  // min over predicate / constant-arg postings
     bool focus = false;      // contains the forbidden image term (fold crux)
@@ -140,6 +204,17 @@ class HomSearch {
         var_index_.emplace(var, static_cast<uint32_t>(var_terms_.size()));
     if (inserted) var_terms_.push_back(var);
     return it->second;
+  }
+
+  template <typename Fn>
+  static void ForEachDistinctVar(const PatAtom& pat, Fn fn) {
+    for (size_t i = 0; i < pat.args.size(); ++i) {
+      uint32_t v = pat.args[i].var;
+      if (v == kNotVar) continue;
+      bool repeated = false;
+      for (size_t j = 0; j < i; ++j) repeated |= pat.args[j].var == v;
+      if (!repeated) fn(v);
+    }
   }
 
   bool AtomContains(const Atom& atom, Term t) const {
@@ -168,12 +243,13 @@ class HomSearch {
 
   // Candidate target atoms for `pat` under the current binding, in the
   // order the legacy enumeration would attempt the ones that unify.
-  std::vector<const Atom*> Candidates(const PatAtom& pat) {
+  void Candidates(const PatAtom& pat, std::vector<const Atom*>* out) {
+    out->clear();
     if (backend_columnar_) {
-      const ColumnSegment* segment =
-          join_enabled_ ? target_.SegmentFor(pat.predicate) : nullptr;
+      const ColumnSegment* segment = pat.segment;
       if (segment != nullptr && segment->arity() == pat.args.size()) {
-        return JoinCandidates(pat, *segment);
+        JoinCandidates(pat, *segment, *out);
+        return;
       }
       // A fallback worth counting: the predicate has atoms but the join
       // path cannot serve it (injective/vars-to-vars mode, mixed arity, or
@@ -184,7 +260,7 @@ class HomSearch {
         counters_->join_fallbacks.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    return LegacyCandidates(pat);
+    LegacyCandidates(pat, *out);
   }
 
   // Columnar path: one EqualRange probe on the most selective bound column
@@ -192,8 +268,8 @@ class HomSearch {
   // every remaining constraint against the column cells. Emits exactly the
   // candidates TryUnify would accept, in ascending slot order, then applies
   // the legacy identity-first reorder restricted to that subsequence.
-  std::vector<const Atom*> JoinCandidates(const PatAtom& pat,
-                                          const ColumnSegment& seg) {
+  void JoinCandidates(const PatAtom& pat, const ColumnSegment& seg,
+                      std::vector<const Atom*>& out) {
     const TermDictionary& dict = target_.dictionary();
     const size_t arity = pat.args.size();
     col_bound_.assign(arity, 0);
@@ -228,8 +304,7 @@ class HomSearch {
         probe_col = static_cast<uint32_t>(i);
       }
     }
-    std::vector<const Atom*> out;
-    if (dead) return out;
+    if (dead) return;
     // Cells hold real ids, so comparing against kNoId (forbidden term not
     // in the dictionary) can never match — no extra guard needed.
     TermId forbidden_id = TermDictionary::kNoId;
@@ -292,7 +367,7 @@ class HomSearch {
     // that head unifies, and a rotate of the identity to the front when it
     // does not. With fewer than two unifying candidates any reorder is the
     // identity permutation (also covering the legacy out.size() > 1 guard).
-    if (!options_.identity_first || out.size() < 2) return out;
+    if (!options_.identity_first || out.size() < 2) return;
     size_t identity_pos = out.size();
     for (size_t j = 0; j < out.size(); ++j) {
       if (IsIdentityCandidate(pat, *out[j])) {
@@ -300,7 +375,7 @@ class HomSearch {
         break;
       }
     }
-    if (identity_pos == out.size() || identity_pos == 0) return out;
+    if (identity_pos == out.size() || identity_pos == 0) return;
     const Atom* first_legacy = LegacyFirstCandidate(
         pat, best_term, best_count <= target_.CountByPredicate(pat.predicate));
     if (first_legacy == out[0]) {
@@ -309,7 +384,6 @@ class HomSearch {
       std::rotate(out.begin(), out.begin() + identity_pos,
                   out.begin() + identity_pos + 1);
     }
-    return out;
   }
 
   // The first element of the candidate list LegacyCandidates would have
@@ -348,7 +422,8 @@ class HomSearch {
   // forbidden image term, with the identity candidate (if present) first —
   // endomorphism-style searches then assign identity away from the conflict
   // area and backtrack locally.
-  std::vector<const Atom*> LegacyCandidates(const PatAtom& pat) const {
+  void LegacyCandidates(const PatAtom& pat,
+                        std::vector<const Atom*>& out) const {
     std::optional<Term> best_term;
     size_t best_count = kInfinity;
     for (const Arg& arg : pat.args) {
@@ -366,7 +441,6 @@ class HomSearch {
         best_term = image;
       }
     }
-    std::vector<const Atom*> out;
     auto admit = [&](const Atom* cand) {
       if (options_.forbidden_image_term.has_value() &&
           AtomContains(*cand, *options_.forbidden_image_term)) {
@@ -394,7 +468,6 @@ class HomSearch {
         }
       }
     }
-    return out;
   }
 
   bool IsIdentityCandidate(const PatAtom& pat, const Atom& cand) const {
@@ -431,19 +504,52 @@ class HomSearch {
         if (used_targets_.contains(image)) return false;
         used_targets_.insert(image);
       }
-      binding_[arg.var] = image;
-      bound_[arg.var] = true;
-      trail_.push_back(arg.var);
+      Bind(arg.var, image);
+      // A retraction fixes its image: X ↦ t forces t ↦ t.
+      if (retractions_only_ && image.is_variable()) {
+        uint32_t fixed = local_of_image_[image.index()];
+        if (bound_[fixed]) {
+          if (binding_[fixed] != image) return false;
+        } else {
+          Bind(fixed, image);
+        }
+      }
     }
     return true;
   }
 
+  void Bind(uint32_t var, Term image) {
+    binding_[var] = image;
+    bound_[var] = true;
+    trail_.push_back(var);
+  }
+
+  // Undoes every binding pushed after `mark` and refreshes the cached
+  // estimates of the atoms touching those variables.
   void RollbackTo(size_t mark) {
-    while (trail_.size() > mark) {
-      uint32_t var = trail_.back();
-      trail_.pop_back();
+    for (size_t i = trail_.size(); i > mark; --i) {
+      uint32_t var = trail_[i - 1];
       if (options_.injective) used_targets_.erase(binding_[var]);
       bound_[var] = false;
+    }
+    Rescore(mark);
+    trail_.resize(mark);
+  }
+
+  // Re-scores the unassigned atoms that mention a variable of
+  // trail_[mark..]. Assigned atoms keep the estimate they had when chosen,
+  // which is valid again by the time the search unassigns them (every
+  // binding below them has been rolled back).
+  void Rescore(size_t mark) {
+    for (size_t i = mark; i < trail_.size(); ++i) {
+      uint32_t var = trail_[i];
+      for (uint32_t k = occurrence_begin_[var]; k < occurrence_begin_[var + 1];
+           ++k) {
+        uint32_t atom = occurrences_[k];
+        if (!assigned_[atom]) {
+          estimates_[atom] = EstimateCandidates(pattern_atoms_[atom]);
+        }
+      }
     }
   }
 
@@ -475,7 +581,7 @@ class HomSearch {
     for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
       if (assigned_[i]) continue;
       if (remaining_focus_ > 0 && !pattern_atoms_[i].focus) continue;
-      size_t score = EstimateCandidates(pattern_atoms_[i]);
+      size_t score = estimates_[i];
       if (score < best_score) {
         best_score = score;
         chosen = i;
@@ -487,16 +593,18 @@ class HomSearch {
     assigned_[chosen] = true;
     if (pat.focus) --remaining_focus_;
     bool stop = false;
-    for (const Atom* cand : Candidates(pat)) {
+    std::vector<const Atom*>& candidates = candidate_buffers_[remaining];
+    Candidates(pat, &candidates);
+    for (const Atom* cand : candidates) {
       size_t mark = trail_.size();
-      if (TryUnify(pat, *cand)) {
-        if (Search(remaining - 1)) {
-          RollbackTo(mark);
-          stop = true;
-          break;
-        }
+      if (!TryUnify(pat, *cand)) {
+        RollbackTo(mark);
+        continue;
       }
+      Rescore(mark);
+      stop = Search(remaining - 1);
       RollbackTo(mark);
+      if (stop) break;
     }
     assigned_[chosen] = false;
     if (pat.focus) ++remaining_focus_;
@@ -511,12 +619,22 @@ class HomSearch {
   std::vector<Term> binding_;  // indexed by local variable
   std::vector<char> bound_;
   std::vector<char> assigned_;
+  // estimates_[i] == EstimateCandidates(pattern_atoms_[i]) for every
+  // unassigned atom; kept current by Rescore on each bind and unbind.
+  std::vector<size_t> estimates_;
+  std::vector<uint32_t> occurrence_begin_;  // per variable, into occurrences_
+  std::vector<uint32_t> occurrences_;       // atoms mentioning each variable
+  std::vector<std::vector<const Atom*>> candidate_buffers_;  // per depth
   size_t remaining_focus_ = 0;
   std::vector<uint32_t> trail_;
   std::unordered_set<Term, TermHash> used_targets_;
   std::vector<Substitution> results_;
   bool backend_columnar_ = false;
   bool join_enabled_ = false;
+  // Retraction mode: only idempotent maps; local_of_image_ maps a
+  // variable's vocabulary index to its local index.
+  bool retractions_only_ = false;
+  std::vector<uint32_t> local_of_image_;
   MatchCounters* counters_ = nullptr;
   // JoinCandidates per-position plan, reused across nodes so the hot path
   // allocates nothing after warm-up.
@@ -559,6 +677,29 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
   options.seed = seed;
   options.limit = 1;
   return FindHomomorphism(pattern, target, options).has_value();
+}
+
+class RetractionSearch::Impl {
+ public:
+  explicit Impl(const AtomSet& instance)
+      : search_(instance, instance, options_, /*retractions_only=*/true) {}
+
+  bool MapsOnto(const Atom& from, const Atom& onto) {
+    return search_.ExistsRetractionOnto(from, onto);
+  }
+
+ private:
+  HomOptions options_;  // limit 1, identity first; outlives search_
+  HomSearch search_;
+};
+
+RetractionSearch::RetractionSearch(const AtomSet& instance)
+    : impl_(std::make_unique<Impl>(instance)) {}
+
+RetractionSearch::~RetractionSearch() = default;
+
+bool RetractionSearch::MapsOnto(const Atom& from, const Atom& onto) {
+  return impl_->MapsOnto(from, onto);
 }
 
 }  // namespace twchase

@@ -7,6 +7,14 @@
 //     a hom A → A∖{atoms containing X} without materialising the sub-instance);
 //   * term-injective and variable-to-variable modes (isomorphism search).
 //
+// Cached estimates. Each search node picks the unassigned pattern atom with
+// the fewest candidates. The search keeps every atom's estimate and, on each
+// bind or unbind, re-scores only the atoms that mention that variable, so a
+// node costs O(pattern size) comparisons plus O(touched atoms) postings
+// lookups instead of re-scoring the whole pattern. The cached values equal a
+// full re-score, so node order, results and MatchCounters are unchanged
+// (pinned by the EstimateCacheParity tests in tests/matcher_test.cc).
+//
 // Thread-safety contract (relied on by core/parallel.h): every search here
 // is a pure function of its arguments plus the per-thread ambient governor
 // (util/governor.h, a thread_local) — no static mutable state, no writes to
@@ -19,6 +27,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -116,6 +125,30 @@ bool ExistsHomomorphism(const AtomSet& pattern, const AtomSet& target);
 /// to a homomorphism from B ∪ H to I.
 bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
                                  const Substitution& seed);
+
+/// The still-core guard's case-(i) search (plan/core_guard.h). The whole
+/// instance is compiled once as both pattern and target, and only
+/// retractions are searched: binding X ↦ t, t a variable, also fixes t ↦ t.
+/// Each query binds its seed, decides, and rolls back, so one object
+/// answers any number of queries. Not thread-safe; `instance` must outlive
+/// the object unmodified.
+class RetractionSearch {
+ public:
+  explicit RetractionSearch(const AtomSet& instance);
+  ~RetractionSearch();
+
+  RetractionSearch(const RetractionSearch&) = delete;
+  RetractionSearch& operator=(const RetractionSearch&) = delete;
+
+  /// True iff some retraction of the instance maps atom `from` onto atom
+  /// `onto` (both atoms of the instance). A search the ambient governor
+  /// stopped answers false: check GovernorStopped() before trusting that.
+  bool MapsOnto(const Atom& from, const Atom& onto);
+
+ private:
+  class Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// True iff pattern maps to target, i.e. target |= pattern as a Boolean CQ.
 inline bool Entails(const AtomSet& target, const AtomSet& query) {

@@ -16,23 +16,32 @@
 // the identity on terms(A); constants are fixed by every homomorphism, so ρ
 // moves only variables outside vars(A), i.e. fresh ones — case (ii). ∎
 //
-// The guard refutes both cases:
+// The guard refutes both cases, each with a search restricted to what the
+// case allows to move:
 //
-//   (ii) For every fresh variable v (index ≥ the vocabulary mark taken at
-//        certification) appearing in D, search for a folding endomorphism of
-//        A' eliminating v. Success means A' is definitively not a core.
-//   (i)  For every d ∈ D and every same-predicate atom a ≠ d of A', the
-//        positional restriction σ of any h with h(a) = d is forced (constants
-//        of a must already equal d's, variables of a bind to d's terms —
-//        one-way matching is exact here). If σ exists, search for any
-//        endomorphism of A' extending σ with limit 1. Finding one does not
-//        prove A' is not a core (the extension may be an automorphism), so a
-//        hit only withholds the certificate.
+//   (ii) Pinned. Let M ⊆ D be the added atoms that mention a fresh variable
+//        (index ≥ the vocabulary mark taken at certification). For every
+//        fresh v, search for a homomorphism M → A' that maps every non-fresh
+//        variable to itself and whose image avoids v.
+//        Exact: ρ moves only fresh variables, so it fixes every atom outside
+//        M, and ρ(v) ≠ v puts v outside image(ρ) (ρ(v) = ρ(ρ(w)) = ρ(w) = v
+//        otherwise). Sound: a hit extended by the identity is an
+//        endomorphism of A' whose image misses v — A' is not a core.
+//   (i)  Retractions only. For every d ∈ D and every same-predicate atom
+//        a ≠ d of A', the positional seed a ↦ d is forced (one-way matching
+//        is exact). Search for an *idempotent* endomorphism of A' extending
+//        it: binding X ↦ t, t a variable, also binds t ↦ t.
+//        Exact: ρ(a) = d puts terms(d) in image(ρ), and a retraction fixes
+//        its image. Sound: a hit is a retraction with ρ(a) = d ≠ a, so it is
+//        not the identity and omits a from its image — A' is not a core.
+//        The whole-instance pattern is compiled once per call and every
+//        seed binds, decides and rolls back (RetractionSearch, hom/matcher.h).
 //
-// All checks negative ⟹ no proper retraction exists ⟹ A' is a core, and the
-// caller skips the full ComputeCore. Any hit falls back to ComputeCore,
-// whose output is bit-identical to what the unguarded path produces — the
-// guard never changes the chase, only avoids provably-idempotent work.
+// Either kind of hit is therefore a definitive "not a core"; all checks
+// negative ⟹ no proper retraction exists ⟹ A' is a core, and the caller
+// skips the full ComputeCore. Any hit falls back to ComputeCore, whose
+// output is bit-identical to what the unguarded path produces — the guard
+// never changes the chase, only avoids provably-idempotent work.
 #ifndef TWCHASE_PLAN_CORE_GUARD_H_
 #define TWCHASE_PLAN_CORE_GUARD_H_
 
@@ -48,10 +57,10 @@ struct CoreGuardOutcome {
   /// True iff the instance is proven to still be a core.
   bool certified = false;
 
-  /// Folding-endomorphism searches run (case ii).
+  /// Pinned fresh-variable searches run (case ii), one per fresh variable.
   size_t fresh_null_checks = 0;
 
-  /// Seeded onto-D endomorphism searches run (case i).
+  /// Seeded onto-D retraction searches run (case i).
   size_t onto_checks = 0;
 };
 

@@ -10,7 +10,14 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-struct Parser {
+const Json& NullJson() {
+  static const Json* kNull = new Json();
+  return *kNull;
+}
+
+}  // namespace
+
+struct JsonParser {
   std::string_view text;
   size_t pos = 0;
 
@@ -101,6 +108,7 @@ struct Parser {
   Status ParseString(Json* out) {
     std::string value;
     TWCHASE_RETURN_IF_ERROR(ParseStringBody(&value));
+    value.shrink_to_fit();
     *out = Json::String(std::move(value));
     return Status::OK();
   }
@@ -173,7 +181,10 @@ struct Parser {
       TWCHASE_RETURN_IF_ERROR(ParseValue(&item, depth + 1));
       out->Append(std::move(item));
       SkipSpace();
-      if (Consume(']')) return Status::OK();
+      if (Consume(']')) {
+        std::get<Json::Items>(out->value_).shrink_to_fit();
+        return Status::OK();
+      }
       if (!Consume(',')) return Error("expected ',' or ']'");
     }
   }
@@ -193,54 +204,47 @@ struct Parser {
       TWCHASE_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
       out->Set(key, std::move(value));
       SkipSpace();
-      if (Consume('}')) return Status::OK();
+      if (Consume('}')) {
+        std::get<Json::Members>(out->value_).shrink_to_fit();
+        return Status::OK();
+      }
       if (!Consume(',')) return Error("expected ',' or '}'");
     }
   }
 };
 
-const Json& NullJson() {
-  static const Json* kNull = new Json();
-  return *kNull;
-}
-
-}  // namespace
-
 Json Json::Bool(bool value) {
   Json j;
-  j.type_ = Type::kBool;
-  j.bool_ = value;
+  j.value_ = value;
   return j;
 }
 
 Json Json::Number(double value) {
   Json j;
-  j.type_ = Type::kNumber;
-  j.number_ = value;
+  j.value_ = value;
   return j;
 }
 
 Json Json::String(std::string value) {
   Json j;
-  j.type_ = Type::kString;
-  j.string_ = std::move(value);
+  j.value_ = std::move(value);
   return j;
 }
 
 Json Json::Array() {
   Json j;
-  j.type_ = Type::kArray;
+  j.value_ = Items();
   return j;
 }
 
 Json Json::Object() {
   Json j;
-  j.type_ = Type::kObject;
+  j.value_ = Members();
   return j;
 }
 
 StatusOr<Json> Json::Parse(std::string_view text) {
-  Parser parser{text};
+  JsonParser parser{text};
   Json value;
   TWCHASE_RETURN_IF_ERROR(parser.ParseValue(&value, 0));
   parser.SkipSpace();
@@ -250,34 +254,64 @@ StatusOr<Json> Json::Parse(std::string_view text) {
   return value;
 }
 
+bool Json::bool_value() const {
+  const bool* value = std::get_if<bool>(&value_);
+  return value != nullptr && *value;
+}
+
+double Json::number_value() const {
+  const double* value = std::get_if<double>(&value_);
+  return value != nullptr ? *value : 0;
+}
+
+const std::string& Json::string_value() const {
+  static const std::string* kEmpty = new std::string();
+  const std::string* value = std::get_if<std::string>(&value_);
+  return value != nullptr ? *value : *kEmpty;
+}
+
+const Json::Items& Json::items() const {
+  static const Items* kEmpty = new Items();
+  const Items* value = std::get_if<Items>(&value_);
+  return value != nullptr ? *value : *kEmpty;
+}
+
+const Json::Members& Json::members() const {
+  static const Members* kEmpty = new Members();
+  const Members* value = std::get_if<Members>(&value_);
+  return value != nullptr ? *value : *kEmpty;
+}
+
 void Json::Append(Json value) {
-  TWCHASE_CHECK_MSG(type_ == Type::kArray, "Append on non-array Json");
-  items_.push_back(std::move(value));
+  Items* items = std::get_if<Items>(&value_);
+  TWCHASE_CHECK_MSG(items != nullptr, "Append on non-array Json");
+  items->push_back(std::move(value));
 }
 
 bool Json::Has(std::string_view key) const {
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : members()) {
     if (name == key) return true;
   }
   return false;
 }
 
 const Json& Json::Get(std::string_view key) const {
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : members()) {
     if (name == key) return value;
   }
   return NullJson();
 }
 
 void Json::Set(std::string_view key, Json value) {
-  TWCHASE_CHECK_MSG(type_ == Type::kObject, "Set on non-object Json");
-  for (auto& [name, existing] : members_) {
+  Members* members = std::get_if<Members>(&value_);
+  TWCHASE_CHECK_MSG(members != nullptr, "Set on non-object Json");
+  for (auto& [name, existing] : *members) {
     if (name == key) {
       existing = std::move(value);
       return;
     }
   }
-  members_.emplace_back(std::string(key), std::move(value));
+  members->emplace_back(std::string(key), std::move(value));
 }
 
 std::string JsonEscape(std::string_view text) {
@@ -313,53 +347,56 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
     out->push_back('\n');
     out->append(static_cast<size_t>(indent + 2 * levels), ' ');
   };
-  switch (type_) {
+  switch (type()) {
     case Type::kNull: *out += "null"; return;
-    case Type::kBool: *out += bool_ ? "true" : "false"; return;
+    case Type::kBool: *out += bool_value() ? "true" : "false"; return;
     case Type::kNumber: {
-      double rounded = std::nearbyint(number_);
+      const double number = number_value();
+      double rounded = std::nearbyint(number);
       char buffer[40];
-      if (rounded == number_ && std::fabs(number_) < 9.0e15) {
-        std::snprintf(buffer, sizeof(buffer), "%.0f", number_);
+      if (rounded == number && std::fabs(number) < 9.0e15) {
+        std::snprintf(buffer, sizeof(buffer), "%.0f", number);
       } else {
-        std::snprintf(buffer, sizeof(buffer), "%.6g", number_);
+        std::snprintf(buffer, sizeof(buffer), "%.6g", number);
       }
       *out += buffer;
       return;
     }
     case Type::kString:
       out->push_back('"');
-      *out += JsonEscape(string_);
+      *out += JsonEscape(string_value());
       out->push_back('"');
       return;
     case Type::kArray: {
-      if (items_.empty()) {
+      const Items& elements = items();
+      if (elements.empty()) {
         *out += "[]";
         return;
       }
       out->push_back('[');
-      for (size_t i = 0; i < items_.size(); ++i) {
+      for (size_t i = 0; i < elements.size(); ++i) {
         if (i > 0) out->push_back(',');
         newline_indent(depth + 1);
-        items_[i].DumpTo(out, indent, depth + 1);
+        elements[i].DumpTo(out, indent, depth + 1);
       }
       newline_indent(depth);
       out->push_back(']');
       return;
     }
     case Type::kObject: {
-      if (members_.empty()) {
+      const Members& fields = members();
+      if (fields.empty()) {
         *out += "{}";
         return;
       }
       out->push_back('{');
-      for (size_t i = 0; i < members_.size(); ++i) {
+      for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) out->push_back(',');
         newline_indent(depth + 1);
         out->push_back('"');
-        *out += JsonEscape(members_[i].first);
+        *out += JsonEscape(fields[i].first);
         *out += pretty ? "\": " : "\":";
-        members_[i].second.DumpTo(out, indent, depth + 1);
+        fields[i].second.DumpTo(out, indent, depth + 1);
       }
       newline_indent(depth);
       out->push_back('}');

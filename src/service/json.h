@@ -11,6 +11,11 @@
 // rounds, sizes) is far below 2^53, so round-tripping through double is
 // exact; the writer prints integral doubles without a fraction.
 //
+// A value holds only its own kind (one variant, 40 bytes), and parsed
+// containers and strings are trimmed to their size: daemons retain
+// terminal results and clients keep fetched ones, so the per-node
+// footprint is what a busy service's memory grows by.
+//
 // Parsing untrusted bytes never aborts: malformed input, depth bombs and
 // truncated documents come back as Status (the HTTP layer maps them to 400).
 #ifndef TWCHASE_SERVICE_JSON_H_
@@ -20,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/status.h"
@@ -46,27 +52,29 @@ class Json {
   /// input; nesting deeper than 64 levels is rejected.
   static StatusOr<Json> Parse(std::string_view text);
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  using Items = std::vector<Json>;
+  using Members = std::vector<std::pair<std::string, Json>>;
 
-  bool bool_value() const { return bool_; }
-  double number_value() const { return number_; }
-  const std::string& string_value() const { return string_; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
+
+  /// Typed access; a value of another kind reads as false, 0 or empty.
+  bool bool_value() const;
+  double number_value() const;
+  const std::string& string_value() const;
 
   /// Array access.
-  const std::vector<Json>& items() const { return items_; }
+  const Items& items() const;
   void Append(Json value);
 
   /// Object access, insertion-ordered. Get returns null for a missing key
   /// (distinguish with Has when null is a legal value).
-  const std::vector<std::pair<std::string, Json>>& members() const {
-    return members_;
-  }
+  const Members& members() const;
   bool Has(std::string_view key) const;
   const Json& Get(std::string_view key) const;
   /// Insert-or-overwrite, preserving first-insertion order.
@@ -77,14 +85,13 @@ class Json {
   std::string Dump(int indent = -1) const;
 
  private:
+  friend struct JsonParser;
+
   void DumpTo(std::string* out, int indent, int depth) const;
 
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0;
-  std::string string_;
-  std::vector<Json> items_;
-  std::vector<std::pair<std::string, Json>> members_;
+  // Alternatives in Type order: index() is the type.
+  std::variant<std::monostate, bool, double, std::string, Items, Members>
+      value_;
 };
 
 /// Escapes `text` as the body of a JSON string literal (no quotes added).

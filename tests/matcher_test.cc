@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "core/chase.h"
+#include "hom/core.h"
 #include "hom/matcher.h"
+#include "kb/examples.h"
 #include "kb/generators.h"
 #include "model/predicate.h"
+#include "util/fault.h"
+#include "util/governor.h"
 
 namespace twchase {
 namespace {
@@ -156,6 +161,77 @@ TEST_F(MatcherTest, EntailsHelper) {
   AtomSet target = Edges({{a_, b_}, {b_, a_}});
   AtomSet query = Edges({{x_, y_}, {y_, x_}});
   EXPECT_TRUE(Entails(target, query));
+}
+
+// Estimate-cache parity. The matcher keeps each pattern atom's candidate
+// estimate and re-scores only the atoms a binding touches; the cached values
+// equal a full re-score, so every search visits the same nodes in the same
+// order. The pinned counts were taken from the matcher that re-scored every
+// atom at every node: any drift means the search order changed.
+struct SearchCounts {
+  uint64_t nodes = 0;
+  uint64_t index_probes = 0;
+  uint64_t column_scans = 0;
+  uint64_t join_fallbacks = 0;
+  uint64_t index_builds = 0;
+};
+
+void ExpectCounts(const SearchCounts& got, const SearchCounts& want) {
+  EXPECT_EQ(got.nodes, want.nodes);
+  EXPECT_EQ(got.index_probes, want.index_probes);
+  EXPECT_EQ(got.column_scans, want.column_scans);
+  EXPECT_EQ(got.join_fallbacks, want.join_fallbacks);
+  EXPECT_EQ(got.index_builds, want.index_builds);
+}
+
+// ComputeCore on the last element of a 40-step restricted chase.
+SearchCounts ComputeCoreCounts(const KnowledgeBase& kb) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  options.limits.max_steps = 40;
+  auto run = RunChase(kb, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return {};
+  FaultInjector injector;
+  MatchCounters counters;
+  ResourceGovernor governor{ResourceLimits{}};
+  GovernorScope ambient(&governor);
+  FaultInjectorScope faults(&injector);
+  MatchCountersScope scope(&counters);
+  ComputeCore(run->derivation.Last());
+  return {injector.visits(FaultSite::kHomNode), counters.index_probes,
+          counters.column_scans, counters.join_fallbacks,
+          counters.index_builds};
+}
+
+TEST(EstimateCacheParity, ComputeCoreFoldingTheRestrictedStaircase) {
+  ExpectCounts(ComputeCoreCounts(StaircaseWorld().kb()),
+               {2490, 2257, 228, 0, 22});
+}
+
+TEST(EstimateCacheParity, ComputeCoreProvingTheRestrictedElevatorIsACore) {
+  ExpectCounts(ComputeCoreCounts(ElevatorWorld().kb()),
+               {79149, 77111, 2038, 0, 5});
+}
+
+TEST(EstimateCacheParity, StaircaseCoreChaseWithThePlannerOff) {
+  StaircaseWorld world;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 30;
+  options.plan.enabled = false;
+  FaultInjector injector;
+  StatusOr<ChaseResult> run = Status::Internal("not run");
+  {
+    FaultInjectorScope faults(&injector);
+    run = RunChase(world.kb(), options);
+  }
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ChaseStats& stats = run->stats;
+  ExpectCounts({injector.visits(FaultSite::kHomNode), stats.match_index_probes,
+                stats.match_column_scans, stats.match_join_fallbacks,
+                stats.match_index_builds},
+               {12753, 11201, 1170, 0, 0});
 }
 
 }  // namespace

@@ -9,12 +9,15 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/generator.h"
 #include "core/chase.h"
 #include "core/trigger.h"
 #include "hom/core.h"
 #include "kb/examples.h"
 #include "kb/knowledge_base.h"
 #include "model/atom_set.h"
+#include "obs/observer.h"
+#include "parser/parser.h"
 #include "plan/core_guard.h"
 #include "plan/execution_plan.h"
 #include "plan/reliance.h"
@@ -212,6 +215,44 @@ TEST_F(CoreGuardTest, WithholdsWhenOldAtomMapsOntoAddedOne) {
   EXPECT_FALSE(IsCore(instance));
 }
 
+TEST_F(CoreGuardTest, RefutesTwoFreshNullsThatFoldOnlyTogether) {
+  // Base: the 2-cycle e(a, b), e(b, a). Added: a fresh 2-cycle e(N0, N1),
+  // e(N1, N0). Neither null folds while the other stays put; together they
+  // fold onto the base. The pinned case-(ii) search moves both at once.
+  Term b = vocab_.Constant("b");
+  AtomSet instance;
+  instance.Insert(Atom(e_, {a_, b}));
+  instance.Insert(Atom(e_, {b, a_}));
+  uint32_t mark = static_cast<uint32_t>(vocab_.num_variables());
+  Term n0 = vocab_.NamedVariable("N0");
+  Term n1 = vocab_.NamedVariable("N1");
+  std::vector<Atom> added = {Atom(e_, {n0, n1}), Atom(e_, {n1, n0})};
+  for (const Atom& atom : added) instance.Insert(atom);
+  CoreGuardOutcome outcome = ProveStillCore(instance, added, mark);
+  EXPECT_FALSE(outcome.certified);
+  EXPECT_EQ(outcome.fresh_null_checks, 1u);
+  EXPECT_EQ(outcome.onto_checks, 0u);
+  EXPECT_FALSE(IsCore(instance));
+}
+
+TEST_F(CoreGuardTest, CertifiesWhenOnlyANonIdempotentMapSendsAnAtomOnto) {
+  // Base e(X, Y) is a core; adding e(Y, X) closes a 2-cycle, still a core.
+  // The seed e(X, Y) -> e(Y, X) extends to the swap automorphism, which is
+  // not idempotent: X -> Y would have to fix Y. No retraction extends it.
+  Term x = vocab_.NamedVariable("X");
+  Term y = vocab_.NamedVariable("Y");
+  AtomSet instance;
+  instance.Insert(Atom(e_, {x, y}));
+  uint32_t mark = static_cast<uint32_t>(vocab_.num_variables());
+  Atom added(e_, {y, x});
+  instance.Insert(added);
+  CoreGuardOutcome outcome = ProveStillCore(instance, {added}, mark);
+  EXPECT_TRUE(outcome.certified);
+  EXPECT_EQ(outcome.fresh_null_checks, 0u);
+  EXPECT_EQ(outcome.onto_checks, 1u);
+  EXPECT_TRUE(IsCore(instance));
+}
+
 TEST_F(CoreGuardTest, EmptyAdditionCertifiesTrivially) {
   AtomSet instance;
   instance.Insert(Atom(p_, {a_}));
@@ -234,6 +275,88 @@ TEST(PlanChase, StaircaseCoreRunsCertifyInsteadOfRefolding) {
   EXPECT_GT(run->stats.plan_core_proofs, 0u);
   EXPECT_GT(run->stats.plan_core_certified, 0u);
   EXPECT_TRUE(IsCore(run->derivation.Last()));
+}
+
+// What the chase handed the guard at each step: whether the step was cored
+// and the vocabulary mark right after it (the mark the next certification
+// base carries).
+class GuardInputs : public ChaseObserver {
+ public:
+  explicit GuardInputs(const Vocabulary* vocab) : vocab_(vocab) {}
+
+  void OnRunBegin(const RunBeginEvent&) override {
+    marks.assign(1, Mark());
+    cored.assign(1, 0);
+  }
+  void OnTriggerApplied(const TriggerAppliedEvent& event) override {
+    marks.resize(event.step + 1, 0);
+    cored.resize(event.step + 1, 0);
+    marks[event.step] = Mark();
+  }
+  void OnCoreRetraction(const CoreRetractionEvent& event) override {
+    if (event.step > 0) cored[event.step] = 1;
+  }
+
+  std::vector<uint32_t> marks;
+  std::vector<uint8_t> cored;
+
+ private:
+  uint32_t Mark() const {
+    return static_cast<uint32_t>(vocab_->num_variables());
+  }
+  const Vocabulary* vocab_;
+};
+
+// Runs the core chase with the planner on, then calls the guard again on
+// every cored step of the run's own derivation. Every instance it certifies
+// must pass the exhaustive IsCore, and the recheck must agree with the
+// run's certificate count. Returns that count.
+size_t ExpectCertifiedStepsAreCores(const KnowledgeBase& kb, size_t max_steps) {
+  GuardInputs inputs(kb.vocab.get());
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = max_steps;
+  options.limits.max_instance_size = 4000;
+  options.observer = &inputs;
+  auto run = RunChase(kb, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return 0;
+  const Derivation& derivation = run->derivation;
+  size_t certified = 0;
+  size_t base = 0;
+  std::vector<Atom> since;
+  for (size_t i = 1; i < derivation.size(); ++i) {
+    const std::vector<Atom>& added = derivation.step(i).added_atoms;
+    since.insert(since.end(), added.begin(), added.end());
+    if (i >= inputs.cored.size() || !inputs.cored[i]) continue;
+    AtomSet pre = derivation.PreSimplification(i);
+    if (ProveStillCore(pre, since, inputs.marks[base]).certified) {
+      ++certified;
+      EXPECT_TRUE(IsCore(pre)) << "certified step " << i << " is not a core";
+    }
+    base = i;
+    since.clear();
+  }
+  EXPECT_EQ(certified, run->stats.plan_core_certified);
+  return run->stats.plan_core_certified;
+}
+
+// Soundness of the guard on the paper's two worlds and on generated
+// core-bts programs. The floors are the certificate counts of the
+// whole-instance guard this one replaced (the remaining staircase steps do
+// fold): searching only what can move must never certify less.
+TEST(CoreGuardProperty, CertifiedStepsAreCores) {
+  EXPECT_GE(ExpectCertifiedStepsAreCores(StaircaseWorld().kb(), 60), 54u);
+  EXPECT_GE(ExpectCertifiedStepsAreCores(ElevatorWorld().kb(), 50), 50u);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("core-bts seed " + std::to_string(seed));
+    GeneratorOptions gen;
+    gen.label = GeneratedClass::kCoreBts;
+    gen.seed = seed;
+    auto parsed = ParseProgram(GenerateProgram(gen).text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_GE(ExpectCertifiedStepsAreCores(parsed->kb, 60), 54u);
+  }
 }
 
 TEST(PlanChase, DormantRuleSkipsMatchWorkWithoutChangingTheRun) {

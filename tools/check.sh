@@ -44,9 +44,9 @@
 #      sweep) under a generous wall-time ceiling — it fails on parity
 #      violations, a tripped memory budget, or a hang;
 #  10. planner regression gate: from the bench smoke artifact, the
-#      staircase-core workload must not be slower with the planner on than
-#      off — the planner only ever skips work, so a regression means the
-#      reliance/guard machinery itself got too expensive.
+#      staircase-core and elevator-core workloads must not be slower with the
+#      planner on than off — the planner only ever skips work, so a regression
+#      means the reliance/guard machinery itself got too expensive.
 # Run from the repository root. Fails fast on the first broken step. Every
 # ctest invocation is wrapped in a hard `timeout` so a hung governed run can
 # never wedge the gate (individual tests additionally carry ctest TIMEOUT
@@ -249,24 +249,26 @@ echo "== bench smoke: full sweep under ${BENCH_HARD_TIMEOUT}s ceiling =="
 timeout "$BENCH_HARD_TIMEOUT" ./build/bench/bench_engine \
   --out /tmp/twchase_bench_smoke.json > /dev/null
 
-echo "== planner regression gate: staircase-core plan on vs off =="
-if ! awk '
-  /"plan_sweep"/ { in_sweep = 1 }
-  in_sweep && /"name": "staircase-core"/ { in_row = 1 }
-  in_row && /"plan_off"/ && match($0, /"wall_ms": [0-9.]+/) {
-    off = substr($0, RSTART + 11, RLENGTH - 11) + 0
-  }
-  in_row && /"plan_on"/ && match($0, /"wall_ms": [0-9.]+/) {
-    on = substr($0, RSTART + 11, RLENGTH - 11) + 0
-    printf "  staircase-core: plan off %.2f ms, plan on %.2f ms\n", off, on
-    exit !(off > 0 && on > 0 && on <= off)
-  }
-  END {
-    if (on == "") { print "  staircase-core plan_sweep row missing"; exit 1 }
-  }
-' /tmp/twchase_bench_smoke.json; then
-  echo "PLANNER REGRESSION: staircase-core slower with the planner on" >&2
-  exit 1
-fi
+echo "== planner regression gate: staircase-core and elevator-core plan on vs off =="
+for workload in staircase-core elevator-core; do
+  if ! awk -v name="$workload" '
+    /"plan_sweep"/ { in_sweep = 1 }
+    in_sweep && index($0, "\"name\": \"" name "\"") { in_row = 1 }
+    in_row && /"plan_off"/ && match($0, /"wall_ms": [0-9.]+/) {
+      off = substr($0, RSTART + 11, RLENGTH - 11) + 0
+    }
+    in_row && /"plan_on"/ && match($0, /"wall_ms": [0-9.]+/) {
+      on = substr($0, RSTART + 11, RLENGTH - 11) + 0
+      printf "  %s: plan off %.2f ms, plan on %.2f ms\n", name, off, on
+      exit !(off > 0 && on > 0 && on <= off)
+    }
+    END {
+      if (on == "") { print "  " name " plan_sweep row missing"; exit 1 }
+    }
+  ' /tmp/twchase_bench_smoke.json; then
+    echo "PLANNER REGRESSION: $workload slower with the planner on" >&2
+    exit 1
+  fi
+done
 
 echo "check.sh: all gates passed"
