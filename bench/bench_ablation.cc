@@ -7,9 +7,7 @@
 //   (d) chase-variant cost ladder on one KB (oblivious → core);
 //   (e) trigger keys: packed binding words versus the decimal-string keys
 //       the engine used before (identity + deterministic order for the
-//       scheduler);
-//   (f) incremental core maintenance versus full recomputation in the core
-//       chase.
+//       scheduler).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -152,7 +150,8 @@ int main() {
     auto run = RunChase(kb, options);
     if (!run.ok()) continue;
     std::printf("%-16s %8zu %8s %10zu %7.2fs\n", ChaseVariantName(variant),
-                run->steps, run->terminated ? "yes" : "no",
+                run->steps,
+                run->stop_reason == StopReason::kFixpoint ? "yes" : "no",
                 run->derivation.Last().size(), w.ElapsedSeconds());
   }
 
@@ -218,36 +217,5 @@ int main() {
     }
   }
 
-  std::printf("\nABL (f): core chase — incremental core maintenance vs full\n");
-  std::printf("%-22s %12s %8s %8s %12s %10s\n", "workload", "mode", "steps",
-              "time", "incremental", "fallbacks");
-  {
-    struct CoreCase {
-      const char* name;
-      bool elevator;
-      size_t max_steps;
-    };
-    for (const CoreCase& c :
-         {CoreCase{"staircase-core", false, 45},
-          CoreCase{"elevator-core", true, 60}}) {
-      for (bool incremental : {false, true}) {
-        ChaseOptions options;
-        options.variant = ChaseVariant::kCore;
-        options.limits.max_steps = c.max_steps;
-        options.keep_snapshots = false;
-        options.core.incremental_core = incremental;
-        Stopwatch w;
-        StaircaseWorld staircase;
-        ElevatorWorld elevator;
-        auto run = RunChase(c.elevator ? elevator.kb() : staircase.kb(),
-                            options);
-        if (!run.ok()) continue;
-        std::printf("%-22s %12s %8zu %7.2fs %12zu %10zu\n", c.name,
-                    incremental ? "incremental" : "full", run->steps,
-                    w.ElapsedSeconds(), run->stats.core_incremental,
-                    run->stats.core_fallbacks);
-      }
-    }
-  }
   return 0;
 }

@@ -5,26 +5,25 @@
 // construction, see tests/delta_differential_test.cc) and writes the
 // machine-readable comparison to BENCH_engine.json in the working directory:
 // per workload the rounds, steps, trigger counts, wall milliseconds and the
-// peak instance size, plus the OFF/ON speedup. A second section sweeps
-// --threads over the parallel trigger-evaluation path (1/2/4/hardware
-// concurrency), verifies sequential-vs-parallel parity per workload, and
-// records per-thread-count wall times, speedups and the parallel stats.
+// peak instance size, plus the OFF/ON speedup. The host's
+// hardware_concurrency is recorded next to it: the engine is sequential,
+// so the figure only qualifies the service and wall-time numbers.
 //
-// A third section sweeps the homomorphism-matching backend (columnar
+// A second section sweeps the homomorphism-matching backend (columnar
 // join-based vs legacy per-atom backtracking) over trigger-heavy random
 // workloads, verifies backend parity, and records per-backend wall times,
-// speedups and the chase.match.* counters. A fourth section runs the
+// speedups and the chase.match.* counters. A third section runs the
 // large-instance family (scaled transitive closure and a wide guarded
 // chain, each ≥100k atoms) columnar-only under a governor memory budget.
-// A fifth section sweeps the execution planner (--plan off/on) over the
+// A fourth section sweeps the execution planner (--plan off/on) over the
 // core-chase workloads, verifies bit-parity, and records the planner stats
 // (reliance edges, strata, dormancy skips, still-core certificates) — the
 // staircase-core row backs the planner regression gate in tools/check.sh.
-// A sixth section measures daemon throughput: an in-process ChaseDaemon
+// A fifth section measures daemon throughput: an in-process ChaseDaemon
 // serving identical core-chase jobs over real HTTP at 1, 4 and 8 concurrent
 // tenants, reporting jobs/sec (submit-to-terminal) per tenant count and
 // verifying every job's final instance hash agrees.
-// A seventh section measures the termination-analysis preflight: wall time
+// A sixth section measures the termination-analysis preflight: wall time
 // and verdict per witness program (the paper's worlds plus twgen-generated
 // programs of every labeled class), failing on any misclassification — the
 // cost of --variant=auto is this sweep's headline number.
@@ -64,7 +63,6 @@
 #include "tw/treewidth.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace twchase {
 namespace {
@@ -196,8 +194,7 @@ struct SweepMeasurement {
 };
 
 SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
-                              int repetitions, Histogram* phase_ms,
-                              size_t threads = 1) {
+                              int repetitions, Histogram* phase_ms) {
   SweepMeasurement best;
   for (int rep = 0; rep < repetitions; ++rep) {
     KnowledgeBase kb = workload.make_kb();
@@ -206,7 +203,6 @@ SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
     options.limits.max_steps = workload.max_steps;
     options.keep_snapshots = false;
     options.delta.enabled = delta_on;
-    options.parallel.threads = threads;
     Stopwatch watch;
     auto run = RunChase(kb, options);
     double ms = watch.ElapsedMillis();
@@ -235,7 +231,9 @@ void AppendSide(std::string* json, const char* key,
                 "\"matches_invalidated\": %zu, \"peak_atoms\": %zu, "
                 "\"final_atoms\": %zu}",
                 key, m.result.rounds, m.result.steps,
-                m.result.terminated ? "true" : "false", m.wall_ms,
+                m.result.stop_reason == StopReason::kFixpoint ? "true"
+                                                              : "false",
+                m.wall_ms,
                 m.result.stats.triggers_found,
                 m.result.stats.triggers_considered,
                 m.result.stats.full_enumerations, m.result.stats.seed_probes,
@@ -243,85 +241,6 @@ void AppendSide(std::string* json, const char* key,
                 m.result.stats.peak_instance_size,
                 m.result.derivation.Last().size());
   *json += buffer;
-}
-
-// Sweeps --threads over the parallel trigger-evaluation path and returns
-// the "thread_sweep" JSON object (empty string on parity violation). Every
-// thread count must reproduce the threads=1 run exactly — same steps,
-// rounds and final instance — so the sweep doubles as a coarse determinism
-// check on real workloads. Note: speedup is bounded by the host; on a
-// single-core container every parallel count is pure overhead, which the
-// recorded hardware_concurrency makes explicit.
-std::string RunThreadSweep(MetricsRegistry* registry) {
-  std::vector<SweepWorkload> workloads;
-  workloads.push_back({"transitive-closure-12", ChaseVariant::kRestricted,
-                       2000, [] { return MakeTransitiveClosure(12); }});
-  workloads.push_back({"staircase-restricted", ChaseVariant::kRestricted, 120,
-                       [] { return StaircaseWorld().kb(); }});
-  workloads.push_back({"elevator-core", ChaseVariant::kCore, 60,
-                       [] { return ElevatorWorld().kb(); }});
-
-  size_t hw = ThreadPool::HardwareConcurrency();
-  std::vector<size_t> counts = {1, 2, 4};
-  if (hw != 1 && hw != 2 && hw != 4) counts.push_back(hw);
-
-  std::string json = "  \"thread_sweep\": {\n";
-  json += "    \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
-  json += "    \"workloads\": [\n";
-  std::printf("\n%-26s %-14s %8s %10s %10s %8s\n", "workload", "variant",
-              "threads", "wall ms", "speedup", "tasks");
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    const SweepWorkload& workload = workloads[i];
-    json += "      {\n        \"name\": \"" + workload.name + "\",\n";
-    json += "        \"variant\": \"";
-    json += ChaseVariantName(workload.variant);
-    json += "\",\n        \"by_threads\": [\n";
-    SweepMeasurement baseline;
-    for (size_t t = 0; t < counts.size(); ++t) {
-      size_t threads = counts[t];
-      SweepMeasurement m = MeasureChase(
-          workload, /*delta_on=*/true, 3,
-          registry->GetHistogram("phase." + workload.name + ".threads" +
-                                 std::to_string(threads) + ".wall_ms"),
-          threads);
-      if (threads == 1) {
-        baseline = m;
-      } else if (m.result.steps != baseline.result.steps ||
-                 m.result.rounds != baseline.result.rounds ||
-                 !(m.result.derivation.Last() ==
-                   baseline.result.derivation.Last())) {
-        std::fprintf(stderr,
-                     "PARITY VIOLATION on %s: threads=%zu diverges from "
-                     "sequential\n",
-                     workload.name.c_str(), threads);
-        return "";
-      }
-      double speedup = m.wall_ms > 0 ? baseline.wall_ms / m.wall_ms : 0;
-      std::printf("%-26s %-14s %8zu %9.2f %7.2fx %8zu\n",
-                  workload.name.c_str(), ChaseVariantName(workload.variant),
-                  threads, m.wall_ms, speedup, m.result.stats.parallel_tasks);
-      char buffer[512];
-      std::snprintf(buffer, sizeof(buffer),
-                    "          {\"threads\": %zu, \"wall_ms\": %.3f, "
-                    "\"speedup_vs_sequential\": %.2f, \"steps\": %zu, "
-                    "\"parallel_rounds\": %zu, \"parallel_tasks\": %zu, "
-                    "\"parallel_eval_ms\": %.3f, \"parallel_merge_ms\": %.3f, "
-                    "\"max_imbalance\": %zu}",
-                    threads, m.wall_ms,
-                    m.wall_ms > 0 ? baseline.wall_ms / m.wall_ms : 0.0,
-                    m.result.steps, m.result.stats.parallel_rounds,
-                    m.result.stats.parallel_tasks,
-                    m.result.stats.parallel_eval_ms,
-                    m.result.stats.parallel_merge_ms,
-                    m.result.stats.parallel_max_imbalance);
-      json += buffer;
-      json += (t + 1 < counts.size()) ? ",\n" : "\n";
-    }
-    json += "        ]\n";
-    json += (i + 1 < workloads.size()) ? "      },\n" : "      }\n";
-  }
-  json += "    ]\n  }";
-  return json;
 }
 
 // ---------------------------------------------------------------------------
@@ -875,8 +794,10 @@ int RunDeltaSweep(const char* output_path) {
   // reported best) go into a registry and are embedded into the artifact
   // under "metrics". The measured runs themselves carry no observer.
   MetricsRegistry registry;
-  std::string json = "{\n  \"benchmark\": \"delta_evaluation_sweep\",\n"
-                     "  \"workloads\": [\n";
+  std::string json = "{\n  \"benchmark\": \"delta_evaluation_sweep\",\n";
+  json += "  \"hardware_concurrency\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  json += "  \"workloads\": [\n";
   std::printf("%-26s %-14s %8s %10s %10s %8s\n", "workload", "variant",
               "steps", "off ms", "on ms", "speedup");
   for (size_t i = 0; i < workloads.size(); ++i) {
@@ -913,9 +834,6 @@ int RunDeltaSweep(const char* output_path) {
     json += (i + 1 < workloads.size()) ? "    },\n" : "    }\n";
   }
   json += "  ],\n";
-  std::string thread_sweep = RunThreadSweep(&registry);
-  if (thread_sweep.empty()) return 1;
-  json += thread_sweep + ",\n";
   std::string backend_sweep = RunBackendSweep(&registry);
   if (backend_sweep.empty()) return 1;
   json += backend_sweep + ",\n";

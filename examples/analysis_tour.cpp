@@ -21,11 +21,13 @@ void Row(const char* name, const twchase::KnowledgeBase& kb,
   auto run = RunChase(kb, options);
   const char* behaviour = "?";
   if (run.ok()) {
-    behaviour = run->terminated ? "terminates" : "runs forever";
+    behaviour = run->stop_reason == StopReason::kFixpoint ? "terminates"
+                                                          : "runs forever";
   }
   std::printf("%-26s %-34s -> core chase %s\n", name,
               analysis.Summary().c_str(), behaviour);
-  if (analysis.ImpliesTermination() && run.ok() && !run->terminated) {
+  if (analysis.ImpliesTermination() && run.ok() &&
+      run->stop_reason != StopReason::kFixpoint) {
     std::printf("  !! static analysis promised termination — budget too small?\n");
   }
 }

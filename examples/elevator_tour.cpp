@@ -27,7 +27,7 @@ int main() {
   }
   const Derivation& d = run->derivation;
   std::printf("core chase: %zu steps, terminated=%d\n", run->steps,
-              run->terminated);
+              run->stop_reason == StopReason::kFixpoint);
   std::printf("%5s %6s %6s %6s\n", "step", "|F_i|", "tw_lb", "tw_ub");
   int max_lb = -1;
   for (size_t i = 0; i < d.size(); i += 10) {

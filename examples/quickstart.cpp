@@ -51,7 +51,8 @@ int main() {
   }
   const AtomSet& model = run->derivation.Last();
   std::printf("core chase terminated: %s after %zu steps\n",
-              run->terminated ? "yes" : "no", run->steps);
+              run->stop_reason == StopReason::kFixpoint ? "yes" : "no",
+              run->steps);
   std::printf("universal model (%zu atoms): %s\n\n", model.size(),
               model.ToString(*program->kb.vocab).c_str());
 

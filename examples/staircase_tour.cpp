@@ -31,7 +31,7 @@ int main() {
   }
 
   std::printf("core chase: %zu steps, terminated=%d\n", core_run->steps,
-              core_run->terminated);
+              core_run->stop_reason == StopReason::kFixpoint);
   std::printf("%5s %6s %4s %s\n", "step", "|F_i|", "tw", "rule");
   const Derivation& d = core_run->derivation;
   int max_tw = -1;

@@ -118,7 +118,7 @@ DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
   if (!result.ok()) return run;
   run.ok = true;
   run.result = std::move(result.value());
-  run.terminated = run.result.terminated;
+  run.terminated = run.result.stop_reason == StopReason::kFixpoint;
   run.interrupted = IsInterruption(run.result.stop_reason);
   run.steps = run.result.steps;
   return run;

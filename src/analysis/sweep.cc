@@ -17,14 +17,13 @@ const ChaseVariant kAllVariants[] = {
 
 struct Config {
   MatchBackend backend = MatchBackend::kColumnar;
-  size_t threads = 1;
   bool plan = true;
 
   std::string Name() const {
     std::ostringstream out;
     out << "backend="
         << (backend == MatchBackend::kColumnar ? "columnar" : "legacy")
-        << " threads=" << threads << " plan=" << (plan ? "on" : "off");
+        << " plan=" << (plan ? "on" : "off");
     return out.str();
   }
 };
@@ -62,7 +61,6 @@ RunOutput RunConfig(const std::string& text, ChaseVariant variant,
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.plan.enabled = config.plan;
-  options.parallel.threads = config.threads;
   options.observer = &log;
   StatusOr<ChaseResult> run = RunChase(parsed.value().kb, options);
   if (!run.ok()) {
@@ -117,11 +115,7 @@ std::vector<Config> MakeConfigs(const SweepOptions& options) {
     backends.push_back(MatchBackend::kLegacy);
   }
   for (MatchBackend backend : backends) {
-    for (size_t threads : {size_t{1}, options.alt_threads}) {
-      for (bool plan : {true, false}) {
-        configs.push_back({backend, threads, plan});
-      }
-    }
+    for (bool plan : {true, false}) configs.push_back({backend, plan});
   }
   return configs;
 }
@@ -203,8 +197,7 @@ SweepReport RunDifferentialSweep(const std::vector<std::string>& programs,
       RunOutput ref = RunConfig(text, variant, Config{}, options.max_steps);
       ++report.runs;
       for (const Config& config : configs) {
-        if (config.backend == MatchBackend::kColumnar &&
-            config.threads == 1 && config.plan) {
+        if (config.backend == MatchBackend::kColumnar && config.plan) {
           continue;  // that is the reference itself
         }
         RunOutput alt = RunConfig(text, variant, config, options.max_steps);

@@ -1,7 +1,7 @@
 // Differential sweep harness: run a program across every chase variant ×
-// both match backends × thread counts × plan on/off and cross-check
-// bit-identity where the engine guarantees it (for a fixed variant, every
-// backend/thread/plan configuration must produce the same final instance,
+// both match backends × plan on/off and cross-check bit-identity where the
+// engine guarantees it (for a fixed variant, every backend/plan
+// configuration must produce the same final instance,
 // derivation journal and observer event stream). Any divergence is
 // delta-minimized (greedy rule, then fact removal) into the smallest
 // program that still diverges, ready to pin as a regression test.
@@ -25,9 +25,6 @@ struct SweepOptions {
   /// non-terminating programs must not stall the sweep.
   size_t max_steps = 40;
 
-  /// The alternate thread count checked against the sequential reference.
-  size_t alt_threads = 4;
-
   /// Also sweep the legacy per-atom match backend (the columnar backend is
   /// always swept).
   bool include_legacy_backend = true;
@@ -48,7 +45,7 @@ struct SweepDivergence {
 
   ChaseVariant variant = ChaseVariant::kRestricted;
 
-  /// The diverging configuration, e.g. "backend=legacy threads=4 plan=on".
+  /// The diverging configuration, e.g. "backend=legacy plan=on".
   std::string config;
 
   /// First differing field, e.g. "instance hash", "journal step 12".

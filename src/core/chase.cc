@@ -1,13 +1,11 @@
 #include "core/chase.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/delta.h"
-#include "core/parallel.h"
 #include "core/session.h"
 #include "core/trigger.h"
 #include "core/trigger_key.h"
@@ -21,8 +19,6 @@
 #include "util/governor.h"
 #include "util/logging.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace twchase {
 
@@ -43,28 +39,12 @@ const char* ChaseVariantName(ChaseVariant variant) {
 }
 
 // Error messages lead with the full nested field path (limits. / core. /
-// delta. / resume. / parallel.), so CLI users see which flag to fix and the
+// delta. / resume. / preflight.), so CLI users see which flag to fix and the
 // HTTP surface (src/service/wire.cc) can lift the path into its structured
 // 400 payload without guessing.
 Status ChaseOptions::Validate() const {
   if (core.core_every == 0) {
     return Status::InvalidArgument("core.core_every must be positive");
-  }
-  if (core.incremental_core &&
-      (core.core_every != 1 || core.core_at_round_end)) {
-    return Status::InvalidArgument(
-        "core.incremental_core requires core.core_every == 1 and "
-        "core.core_at_round_end == false");
-  }
-  if (resume.record_log && core.incremental_core) {
-    return Status::InvalidArgument(
-        "resume.record_log requires core.incremental_core == false: the "
-        "in-place fold order of the incremental path is not reproducible "
-        "from a resume log");
-  }
-  if (parallel.threads == 0) {
-    return Status::InvalidArgument(
-        "parallel.threads must be positive (1 = sequential)");
   }
   if (preflight.auto_variant && !preflight.resolved) {
     return Status::InvalidArgument(
@@ -127,28 +107,6 @@ void RecordRetractionDelta(const Substitution& retraction,
     }
   }
 }
-
-// Telemetry of one round's parallel sections (up to three: priming/naive
-// enumeration, erasure revalidation, seeded probes), aggregated for the
-// ParallelRoundEvent and ChaseStats.
-struct RoundParallelStats {
-  size_t sections = 0;
-  size_t tasks = 0;
-  size_t workers_used = 0;    // max over the round's sections
-  size_t max_imbalance = 0;   // max over sections of (max - min) worker share
-  double eval_ms = 0;
-  double merge_ms = 0;
-
-  void NoteSection(const ParallelSectionStats& section, double section_merge_ms) {
-    ++sections;
-    tasks += section.tasks;
-    workers_used = std::max(workers_used, section.workers_used);
-    max_imbalance = std::max(
-        max_imbalance, section.max_worker_tasks - section.min_worker_tasks);
-    eval_ms += section.eval_ms;
-    merge_ms += section_merge_ms;
-  }
-};
 
 // Telemetry of one round's planner decisions (src/plan/), aggregated for the
 // per-round PlanEvent and ChaseStats.
@@ -213,7 +171,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   if (replay != nullptr && !replay->have_initial) replay = nullptr;
   Vocabulary* vocab = kb.vocab.get();
   const bool is_core = options.variant == ChaseVariant::kCore;
-  const bool use_incremental_core = is_core && options.core.incremental_core;
   const bool delta_on = options.delta.enabled;
   // The observer is a read-only tap; every emission site below is a single
   // untaken branch when no observer is attached.
@@ -247,9 +204,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
 
   // Ambient chase.match.* telemetry: every homomorphism search of this run
   // (trigger enumeration, satisfaction checks, core folds) folds its
-  // probe/scan/build counts in here; the parallel evaluation path installs
-  // the same object inside its workers. Totals are a pure function of the
-  // searches performed, hence identical at any --threads.
+  // probe/scan/build counts in here. Totals are a pure function of the
+  // searches performed.
   MatchCounters match_counters;
   MatchCountersScope match_scope(&match_counters);
   auto fold_match_stats = [&]() {
@@ -270,7 +226,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // the scheduler loop (and on the pre-run budget-stop path): a mid-round
   // stop used to drop the final round's counts from any attached
   // MetricsRegistry while ChaseStats kept them, so the registry totals
-  // diverged between --threads settings depending on where the stop landed.
+  // depended on where the stop landed.
   MatchPlanEvent match_reported;
   auto emit_match_plan_delta = [&](size_t round) {
     if (obs == nullptr) return;
@@ -312,8 +268,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // replayed retractions never certify (the base predates the replayed
   // mutations).
   const bool plan_on = options.plan.enabled;
-  const bool core_guard_on =
-      plan_on && options.plan.core_guard && is_core && !use_incremental_core;
+  const bool core_guard_on = plan_on && options.plan.core_guard && is_core;
   bool guard_base_established = false;
   uint32_t guard_base_mark = 0;
   std::vector<Atom> guard_atoms_since;
@@ -398,8 +353,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
             {governor.fault_site(), governor.fault_visit(), governor.reason()});
       }
       emit_match_plan_delta(0);
-      obs->OnRunEnd({result.steps, result.rounds, result.terminated,
-                     result.size_guard_tripped, current.size(),
+      obs->OnRunEnd({result.steps, result.rounds, /*terminated=*/false,
+                     /*size_guard_tripped=*/false, current.size(),
                      result.stop_reason});
     }
     fold_match_stats();
@@ -475,28 +430,13 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   const bool skip_dormant =
       plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
 
-  // Parallel trigger evaluation (core/parallel.h): with threads > 1 the
-  // match-establishment phase of each round fans its probes out over a
-  // fixed pool and merges the per-task candidate buffers back in the exact
-  // sequential order, so the run below — instance, journal, events — is
-  // bit-identical at any thread count. threads == 1 takes the untouched
-  // sequential branches (no pool is even constructed).
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<ParallelTriggerEval> peval;
-  if (options.parallel.threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.parallel.threads);
-    peval = std::make_unique<ParallelTriggerEval>(pool.get(), &governor);
-  }
-
   DeltaIndex pending_delta;
   bool delta_primed = false;
   if (delta_on) current.EnableDeltaJournal();
 
   size_t since_last_core = 0;
-
-  // Dirty-term fold state threaded through successive incremental core
-  // updates (hom/core.h); the update itself clears it on cascade fallback.
-  IncrementalCoreState inc_core_state;
+  bool fixpoint = false;
+  bool size_guard_tripped = false;
 
   while (result.steps < options.limits.max_steps) {
     if (governor.ShouldStop(FaultSite::kRoundBoundary)) {
@@ -510,7 +450,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     ++result.rounds;
     if (rec != nullptr) rec->rounds.emplace_back();
     const size_t steps_at_round_start = result.steps;
-    RoundParallelStats round_par;
     RoundPlanStats round_plan;
 
     // Establish this round's match sets: naive evaluation re-enumerates
@@ -519,63 +458,23 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     // rule's matches (minus retired ones, which are inactive by
     // construction) are exactly its triggers for `current`.
     if (!delta_on || !delta_primed) {
-      if (peval != nullptr) {
-        // One task per rule; results land in per-rule slots and merge in
-        // rule order, which is exactly the sequential loop's order (the
-        // enumeration within a rule is the deterministic hom-search order
-        // either way).
-        std::vector<std::vector<CandidateMatch>> slots(kb.rules.size());
-        ParallelSectionStats section;
-        const bool complete = peval->Run(
-            kb.rules.size(),
-            [&](size_t r) {
-              // A dormant rule's enumeration is guaranteed empty — skip the
-              // search, leave the slot empty.
-              if (skip_dormant && exec_plan.dormant[r]) return size_t{0};
-              slots[r] = EnumerateRuleCandidates(kb.rules[r], current);
-              return ApproxCandidateBytes(slots[r]);
-            },
-            &section);
-        if (complete) {
-          Stopwatch merge_timer;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            RuleState& state = rule_states[r];
-            state.matches.clear();
-            for (CandidateMatch& candidate : slots[r]) {
-              if (delta_on) state.match_keys.insert(candidate.key);
-              state.matches.push_back(StoredMatch{std::move(candidate.match),
-                                                  std::move(candidate.key)});
-            }
-            if (skip_dormant && exec_plan.dormant[r]) {
-              ++result.stats.plan_enumerations_skipped;
-              ++round_plan.enumerations_skipped;
-            } else {
-              ++result.stats.full_enumerations;
-            }
-          }
-          round_par.NoteSection(section, merge_timer.ElapsedMillis());
+      for (size_t r = 0; r < kb.rules.size(); ++r) {
+        RuleState& state = rule_states[r];
+        state.matches.clear();
+        if (skip_dormant && exec_plan.dormant[r]) {
+          // The enumeration is guaranteed empty for a dormant rule.
+          ++result.stats.plan_enumerations_skipped;
+          ++round_plan.enumerations_skipped;
+          continue;
         }
-        // Incomplete sections adopted a stop into the governor; the partial
-        // slots are dropped and the stopped() check below ends the run.
-      } else {
-        for (size_t r = 0; r < kb.rules.size(); ++r) {
-          RuleState& state = rule_states[r];
-          state.matches.clear();
-          if (skip_dormant && exec_plan.dormant[r]) {
-            // The enumeration is guaranteed empty for a dormant rule.
-            ++result.stats.plan_enumerations_skipped;
-            ++round_plan.enumerations_skipped;
-            continue;
-          }
-          for (Trigger& tr :
-               FindTriggers(kb.rules[r], static_cast<int>(r), current)) {
-            PackedBindings key = PackedBindings::FromMatch(tr.match);
-            if (delta_on) state.match_keys.insert(key);
-            state.matches.push_back(
-                StoredMatch{std::move(tr.match), std::move(key)});
-          }
-          ++result.stats.full_enumerations;
+        for (Trigger& tr :
+             FindTriggers(kb.rules[r], static_cast<int>(r), current)) {
+          PackedBindings key = PackedBindings::FromMatch(tr.match);
+          if (delta_on) state.match_keys.insert(key);
+          state.matches.push_back(
+              StoredMatch{std::move(tr.match), std::move(key)});
         }
+        ++result.stats.full_enumerations;
       }
       delta_primed = true;
     } else {
@@ -602,171 +501,50 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                                           pending_delta) ||
                  IsTriggerFor(kb.rules[r], stored.match, current);
         };
-        if (peval != nullptr) {
-          // Each chunk writes a disjoint range of one rule's valid[] bytes;
-          // the compaction below then replays the sequential (rule, index)
-          // order — key erasures, counters, retire events and all.
-          struct RevalChunk {
-            size_t rule;
-            size_t begin;
-            size_t end;
-          };
-          constexpr size_t kRevalChunk = 32;
-          std::vector<RevalChunk> chunks;
-          std::vector<std::vector<uint8_t>> valid(kb.rules.size());
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            const size_t count = rule_states[r].matches.size();
-            valid[r].assign(count, 1);
-            if (!rule_touched_by_erasure(r)) continue;
-            for (size_t b = 0; b < count; b += kRevalChunk) {
-              chunks.push_back(
-                  RevalChunk{r, b, std::min(b + kRevalChunk, count)});
-            }
-          }
-          ParallelSectionStats section;
-          const bool complete = peval->Run(
-              chunks.size(),
-              [&](size_t t) {
-                const RevalChunk& chunk = chunks[t];
-                const RuleState& state = rule_states[chunk.rule];
-                for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                  valid[chunk.rule][i] =
-                      still_valid(chunk.rule, state.matches[i]) ? 1 : 0;
-                }
-                return size_t{0};
-              },
-              &section);
-          if (complete) {
-            Stopwatch merge_timer;
-            for (size_t r = 0; r < kb.rules.size(); ++r) {
-              RuleState& state = rule_states[r];
-              size_t kept = 0;
-              for (size_t i = 0; i < state.matches.size(); ++i) {
-                if (valid[r][i] != 0) {
-                  if (kept != i) {
-                    state.matches[kept] = std::move(state.matches[i]);
-                  }
-                  ++kept;
-                } else {
-                  state.match_keys.erase(state.matches[i].key);
-                  ++result.stats.matches_invalidated;
-                  ++repair.matches_invalidated;
-                  if (obs != nullptr) {
-                    obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
-                                           TriggerRetireReason::kInvalidated});
-                  }
-                }
-              }
-              state.matches.resize(kept);
-            }
-            round_par.NoteSection(section, merge_timer.ElapsedMillis());
-          }
-        } else {
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            RuleState& state = rule_states[r];
-            if (!rule_touched_by_erasure(r)) continue;
-            size_t kept = 0;
-            for (size_t i = 0; i < state.matches.size(); ++i) {
-              if (still_valid(r, state.matches[i])) {
-                if (kept != i) state.matches[kept] = std::move(state.matches[i]);
-                ++kept;
-              } else {
-                state.match_keys.erase(state.matches[i].key);
-                ++result.stats.matches_invalidated;
-                ++repair.matches_invalidated;
-                if (obs != nullptr) {
-                  obs->OnTriggerRetired(
-                      {result.rounds, static_cast<int>(r),
-                       TriggerRetireReason::kInvalidated});
-                }
+        for (size_t r = 0; r < kb.rules.size(); ++r) {
+          RuleState& state = rule_states[r];
+          if (!rule_touched_by_erasure(r)) continue;
+          size_t kept = 0;
+          for (size_t i = 0; i < state.matches.size(); ++i) {
+            if (still_valid(r, state.matches[i])) {
+              if (kept != i) state.matches[kept] = std::move(state.matches[i]);
+              ++kept;
+            } else {
+              state.match_keys.erase(state.matches[i].key);
+              ++result.stats.matches_invalidated;
+              ++repair.matches_invalidated;
+              if (obs != nullptr) {
+                obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
+                                       TriggerRetireReason::kInvalidated});
               }
             }
-            state.matches.resize(kept);
           }
+          state.matches.resize(kept);
         }
       }
-      if (peval != nullptr && !governor.stopped()) {
-        // One task per (inserted fact, rule) pair, listed with the exact
-        // filters of the sequential loop; the merge then performs the same
-        // counted probes and key-deduplicated inserts in the same order.
-        struct ProbeTask {
-          const Atom* fact;
-          size_t rule;
-        };
-        std::vector<ProbeTask> probes;
-        for (const Atom& fact : pending_delta.inserted()) {
-          // An atom inserted and erased again within the round yields no
-          // matches (the probe pins a body atom's image to it).
-          if (!current.Contains(fact)) continue;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            if (!rule_states[r].body_predicates.contains(fact.predicate())) {
-              continue;
-            }
-            probes.push_back(ProbeTask{&fact, r});
+      for (const Atom& fact : pending_delta.inserted()) {
+        // An atom inserted and erased again within the round yields no
+        // matches (the probe pins a body atom's image to it).
+        if (!current.Contains(fact)) continue;
+        for (size_t r = 0; r < kb.rules.size(); ++r) {
+          RuleState& state = rule_states[r];
+          if (!state.body_predicates.contains(fact.predicate())) continue;
+          // Skipped probes stay accounted: the DeltaRepairEvent payload
+          // (and the seed_probes counters) must not depend on the planner.
+          ++result.stats.seed_probes;
+          ++repair.seed_probes;
+          if (skip_dormant && exec_plan.dormant[r]) {
+            ++result.stats.plan_probes_skipped;
+            ++round_plan.probes_skipped;
+            continue;
           }
-        }
-        std::vector<std::vector<CandidateMatch>> slots(probes.size());
-        ParallelSectionStats section;
-        const bool complete = peval->Run(
-            probes.size(),
-            [&](size_t t) {
-              // A dormant rule's probe is guaranteed empty — skip the
-              // search, leave the slot empty.
-              if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
-                return size_t{0};
-              }
-              slots[t] = SeededProbeCandidates(kb.rules[probes[t].rule],
-                                               *probes[t].fact, current);
-              return ApproxCandidateBytes(slots[t]);
-            },
-            &section);
-        if (complete) {
-          Stopwatch merge_timer;
-          for (size_t t = 0; t < probes.size(); ++t) {
-            RuleState& state = rule_states[probes[t].rule];
-            // Skipped probes stay accounted: the DeltaRepairEvent payload
-            // (and the seed_probes counters) must not depend on the planner.
-            ++result.stats.seed_probes;
-            ++repair.seed_probes;
-            if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
-              ++result.stats.plan_probes_skipped;
-              ++round_plan.probes_skipped;
-            }
-            for (CandidateMatch& candidate : slots[t]) {
-              if (state.match_keys.insert(candidate.key).second) {
-                state.matches.push_back(StoredMatch{std::move(candidate.match),
-                                                    std::move(candidate.key)});
-                ++repair.matches_added;
-              }
-            }
-          }
-          round_par.NoteSection(section, merge_timer.ElapsedMillis());
-        }
-      } else if (peval == nullptr) {
-        for (const Atom& fact : pending_delta.inserted()) {
-          // An atom inserted and erased again within the round yields no
-          // matches (the probe pins a body atom's image to it).
-          if (!current.Contains(fact)) continue;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            RuleState& state = rule_states[r];
-            if (!state.body_predicates.contains(fact.predicate())) continue;
-            // Skipped probes stay accounted: the DeltaRepairEvent payload
-            // (and the seed_probes counters) must not depend on the planner.
-            ++result.stats.seed_probes;
-            ++repair.seed_probes;
-            if (skip_dormant && exec_plan.dormant[r]) {
-              ++result.stats.plan_probes_skipped;
-              ++round_plan.probes_skipped;
-              continue;
-            }
-            for (Substitution& m :
-                 FindSeededMatches(kb.rules[r], fact, current)) {
-              PackedBindings key = PackedBindings::FromMatch(m);
-              if (state.match_keys.insert(key).second) {
-                state.matches.push_back(
-                    StoredMatch{std::move(m), std::move(key)});
-                ++repair.matches_added;
-              }
+          for (Substitution& m :
+               FindSeededMatches(kb.rules[r], fact, current)) {
+            PackedBindings key = PackedBindings::FromMatch(m);
+            if (state.match_keys.insert(key).second) {
+              state.matches.push_back(
+                  StoredMatch{std::move(m), std::move(key)});
+              ++repair.matches_added;
             }
           }
         }
@@ -784,26 +562,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (governor.stopped()) {
       budget_stop = true;
       break;
-    }
-    if (round_par.sections > 0) {
-      ++result.stats.parallel_rounds;
-      result.stats.parallel_tasks += round_par.tasks;
-      result.stats.parallel_eval_ms += round_par.eval_ms;
-      result.stats.parallel_merge_ms += round_par.merge_ms;
-      result.stats.parallel_max_imbalance =
-          std::max(result.stats.parallel_max_imbalance, round_par.max_imbalance);
-      if (obs != nullptr) {
-        ParallelRoundEvent par_event;
-        par_event.round = result.rounds;
-        par_event.threads = peval->threads();
-        par_event.sections = round_par.sections;
-        par_event.tasks = round_par.tasks;
-        par_event.workers_used = round_par.workers_used;
-        par_event.max_imbalance = round_par.max_imbalance;
-        par_event.eval_ms = round_par.eval_ms;
-        par_event.merge_ms = round_par.merge_ms;
-        obs->OnParallelRound(par_event);
-      }
     }
 
     // Snapshot and order the round's triggers. The order is total — within
@@ -994,26 +752,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       if (do_core) {
         core_event.size_before = current.size();
-        if (use_incremental_core) {
-          // In-place maintenance mutates as it folds; an interruption would
-          // leave a half-folded instance, so the whole update is atomic
-          // (polls inside are masked).
-          GovernorAtomicSection atomic_update;
-          IncrementalCoreOptions inc_options;
-          inc_options.dirty_radius = options.core.dirty_radius;
-          IncrementalCoreResult inc =
-              IncrementalCoreUpdate(&current, application.added_atoms,
-                                    inc_options, &inc_core_state);
-          sigma = std::move(inc.retraction);
-          if (inc.fell_back) {
-            ++result.stats.core_fallbacks;
-          } else {
-            ++result.stats.core_incremental;
-          }
-          core_event.incremental = true;
-          core_event.fell_back = inc.fell_back;
-          core_event.folds = inc.folds;
-        } else if (step_record != nullptr) {
+        if (step_record != nullptr) {
           // Replay the recorded retraction through the same mutation
           // sequence as live coring (drain, record delta, rebuild): the
           // resulting instance, journal and delta state are identical.
@@ -1162,7 +901,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           std::max(result.stats.peak_instance_size, current.size());
       if (options.limits.max_instance_size != 0 &&
           current.size() > options.limits.max_instance_size) {
-        result.size_guard_tripped = true;
+        size_guard_tripped = true;
         break;
       }
     }
@@ -1298,7 +1037,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // Match-phase telemetry of the whole round (establishment through
       // application and coring). Emitted only when the round did match
       // work, and skipped by the stock event log unless opted in, so event
-      // streams stay comparable across backends and thread counts.
+      // streams stay comparable across match backends.
       emit_match_plan_delta(result.rounds);
       if (plan_on && round_plan.any()) {
         PlanEvent plan_event;
@@ -1322,25 +1061,22 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       cursor.bit_index = 0;
     }
     if (!progressed) {
-      result.terminated = true;
+      fixpoint = true;
       break;
     }
-    if (result.size_guard_tripped) break;
+    if (size_guard_tripped) break;
   }
   if (!replay_error.ok()) return replay_error;
   fold_match_stats();
   if (budget_stop) {
     result.stop_reason = governor.reason();
-  } else if (result.size_guard_tripped) {
+  } else if (size_guard_tripped) {
     result.stop_reason = StopReason::kInstanceSizeGuard;
-  } else if (result.terminated) {
+  } else if (fixpoint) {
     result.stop_reason = StopReason::kFixpoint;
   } else {
     result.stop_reason = StopReason::kStepBudget;
   }
-  result.terminated = result.stop_reason == StopReason::kFixpoint;
-  result.size_guard_tripped =
-      result.stop_reason == StopReason::kInstanceSizeGuard;
   if (obs != nullptr) {
     if (governor.fault_fired()) {
       obs->OnFaultInjected(
@@ -1349,9 +1085,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     // Flush the match-plan tail a mid-round stop left unreported, so an
     // attached MetricsRegistry ends exactly at the ChaseStats totals.
     emit_match_plan_delta(result.rounds);
-    obs->OnRunEnd({result.steps, result.rounds, result.terminated,
-                   result.size_guard_tripped, current.size(),
-                   result.stop_reason});
+    obs->OnRunEnd({result.steps, result.rounds,
+                   result.stop_reason == StopReason::kFixpoint,
+                   result.stop_reason == StopReason::kInstanceSizeGuard,
+                   current.size(), result.stop_reason});
   }
   TWCHASE_LOG(Debug) << "chase " << ChaseVariantName(options.variant) << ": "
                      << result.steps << " steps, " << result.rounds

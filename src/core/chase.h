@@ -95,21 +95,6 @@ struct ChaseOptions {
     /// Also core the initial fact set (the core chase does; other variants
     /// keep F as-is).
     bool core_initial = true;
-
-    /// Maintain the core incrementally after each application (fold only
-    /// variables within dirty_radius of the new atoms, then verify the
-    /// rest) instead of recomputing from scratch; falls back to a full
-    /// ComputeCore when a fold cascades or verification finds a distant
-    /// fold. Requires core_every == 1 and core_at_round_end == false
-    /// (Validate rejects other combinations). The instance is still a core
-    /// after every application, but the chosen folds — and hence null names
-    /// and trigger order — may differ from the full recomputation, so runs
-    /// agree only up to isomorphism. Off by default.
-    bool incremental_core = false;
-
-    /// Incremental core: BFS radius (in atom hops from the added atoms'
-    /// terms) defining the dirty variables eligible for folding.
-    size_t dirty_radius = 2;
   };
 
   /// Semi-naive (delta-driven) trigger generation.
@@ -121,20 +106,6 @@ struct ChaseOptions {
     /// instances, same steps, same trigger order — to the naive evaluation
     /// for every variant.
     bool enabled = true;
-  };
-
-  /// Parallel trigger evaluation (core/parallel.h).
-  struct ParallelOptions {
-    /// Worker threads for the match-establishment phase of each round (the
-    /// priming/naive enumerations, the post-erasure revalidation and the
-    /// delta-seeded probes), calling thread included. 1 (the default) runs
-    /// the untouched sequential path — no pool is created, no code path
-    /// changes. Any N produces bit-identical results (instance, derivation
-    /// journal, observer event stream): candidates are computed in
-    /// per-task slots and merged in the exact sequential order. 0 is
-    /// rejected by Validate(). The CLI defaults its --threads flag to the
-    /// hardware concurrency; the library default stays sequential.
-    size_t threads = 1;
   };
 
   /// Reliance-based execution planning (src/plan/). On by default: every
@@ -189,9 +160,7 @@ struct ChaseOptions {
     /// Record the resume log (per-round decision bits and recorded coring
     /// retractions) alongside the derivation, so a checkpoint can be
     /// written from the result. Off by default (the log costs memory
-    /// proportional to the run). Incompatible with core.incremental_core:
-    /// the in-place fold order of the incremental path is not reproducible
-    /// from the log, and incremental runs are only iso-equivalent anyway.
+    /// proportional to the run).
     bool record_log = false;
   };
 
@@ -199,7 +168,6 @@ struct ChaseOptions {
   CoreOptions core;
   DeltaOptions delta;
   PlanOptions plan;
-  ParallelOptions parallel;
   ResumeOptions resume;
   PreflightProvenance preflight;
 
@@ -216,10 +184,9 @@ struct ChaseOptions {
   /// without observers are bit-identical.
   ChaseObserver* observer = nullptr;
 
-  /// Rejects inconsistent option combinations (core_every == 0,
-  /// incremental_core with an unsupported coring schedule, resume
-  /// recording with incremental_core, parallel.threads == 0, ...).
-  /// RunChase validates first and surfaces the same Status.
+  /// Rejects inconsistent option combinations (core_every == 0, an
+  /// unresolved --variant=auto). RunChase validates first and surfaces the
+  /// same Status.
   Status Validate() const;
 
   // The deprecated flat accessors (max_steps() et al.) that bridged the
@@ -251,39 +218,13 @@ struct ChaseStats {
   /// Full ComputeCore invocations.
   size_t core_full = 0;
 
-  /// Incremental core updates that completed without falling back.
-  size_t core_incremental = 0;
-
-  /// Incremental core updates that fell back to a full recomputation.
-  size_t core_fallbacks = 0;
-
   /// Largest |F_i| seen.
   size_t peak_instance_size = 0;
 
-  /// Parallel evaluation telemetry (all zero when parallel.threads == 1).
-  /// Rounds that ran at least one parallel section.
-  size_t parallel_rounds = 0;
-
-  /// Tasks dispatched to the pool, summed over sections (a task is one
-  /// rule enumeration, one revalidation chunk, or one seeded probe).
-  size_t parallel_tasks = 0;
-
-  /// Wall time spent inside parallel sections (dispatch to join).
-  double parallel_eval_ms = 0;
-
-  /// Wall time spent merging per-task candidate buffers into the stored
-  /// match sets, in sequential order.
-  double parallel_merge_ms = 0;
-
-  /// Worst per-section probe imbalance: max over sections of
-  /// (largest - smallest per-worker task count among participating
-  /// workers). 0 = perfectly balanced.
-  size_t parallel_max_imbalance = 0;
-
   /// Match-phase counters (columnar backend; all zero on the legacy
-  /// per-atom backend). Deterministic across thread counts: each counter
-  /// is a per-search total and index builds happen exactly once per
-  /// stale-to-ready column transition.
+  /// per-atom backend). Deterministic: each counter is a per-search total
+  /// and index builds happen exactly once per stale-to-ready column
+  /// transition.
   /// Sorted-column EqualRange lookups.
   uint64_t match_index_probes = 0;
 
@@ -399,18 +340,11 @@ struct ResumeLog {
 struct ChaseResult {
   Derivation derivation{true};
 
-  /// Why the run stopped. kFixpoint is the terminated case; every other
-  /// reason leaves `derivation` holding the consistent prefix completed
-  /// when the budget ran out.
+  /// Why the run stopped. kFixpoint is the terminated case (a fixpoint
+  /// was reached within the budget); every other reason leaves
+  /// `derivation` holding the consistent prefix completed when the budget
+  /// ran out.
   StopReason stop_reason = StopReason::kFixpoint;
-
-  /// True iff a fixpoint was reached within the budget. Mirrors
-  /// stop_reason == kFixpoint (kept for existing callers).
-  bool terminated = false;
-
-  /// Set when the run stopped because max_instance_size was exceeded.
-  /// Mirrors stop_reason == kInstanceSizeGuard (kept for existing callers).
-  bool size_guard_tripped = false;
 
   /// Rule applications performed.
   size_t steps = 0;

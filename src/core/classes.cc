@@ -15,7 +15,8 @@ ClassificationReport ClassifyKb(const KnowledgeBase& kb,
   core_opts.limits.max_steps = options.max_steps;
   auto core_run = RunChase(kb, core_opts);
   TWCHASE_CHECK_MSG(core_run.ok(), core_run.status().ToString());
-  report.core_chase_terminated = core_run->terminated;
+  report.core_chase_terminated =
+      core_run->stop_reason == StopReason::kFixpoint;
   report.core_steps = core_run->steps;
   report.core_tw_series = MeasureSeries(core_run->derivation,
                                         Measure::kTreewidthUpper, options.tw);
@@ -27,7 +28,8 @@ ClassificationReport ClassifyKb(const KnowledgeBase& kb,
   restricted_opts.limits.max_steps = options.max_steps;
   auto restricted_run = RunChase(kb, restricted_opts);
   TWCHASE_CHECK_MSG(restricted_run.ok(), restricted_run.status().ToString());
-  report.restricted_terminated = restricted_run->terminated;
+  report.restricted_terminated =
+      restricted_run->stop_reason == StopReason::kFixpoint;
   report.restricted_steps = restricted_run->steps;
   report.restricted_tw_series = MeasureSeries(
       restricted_run->derivation, Measure::kTreewidthUpper, options.tw);

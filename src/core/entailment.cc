@@ -61,7 +61,7 @@ EntailmentResult DecideByCoreChase(const KnowledgeBase& kb,
     // The query match search may have been cut short: a found match is a
     // real certificate, but absence proves nothing once the governor fired.
     result.verdict = EntailmentVerdict::kUnknown;
-  } else if (run->terminated) {
+  } else if (run->stop_reason == StopReason::kFixpoint) {
     // The fixpoint is the finite universal model: exact decision.
     result.verdict =
         maps ? EntailmentVerdict::kEntailed : EntailmentVerdict::kNotEntailed;
@@ -92,7 +92,7 @@ EntailmentResult SaturationSemiDecision(const KnowledgeBase& kb,
   bool maps = ExistsHomomorphism(query, run->derivation.Last());
   if (maps) {
     result.verdict = EntailmentVerdict::kEntailed;
-  } else if (run->terminated && !GovernorStopped()) {
+  } else if (run->stop_reason == StopReason::kFixpoint && !GovernorStopped()) {
     result.verdict = EntailmentVerdict::kNotEntailed;
   } else {
     result.verdict = EntailmentVerdict::kUnknown;
@@ -125,7 +125,7 @@ EntailmentResult DecideByRobustAggregation(const KnowledgeBase& kb,
     // (universal) G_k, so any match certifies entailment (Proposition 9's
     // forward direction via Lemma 1).
     result.verdict = EntailmentVerdict::kEntailed;
-  } else if (run->terminated && !GovernorStopped()) {
+  } else if (run->stop_reason == StopReason::kFixpoint && !GovernorStopped()) {
     result.verdict = EntailmentVerdict::kNotEntailed;
   } else {
     result.verdict = EntailmentVerdict::kUnknown;

@@ -1,8 +1,6 @@
 #include "hom/core.h"
 
-#include <algorithm>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -122,124 +120,6 @@ bool IsCore(const AtomSet& atoms) {
     if (FindFoldingEndomorphism(atoms, var).has_value()) return false;
   }
   return true;
-}
-
-IncrementalCoreResult IncrementalCoreUpdate(
-    AtomSet* atoms, const std::vector<Atom>& added,
-    const IncrementalCoreOptions& options, IncrementalCoreState* state) {
-  IncrementalCoreResult result;
-
-  // Dirty terms: carried-over terms from the previous update first (still in
-  // their recorded order), then a BFS over the atom-incidence graph from the
-  // added atoms' terms, in deterministic first-seen order.
-  std::unordered_set<Term, TermHash> dirty;
-  std::vector<Term> dirty_order;
-  std::vector<Term> frontier;
-  if (state != nullptr) {
-    for (Term t : state->dirty_order) {
-      if (!atoms->ContainsTerm(t)) continue;
-      if (dirty.insert(t).second) dirty_order.push_back(t);
-    }
-  }
-  for (const Atom& atom : added) {
-    for (Term t : atom.DistinctTerms()) {
-      if (dirty.insert(t).second) {
-        dirty_order.push_back(t);
-        frontier.push_back(t);
-      }
-    }
-  }
-  for (size_t hop = 0; hop < options.dirty_radius && !frontier.empty();
-       ++hop) {
-    std::vector<Term> next;
-    for (Term t : frontier) {
-      for (const Atom* atom : atoms->ByTerm(t)) {
-        for (Term u : atom->DistinctTerms()) {
-          if (dirty.insert(u).second) {
-            dirty_order.push_back(u);
-            next.push_back(u);
-          }
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  // Targeted folds over the dirty variables: cheap singular folds first,
-  // then general fold searches, to fixpoint. A general fold's retraction may
-  // move non-dirty variables too (that is the beginning of a cascade); the
-  // fold budget caps how far we chase it.
-  const size_t fold_budget =
-      std::max<size_t>(8, options.cascade_factor * added.size());
-  size_t folds = 0;
-  bool cascade = false;
-  bool changed = true;
-  while (changed && !cascade) {
-    changed = false;
-    for (Term x : dirty_order) {
-      if (!x.is_variable() || !atoms->ContainsTerm(x)) continue;
-      Substitution retraction;
-      if (!FindSingularFold(*atoms, x, &retraction)) {
-        auto endo = FindFoldingEndomorphism(*atoms, x);
-        if (!endo.has_value()) continue;
-        retraction = RetractionFromEndomorphism(*atoms, *endo);
-      }
-      ApplyRetractionInPlace(atoms, retraction);
-      result.retraction = Substitution::Compose(retraction, result.retraction);
-      changed = true;
-      if (++folds > fold_budget) {
-        cascade = true;
-        break;
-      }
-    }
-  }
-
-  // Verification: the dirty variables are now unfoldable, but an added atom
-  // can unlock a fold of a variable arbitrarily far away (its atoms' new
-  // images may only now exist). Exactness requires scanning the rest; any
-  // hit means the redundancy is non-local and a full recomputation takes
-  // over from the current (already partially folded) instance — the
-  // composition of retractions is again a retraction of the original.
-  bool is_core = !cascade;
-  if (is_core) {
-    for (Term var : atoms->Variables()) {
-      if (dirty.contains(var)) continue;
-      if (FindFoldingEndomorphism(*atoms, var).has_value()) {
-        is_core = false;
-        break;
-      }
-    }
-  }
-  result.folds = folds;
-  if (!is_core) {
-    result.fell_back = true;
-    CoreResult full = ComputeCore(*atoms, options.full);
-    ApplyRetractionInPlace(atoms, full.retraction);
-    result.retraction =
-        Substitution::Compose(full.retraction, result.retraction);
-    result.folds += full.folds;
-    // The full recomputation rewrote regions far outside the dirty
-    // neighbourhood; the recorded terms are stale (and do not cover what
-    // actually changed), so the carried state must start over. Keeping it
-    // here made the next update fold-attempt vanished terms and exempt
-    // genuinely clean regions' stale ghosts from nothing while missing the
-    // newly rewritten ones.
-    if (state != nullptr) state->Clear();
-    return result;
-  }
-  if (state != nullptr) {
-    state->Clear();
-    if (folds > 0) {
-      // Folds fired: carry the touched neighbourhood (what still exists of
-      // it) into the next update's fold front. With zero folds the instance
-      // was certified unchanged, so there is nothing to carry.
-      for (Term t : dirty_order) {
-        if (!atoms->ContainsTerm(t)) continue;
-        if (state->dirty.insert(t).second) state->dirty_order.push_back(t);
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace twchase

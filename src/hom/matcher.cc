@@ -68,7 +68,7 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // identity-first reorder below reproduces the legacy swap restricted to the
 // unifying candidates. Search() recursion — and with it governor polls and
 // fault-injection visit schedules at kHomNode — therefore runs the same
-// node sequence on both backends. See DESIGN.md §9 for the full argument.
+// node sequence on both backends. See DESIGN.md §8 for the full argument.
 class HomSearch {
  public:
   HomSearch(const AtomSet& pattern, const AtomSet& target,

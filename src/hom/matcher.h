@@ -15,13 +15,12 @@
 // full re-score, so node order, results and MatchCounters are unchanged
 // (pinned by the EstimateCacheParity tests in tests/matcher_test.cc).
 //
-// Thread-safety contract (relied on by core/parallel.h): every search here
-// is a pure function of its arguments plus the per-thread ambient governor
-// (util/governor.h, a thread_local) — no static mutable state, no writes to
-// the pattern or target. Concurrent searches over a shared const AtomSet
-// are safe as long as no thread mutates it; the chase's parallel
-// match-establishment phase guarantees that by fanning out only between
-// mutations. Search order, and hence the result vector, is deterministic.
+// Thread-safety contract: every search here is a pure function of its
+// arguments plus the per-thread ambient governor (util/governor.h, a
+// thread_local) — no static mutable state, no writes to the pattern or
+// target. Concurrent searches over a shared const AtomSet are safe as long
+// as no thread mutates it. Search order, and hence the result vector, is
+// deterministic.
 #ifndef TWCHASE_HOM_MATCHER_H_
 #define TWCHASE_HOM_MATCHER_H_
 
@@ -50,11 +49,11 @@ enum class MatchBackend { kColumnar = 0, kLegacy = 1 };
 void SetMatchBackend(MatchBackend backend);
 MatchBackend CurrentMatchBackend();
 
-/// Ambient chase.match.* telemetry. The chase installs one per run (and the
-/// parallel evaluation re-installs the same object inside its workers, hence
-/// the atomics); every HomSearch folds its probe/scan/fallback and index
-/// (re)build counts into it. Totals are a pure function of the searches
-/// performed, so they are identical at any --threads.
+/// Ambient chase.match.* telemetry. The chase installs one per run; every
+/// HomSearch folds its probe/scan/fallback and index (re)build counts into
+/// it. The fields are atomic so a caller may share one object between the
+/// threads it installs it on. Totals are a pure function of the searches
+/// performed.
 struct MatchCounters {
   std::atomic<uint64_t> index_probes{0};      // column-index EqualRange probes
   std::atomic<uint64_t> column_scans{0};      // full-segment scans (no bound arg)

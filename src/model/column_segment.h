@@ -12,14 +12,15 @@
 // Rows are appended in slot-insertion order and row ranks order exactly as
 // slot ranks, so an EqualRange probe enumerates candidates in the same
 // relative order as the legacy posting lists — the property the matcher's
-// bit-identity argument rests on (see hom/matcher.cc and DESIGN.md §9).
+// bit-identity argument rests on (see hom/matcher.cc and DESIGN.md §8).
 //
 // Thread-safety: Append follows the owning AtomSet's single-writer
 // discipline and must not race with probes. Concurrent EqualRange calls on a
 // shared const segment are safe: the lazy index build is guarded by a
-// per-column mutex with an acquire/release ready flag, so parallel
-// homomorphism searches (core/parallel.h) can race to a column's first probe
-// and exactly one of them builds.
+// per-column mutex with an acquire/release ready flag, so concurrent
+// homomorphism searches over one shared instance (e.g. daemon readers of a
+// finished result) can race to a column's first probe and exactly one of
+// them builds.
 #ifndef TWCHASE_MODEL_COLUMN_SEGMENT_H_
 #define TWCHASE_MODEL_COLUMN_SEGMENT_H_
 

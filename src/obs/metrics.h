@@ -12,16 +12,15 @@
 //     instrument before emitting (stock observers do this in their
 //     constructors).
 //
-// Instruments are thread-safe since the parallel trigger-evaluation
-// subsystem (core/parallel.h) let worker threads into the engine: counters
-// are sharded over cache-line-aligned atomic cells (one relaxed fetch_add
-// on the calling thread's shard per Increment, merge-on-read), gauges are a
-// single atomic, histograms take a mutex (they are observed from the main
-// thread at phase granularity, never on a hot path). *Registration* is not:
-// GetCounter/GetGauge/GetHistogram and the render/emit paths must stay on
-// one thread — stock observers register everything in their constructors,
-// before any worker exists. Pointers remain stable for the registry's
-// lifetime.
+// Instruments are thread-safe, because the daemon's chase workers and HTTP
+// handlers share registries: counters are sharded over cache-line-aligned
+// atomic cells (one relaxed fetch_add on the calling thread's shard per
+// Increment, merge-on-read), gauges are a single atomic, histograms take a
+// mutex (they are observed at phase granularity, never on a hot path).
+// *Registration* is not: GetCounter/GetGauge/GetHistogram and the
+// render/emit paths must stay on one thread — stock observers register
+// everything in their constructors, before any other thread sees the
+// registry. Pointers remain stable for the registry's lifetime.
 #ifndef TWCHASE_OBS_METRICS_H_
 #define TWCHASE_OBS_METRICS_H_
 

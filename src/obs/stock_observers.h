@@ -89,24 +89,20 @@ struct MetricsObserverOptions {
 /// set from the first row. Instrument names:
 ///   counters   chase.triggers.{considered,applied,retired}
 ///              chase.delta.{repairs,inserted,erased,invalidated,seed_probes}
-///              chase.core.{retractions,folds,fallbacks}
-///              chase.parallel.{rounds,tasks}
+///              chase.core.{retractions,folds}
 ///              chase.match.{index_probes,column_scans,join_fallbacks}
 ///              chase.match.{index_builds,index_build_bytes}
 ///              chase.plan.{enumerations_skipped,probes_skipped}
 ///              chase.plan.{core_proofs,core_certified}
 ///   gauges     chase.round, chase.instance.size
-///              chase.parallel.{threads,workers_used,max_imbalance}
 ///              chase.plan.{reliance_edges,strata,dormant_rules}
 ///              chase.plan.active_strata
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
-///              chase.parallel.{eval_ms,merge_ms}
-/// The chase.parallel.* instruments stay zero on sequential runs, the
-/// chase.match.* instruments stay zero on the legacy matching backend and
-/// the chase.plan.* instruments stay zero with --plan=off; all are always
-/// registered so the column set does not depend on --threads, the backend
-/// or the planner.
+/// The chase.match.* instruments stay zero on the legacy matching backend
+/// and the chase.plan.* instruments stay zero with --plan=off; both are
+/// always registered so the column set does not depend on the backend or
+/// the planner.
 class MetricsObserver : public ChaseObserver {
  public:
   MetricsObserver(MetricsRegistry* registry,
@@ -119,7 +115,6 @@ class MetricsObserver : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnParallelRound(const ParallelRoundEvent& event) override;
   void OnMatchPlan(const MatchPlanEvent& event) override;
   void OnPlan(const PlanEvent& event) override;
   void OnPhase(const PhaseEvent& event) override;
@@ -140,9 +135,6 @@ class MetricsObserver : public ChaseObserver {
   Counter* delta_seed_probes_;
   Counter* core_retractions_;
   Counter* core_folds_;
-  Counter* core_fallbacks_;
-  Counter* parallel_rounds_;
-  Counter* parallel_tasks_;
   Counter* match_index_probes_;
   Counter* match_column_scans_;
   Counter* match_join_fallbacks_;
@@ -154,9 +146,6 @@ class MetricsObserver : public ChaseObserver {
   Counter* plan_core_certified_;
   Gauge* round_;
   Gauge* instance_size_;
-  Gauge* parallel_threads_;
-  Gauge* parallel_workers_used_;
-  Gauge* parallel_max_imbalance_;
   Gauge* plan_reliance_edges_;
   Gauge* plan_strata_;
   Gauge* plan_dormant_rules_;
@@ -164,22 +153,16 @@ class MetricsObserver : public ChaseObserver {
   Gauge* treewidth_upper_ = nullptr;
   Histogram* round_pending_;
   Histogram* step_added_atoms_;
-  Histogram* parallel_eval_ms_;
-  Histogram* parallel_merge_ms_;
 };
 
 /// Serialises every event as one JSON object per line, e.g.
 ///   {"event": "round_begin", "round": 1, "pending": 5, "size": 4}
 /// The stream is append-only and flush-free; callers own the ostream.
 ///
-/// ParallelRoundEvent is SKIPPED unless log_parallel_events is set: the
-/// event only fires at --threads > 1 and carries wall-clock payloads, so
-/// logging it by default would break the bit-identity of event streams
-/// across thread counts (the oracle tests/parallel_chase_test.cc relies
-/// on). MatchPlanEvent is likewise SKIPPED unless log_match_events is set:
-/// it only fires on the columnar matching backend, and logging it by
-/// default would break the bit-identity of event streams across backends
-/// (the oracle tests/storage_equivalence_test.cc relies on). PlanEvent is
+/// MatchPlanEvent is SKIPPED unless log_match_events is set: it only fires
+/// on the columnar matching backend, and logging it by default would break
+/// the bit-identity of event streams across backends (the oracle
+/// tests/storage_equivalence_test.cc relies on). PlanEvent is
 /// likewise SKIPPED unless log_plan_events is set: it only fires with
 /// --plan=on, and logging it by default would break the bit-identity of
 /// event streams across plan on/off (the oracle
@@ -187,11 +170,9 @@ class MetricsObserver : public ChaseObserver {
 /// debugging only.
 class EventLogObserver : public ChaseObserver {
  public:
-  explicit EventLogObserver(std::ostream* out, bool log_parallel_events = false,
-                            bool log_match_events = false,
+  explicit EventLogObserver(std::ostream* out, bool log_match_events = false,
                             bool log_plan_events = false)
       : out_(out),
-        log_parallel_events_(log_parallel_events),
         log_match_events_(log_match_events),
         log_plan_events_(log_plan_events) {}
 
@@ -202,7 +183,6 @@ class EventLogObserver : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnParallelRound(const ParallelRoundEvent& event) override;
   void OnMatchPlan(const MatchPlanEvent& event) override;
   void OnPlan(const PlanEvent& event) override;
   void OnRoundEnd(const RoundEndEvent& event) override;
@@ -213,7 +193,6 @@ class EventLogObserver : public ChaseObserver {
 
  private:
   std::ostream* out_;
-  bool log_parallel_events_;
   bool log_match_events_;
   bool log_plan_events_;
 };

@@ -78,12 +78,7 @@ StatusCode StatusCodeFromName(const std::string& name) {
 class ChaseDaemon::ChaseJob : public PreemptibleJob {
  public:
   ChaseJob(std::string id, JobRequest request, ChaseDaemon* daemon)
-      : id_(std::move(id)), request_(std::move(request)), daemon_(daemon) {
-    // Preemption needs the resume log; forcing it on changes memory, never
-    // results. The incremental core cannot record one (Validate rejects the
-    // combination), so such jobs simply run each segment to completion.
-    preemptible_ = !request_.options.core.incremental_core;
-  }
+      : id_(std::move(id)), request_(std::move(request)), daemon_(daemon) {}
 
   /// Rehydrates a job that finished before a restart: the retained outcome
   /// (terminal result or structured error) is served again, no segment
@@ -171,8 +166,10 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
       preflight_summary_ = report->Summary();
     }
 
+    // Preemption needs the resume log; forcing it on changes memory, never
+    // results.
     ChaseOptions options = request_.options;
-    if (preemptible_) options.resume.record_log = true;
+    options.resume.record_log = true;
 
     std::ostringstream events;
     ObserverList observers;
@@ -228,7 +225,7 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
     }
 
     if ((*session)->stop_reason() == StopReason::kCancelled &&
-        preemptible_ && daemon_->WantShutdownSnapshot()) {
+        daemon_->WantShutdownSnapshot()) {
       // Graceful shutdown cancelled this run, not a client: snapshot the
       // stopped prefix instead of recording a cancelled terminal, so the
       // restarted daemon re-admits and resumes it. The session is
@@ -257,9 +254,9 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
 
   void RequestPause() override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!preemptible_ || live_session_ == nullptr) return;
-    // FailedPrecondition cannot happen: the session records a log iff
-    // preemptible_, and pausing a finished session is a no-op.
+    if (live_session_ == nullptr) return;
+    // FailedPrecondition cannot happen: every session records a log, and
+    // pausing a finished session is a no-op.
     (void)live_session_->Pause();
   }
 
@@ -347,7 +344,6 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   const std::string id_;
   JobRequest request_;
   ChaseDaemon* daemon_;
-  bool preemptible_ = false;
 
   std::string state_ = "queued";  // queued|running|paused|done|cancelled|failed
   bool cancel_requested_ = false;
@@ -366,6 +362,7 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
 void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
                                                const ParsedProgram& program) {
   const ChaseResult& run = session.Result();
+  const bool terminated = run.stop_reason == StopReason::kFixpoint;
   const KnowledgeBase& kb = program.kb;
   const AtomSet& instance = run.derivation.Last();
 
@@ -393,12 +390,12 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
     if (query.answer_vars.empty()) {
       bool entailed = ExistsHomomorphism(query.atoms, instance);
       const char* certainty =
-          run.terminated ? "" : (entailed ? "" : " (within budget)");
+          terminated ? "" : (entailed ? "" : " (within budget)");
       text += Sprintf("query %zu: %-40s -> %s%s\n", q + 1,
                       PrintQuery(query, *kb.vocab).c_str(),
                       entailed ? "entailed" : "not entailed", certainty);
       entry.Set("entailed", Json::Bool(entailed));
-      entry.Set("certain", Json::Bool(run.terminated || entailed));
+      entry.Set("certain", Json::Bool(terminated || entailed));
     } else {
       AnswerOptions answer_options;
       answer_options.ground_only = true;
@@ -430,7 +427,7 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
   result_.Set("state", Json::String("done"));  // overwritten by the caller
   result_.Set("stop_reason",
               Json::String(StopReasonName(run.stop_reason)));
-  result_.Set("terminated", Json::Bool(run.terminated));
+  result_.Set("terminated", Json::Bool(terminated));
   result_.Set("steps", Json::Number(uint64_t{run.steps}));
   result_.Set("rounds", Json::Number(uint64_t{run.rounds}));
   result_.Set("segments", Json::Number(segments_));
@@ -580,7 +577,12 @@ void ChaseDaemon::RecoverFromStore() {
     std::string resume_text;
     std::string preflight_summary;
     auto program = ParseProgram(record.request.program);
-    if (!program.ok()) {
+    if (!record.request_error.ok()) {
+      unrecoverable = Status::FailedPrecondition(
+          "unrecoverable after restart: admitted job request is no longer "
+          "accepted: " +
+          record.request_error.message());
+    } else if (!program.ok()) {
       unrecoverable = Status::FailedPrecondition(
           "unrecoverable after restart: program re-parse failed: " +
           program.status().message());
@@ -828,14 +830,6 @@ HttpResponse ChaseDaemon::HandleSubmit(const HttpRequest& request) {
   Status valid = submitted.Validate();
   if (!valid.ok()) {
     return StatusResponse(valid, {FieldErrorFromValidate(valid, "options")});
-  }
-  if (job_request.return_checkpoint &&
-      job_request.options.core.incremental_core) {
-    Status status = Status::InvalidArgument(
-        "return_checkpoint requires a recordable run "
-        "(options.core.incremental_core must be false)");
-    return StatusResponse(status,
-                          {{"return_checkpoint", status.message()}});
   }
 
   // Syntax-check the program up front (the job re-parses per segment).

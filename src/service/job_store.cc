@@ -96,16 +96,16 @@ bool ApplyRecord(const Json& payload, const std::string& framed_line,
                              &fingerprint)) {
       return false;
     }
+    if (!payload.Get("job").is_object()) return false;
     JobRequest request;
     std::vector<FieldError> errors;
-    if (!JobRequestFromJson(payload.Get("job"), &request, &errors).ok()) {
-      return false;
-    }
+    Status parsed = JobRequestFromJson(payload.Get("job"), &request, &errors);
     if (FindJob(state.jobs, id) != nullptr) return false;  // duplicate admit
     if (state.jobs != nullptr) {
       RecoveredJob job;
       job.id = id;
       job.request = std::move(request);
+      job.request_error = std::move(parsed);
       job.program_fingerprint = fingerprint;
       state.jobs->push_back(std::move(job));
     }

@@ -20,7 +20,9 @@
 // Replay stops at the first record whose framing, CRC, or schema does not
 // check out — everything after a torn tail is discarded and Open()
 // truncates the file back to the valid prefix, so one torn append can
-// never corrupt earlier history. Tombstones (DELETE, retention eviction)
+// never corrupt earlier history. An intact admit record whose job this
+// build no longer accepts is not a torn tail: it replays as a job that
+// recovery fails (RecoveredJob::request_error). Tombstones (DELETE, retention eviction)
 // mark records dead; when dead records outnumber compact_min_garbage the
 // manifest is rewritten atomically from the live set.
 //
@@ -63,6 +65,12 @@ struct RecoveredJob {
   std::string id;
   JobRequest request;
   uint64_t program_fingerprint = 0;
+
+  /// Not OK when the admit record's job no longer parses under this build
+  /// (it asks for an option that was removed since it was written). The
+  /// record itself is intact, so replay goes on; recovery fails the job
+  /// with this error unless a terminal record already settled it.
+  Status request_error;
 
   /// True when a terminal or failed record was replayed: the job finished
   /// before the crash and only its retained outcome needs serving.

@@ -136,6 +136,13 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
     r.path = base;
   }
 
+  // Legacy keys. Admit records written before incremental core maintenance
+  // and the parallel match fan-out were removed carry the full options
+  // object, so core.incremental_core, core.dirty_radius and
+  // parallel.threads are still read (and type-checked) but ignored:
+  // ignoring threads is exact, because runs were bit-identical at any
+  // thread count, and the radius only tuned the incremental mode. A request
+  // for the removed incremental mode itself cannot be honoured.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
@@ -148,10 +155,18 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
                                        &options->core.core_at_round_end));
     TWCHASE_RETURN_IF_ERROR(
         r.ReadBool(*group, "core_initial", &options->core.core_initial));
-    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "incremental_core",
-                                       &options->core.incremental_core));
+    bool incremental_core = false;
     TWCHASE_RETURN_IF_ERROR(
-        r.ReadCount(*group, "dirty_radius", &options->core.dirty_radius));
+        r.ReadBool(*group, "incremental_core", &incremental_core));
+    if (incremental_core) {
+      return r.Fail(r.Join("incremental_core"),
+                    "is no longer supported: incremental core maintenance "
+                    "was removed, every core chase step retracts to a full "
+                    "core");
+    }
+    size_t dirty_radius = 0;
+    TWCHASE_RETURN_IF_ERROR(
+        r.ReadCount(*group, "dirty_radius", &dirty_radius));
     r.path = base;
   }
 
@@ -182,8 +197,8 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   if (group != nullptr) {
     r.path = r.Join("parallel");
     TWCHASE_RETURN_IF_ERROR(r.CheckKeys(*group, {"threads"}));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadCount(*group, "threads", &options->parallel.threads));
+    size_t threads = 0;
+    TWCHASE_RETURN_IF_ERROR(r.ReadCount(*group, "threads", &threads));
     r.path = base;
   }
 
@@ -262,8 +277,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   core.Set("core_every", Json::Number(uint64_t{options.core.core_every}));
   core.Set("core_at_round_end", Json::Bool(options.core.core_at_round_end));
   core.Set("core_initial", Json::Bool(options.core.core_initial));
-  core.Set("incremental_core", Json::Bool(options.core.incremental_core));
-  core.Set("dirty_radius", Json::Number(uint64_t{options.core.dirty_radius}));
   root.Set("core", std::move(core));
 
   Json delta = Json::Object();
@@ -275,10 +288,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   plan.Set("skip_dormant", Json::Bool(options.plan.skip_dormant));
   plan.Set("core_guard", Json::Bool(options.plan.core_guard));
   root.Set("plan", std::move(plan));
-
-  Json parallel = Json::Object();
-  parallel.Set("threads", Json::Number(uint64_t{options.parallel.threads}));
-  root.Set("parallel", std::move(parallel));
 
   Json resume = Json::Object();
   resume.Set("record_log", Json::Bool(options.resume.record_log));

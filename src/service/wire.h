@@ -39,8 +39,8 @@ struct FieldError {
 };
 
 /// Renders `options` as the wire object: nested groups mirrored one-to-one
-/// (variant, limits{...}, core{...}, delta{...}, plan{...}, parallel{...},
-/// resume{...}, datalog_first, keep_snapshots). Deterministic member order;
+/// (variant, limits{...}, core{...}, delta{...}, plan{...}, resume{...},
+/// datalog_first, keep_snapshots). Deterministic member order;
 /// limits.deadline_ms is omitted when unset. Round-trips exactly through
 /// ChaseOptionsFromJson.
 Json ChaseOptionsToJson(const ChaseOptions& options);
@@ -48,7 +48,9 @@ Json ChaseOptionsToJson(const ChaseOptions& options);
 /// Parses the wire object produced by ChaseOptionsToJson back into
 /// `options`, strictly: unknown keys, wrong types, non-integral or negative
 /// counts are InvalidArgument with `error` filled (path rooted at
-/// `path_prefix`, e.g. "options"). Absent groups/keys keep the defaults
+/// `path_prefix`, e.g. "options"). Keys written by earlier versions for
+/// removed options are read and ignored (see wire.cc); the one legacy value
+/// that cannot be honoured is rejected. Absent groups/keys keep the defaults
 /// already in `*options`, so a payload may be sparse. Does NOT run
 /// Validate() — the daemon validates via ChaseSession::Create and lifts
 /// those messages with FieldErrorFromValidate.

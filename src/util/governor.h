@@ -124,27 +124,6 @@ class ResourceGovernor {
   /// Updates the memory estimate checked by the next ShouldStop.
   void NoteMemoryUsage(size_t bytes) { memory_estimate_ = bytes; }
 
-  /// The estimate last noted (workers seed their own governors from it).
-  size_t memory_estimate() const { return memory_estimate_; }
-
-  /// The limits this governor enforces. Worker governors of the parallel
-  /// trigger-evaluation subsystem are derived from these: same (thread-safe)
-  /// cancel token, same memory budget, and the *remaining* slice of the
-  /// deadline.
-  const ResourceLimits& limits() const { return limits_; }
-
-  /// Milliseconds of deadline budget left: nullopt when the governor has no
-  /// deadline, 0 when it already expired. Used to derive worker-governor
-  /// deadlines that expire at the same wall-clock instant as this one.
-  std::optional<uint64_t> RemainingDeadlineMs() const;
-
-  /// Adopts a stop latched by another governor (a worker's, in the parallel
-  /// evaluation path — ResourceGovernor itself is not thread-safe, so each
-  /// worker polls its own detached governor and the main thread folds the
-  /// first worker stop back in here, after the workers joined). No-op when
-  /// already stopped.
-  void AdoptStop(StopReason reason) { Latch(reason); }
-
   /// True when the stop was caused by an injected fault (tests use this to
   /// distinguish injected from organic exhaustion; the chase emits an
   /// observer event for it).
@@ -200,8 +179,8 @@ class GovernorScope {
 /// Suspends ambient polls for the scope: GovernorPoll returns false and
 /// consumes no fault-injection visits. Wrapped around regions that mutate
 /// state and cannot be rolled back (a trigger application with its frugal
-/// fold, an incremental core update) so that interruption can only land on
-/// boundaries from which a consistent checkpoint exists.
+/// fold) so that interruption can only land on boundaries from which a
+/// consistent checkpoint exists.
 class GovernorAtomicSection {
  public:
   GovernorAtomicSection();

@@ -108,7 +108,7 @@ TEST(AnalysisTest, JointlyAcyclicRulesetChaseTerminates) {
   options.limits.max_steps = 300;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
 }
 
 TEST(AnalysisTest, PaperRulesets) {

@@ -48,7 +48,7 @@ TEST(AnswersTest, GroundOnlyFiltersNulls) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   auto q = ParseProgram("?(X, Y) :- q(X, Y).", program->kb.vocab);
   ASSERT_TRUE(q.ok());
   AnswerOptions all;

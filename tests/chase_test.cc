@@ -23,7 +23,8 @@ TEST(ChaseTest, TransitiveClosureTerminatesForAllVariants) {
     options.limits.max_steps = 200;
     auto run = RunChase(kb, options);
     ASSERT_TRUE(run.ok()) << ChaseVariantName(variant);
-    EXPECT_TRUE(run->terminated) << ChaseVariantName(variant);
+    EXPECT_EQ(run->stop_reason, StopReason::kFixpoint)
+        << ChaseVariantName(variant);
     // t closure over a 4-path: 4+3+2+1 = 10 t-atoms + 4 e-atoms.
     EXPECT_EQ(run->derivation.Last().size(), 14u) << ChaseVariantName(variant);
     EXPECT_TRUE(kb.IsModel(run->derivation.Last()))
@@ -41,7 +42,8 @@ TEST(ChaseTest, BtsNotFesDoesNotTerminate) {
     options.limits.max_steps = 60;
     auto run = RunChase(kb, options);
     ASSERT_TRUE(run.ok());
-    EXPECT_FALSE(run->terminated) << ChaseVariantName(variant);
+    EXPECT_NE(run->stop_reason, StopReason::kFixpoint)
+        << ChaseVariantName(variant);
   }
 }
 
@@ -52,7 +54,7 @@ TEST(ChaseTest, FesNotBtsCoreChaseTerminates) {
   options.limits.max_steps = 2000;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(kb.IsModel(run->derivation.Last()));
   // The terminal instance of a core chase is a core: the finite universal
   // model (unique up to isomorphism).
@@ -105,7 +107,7 @@ TEST(ChaseTest, ObliviousProducesMoreAtomsThanRestricted) {
   restricted.variant = ChaseVariant::kRestricted;
   auto r1 = RunChase(program->kb, restricted);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(r1->terminated);
+  EXPECT_EQ(r1->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(r1->derivation.Last().size(), 1u);
 
   ChaseOptions oblivious;
@@ -113,7 +115,7 @@ TEST(ChaseTest, ObliviousProducesMoreAtomsThanRestricted) {
   oblivious.limits.max_steps = 30;
   auto r2 = RunChase(program->kb, oblivious);
   ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE(r2->terminated);
+  EXPECT_NE(r2->stop_reason, StopReason::kFixpoint);
   EXPECT_GT(r2->derivation.Last().size(), 10u);
 }
 
@@ -132,8 +134,8 @@ TEST(ChaseTest, SemiObliviousReusesFrontierKeys) {
   obl.limits.max_steps = 50;
   auto r_obl = RunChase(program->kb, obl);
   ASSERT_TRUE(r_obl.ok());
-  EXPECT_TRUE(r_semi->terminated);
-  EXPECT_TRUE(r_obl->terminated);
+  EXPECT_EQ(r_semi->stop_reason, StopReason::kFixpoint);
+  EXPECT_EQ(r_obl->stop_reason, StopReason::kFixpoint);
   // Semi-oblivious: one r-atom; oblivious: two.
   EXPECT_EQ(r_semi->derivation.Last().size(), 3u);
   EXPECT_EQ(r_obl->derivation.Last().size(), 4u);
@@ -155,7 +157,7 @@ TEST(ChaseTest, FairnessOnPrefixes) {
   ChaseOptions tc_options;
   auto tc_run = RunChase(tc, tc_options);
   ASSERT_TRUE(tc_run.ok());
-  ASSERT_TRUE(tc_run->terminated);
+  ASSERT_EQ(tc_run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(IsFairPrefix(tc_run->derivation, tc, 0));
 }
 
@@ -167,7 +169,7 @@ TEST(ChaseTest, CoreEveryTwoStillProducesCoreChase) {
   options.limits.max_steps = 2000;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(kb.IsModel(run->derivation.Last()));
 }
 
@@ -212,14 +214,14 @@ TEST(ChaseTest, RoundEndCoringMatchesDnrPresentation) {
   per_application.limits.max_steps = 2000;
   auto r1 = RunChase(kb1, per_application);
   ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r1->terminated);
+  ASSERT_EQ(r1->stop_reason, StopReason::kFixpoint);
 
   auto kb2 = MakeFesNotBts();
   ChaseOptions round_end = per_application;
   round_end.core.core_at_round_end = true;
   auto r2 = RunChase(kb2, round_end);
   ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(r2->terminated);
+  ASSERT_EQ(r2->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(AreIsomorphic(r1->derivation.Last(), r2->derivation.Last()));
 
   // Simplifications recorded by amendment are still valid retractions.
@@ -278,8 +280,7 @@ TEST(ChaseTest, SizeGuardStopsRunawayChase) {
   options.limits.max_instance_size = 25;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_FALSE(run->terminated);
-  EXPECT_TRUE(run->size_guard_tripped);
+  EXPECT_EQ(run->stop_reason, StopReason::kInstanceSizeGuard);
   EXPECT_LE(run->derivation.Last().size(), 30u);
 }
 

@@ -31,7 +31,7 @@ TEST_P(GuardedChainFamily, ChaseIsTreewidthOnePath) {
   options.limits.max_steps = 30;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_FALSE(run->terminated);
+  EXPECT_NE(run->stop_reason, StopReason::kFixpoint);
   std::vector<int> tw = MeasureSeries(run->derivation, Measure::kTreewidthUpper);
   BoundednessSummary summary = SummarizeBoundedness(tw, 5);
   EXPECT_LE(summary.uniform_bound, 1);
@@ -61,7 +61,7 @@ TEST_P(WeaklyAcyclicFamily, EveryVariantTerminates) {
     options.limits.max_steps = 500;
     auto run = RunChase(kb, options);
     ASSERT_TRUE(run.ok());
-    EXPECT_TRUE(run->terminated)
+    EXPECT_EQ(run->stop_reason, StopReason::kFixpoint)
         << ChaseVariantName(variant) << " stages=" << GetParam();
     EXPECT_TRUE(kb.IsModel(run->derivation.Last()))
         << ChaseVariantName(variant);
@@ -76,7 +76,7 @@ TEST_P(WeaklyAcyclicFamily, DepthGrowsWithStages) {
   options.limits.max_steps = 500;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   // Two source constants thread through `stages` mint/pass pairs: at least
   // 2 atoms per stage beyond the 2 facts.
   EXPECT_GE(run->derivation.Last().size(),

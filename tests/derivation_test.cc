@@ -43,7 +43,7 @@ TEST(DerivationTest, MonotonicityDetection) {
   options.variant = ChaseVariant::kRestricted;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(run->derivation.IsMonotonic());
 }
 

@@ -23,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <fcntl.h>
@@ -751,6 +752,125 @@ TEST(DurableDaemonTest, FingerprintMismatchIsUnrecoverable) {
   std::string fresh = client.Submit("t", kClosure, CoreOptions(50));
   EXPECT_EQ(fresh, "j-6");
   daemon.Stop();
+}
+
+// Frames one payload as a manifest line, exactly as JobStore writes it.
+std::string FramedLine(const std::string& payload) {
+  char header[48];
+  std::snprintf(header, sizeof header, "M1 %08x %zu ", Crc32(payload),
+                payload.size());
+  return header + payload + "\n";
+}
+
+// A manifest as the previous release wrote it: every admit record carries
+// that release's full options object, including the since-removed
+// core.incremental_core, core.dirty_radius and parallel.threads keys.
+std::string LegacyAdmitLine(const std::string& id, const std::string& program,
+                            size_t max_steps, bool incremental_core) {
+  char fingerprint[24];
+  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
+                static_cast<unsigned long long>(FingerprintOf(program)));
+  std::string payload =
+      R"({"type":"admit","id":")" + id + R"(","fingerprint":")" +
+      fingerprint +
+      R"(","job":{"schema_version":1,"tenant":"acme","program":)" +
+      Json::String(program).Dump() +
+      R"(,"options":{"variant":"core","datalog_first":true,)"
+      R"("keep_snapshots":true,"limits":{"max_steps":)" +
+      std::to_string(max_steps) +
+      R"(,"max_instance_size":0,"memory_budget_bytes":0},)"
+      R"("core":{"core_every":1,"core_at_round_end":false,)"
+      R"("core_initial":true,"incremental_core":)" +
+      (incremental_core ? "true" : "false") +
+      R"(,"dirty_radius":2},"delta":{"enabled":true},)"
+      R"("plan":{"enabled":true,"skip_dormant":true,"core_guard":true},)"
+      R"("parallel":{"threads":4},"resume":{"record_log":true}},)"
+      R"("capture_events":false,"return_checkpoint":false}})";
+  return FramedLine(payload);
+}
+
+TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
+  std::string dir = FreshStateDir();
+  const std::string retained = R"({"state":"done","steps":5})";
+  // j-1 finished before the restart, j-2 was admitted but never ran, j-3
+  // asked for the removed incremental core, j-4 was queued behind it.
+  std::string manifest =
+      LegacyAdmitLine("j-1", kClosure, 5, false) +
+      FramedLine(R"({"type":"terminal","id":"j-1","state":"done","result":)" +
+                 retained + "}") +
+      LegacyAdmitLine("j-2", kStaircase, 40, false) +
+      LegacyAdmitLine("j-3", kClosure, 5, true) +
+      LegacyAdmitLine("j-4", kClosure, 50, false);
+  WriteFileOrDie(dir + "/manifest.wal", manifest);
+
+  DaemonOptions options;
+  options.workers = 1;
+  options.preempt_after_ms.reset();
+  options.state_dir = dir;
+  {
+    ChaseDaemon daemon(options);
+    ASSERT_TRUE(daemon.Start().ok());
+    DaemonClient client(daemon.port());
+    EXPECT_EQ(client.Healthz().Get("persistence").string_value(), "durable");
+
+    // The retained result is served byte for byte.
+    EXPECT_EQ(client.Result("j-1").Dump(), Json::Parse(retained)->Dump());
+
+    // The interrupted jobs run to the same result an in-process run gives.
+    for (const auto& [id, text, steps] :
+         {std::tuple<const char*, const char*, size_t>{"j-2", kStaircase, 40},
+          {"j-4", kClosure, 50}}) {
+      ASSERT_EQ(client.AwaitTerminal(id), "done") << id;
+      Json result = client.Result(id);
+      auto program = ParseProgram(text);
+      ASSERT_TRUE(program.ok());
+      auto golden = RunChase(program->kb, CoreOptions(steps));
+      ASSERT_TRUE(golden.ok());
+      char hash[32];
+      std::snprintf(hash, sizeof hash, "%016llx",
+                    static_cast<unsigned long long>(
+                        golden->derivation.Last().ContentHash()));
+      EXPECT_EQ(result.Get("steps").number_value(), golden->steps) << id;
+      EXPECT_EQ(result.Get("rounds").number_value(), golden->rounds) << id;
+      EXPECT_EQ(result.Get("instance_hash").string_value(), hash) << id;
+    }
+
+    // The incremental-core job fails with a structured error; recovery of
+    // the jobs around it went on.
+    EXPECT_EQ(client.AwaitTerminal("j-3"), "failed");
+    Json error = client.Result("j-3", 500);
+    EXPECT_EQ(error.Get("error").Get("code").string_value(),
+              "FailedPrecondition");
+    EXPECT_NE(error.Get("error").Get("message").string_value().find(
+                  "core.incremental_core"),
+              std::string::npos)
+        << error.Dump();
+
+    // A fresh submission asking for it is a structured 400 on its path.
+    auto body = Json::Parse(
+        R"({"schema_version":1,"tenant":"acme","program":"e(a, b).",)"
+        R"("options":{"core":{"incremental_core":true}}})");
+    ASSERT_TRUE(body.ok());
+    HttpResponse rejected = client.Fetch("POST", "/v1/jobs", body->Dump());
+    EXPECT_EQ(rejected.status, 400) << rejected.body;
+    auto rejection = Json::Parse(rejected.body);
+    ASSERT_TRUE(rejection.ok()) << rejected.body;
+    const Json& fields = rejection->Get("error").Get("fields");
+    ASSERT_EQ(fields.items().size(), 1u) << rejected.body;
+    EXPECT_EQ(fields.items()[0].Get("path").string_value(),
+              "options.core.incremental_core");
+    daemon.Stop();
+  }
+
+  // The failure was persisted: a second restart serves it without
+  // re-running anything, next to the finished jobs.
+  ChaseDaemon again(options);
+  ASSERT_TRUE(again.Start().ok());
+  DaemonClient client(again.port());
+  EXPECT_EQ(client.AwaitTerminal("j-3"), "failed");
+  EXPECT_EQ(client.AwaitTerminal("j-2"), "done");
+  EXPECT_EQ(client.AwaitTerminal("j-4"), "done");
+  again.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ TEST(EdgeCasesTest, NoOpRuleTerminatesImmediately) {
     options.variant = variant;
     auto run = RunChase(program->kb, options);
     ASSERT_TRUE(run.ok());
-    EXPECT_TRUE(run->terminated) << ChaseVariantName(variant);
+    EXPECT_EQ(run->stop_reason, StopReason::kFixpoint)
+        << ChaseVariantName(variant);
     EXPECT_EQ(run->steps, 0u) << ChaseVariantName(variant);
   }
   // The oblivious chase applies it once per match, then stops (keys).
@@ -30,7 +31,7 @@ TEST(EdgeCasesTest, NoOpRuleTerminatesImmediately) {
   oblivious.variant = ChaseVariant::kOblivious;
   auto run = RunChase(program->kb, oblivious);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(run->derivation.Last().size(), 1u);
 }
 
@@ -45,7 +46,7 @@ TEST(EdgeCasesTest, TernaryPredicatesThroughChaseAndTreewidth) {
   options.limits.max_steps = 10;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_FALSE(run->terminated);
+  EXPECT_NE(run->stop_reason, StopReason::kFixpoint);
   // Each ternary atom is a triangle in the Gaifman graph; the chain of
   // overlapping triangles has treewidth 2.
   TreewidthResult tw = ComputeTreewidth(run->derivation.Last());
@@ -58,7 +59,7 @@ TEST(EdgeCasesTest, RuleWithRepeatedFrontierVariable) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(run->derivation.Last().size(), 2u);
 }
 
@@ -70,7 +71,7 @@ TEST(EdgeCasesTest, HeadRepeatsBodyAtomPlusFresh) {
   options.variant = ChaseVariant::kCore;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(run->derivation.Last().size(), 2u);  // p(a), q(a, _null)
 }
 
@@ -81,7 +82,7 @@ TEST(EdgeCasesTest, DisconnectedRuleBody) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   // r over all 4 ordered pairs + 2 facts.
   EXPECT_EQ(run->derivation.Last().size(), 6u);
 }
@@ -92,7 +93,7 @@ TEST(EdgeCasesTest, FactsOnlyKbIsFixpoint) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(run->rounds, 1u);
 }
 
@@ -103,7 +104,7 @@ TEST(EdgeCasesTest, EmptyFactsWithRules) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(run->derivation.Last().empty());
 }
 
@@ -143,7 +144,7 @@ TEST(EdgeCasesTest, ChaseWithConstantsInRuleHead) {
   ChaseOptions options;
   auto run = RunChase(program->kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   auto q = ParseProgram("? :- marked(a, special).", program->kb.vocab);
   ASSERT_TRUE(q.ok());
   EXPECT_TRUE(ExistsHomomorphism(q->queries[0].atoms, run->derivation.Last()));

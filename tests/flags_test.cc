@@ -144,24 +144,24 @@ TEST(ArgMatcherTest, NegativeSizeReportsNegative) {
 }
 
 TEST(ArgMatcherTest, BoundedSizeValueEnforcesRange) {
-  size_t threads = 7;
-  std::string ok_arg = "--threads=4";
+  size_t workers = 7;
+  std::string ok_arg = "--workers=4";
   ArgMatcher m(ok_arg);
-  EXPECT_TRUE(m.BoundedSizeValue("--threads", &threads, 1, 1024));
-  EXPECT_EQ(threads, 4u);
+  EXPECT_TRUE(m.BoundedSizeValue("--workers", &workers, 1, 1024));
+  EXPECT_EQ(workers, 4u);
   EXPECT_TRUE(m.ok());
 
-  std::string zero_arg = "--threads=0";
+  std::string zero_arg = "--workers=0";
   ArgMatcher m2(zero_arg);
-  EXPECT_TRUE(m2.BoundedSizeValue("--threads", &threads, 1, 1024));
-  EXPECT_EQ(threads, 4u) << "out-of-range must not clobber the output";
+  EXPECT_TRUE(m2.BoundedSizeValue("--workers", &workers, 1, 1024));
+  EXPECT_EQ(workers, 4u) << "out-of-range must not clobber the output";
   EXPECT_FALSE(m2.ok());
   EXPECT_NE(m2.error().find("must be between 1 and 1024"), std::string::npos)
       << m2.error();
 
-  std::string big_arg = "--threads=4096";
+  std::string big_arg = "--workers=4096";
   ArgMatcher m3(big_arg);
-  EXPECT_TRUE(m3.BoundedSizeValue("--threads", &threads, 1, 1024));
+  EXPECT_TRUE(m3.BoundedSizeValue("--workers", &workers, 1, 1024));
   EXPECT_FALSE(m3.ok());
 }
 
@@ -207,31 +207,12 @@ TEST(ChaseOptionsValidateTest, MessagesLeadWithNestedFieldPath) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.message().rfind("core.core_every ", 0), 0u) << s.message();
 
-  ChaseOptions bad_incremental;
-  bad_incremental.core.incremental_core = true;
-  bad_incremental.core.core_at_round_end = true;
-  s = bad_incremental.Validate();
+  ChaseOptions unresolved_auto;
+  unresolved_auto.preflight.auto_variant = true;
+  s = unresolved_auto.Validate();
   ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message().rfind("core.incremental_core ", 0), 0u) << s.message();
-  // The referenced fields inside the message carry their paths too.
-  EXPECT_NE(s.message().find("core.core_every == 1"), std::string::npos);
-  EXPECT_NE(s.message().find("core.core_at_round_end == false"),
-            std::string::npos);
-
-  ChaseOptions bad_resume;
-  bad_resume.core.incremental_core = true;
-  bad_resume.resume.record_log = true;
-  s = bad_resume.Validate();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message().rfind("resume.record_log ", 0), 0u) << s.message();
-  EXPECT_NE(s.message().find("core.incremental_core == false"),
-            std::string::npos);
-
-  ChaseOptions zero_threads;
-  zero_threads.parallel.threads = 0;
-  s = zero_threads.Validate();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message().rfind("parallel.threads ", 0), 0u) << s.message();
+  EXPECT_EQ(s.message().rfind("preflight.auto_variant ", 0), 0u)
+      << s.message();
 }
 
 TEST(ArgMatcherTest, DoesNotMatchUnrelatedTokens) {

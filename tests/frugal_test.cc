@@ -64,7 +64,7 @@ TEST(FrugalChaseTest, TerminatesWithRestrictedOnDatalog) {
   options.variant = ChaseVariant::kFrugal;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->terminated);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_TRUE(kb.IsModel(run->derivation.Last()));
 }
 
@@ -91,14 +91,14 @@ TEST(FrugalChaseTest, PrunesRedundantNullsThatRestrictedKeeps) {
   core.limits.max_steps = 2000;
   auto c = RunChase(kb, core);
   ASSERT_TRUE(c.ok());
-  ASSERT_TRUE(c->terminated);
+  ASSERT_EQ(c->stop_reason, StopReason::kFixpoint);
 
   // Frugal result is between core and restricted in size.
   EXPECT_LE(c->derivation.Last().size(), f->derivation.Last().size());
   EXPECT_LE(f->derivation.Last().size(), r->derivation.Last().size());
   // All agree on entailed CQs: each result maps into the core fixpoint and
   // receives the facts.
-  if (f->terminated) {
+  if (f->stop_reason == StopReason::kFixpoint) {
     EXPECT_TRUE(
         ExistsHomomorphism(f->derivation.Last(), c->derivation.Last()));
   }

@@ -67,7 +67,7 @@ TEST(GoldenTest, FesNotBtsFixpoint) {
   options.limits.max_steps = 2000;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(run->steps, 6u);
   EXPECT_EQ(run->derivation.Last().size(), 6u);
 }

@@ -4,12 +4,14 @@
 
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/chase.h"
 #include "core/measures.h"
 #include "kb/examples.h"
 #include "obs/stock_observers.h"
+#include "util/fault.h"
 
 namespace twchase {
 namespace {
@@ -138,13 +140,98 @@ TEST(MetricsTest, ObserverCountsAppliedTriggers) {
   options.observer = &metrics;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   EXPECT_EQ(registry.GetCounter("chase.triggers.applied")->value(),
             run->steps);
   EXPECT_EQ(registry.GetCounter("chase.triggers.considered")->value(),
             run->stats.triggers_considered);
   EXPECT_DOUBLE_EQ(registry.GetGauge("chase.instance.size")->value(),
                    static_cast<double>(run->derivation.Last().size()));
+}
+
+// Regression: the chase.match.* registry counters are fed by per-round
+// MatchPlanEvent deltas, so a run stopped between round ends (here: a
+// fault-injected mid-round governor stop) used to leave the last partial
+// round's counts in ChaseStats but NOT in the registry. The engine flushes
+// the tail before OnRunEnd; the registry must equal ChaseStats exactly, at
+// any stop boundary.
+TEST(MetricsTest, MatchCounterParityBetweenRegistryAndStats) {
+  for (bool interrupt : {false, true}) {
+    StaircaseWorld world;
+    MetricsRegistry registry;
+    MetricsObserver metrics(&registry);
+    ChaseOptions options;
+    options.variant = ChaseVariant::kRestricted;
+    options.limits.max_steps = 12;
+    options.observer = &metrics;
+    StatusOr<ChaseResult> run = Status::Internal("not run");
+    if (interrupt) {
+      FaultInjector injector;
+      injector.Arm(FaultSite::kTriggerBoundary, 5, FaultAction::kCancel);
+      FaultInjectorScope scope(&injector);
+      run = RunChase(world.kb(), options);
+    } else {
+      run = RunChase(world.kb(), options);
+    }
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::string context = interrupt ? "interrupted" : "uninterrupted";
+    if (interrupt) {
+      EXPECT_EQ(run->stop_reason, StopReason::kCancelled) << context;
+    }
+    const ChaseStats& stats = run->stats;
+    EXPECT_EQ(registry.GetCounter("chase.match.index_probes")->value(),
+              stats.match_index_probes)
+        << context;
+    EXPECT_EQ(registry.GetCounter("chase.match.column_scans")->value(),
+              stats.match_column_scans)
+        << context;
+    EXPECT_EQ(registry.GetCounter("chase.match.join_fallbacks")->value(),
+              stats.match_join_fallbacks)
+        << context;
+    EXPECT_EQ(registry.GetCounter("chase.match.index_builds")->value(),
+              stats.match_index_builds)
+        << context;
+    EXPECT_EQ(registry.GetCounter("chase.match.index_build_bytes")->value(),
+              stats.match_index_build_bytes)
+        << context;
+  }
+}
+
+// The sharded counters behind MetricsRegistry must not lose increments
+// under contention: daemon workers and HTTP handlers share one registry.
+TEST(MetricsConcurrency, CounterSumsExactlyUnderContention) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("test.contended");
+  constexpr int kThreads = 8;
+  constexpr int kIncrements = 10000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter] {
+      for (int i = 0; i < kIncrements; ++i) counter->Increment();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter->value(),
+            static_cast<uint64_t>(kThreads) * kIncrements);
+}
+
+TEST(MetricsConcurrency, HistogramObservesExactlyUnderContention) {
+  MetricsRegistry registry;
+  Histogram* histogram = registry.GetHistogram("test.contended_histogram");
+  constexpr int kThreads = 8;
+  constexpr int kObservations = 2000;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([histogram] {
+      for (int i = 0; i < kObservations; ++i) histogram->Observe(1.0);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(histogram->count(),
+            static_cast<size_t>(kThreads) * kObservations);
+  EXPECT_DOUBLE_EQ(histogram->sum(), kThreads * kObservations * 1.0);
 }
 
 }  // namespace

@@ -103,19 +103,19 @@ TEST(ObserverGoldenTest, StaircasePrefixStreams) {
 )evt"},
       {ChaseVariant::kCore,
        R"evt({"event": "run_begin", "variant": "core", "rules": 4, "initial_size": 2}
-{"event": "core_retraction", "step": 0, "folds": 0, "incremental": false, "fell_back": false, "before": 2, "after": 2}
+{"event": "core_retraction", "step": 0, "folds": 0, "before": 2, "after": 2}
 {"event": "round_begin", "round": 1, "pending": 2, "size": 2}
 {"event": "trigger_considered", "round": 1, "rule": 2}
 {"event": "trigger_considered", "round": 1, "rule": 0}
 {"event": "trigger_applied", "step": 1, "round": 1, "rule": 0, "label": "Rh1", "added": 5, "size": 7}
-{"event": "core_retraction", "step": 1, "folds": 0, "incremental": false, "fell_back": false, "before": 7, "after": 7}
+{"event": "core_retraction", "step": 1, "folds": 0, "before": 7, "after": 7}
 {"event": "round_end", "round": 1, "steps": 1, "size": 7, "progressed": true}
 {"event": "delta_repair", "round": 2, "inserted": 5, "erased": 0, "invalidated": 0, "seed_probes": 13, "matches_added": 1}
 {"event": "round_begin", "round": 2, "pending": 3, "size": 7}
 {"event": "trigger_considered", "round": 2, "rule": 2}
 {"event": "trigger_considered", "round": 2, "rule": 2}
 {"event": "trigger_applied", "step": 2, "round": 2, "rule": 2, "label": "Rh3", "added": 2, "size": 9}
-{"event": "core_retraction", "step": 2, "folds": 0, "incremental": false, "fell_back": false, "before": 9, "after": 9}
+{"event": "core_retraction", "step": 2, "folds": 0, "before": 9, "after": 9}
 {"event": "round_end", "round": 2, "steps": 1, "size": 9, "progressed": true}
 {"event": "run_end", "steps": 2, "rounds": 2, "terminated": false, "size_guard": false, "stop_reason": "step-budget", "final_size": 9}
 )evt"},
@@ -187,19 +187,19 @@ TEST(ObserverGoldenTest, ElevatorPrefixStreams) {
 )evt"},
       {ChaseVariant::kCore,
        R"evt({"event": "run_begin", "variant": "core", "rules": 7, "initial_size": 4}
-{"event": "core_retraction", "step": 0, "folds": 0, "incremental": false, "fell_back": false, "before": 4, "after": 4}
+{"event": "core_retraction", "step": 0, "folds": 0, "before": 4, "after": 4}
 {"event": "round_begin", "round": 1, "pending": 2, "size": 4}
 {"event": "trigger_considered", "round": 1, "rule": 3}
 {"event": "trigger_considered", "round": 1, "rule": 0}
 {"event": "trigger_applied", "step": 1, "round": 1, "rule": 0, "label": "Rv1", "added": 3, "size": 7}
-{"event": "core_retraction", "step": 1, "folds": 0, "incremental": false, "fell_back": false, "before": 7, "after": 7}
+{"event": "core_retraction", "step": 1, "folds": 0, "before": 7, "after": 7}
 {"event": "round_end", "round": 1, "steps": 1, "size": 7, "progressed": true}
 {"event": "delta_repair", "round": 2, "inserted": 3, "erased": 0, "invalidated": 0, "seed_probes": 11, "matches_added": 1}
 {"event": "round_begin", "round": 2, "pending": 3, "size": 7}
 {"event": "trigger_considered", "round": 2, "rule": 3}
 {"event": "trigger_considered", "round": 2, "rule": 3}
 {"event": "trigger_applied", "step": 2, "round": 2, "rule": 3, "label": "Rv4", "added": 1, "size": 8}
-{"event": "core_retraction", "step": 2, "folds": 0, "incremental": false, "fell_back": false, "before": 8, "after": 8}
+{"event": "core_retraction", "step": 2, "folds": 0, "before": 8, "after": 8}
 {"event": "round_end", "round": 2, "steps": 1, "size": 8, "progressed": true}
 {"event": "run_end", "steps": 2, "rounds": 2, "terminated": false, "size_guard": false, "stop_reason": "step-budget", "final_size": 8}
 )evt"},
@@ -224,8 +224,6 @@ void ExpectStatsEqual(const ChaseStats& a, const ChaseStats& b,
   EXPECT_EQ(a.seed_probes, b.seed_probes) << context;
   EXPECT_EQ(a.matches_invalidated, b.matches_invalidated) << context;
   EXPECT_EQ(a.core_full, b.core_full) << context;
-  EXPECT_EQ(a.core_incremental, b.core_incremental) << context;
-  EXPECT_EQ(a.core_fallbacks, b.core_fallbacks) << context;
   EXPECT_EQ(a.peak_instance_size, b.peak_instance_size) << context;
 }
 
@@ -256,7 +254,7 @@ TEST(ObserverParityTest, ObserverRunsAreBitIdenticalToBareRuns) {
 
       EXPECT_EQ(bare->steps, observed->steps) << context;
       EXPECT_EQ(bare->rounds, observed->rounds) << context;
-      EXPECT_EQ(bare->terminated, observed->terminated) << context;
+      EXPECT_EQ(bare->stop_reason, observed->stop_reason) << context;
       ExpectStatsEqual(bare->stats, observed->stats, context.c_str());
       EXPECT_EQ(bare->derivation.size(), observed->derivation.size())
           << context;
@@ -282,7 +280,7 @@ TEST(ObserverReplayTest, ReplayedTraceMatchesDerivationTrace) {
   options.limits.max_steps = 200;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
 
   TraceObserver replayed(kb.vocab.get());
   ReplayDerivation(run->derivation, options.variant, &replayed);
@@ -425,11 +423,6 @@ TEST(ChaseOptionsTest, ValidateRejectsInconsistentCoreOptions) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("core_every must be positive"),
             std::string::npos);
-
-  ChaseOptions bad_incremental;
-  bad_incremental.core.incremental_core = true;
-  bad_incremental.core.core_every = 2;
-  EXPECT_FALSE(bad_incremental.Validate().ok());
 
   ChaseOptions defaults;
   EXPECT_TRUE(defaults.Validate().ok());

@@ -1,12 +1,12 @@
 // Bit-identity oracle for the execution planner (ChaseOptions::plan): a
 // planned run must be IDENTICAL to the unplanned run — same final instance,
 // same derivation journal, same observer event stream — for every chase
-// variant, on both paper worlds, at every thread count. The planner only
-// ever skips work whose outcome is forced (dormant-rule enumerations are
-// provably empty; a certified still-core proof stands in for a ComputeCore
-// that would have found zero folds), so identity holds by construction;
-// these tests are the oracle for that argument, and run under the asan and
-// tsan presets via tools/check.sh (label: plan).
+// variant, on both paper worlds. The planner only ever skips work whose
+// outcome is forced (dormant-rule enumerations are provably empty; a
+// certified still-core proof stands in for a ComputeCore that would have
+// found zero folds), so identity holds by construction; these tests are the
+// oracle for that argument, and run under the asan and tsan presets via
+// tools/check.sh (label: plan).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -45,7 +45,7 @@ struct RunOutput {
 };
 
 RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
-                     bool plan, size_t threads, bool round_end_coring = false) {
+                     bool plan, bool round_end_coring = false) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
@@ -53,7 +53,6 @@ RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.plan.enabled = plan;
-  options.parallel.threads = threads;
   options.core.core_at_round_end = round_end_coring;
   options.observer = &log;
   auto run = RunChase(kb, options);
@@ -93,16 +92,10 @@ void ExpectBitIdentical(const RunOutput& planned, const RunOutput& golden,
 
 void SweepFamily(Family family, size_t max_steps) {
   for (ChaseVariant variant : kAllVariants) {
-    RunOutput golden = RunVariant(family, variant, max_steps, /*plan=*/false,
-                                  /*threads=*/1);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      RunOutput planned =
-          RunVariant(family, variant, max_steps, /*plan=*/true, threads);
-      ExpectBitIdentical(planned, golden,
-                         FamilyName(family) + "/" +
-                             ChaseVariantName(variant) + "/threads=" +
-                             std::to_string(threads));
-    }
+    RunOutput golden = RunVariant(family, variant, max_steps, /*plan=*/false);
+    RunOutput planned = RunVariant(family, variant, max_steps, /*plan=*/true);
+    ExpectBitIdentical(planned, golden,
+                       FamilyName(family) + "/" + ChaseVariantName(variant));
   }
 }
 
@@ -119,11 +112,9 @@ TEST(PlanDifferential, ElevatorSweep) {
 TEST(PlanDifferential, RoundEndCoringStaysIdentical) {
   for (Family family : {Family::kStaircase, Family::kElevator}) {
     RunOutput golden = RunVariant(family, ChaseVariant::kCore, 40,
-                                  /*plan=*/false, /*threads=*/1,
-                                  /*round_end_coring=*/true);
+                                  /*plan=*/false, /*round_end_coring=*/true);
     RunOutput planned = RunVariant(family, ChaseVariant::kCore, 40,
-                                   /*plan=*/true, /*threads=*/1,
-                                   /*round_end_coring=*/true);
+                                   /*plan=*/true, /*round_end_coring=*/true);
     ExpectBitIdentical(planned, golden, FamilyName(family) + "/round-end");
   }
 }
@@ -156,13 +147,13 @@ TEST(PlanDifferential, SpacedCoringStaysIdentical) {
 // (otherwise the oracle above would be vacuous for the guard path).
 TEST(PlanDifferential, GuardCertifiesOnTheCoreVariant) {
   RunOutput planned = RunVariant(Family::kStaircase, ChaseVariant::kCore, 40,
-                                 /*plan=*/true, /*threads=*/1);
+                                 /*plan=*/true);
   EXPECT_GT(planned.result.stats.plan_core_proofs, 0u);
   EXPECT_GT(planned.result.stats.plan_core_certified, 0u);
   EXPECT_TRUE(IsCore(planned.result.derivation.Last()));
 
   RunOutput golden = RunVariant(Family::kStaircase, ChaseVariant::kCore, 40,
-                                /*plan=*/false, /*threads=*/1);
+                                /*plan=*/false);
   EXPECT_EQ(golden.result.stats.plan_core_proofs, 0u);
   EXPECT_LT(planned.result.stats.core_full, golden.result.stats.core_full);
 }
@@ -171,8 +162,8 @@ TEST(PlanDifferential, GuardCertifiesOnTheCoreVariant) {
 TEST(PlanDifferential, EventLogOptInEmitsPlanEvents) {
   KnowledgeBase kb = FreshKb(Family::kStaircase);
   std::ostringstream events;
-  EventLogObserver log(&events, /*log_parallel_events=*/false,
-                       /*log_match_events=*/false, /*log_plan_events=*/true);
+  EventLogObserver log(&events, /*log_match_events=*/false,
+                       /*log_plan_events=*/true);
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = 12;

@@ -52,7 +52,7 @@ TEST(RobustAggregatorTest, TerminatedChaseAggregateIsModel) {
   options.limits.max_steps = 2000;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   RobustAggregator agg = RobustAggregator::FromDerivation(run->derivation);
   const AtomSet& aggregate = agg.Aggregate();
   EXPECT_TRUE(kb.IsModel(aggregate));
@@ -194,7 +194,7 @@ TEST(RobustAggregatorTest, MonotonicDerivationRobustEqualsNatural) {
   options.variant = ChaseVariant::kRestricted;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  ASSERT_TRUE(run->terminated);
+  ASSERT_EQ(run->stop_reason, StopReason::kFixpoint);
   ASSERT_TRUE(run->derivation.IsMonotonic());
   RobustAggregator agg = RobustAggregator::FromDerivation(run->derivation);
   EXPECT_EQ(agg.Aggregate(), run->derivation.NaturalAggregation());

@@ -176,12 +176,10 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.core.core_every = 3;
   options.core.core_at_round_end = true;
   options.core.core_initial = false;
-  options.core.dirty_radius = 5;
   options.delta.enabled = false;
   options.plan.enabled = false;
   options.plan.skip_dormant = false;
   options.plan.core_guard = false;
-  options.parallel.threads = 7;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -204,12 +202,10 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.core.core_every, options.core.core_every);
   EXPECT_EQ(back.core.core_at_round_end, options.core.core_at_round_end);
   EXPECT_EQ(back.core.core_initial, options.core.core_initial);
-  EXPECT_EQ(back.core.dirty_radius, options.core.dirty_radius);
   EXPECT_EQ(back.delta.enabled, options.delta.enabled);
   EXPECT_EQ(back.plan.enabled, options.plan.enabled);
   EXPECT_EQ(back.plan.skip_dormant, options.plan.skip_dormant);
   EXPECT_EQ(back.plan.core_guard, options.plan.core_guard);
-  EXPECT_EQ(back.parallel.threads, options.parallel.threads);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -239,11 +235,47 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(error.path, "options.limits.max_steps");
 
-  auto negative = Json::Parse(R"({"parallel": {"threads": -2}})");
+  auto negative = Json::Parse(R"({"limits": {"max_instance_size": -2}})");
   ASSERT_TRUE(negative.ok());
   status = ChaseOptionsFromJson(*negative, "options", &options, &error);
   EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.limits.max_instance_size");
+}
+
+// Options objects written before incremental core maintenance and the
+// parallel match fan-out were removed still parse: their keys are read and
+// ignored. Only a request for the removed incremental mode is refused, with
+// a field error on its exact path. The writer no longer emits any of them.
+TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
+  auto legacy = Json::Parse(
+      R"({"variant": "core", "core": {"core_every": 1,)"
+      R"( "core_at_round_end": false, "core_initial": true,)"
+      R"( "incremental_core": false, "dirty_radius": 2},)"
+      R"( "parallel": {"threads": 4}})");
+  ASSERT_TRUE(legacy.ok());
+  ChaseOptions options;
+  FieldError error;
+  Status status = ChaseOptionsFromJson(*legacy, "options", &options, &error);
+  ASSERT_TRUE(status.ok()) << status << " at " << error.path;
+  EXPECT_EQ(options.variant, ChaseVariant::kCore);
+  EXPECT_TRUE(options.Validate().ok());
+
+  auto incremental = Json::Parse(R"({"core": {"incremental_core": true}})");
+  ASSERT_TRUE(incremental.ok());
+  status = ChaseOptionsFromJson(*incremental, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.core.incremental_core");
+
+  auto mistyped = Json::Parse(R"({"parallel": {"threads": "four"}})");
+  ASSERT_TRUE(mistyped.ok());
+  status = ChaseOptionsFromJson(*mistyped, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
   EXPECT_EQ(error.path, "options.parallel.threads");
+
+  Json wire = ChaseOptionsToJson(ChaseOptions{});
+  EXPECT_FALSE(wire.Has("parallel"));
+  EXPECT_FALSE(wire.Get("core").Has("incremental_core"));
+  EXPECT_FALSE(wire.Get("core").Has("dirty_radius"));
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {

@@ -53,7 +53,7 @@ class StaircaseChaseTest : public ::testing::Test {
 };
 
 TEST_F(StaircaseChaseTest, DoesNotTerminate) {
-  EXPECT_FALSE(run_->terminated);
+  EXPECT_NE(run_->stop_reason, StopReason::kFixpoint);
 }
 
 TEST_F(StaircaseChaseTest, CoreChaseUniformlyTreewidthBoundedByTwo) {

@@ -2,8 +2,8 @@
 // the columnar-storage PR): candidate generation over dictionary-encoded
 // ColumnSegments must be BIT-IDENTICAL to the legacy posting-list walk —
 // same final instance, same derivation journal, same observer event
-// stream — for every chase variant, on both worked example families, at
-// every thread count. The suite also unit-tests the two new model-layer
+// stream — for every chase variant, on both worked example families. The
+// suite also unit-tests the two new model-layer
 // pieces (TermDictionary, ColumnSegment) and the AtomSet fallbacks the
 // matcher's join path relies on (mixed arity, compaction).
 #include <gtest/gtest.h>
@@ -65,7 +65,7 @@ struct RunOutput {
 };
 
 RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
-                     size_t threads, MatchBackend backend) {
+                     MatchBackend backend) {
   BackendGuard guard(backend);
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
@@ -73,7 +73,6 @@ RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
-  options.parallel.threads = threads;
   options.observer = &log;
   auto run = RunChase(kb, options);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -116,20 +115,13 @@ void ExpectBitIdentical(const RunOutput& got, const RunOutput& golden,
 
 void SweepFamily(Family family, size_t max_steps) {
   for (ChaseVariant variant : kAllVariants) {
-    RunOutput golden = RunVariant(family, variant, max_steps, /*threads=*/1,
-                                  MatchBackend::kLegacy);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (MatchBackend backend :
-           {MatchBackend::kColumnar, MatchBackend::kLegacy}) {
-        if (backend == MatchBackend::kLegacy && threads == 1) continue;
-        RunOutput run = RunVariant(family, variant, max_steps, threads,
-                                   backend);
-        ExpectBitIdentical(
-            run, golden,
-            FamilyName(family) + "/" + ChaseVariantName(variant) + "/" +
-                BackendName(backend) + "/threads=" + std::to_string(threads));
-      }
-    }
+    RunOutput golden =
+        RunVariant(family, variant, max_steps, MatchBackend::kLegacy);
+    RunOutput run =
+        RunVariant(family, variant, max_steps, MatchBackend::kColumnar);
+    ExpectBitIdentical(run, golden,
+                       FamilyName(family) + "/" + ChaseVariantName(variant) +
+                           "/" + BackendName(MatchBackend::kColumnar));
   }
 }
 
@@ -147,7 +139,7 @@ TEST(BackendBitIdentity, AllVariantsElevator) {
 TEST(MatchCountersTest, ColumnarRunsPopulateCountersLegacyStaysZero) {
   RunOutput columnar =
       RunVariant(Family::kStaircase, ChaseVariant::kRestricted,
-                 /*max_steps=*/16, /*threads=*/1, MatchBackend::kColumnar);
+                 /*max_steps=*/16, MatchBackend::kColumnar);
   EXPECT_GT(columnar.result.stats.match_index_probes +
                 columnar.result.stats.match_column_scans,
             0u);
@@ -156,7 +148,7 @@ TEST(MatchCountersTest, ColumnarRunsPopulateCountersLegacyStaysZero) {
 
   RunOutput legacy =
       RunVariant(Family::kStaircase, ChaseVariant::kRestricted,
-                 /*max_steps=*/16, /*threads=*/1, MatchBackend::kLegacy);
+                 /*max_steps=*/16, MatchBackend::kLegacy);
   EXPECT_EQ(legacy.result.stats.match_index_probes, 0u);
   EXPECT_EQ(legacy.result.stats.match_column_scans, 0u);
   EXPECT_EQ(legacy.result.stats.match_join_fallbacks, 0u);
@@ -164,17 +156,17 @@ TEST(MatchCountersTest, ColumnarRunsPopulateCountersLegacyStaysZero) {
   EXPECT_EQ(legacy.result.stats.match_index_build_bytes, 0u);
 }
 
-TEST(MatchCountersTest, CountersAreDeterministicAcrossThreadCounts) {
+TEST(MatchCountersTest, CountersAreDeterministicAcrossRuns) {
   // Each counter is a per-search total and lazy index builds happen exactly
-  // once per stale-to-ready transition, so the sums cannot depend on how
-  // the searches were scheduled across workers.
+  // once per stale-to-ready transition, so two runs of the same chase
+  // report the same sums.
   for (ChaseVariant variant : {ChaseVariant::kRestricted, ChaseVariant::kCore}) {
-    RunOutput seq = RunVariant(Family::kStaircase, variant, /*max_steps=*/16,
-                               /*threads=*/1, MatchBackend::kColumnar);
-    RunOutput par = RunVariant(Family::kStaircase, variant, /*max_steps=*/16,
-                               /*threads=*/4, MatchBackend::kColumnar);
-    const ChaseStats& a = seq.result.stats;
-    const ChaseStats& b = par.result.stats;
+    RunOutput first = RunVariant(Family::kStaircase, variant,
+                                 /*max_steps=*/16, MatchBackend::kColumnar);
+    RunOutput second = RunVariant(Family::kStaircase, variant,
+                                  /*max_steps=*/16, MatchBackend::kColumnar);
+    const ChaseStats& a = first.result.stats;
+    const ChaseStats& b = second.result.stats;
     std::string context = std::string(ChaseVariantName(variant));
     EXPECT_EQ(a.match_index_probes, b.match_index_probes) << context;
     EXPECT_EQ(a.match_column_scans, b.match_column_scans) << context;

@@ -1,49 +1,44 @@
 #!/usr/bin/env sh
 # Local gate mirroring what CI would run:
 #   1. tier-1: configure + build + full ctest under the default preset;
-#   2. golden parallel bit-identity: the CLI must produce identical output
-#      (modulo the wall-clock field) at --threads=1, 4 and the hardware
-#      concurrency on every bundled program — the cheap end-to-end check of
-#      the deterministic-merge invariant (tests/parallel_chase_test.cc is
-#      the thorough one);
-#   3. twgen gates: the label-soundness sweep (500 seeded programs — every
+#   2. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
 #      label must diverge under every variant) and a seeded differential
-#      sweep smoke (all five variants × both match backends × threads 1/4 ×
-#      plan on/off, bit-identity cross-checked per config);
-#   4. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
+#      sweep smoke (all five variants × both match backends × plan on/off,
+#      bit-identity cross-checked per config);
+#   3. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability and analysis labelled suites
 #      under it (fault-injection, checkpoint/resume, the columnar storage
 #      layer, the planner's still-core guard, the torn-write/replay recovery
 #      paths and the preflight's sandboxed dynamic probes are exactly the
 #      code that must be memory-clean);
-#   5. TSan: ThreadSanitizer build, then the parallel, columnar, plan,
-#      service and analysis labelled suites under it to race-check the
-#      worker pool, sharded metrics, the lazy column-index builds that
-#      parallel searches race on, the planner's dormant-rule skips inside
-#      parallel rounds, the daemon's HTTP handler pool + job scheduler +
-#      preemption monitor, and the sweep's backend switching;
-#   6. daemon smoke: start twchased on an ephemeral port, submit the bundled
+#   4. TSan: ThreadSanitizer build, then the robustness, columnar, plan,
+#      service and analysis labelled suites under it to race-check
+#      cross-thread cancellation, the sharded metrics and lazy column-index
+#      builds that daemon workers and HTTP handlers share, the daemon's HTTP
+#      handler pool + job scheduler + preemption monitor, and the sweep's
+#      backend switching;
+#   5. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
 #      exact same answer, including a --variant=auto submission whose
 #      daemon-side preflight must match the CLI's; then a clean SIGTERM
 #      shutdown with zero leaked jobs;
-#   7. crash recovery: start twchased with --state-dir, submit a slow and a
+#   6. crash recovery: start twchased with --state-dir, submit a slow and a
 #      fast job, SIGKILL the daemon mid-run, restart it on the same state
 #      directory and await both jobs — each result must be byte-identical
 #      (modulo the wall-clock field) to an uninterrupted CLI run of the same
 #      program, whether it was served from the retained terminal record or
 #      resumed from the last durable checkpoint;
-#   8. fuzz smoke: short runs of the parser fuzz harness and the recovery
+#   7. fuzz smoke: short runs of the parser fuzz harness and the recovery
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#   9. bench smoke: the full bench_engine sweep (delta, threads, matching
-#      backends, large instances, planner, service throughput, the preflight
-#      sweep) under a generous wall-time ceiling — it fails on parity
-#      violations, a tripped memory budget, or a hang;
-#  10. planner regression gate: from the bench smoke artifact, the
+#   8. bench smoke: the full bench_engine sweep (delta, matching backends,
+#      large instances, planner, service throughput, the preflight sweep)
+#      under a generous wall-time ceiling — it fails on parity violations,
+#      a tripped memory budget, or a hang;
+#   9. planner regression gate: from the bench smoke artifact, the
 #      staircase-core and elevator-core workloads must not be slower with the
 #      planner on than off — the planner only ever skips work, so a regression
 #      means the reliance/guard machinery itself got too expensive.
@@ -69,23 +64,6 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --preset default
 
-echo "== golden parallel bit-identity: --threads=1/4/hw on bundled programs =="
-HW_THREADS="$(nproc 2>/dev/null || echo 1)"
-for program in data/*.twc; do
-  ./build/tools/twchase_cli --variant=core --max-steps=20 --print-result \
-      --threads=1 "$program" | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_golden.out
-  for threads in 4 "$HW_THREADS"; do
-    ./build/tools/twchase_cli --variant=core --max-steps=20 --print-result \
-        --threads="$threads" "$program" | sed 's/ [0-9][0-9.]*s,/ TIME,/' \
-        > /tmp/twchase_parallel.out
-    if ! diff -u /tmp/twchase_golden.out /tmp/twchase_parallel.out; then
-      echo "BIT-IDENTITY VIOLATION: $program at --threads=$threads" >&2
-      exit 1
-    fi
-  done
-  echo "  $program: identical at threads 1/4/$HW_THREADS"
-done
-
 echo "== twgen gates: label soundness (500 programs) + differential sweep smoke =="
 timeout "$CTEST_HARD_TIMEOUT" ./build/tools/twgen --soundness --programs=500
 timeout "$CTEST_HARD_TIMEOUT" ./build/tools/twgen --sweep --programs=60 \
@@ -97,11 +75,11 @@ cmake --build --preset asan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-asan \
   --output-on-failure -L 'delta|obs|robustness|columnar|plan|durability|analysis'
 
-echo "== tsan: thread preset, parallel+columnar+plan+service+analysis labels =="
+echo "== tsan: thread preset, robustness+columnar+plan+service+analysis labels =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-tsan \
-  --output-on-failure -L 'parallel|columnar|plan|service|analysis'
+  --output-on-failure -L 'robustness|columnar|plan|service|analysis'
 
 echo "== daemon smoke: twchased round-trip vs the CLI on bundled programs =="
 ./build/tools/twchased --port=0 > /tmp/twchased_smoke.log 2>&1 &
@@ -159,13 +137,16 @@ if ! grep -q "shutdown complete, 0 leaked jobs" /tmp/twchased_smoke.log; then
 fi
 
 echo "== crash recovery: SIGKILL mid-job, restart, byte-identical results =="
-# Uninterrupted CLI goldens: slow jobs (elevator at 100 steps, ~2s of core
-# chase each) that the kill catches mid-run, and a fast one (staircase at 60
-# steps) that finishes beforehand and must be served from the retained
-# terminal record. Two slow jobs on one worker force preemption (the
-# monitor only pauses a job when another is queued), so the crash lands on
-# real durable checkpoints, not just the admit records.
-./build/tools/twchase_cli --variant=core --max-steps=100 data/elevator.twc \
+# Uninterrupted CLI goldens: slow jobs (staircase at 600 steps, ~1.5s of
+# core chase each) that the kill catches mid-run, and a fast one (staircase
+# at 60 steps) that finishes beforehand and must be served from the
+# retained terminal record. Two slow jobs on one worker force preemption
+# (the monitor only pauses a job when another is queued), so the crash
+# lands on real durable checkpoints, not just the admit records. Elevator
+# jobs cannot serve here: at 100 steps one finishes well inside the 1s
+# before the kill, and a resumed elevator segment re-cores from scratch, so
+# longer ones take minutes.
+./build/tools/twchase_cli --variant=core --max-steps=600 data/staircase.twc \
   | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_recovery_golden_slow.out
 ./build/tools/twchase_cli --variant=core --max-steps=60 data/staircase.twc \
   | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_recovery_golden_fast.out
@@ -188,9 +169,9 @@ fi
 FAST_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" --max-steps=60 \
     --no-wait data/staircase.twc)"
 SLOW_A_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" \
-    --max-steps=100 --no-wait data/elevator.twc)"
+    --max-steps=600 --no-wait data/staircase.twc)"
 SLOW_B_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" \
-    --max-steps=100 --no-wait data/elevator.twc)"
+    --max-steps=600 --no-wait data/staircase.twc)"
 # Let the fast job finish and the slow pair alternate across preemption
 # boundaries (each pause persists a sealed checkpoint), then crash hard.
 sleep 1

@@ -19,7 +19,6 @@
 //     --variant=V       chase variant             (default: core, as the CLI)
 //     --max-steps=N     rule-application budget   (default: 1000)
 //     --core-every=N    coring spacing            (default: 1)
-//     --threads=N       worker threads            (default: hw concurrency)
 //     --deadline-ms=N   wall-clock budget
 //     --poll-ms=N       status poll interval      (default: 25)
 //     --metrics         print /v1/metrics instead of submitting
@@ -39,14 +38,13 @@
 #include "service/json.h"
 #include "service/wire.h"
 #include "tools/flags.h"
-#include "util/thread_pool.h"
 
 namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port=N [--host=H] [--tenant=T] [--variant=V] "
-               "[--max-steps=N] [--core-every=N] [--threads=N] "
+               "[--max-steps=N] [--core-every=N] "
                "[--deadline-ms=N] [--poll-ms=N] [--metrics|--health] "
                "[--no-wait] [--await-job=ID] <program-file>\n",
                argv0);
@@ -68,7 +66,6 @@ int main(int argc, char** argv) {
   std::string await_job;
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
-  options.parallel.threads = ThreadPool::HardwareConcurrency();
   size_t deadline_ms = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -79,7 +76,6 @@ int main(int argc, char** argv) {
         m.Value("--host", &host) || m.Value("--tenant", &tenant) ||
         m.SizeValue("--max-steps", &options.limits.max_steps) ||
         m.SizeValue("--core-every", &options.core.core_every) ||
-        m.BoundedSizeValue("--threads", &options.parallel.threads, 1, 1024) ||
         m.SizeValue("--poll-ms", &poll_ms) ||
         m.Flag("--metrics", &metrics) || m.Flag("--health", &health) ||
         m.Flag("--no-wait", &no_wait) || m.Value("--await-job", &await_job)) {
