@@ -9,12 +9,11 @@
 // hardware_concurrency is recorded next to it: the engine is sequential,
 // so the figure only qualifies the service and wall-time numbers.
 //
-// A second section sweeps the homomorphism-matching backend (columnar
-// join-based vs legacy per-atom backtracking) over trigger-heavy random
-// workloads, verifies backend parity, and records per-backend wall times,
-// speedups and the chase.match.* counters. A third section runs the
-// large-instance family (scaled transitive closure and a wide guarded
-// chain, each ≥100k atoms) columnar-only under a governor memory budget.
+// A second section runs trigger-heavy random workloads, where homomorphism
+// matching dominates, and records their wall times and the chase.match.*
+// counters. A third section runs the large-instance family (scaled
+// transitive closure and a wide guarded chain, each ≥100k atoms) under a
+// governor memory budget.
 // A fourth section sweeps the execution planner (--plan off/on) over the
 // core-chase workloads, verifies bit-parity, and records the planner stats
 // (reliance edges, strata, dormancy skips, still-core certificates) — the
@@ -244,11 +243,10 @@ void AppendSide(std::string* json, const char* key,
 }
 
 // ---------------------------------------------------------------------------
-// Backend sweep and large-instance family.
+// Match workloads and large-instance family.
 
 // Dense random digraph with the triangle-closure rule: the body is a
-// three-way self-join of e, so trigger enumeration dominates the run and
-// the matching backend is the variable under test.
+// three-way self-join of e, so trigger enumeration dominates the run.
 KnowledgeBase MakeDenseTriangles(int nodes, int edges, uint64_t seed) {
   KbBuilder b;
   Term x = b.V("X"), y = b.V("Y"), z = b.V("Z");
@@ -264,8 +262,7 @@ KnowledgeBase MakeDenseTriangles(int nodes, int edges, uint64_t seed) {
 }
 
 // Wide-tuple self-join over a ternary relation: each candidate check walks
-// three argument positions, so the per-candidate cost gap between columnar
-// integer compares and legacy term unification is at its widest.
+// three argument positions.
 KnowledgeBase MakeWideJoin(int nodes, int facts, uint64_t seed) {
   KbBuilder b;
   Term x = b.V("X"), y = b.V("Y"), z = b.V("Z"), w = b.V("W");
@@ -283,8 +280,7 @@ KnowledgeBase MakeWideJoin(int nodes, int facts, uint64_t seed) {
 
 // Transitive closure of a dense random digraph. Recursive (t feeds its own
 // body), so unlike the join workloads above most wall time goes to trigger
-// revalidation and application rather than enumeration — kept in the sweep
-// as the honest Amdahl baseline for the backend comparison.
+// revalidation and application rather than enumeration.
 KnowledgeBase MakeDenseTc(int nodes, int edges, uint64_t seed) {
   KbBuilder b;
   Term x = b.V("X"), y = b.V("Y"), z = b.V("Z");
@@ -318,46 +314,10 @@ KnowledgeBase MakeWideGuardedChain(int seeds, int cycle) {
   return b.Build();
 }
 
-SweepMeasurement MeasureWithBackend(const SweepWorkload& workload,
-                                    MatchBackend backend, int repetitions,
-                                    Histogram* phase_ms) {
-  MatchBackend previous = CurrentMatchBackend();
-  SetMatchBackend(backend);
-  SweepMeasurement m =
-      MeasureChase(workload, /*delta_on=*/true, repetitions, phase_ms);
-  SetMatchBackend(previous);
-  return m;
-}
-
-void AppendBackendSide(std::string* json, const char* key,
-                       const SweepMeasurement& m) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "      \"%s\": {\"wall_ms\": %.3f, \"steps\": %zu, "
-                "\"rounds\": %zu, \"peak_atoms\": %zu, "
-                "\"index_probes\": %llu, \"column_scans\": %llu, "
-                "\"join_fallbacks\": %llu, \"index_builds\": %llu, "
-                "\"index_build_bytes\": %llu}",
-                key, m.wall_ms, m.result.steps, m.result.rounds,
-                m.result.stats.peak_instance_size,
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_probes),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_column_scans),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_join_fallbacks),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_builds),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_build_bytes));
-  *json += buffer;
-}
-
-// Sweeps the matching backend over trigger-heavy workloads and returns the
-// "backend_sweep" JSON object (empty string on parity violation). Both
-// backends must produce the same run — the storage-equivalence suite pins
-// bit-identity; this is the coarse re-check on bench-scale inputs.
-std::string RunBackendSweep(MetricsRegistry* registry) {
+// Runs the trigger-heavy workloads and returns the "match_workloads" JSON
+// object: per workload the wall time of the faster of two runs and the
+// chase.match.* counters.
+std::string RunMatchWorkloads(MetricsRegistry* registry) {
   std::vector<SweepWorkload> workloads;
   workloads.push_back({"triangles-dense-400", ChaseVariant::kRestricted,
                        2000000, [] { return MakeDenseTriangles(400, 32000, 19); }});
@@ -366,47 +326,39 @@ std::string RunBackendSweep(MetricsRegistry* registry) {
   workloads.push_back({"transitive-closure-dense-200", ChaseVariant::kRestricted,
                        2000000, [] { return MakeDenseTc(200, 1200, 7); }});
 
-  std::string json = "  \"backend_sweep\": {\n    \"workloads\": [\n";
-  std::printf("\n%-30s %10s %10s %10s\n", "workload", "legacy ms",
-              "columnar", "speedup");
+  std::string json = "  \"match_workloads\": {\n    \"workloads\": [\n";
+  std::printf("\n%-30s %10s %14s\n", "workload", "wall ms", "index probes");
   for (size_t i = 0; i < workloads.size(); ++i) {
     const SweepWorkload& workload = workloads[i];
-    SweepMeasurement legacy = MeasureWithBackend(
-        workload, MatchBackend::kLegacy, 2,
-        registry->GetHistogram("phase." + workload.name + ".legacy.wall_ms"));
-    SweepMeasurement columnar = MeasureWithBackend(
-        workload, MatchBackend::kColumnar, 2,
-        registry->GetHistogram("phase." + workload.name + ".columnar.wall_ms"));
-    if (legacy.result.steps != columnar.result.steps ||
-        legacy.result.rounds != columnar.result.rounds ||
-        !(legacy.result.derivation.Last() ==
-          columnar.result.derivation.Last())) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s: backends disagree\n",
-                   workload.name.c_str());
-      return "";
-    }
-    double speedup =
-        columnar.wall_ms > 0 ? legacy.wall_ms / columnar.wall_ms : 0;
-    std::printf("%-30s %9.2f %9.2f %9.2fx\n", workload.name.c_str(),
-                legacy.wall_ms, columnar.wall_ms, speedup);
-    json += "      {\n        \"name\": \"" + workload.name + "\",\n";
-    json += "        \"variant\": \"";
-    json += ChaseVariantName(workload.variant);
-    json += "\",\n";
-    AppendBackendSide(&json, "legacy", legacy);
-    json += ",\n";
-    AppendBackendSide(&json, "columnar", columnar);
-    char buffer[80];
+    SweepMeasurement m = MeasureChase(
+        workload, /*delta_on=*/true, 2,
+        registry->GetHistogram("phase." + workload.name + ".wall_ms"));
+    const ChaseStats& stats = m.result.stats;
+    std::printf("%-30s %9.2f %14llu\n", workload.name.c_str(), m.wall_ms,
+                static_cast<unsigned long long>(stats.match_index_probes));
+    char buffer[512];
     std::snprintf(buffer, sizeof(buffer),
-                  ",\n      \"speedup_columnar_vs_legacy\": %.2f\n", speedup);
+                  "      {\"name\": \"%s\", \"variant\": \"%s\", "
+                  "\"wall_ms\": %.3f, \"steps\": %zu, \"rounds\": %zu, "
+                  "\"peak_atoms\": %zu, \"index_probes\": %llu, "
+                  "\"column_scans\": %llu, \"index_builds\": %llu, "
+                  "\"index_build_bytes\": %llu}",
+                  workload.name.c_str(), ChaseVariantName(workload.variant),
+                  m.wall_ms, m.result.steps, m.result.rounds,
+                  stats.peak_instance_size,
+                  static_cast<unsigned long long>(stats.match_index_probes),
+                  static_cast<unsigned long long>(stats.match_column_scans),
+                  static_cast<unsigned long long>(stats.match_index_builds),
+                  static_cast<unsigned long long>(
+                      stats.match_index_build_bytes));
     json += buffer;
-    json += (i + 1 < workloads.size()) ? "      },\n" : "      }\n";
+    json += (i + 1 < workloads.size()) ? ",\n" : "\n";
   }
   json += "    ]\n  }";
   return json;
 }
 
-// Runs the ≥100k-atom family columnar-only under a governor memory budget
+// Runs the ≥100k-atom family under a governor memory budget
 // and returns the "large_instance" JSON object (empty string when a run
 // fails or trips the budget — completing inside it is the acceptance bar).
 std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
@@ -417,8 +369,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
   workloads.push_back({"guarded-chain-wide-2600", ChaseVariant::kRestricted,
                        110000, [] { return MakeWideGuardedChain(2600, 3); }});
 
-  MatchBackend previous = CurrentMatchBackend();
-  SetMatchBackend(MatchBackend::kColumnar);
   std::string json = "  \"large_instance\": {\n";
   json += "    \"memory_budget_bytes\": " + std::to_string(kBudgetBytes) +
           ",\n    \"workloads\": [\n";
@@ -441,7 +391,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
       std::fprintf(stderr, "large-instance workload %s %s\n",
                    workload.name.c_str(),
                    run.ok() ? "tripped the memory budget" : "failed");
-      SetMatchBackend(previous);
       return "";
     }
     std::printf("%-30s %9.2f %10zu %10zu %14s\n", workload.name.c_str(),
@@ -464,7 +413,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
     json += buffer;
     json += (i + 1 < workloads.size()) ? ",\n" : "\n";
   }
-  SetMatchBackend(previous);
   json += "    ]\n  }";
   return json;
 }
@@ -834,9 +782,7 @@ int RunDeltaSweep(const char* output_path) {
     json += (i + 1 < workloads.size()) ? "    },\n" : "    }\n";
   }
   json += "  ],\n";
-  std::string backend_sweep = RunBackendSweep(&registry);
-  if (backend_sweep.empty()) return 1;
-  json += backend_sweep + ",\n";
+  json += RunMatchWorkloads(&registry) + ",\n";
   std::string large_instance = RunLargeInstanceSweep(&registry);
   if (large_instance.empty()) return 1;
   json += large_instance + ",\n";

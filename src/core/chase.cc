@@ -268,12 +268,12 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // replayed retractions never certify (the base predates the replayed
   // mutations).
   const bool plan_on = options.plan.enabled;
-  const bool core_guard_on = plan_on && options.plan.core_guard && is_core;
+  const bool guard_cores = plan_on && is_core;
   bool guard_base_established = false;
   uint32_t guard_base_mark = 0;
   std::vector<Atom> guard_atoms_since;
   auto note_certified = [&]() {
-    if (!core_guard_on) return;
+    if (!guard_cores) return;
     guard_base_established = true;
     guard_base_mark = static_cast<uint32_t>(vocab->num_variables());
     guard_atoms_since.clear();
@@ -427,8 +427,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       obs->OnPlan(plan_event);
     }
   }
-  const bool skip_dormant =
-      plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
+  const bool prune_dormant = plan_on && exec_plan.dormant_count > 0;
 
   DeltaIndex pending_delta;
   bool delta_primed = false;
@@ -461,7 +460,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       for (size_t r = 0; r < kb.rules.size(); ++r) {
         RuleState& state = rule_states[r];
         state.matches.clear();
-        if (skip_dormant && exec_plan.dormant[r]) {
+        if (prune_dormant && exec_plan.dormant[r]) {
           // The enumeration is guaranteed empty for a dormant rule.
           ++result.stats.plan_enumerations_skipped;
           ++round_plan.enumerations_skipped;
@@ -533,7 +532,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           // (and the seed_probes counters) must not depend on the planner.
           ++result.stats.seed_probes;
           ++repair.seed_probes;
-          if (skip_dormant && exec_plan.dormant[r]) {
+          if (prune_dormant && exec_plan.dormant[r]) {
             ++result.stats.plan_probes_skipped;
             ++round_plan.probes_skipped;
             continue;
@@ -726,7 +725,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
 
       TriggerApplication application =
           ApplyTrigger(rule, *match, &current, vocab);
-      if (core_guard_on && guard_base_established) {
+      if (guard_cores && guard_base_established) {
         // Copied, not moved: added_atoms still feeds the derivation step
         // (and the abort rollback) below.
         guard_atoms_since.insert(guard_atoms_since.end(),
@@ -768,7 +767,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         } else {
           if (delta_on) pending_delta.Absorb(current.DrainDelta());
           bool guard_certified = false;
-          if (core_guard_on && guard_base_established && !governor.stopped()) {
+          if (guard_cores && guard_base_established && !governor.stopped()) {
             ++result.stats.plan_core_proofs;
             ++round_plan.core_proofs;
             CoreGuardOutcome guard =
@@ -952,7 +951,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         if (delta_on) pending_delta.Absorb(current.DrainDelta());
         size_t size_before = current.size();
         bool guard_certified = false;
-        if (core_guard_on && guard_base_established && !governor.stopped()) {
+        if (guard_cores && guard_base_established && !governor.stopped()) {
           ++result.stats.plan_core_proofs;
           ++round_plan.core_proofs;
           CoreGuardOutcome guard =
@@ -1036,8 +1035,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (obs != nullptr) {
       // Match-phase telemetry of the whole round (establishment through
       // application and coring). Emitted only when the round did match
-      // work, and skipped by the stock event log unless opted in, so event
-      // streams stay comparable across match backends.
+      // work; the stock event log does not record it.
       emit_match_plan_delta(result.rounds);
       if (plan_on && round_plan.any()) {
         PlanEvent plan_event;

@@ -114,25 +114,23 @@ struct ChaseOptions {
   /// recomputation is skipped), so planned and unplanned runs are
   /// bit-identical — same instance, derivation journal and observer event
   /// stream — and the flag exists for ablation and the differential tests.
+  ///
+  /// On, the planner does two things:
+  ///   * it skips match establishment for dormant rules (some body
+  ///     predicate is neither in the initial facts nor producible by any
+  ///     rule chain, so the rule cannot acquire a match in any chase of
+  ///     this KB); seed-probe counters still advance, so the
+  ///     DeltaRepairEvent payload is unchanged;
+  ///   * it guards the core chase's per-step and round-end corings with the
+  ///     still-core proof (plan/core_guard.h): when the proof certifies that
+  ///     the additions since the last certified core left the instance a
+  ///     core, the full ComputeCore (whose output would be the instance
+  ///     itself with zero folds) is skipped and its zero-fold events and
+  ///     records are synthesised identically.
   struct PlanOptions {
-    /// Master switch. Off disables the analysis entirely (no plan is built,
-    /// no PlanEvent is emitted, zero overhead).
+    /// Off disables the analysis entirely (no plan is built, no PlanEvent
+    /// is emitted, zero overhead).
     bool enabled = true;
-
-    /// Skip match establishment for dormant rules (some body predicate is
-    /// neither in the initial facts nor producible by any rule chain — the
-    /// rule cannot acquire a match in any chase of this KB). The skipped
-    /// searches are guaranteed empty; seed-probe counters are still
-    /// advanced so the DeltaRepairEvent payload is unchanged.
-    bool skip_dormant = true;
-
-    /// Guard per-step/round-end corings of the core chase with the
-    /// still-core proof (plan/core_guard.h): when the proof certifies that
-    /// the additions since the last certified core left the instance a
-    /// core, the full ComputeCore — whose output would be the instance
-    /// itself with zero folds — is skipped and its zero-fold events/records
-    /// are synthesised identically.
-    bool core_guard = true;
   };
 
   /// Termination-analysis preflight provenance (filled by
@@ -221,9 +219,8 @@ struct ChaseStats {
   /// Largest |F_i| seen.
   size_t peak_instance_size = 0;
 
-  /// Match-phase counters (columnar backend; all zero on the legacy
-  /// per-atom backend). Deterministic: each counter is a per-search total
-  /// and index builds happen exactly once per stale-to-ready column
+  /// Match-phase counters. Deterministic: each counter is a per-search
+  /// total and index builds happen exactly once per stale-to-ready column
   /// transition.
   /// Sorted-column EqualRange lookups.
   uint64_t match_index_probes = 0;
@@ -231,8 +228,8 @@ struct ChaseStats {
   /// Full-segment scans (pattern had no bound position to probe on).
   uint64_t match_column_scans = 0;
 
-  /// Searches that fell back to per-atom matching (injective or
-  /// vars-to-vars modes, mixed-arity predicates, legacy backend opt-out).
+  /// Always 0: every search runs on the join path. Kept because the
+  /// benchmark runner (perfbench/twbench.cc) still reads it.
   uint64_t match_join_fallbacks = 0;
 
   /// Lazy column-index (re)builds, and total sorted-row bytes they wrote.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/session.h"
-#include "hom/matcher.h"
 #include "util/fs.h"
 
 namespace twchase {
@@ -125,7 +124,9 @@ uint64_t ProgramFingerprint(const KnowledgeBase& kb) {
 uint64_t CheckpointFingerprint(const KnowledgeBase& kb,
                                const ChaseOptions& options) {
   uint64_t h = ProgramFingerprint(kb);
-  h = Fnv1a(h, static_cast<uint64_t>(CurrentMatchBackend()));
+  // Where the removed matcher switch was folded: its default value,
+  // so checkpoints written while the switch existed keep resuming.
+  h = Fnv1a(h, 0u);
   h = Fnv1a(h, options.plan.enabled ? 1u : 0u);
   // A checkpoint written under --variant=auto pins the preflight decision:
   // resuming is only valid if re-classification of the (unchanged) program

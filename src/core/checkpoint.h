@@ -45,14 +45,11 @@ uint64_t ProgramFingerprint(const KnowledgeBase& kb);
 
 /// The fingerprint a checkpoint actually stores: ProgramFingerprint plus
 /// everything run-shaping that lives outside the schedule echo — the
-/// process-wide match backend (a columnar-backend checkpoint must not
-/// silently resume under the legacy backend: the runs are bit-identical,
-/// but the fingerprint is the contract that the whole configuration
-/// matches), the planner switch and — for runs requested as --variant=auto
-/// — the preflight decision (classifier verdict + resolved variant), so a
-/// resume whose re-classification would decide differently is rejected.
-/// Computed at MakeCheckpoint time against the backend then in force, and
-/// re-computed by ResumeChase for the rejection check.
+/// planner switch and, for runs requested as --variant=auto, the preflight
+/// decision (classifier verdict + resolved variant), so a resume whose
+/// re-classification would decide differently is rejected. Computed at
+/// MakeCheckpoint time and re-computed by ResumeChase for the rejection
+/// check.
 uint64_t CheckpointFingerprint(const KnowledgeBase& kb,
                                const ChaseOptions& options);
 

@@ -88,7 +88,7 @@ Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
     return Status::FailedPrecondition(
         "resume: fingerprint mismatch — the checkpoint belongs to a "
         "different rule set or fact base, or was recorded under a different "
-        "--match-backend or --plan setting");
+        "--plan setting");
   }
   if (checkpoint.log.have_initial &&
       kb_->vocab->num_variables() != checkpoint.log.initial_num_variables) {

@@ -14,25 +14,12 @@ namespace twchase {
 
 namespace {
 
-// Backend switch, read once per search. Tests and benches flip it between
-// runs; relaxed is enough (no data is published through it).
-std::atomic<int> g_match_backend{static_cast<int>(MatchBackend::kColumnar)};
-
 // Ambient per-thread counters pointer; the pointee is shared across threads
 // (its fields are atomic), the pointer itself is thread-local like the
 // governor ambient.
 thread_local MatchCounters* g_match_counters = nullptr;
 
 }  // namespace
-
-void SetMatchBackend(MatchBackend backend) {
-  g_match_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
-}
-
-MatchBackend CurrentMatchBackend() {
-  return static_cast<MatchBackend>(
-      g_match_backend.load(std::memory_order_relaxed));
-}
 
 MatchCountersScope::MatchCountersScope(MatchCounters* counters)
     : previous_(g_match_counters) {
@@ -55,20 +42,21 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // Run() is called at most once; only retraction mode reuses a search, one
 // ExistsRetractionOnto query after another.
 //
-// Candidate generation has two backends. The columnar join path
-// (JoinCandidates) probes the target's per-predicate ColumnSegment: it picks
-// the probe column by the legacy path's exact smallest-posting heuristic,
-// binary-searches the lazily sorted column index for the bound image id, and
-// verifies the remaining bound columns / repeated-variable constraints /
-// forbidden term directly on the column cells. The legacy path
-// (LegacyCandidates) walks the filtered posting lists. Bit-identity between
-// the two holds because (a) atom selection (EstimateCandidates) is shared,
-// (b) segment rows order exactly as posting slots, so the join path emits
-// the unifying candidates in the legacy enumeration order, and (c) the
-// identity-first reorder below reproduces the legacy swap restricted to the
-// unifying candidates. Search() recursion — and with it governor polls and
-// fault-injection visit schedules at kHomNode — therefore runs the same
-// node sequence on both backends. See DESIGN.md §8 for the full argument.
+// Candidates come from JoinCandidates, which probes the target's
+// ColumnSegment for the pattern atom's (predicate, arity): it picks the
+// probe column by the smallest term posting, binary-searches the lazily
+// sorted column index for the bound image id, and verifies the remaining
+// bound columns, repeated-variable constraints and the forbidden term
+// directly on the column cells. TryUnify then applies the injective and
+// vars-to-vars checks, which depend on the search state.
+//
+// Candidate order contract. The candidates come in ascending slot order,
+// which is the order of every posting list, and identity-first then moves
+// the identity candidate to the front exactly as a swap with the head of
+// the probed posting would, restricted to the candidates that unify
+// (PostingFirstCandidate). Which retraction a core computation finds first
+// depends on this order, and so do the content hashes the goldens pin;
+// DESIGN.md §8 states the contract in full.
 class HomSearch {
  public:
   HomSearch(const AtomSet& pattern, const AtomSet& target,
@@ -76,17 +64,12 @@ class HomSearch {
       : target_(target),
         options_(options),
         retractions_only_(retractions_only) {
-    backend_columnar_ = CurrentMatchBackend() == MatchBackend::kColumnar;
-    // Injective and vars-to-vars searches prune candidates through mutable
-    // search state (used_targets_); they keep the per-atom path.
-    join_enabled_ =
-        backend_columnar_ && !options.injective && !options.vars_to_vars;
     counters_ = CurrentMatchCounters();
     // Collect pattern atoms and build the local variable table.
     for (const Atom& atom : pattern.Atoms()) {
       PatAtom pat;
       pat.predicate = atom.predicate();
-      pat.segment = join_enabled_ ? target_.SegmentFor(pat.predicate) : nullptr;
+      pat.segment = target_.SegmentFor(pat.predicate, atom.arity());
       pat.static_best = target_.CountByPredicate(atom.predicate());
       for (Term t : atom.args()) {
         if (t.is_variable()) {
@@ -193,7 +176,7 @@ class HomSearch {
 
   struct PatAtom {
     PredicateId predicate = 0;
-    const ColumnSegment* segment = nullptr;  // join path; null = legacy path
+    const ColumnSegment* segment = nullptr;  // null: no target atom fits
     std::vector<Arg> args;
     size_t static_best = 0;  // min over predicate / constant-arg postings
     bool focus = false;      // contains the forbidden image term (fold crux)
@@ -241,43 +224,23 @@ class HomSearch {
     return best * 4 + (3 - std::min<size_t>(bound_args, 3));
   }
 
-  // Candidate target atoms for `pat` under the current binding, in the
-  // order the legacy enumeration would attempt the ones that unify.
-  void Candidates(const PatAtom& pat, std::vector<const Atom*>* out) {
-    out->clear();
-    if (backend_columnar_) {
-      const ColumnSegment* segment = pat.segment;
-      if (segment != nullptr && segment->arity() == pat.args.size()) {
-        JoinCandidates(pat, *segment, *out);
-        return;
-      }
-      // A fallback worth counting: the predicate has atoms but the join
-      // path cannot serve it (injective/vars-to-vars mode, mixed arity, or
-      // a pattern/segment arity mismatch). An empty predicate is not a
-      // fallback — both paths answer with no candidates.
-      if (counters_ != nullptr &&
-          target_.CountByPredicate(pat.predicate) > 0) {
-        counters_->join_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    LegacyCandidates(pat, *out);
-  }
-
-  // Columnar path: one EqualRange probe on the most selective bound column
-  // (or a full segment scan when nothing is bound), then verification of
-  // every remaining constraint against the column cells. Emits exactly the
-  // candidates TryUnify would accept, in ascending slot order, then applies
-  // the legacy identity-first reorder restricted to that subsequence.
-  void JoinCandidates(const PatAtom& pat, const ColumnSegment& seg,
-                      std::vector<const Atom*>& out) {
+  // Candidate target atoms for `pat` under the current binding: one
+  // EqualRange probe on the most selective bound column (or a full segment
+  // scan when nothing is bound), then verification of every remaining
+  // constraint against the column cells. Emits, in ascending slot order,
+  // the candidates TryUnify would accept without its injective and
+  // vars-to-vars checks, then applies identity-first to that subsequence.
+  void JoinCandidates(const PatAtom& pat, std::vector<const Atom*>& out) {
+    out.clear();
+    if (pat.segment == nullptr) return;
+    const ColumnSegment& seg = *pat.segment;
     const TermDictionary& dict = target_.dictionary();
     const size_t arity = pat.args.size();
     col_bound_.assign(arity, 0);
     col_ids_.assign(arity, TermDictionary::kNoId);
     col_vars_.assign(arity, kNotVar);
-    // Probe selection mirrors LegacyCandidates exactly (first strict
-    // minimum of CountByTerm over the bound images) so that the identity
-    // reorder below can reconstruct which posting the legacy path walked.
+    // The probe is the first strict minimum of CountByTerm over the bound
+    // images; the identity reorder below reads the head of that posting.
     std::optional<Term> best_term;
     size_t best_count = kInfinity;
     uint32_t probe_col = 0;
@@ -361,12 +324,12 @@ class HomSearch {
         verify_and_admit(static_cast<uint32_t>(row));
       }
     }
-    // Identity-first, restricted to the unifying subsequence. The legacy
-    // swap moves the old head of its candidate list to the identity's
-    // position; projected onto the unifying candidates that is a swap when
-    // that head unifies, and a rotate of the identity to the front when it
-    // does not. With fewer than two unifying candidates any reorder is the
-    // identity permutation (also covering the legacy out.size() > 1 guard).
+    // Identity-first, restricted to the unifying subsequence: the identity
+    // candidate trades places with the head of the probed posting (see
+    // PostingFirstCandidate). Projected onto the unifying candidates that is
+    // a swap when that head unifies, and a rotate of the identity to the
+    // front when it does not. With fewer than two unifying candidates any
+    // reorder is the identity permutation.
     if (!options_.identity_first || out.size() < 2) return;
     size_t identity_pos = out.size();
     for (size_t j = 0; j < out.size(); ++j) {
@@ -376,9 +339,9 @@ class HomSearch {
       }
     }
     if (identity_pos == out.size() || identity_pos == 0) return;
-    const Atom* first_legacy = LegacyFirstCandidate(
+    const Atom* posting_first = PostingFirstCandidate(
         pat, best_term, best_count <= target_.CountByPredicate(pat.predicate));
-    if (first_legacy == out[0]) {
+    if (posting_first == out[0]) {
       std::swap(out[0], out[identity_pos]);
     } else {
       std::rotate(out.begin(), out.begin() + identity_pos,
@@ -386,12 +349,15 @@ class HomSearch {
     }
   }
 
-  // The first element of the candidate list LegacyCandidates would have
-  // built (posting choice included), without materialising it. Used only to
-  // decide the identity reorder's swap-vs-rotate case.
-  const Atom* LegacyFirstCandidate(const PatAtom& pat,
-                                   const std::optional<Term>& best_term,
-                                   bool term_beats_predicate) const {
+  // The head of the probed posting, which is the smallest bound image's term
+  // posting when it is no longer than the predicate posting, and the
+  // predicate posting otherwise. The head is the first live atom of that
+  // posting with the pattern's predicate and without the forbidden term; it
+  // may have another arity or fail to unify. Used only to decide the
+  // identity reorder's swap-vs-rotate case.
+  const Atom* PostingFirstCandidate(const PatAtom& pat,
+                                    const std::optional<Term>& best_term,
+                                    bool term_beats_predicate) const {
     auto admit = [&](const Atom& cand) {
       return !options_.forbidden_image_term.has_value() ||
              !AtomContains(cand, *options_.forbidden_image_term);
@@ -416,58 +382,6 @@ class HomSearch {
       if (admit(cand)) return &cand;
     }
     return nullptr;
-  }
-
-  // Legacy path: the most selective posting available, filtered by the
-  // forbidden image term, with the identity candidate (if present) first —
-  // endomorphism-style searches then assign identity away from the conflict
-  // area and backtrack locally.
-  void LegacyCandidates(const PatAtom& pat,
-                        std::vector<const Atom*>& out) const {
-    std::optional<Term> best_term;
-    size_t best_count = kInfinity;
-    for (const Arg& arg : pat.args) {
-      Term image;
-      if (arg.var == kNotVar) {
-        image = arg.constant;
-      } else if (bound_[arg.var]) {
-        image = binding_[arg.var];
-      } else {
-        continue;
-      }
-      size_t count = target_.CountByTerm(image);
-      if (count < best_count) {
-        best_count = count;
-        best_term = image;
-      }
-    }
-    auto admit = [&](const Atom* cand) {
-      if (options_.forbidden_image_term.has_value() &&
-          AtomContains(*cand, *options_.forbidden_image_term)) {
-        return;
-      }
-      out.push_back(cand);
-    };
-    if (best_term.has_value() &&
-        best_count <= target_.CountByPredicate(pat.predicate)) {
-      for (const Atom* cand : target_.ByTerm(*best_term)) {
-        if (cand->predicate() == pat.predicate) admit(cand);
-      }
-    } else {
-      for (const Atom* cand : target_.ByPredicate(pat.predicate)) {
-        admit(cand);
-      }
-    }
-    if (options_.identity_first && out.size() > 1) {
-      // Identity-first: the candidate whose args equal the pattern's args
-      // under the current binding.
-      for (size_t i = 0; i < out.size(); ++i) {
-        if (IsIdentityCandidate(pat, *out[i])) {
-          std::swap(out[0], out[i]);
-          break;
-        }
-      }
-    }
   }
 
   bool IsIdentityCandidate(const PatAtom& pat, const Atom& cand) const {
@@ -594,7 +508,7 @@ class HomSearch {
     if (pat.focus) --remaining_focus_;
     bool stop = false;
     std::vector<const Atom*>& candidates = candidate_buffers_[remaining];
-    Candidates(pat, &candidates);
+    JoinCandidates(pat, candidates);
     for (const Atom* cand : candidates) {
       size_t mark = trail_.size();
       if (!TryUnify(pat, *cand)) {
@@ -629,8 +543,6 @@ class HomSearch {
   std::vector<uint32_t> trail_;
   std::unordered_set<Term, TermHash> used_targets_;
   std::vector<Substitution> results_;
-  bool backend_columnar_ = false;
-  bool join_enabled_ = false;
   // Retraction mode: only idempotent maps; local_of_image_ maps a
   // variable's vocabulary index to its local index.
   bool retractions_only_ = false;

@@ -1,7 +1,7 @@
 // Backtracking homomorphism search from a pattern atomset (CQ, rule body,
-// whole instance) into a target instance. Uses the target's predicate and
-// term postings for candidate generation and a greedy most-constrained-first
-// static atom order. Supports:
+// whole instance) into a target instance. Candidates come from the target's
+// column segments (one index probe or segment scan per search node), and the
+// next pattern atom is always the most constrained one. Supports:
 //   * seeding with a partial substitution (trigger-satisfaction checks);
 //   * a forbidden image term (folding search used by core computation:
 //     a hom A → A∖{atoms containing X} without materialising the sub-instance);
@@ -35,29 +35,16 @@
 
 namespace twchase {
 
-/// Candidate-generation backend. kColumnar (the default) answers each search
-/// node with an index probe / column scan over the target's ColumnSegments
-/// and is bit-identical to kLegacy, the historical posting-list walk — the
-/// storage-equivalence suite (tests/storage_equivalence_test.cc) is the
-/// oracle. kLegacy remains as the fallback for searches the join path does
-/// not cover (injective / vars-to-vars modes, mixed-arity predicates) and as
-/// the baseline side of the benchmarks.
-enum class MatchBackend { kColumnar = 0, kLegacy = 1 };
-
-/// Process-wide backend switch (benchmarks and the equivalence tests flip
-/// it between runs; searches read it once at construction).
-void SetMatchBackend(MatchBackend backend);
-MatchBackend CurrentMatchBackend();
-
 /// Ambient chase.match.* telemetry. The chase installs one per run; every
-/// HomSearch folds its probe/scan/fallback and index (re)build counts into
-/// it. The fields are atomic so a caller may share one object between the
-/// threads it installs it on. Totals are a pure function of the searches
-/// performed.
+/// HomSearch folds its probe/scan and index (re)build counts into it. The
+/// fields are atomic so a caller may share one object between the threads
+/// it installs it on. Totals are a pure function of the searches performed.
 struct MatchCounters {
   std::atomic<uint64_t> index_probes{0};      // column-index EqualRange probes
   std::atomic<uint64_t> column_scans{0};      // full-segment scans (no bound arg)
-  std::atomic<uint64_t> join_fallbacks{0};    // legacy-path nodes under kColumnar
+  // Always 0: every search runs on the join path. Kept because the
+  // benchmark runner (perfbench/twbench.cc) still reads it.
+  std::atomic<uint64_t> join_fallbacks{0};
   std::atomic<uint64_t> index_builds{0};      // lazy column-index (re)builds
   std::atomic<uint64_t> index_build_bytes{0};  // bytes of those builds
 };

@@ -1,6 +1,7 @@
 #include "model/atom_set.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "util/status.h"
 
@@ -15,7 +16,6 @@ AtomSet::AtomSet(const AtomSet& other)
       term_postings_(other.term_postings_),
       live_by_term_(other.live_by_term_),
       dict_(other.dict_),
-      mixed_arity_(other.mixed_arity_),
       live_count_(other.live_count_),
       dead_count_(other.dead_count_),
       generation_(other.generation_),
@@ -24,8 +24,8 @@ AtomSet::AtomSet(const AtomSet& other)
       journal_enabled_(other.journal_enabled_),
       journal_(other.journal_) {
   segments_.reserve(other.segments_.size());
-  for (const auto& [pred, segment] : other.segments_) {
-    segments_.emplace(pred, std::make_unique<ColumnSegment>(*segment));
+  for (const auto& [key, segment] : other.segments_) {
+    segments_.emplace(key, std::make_unique<ColumnSegment>(*segment));
   }
 }
 
@@ -35,8 +35,8 @@ AtomSet& AtomSet::operator=(const AtomSet& other) {
 }
 
 // Indexes a freshly stored atom at `slot`: predicate posting, per-term
-// postings/counters (dictionary-id keyed) and the predicate's column
-// segment. Shared by Insert and the compaction rebuild.
+// postings/counters (dictionary-id keyed) and the column segment of its
+// (predicate, arity). Shared by Insert and the compaction rebuild.
 void AtomSet::IndexNewAtom(const Atom& atom, Slot slot) {
   by_predicate_[atom.predicate()].push_back(slot);
   ++live_by_predicate_[atom.predicate()];
@@ -49,18 +49,14 @@ void AtomSet::IndexNewAtom(const Atom& atom, Slot slot) {
     term_postings_[id].push_back(slot);
     ++live_by_term_[id];
   }
-  const uint32_t arity = static_cast<uint32_t>(atom.args().size());
-  auto [it, created] = segments_.try_emplace(atom.predicate(), nullptr);
-  if (created) {
-    it->second = std::make_unique<ColumnSegment>(arity);
-  } else if (it->second->arity() != arity) {
-    mixed_arity_.insert(atom.predicate());
+  std::unique_ptr<ColumnSegment>& segment =
+      segments_[SegmentKey(atom.predicate(), atom.arity())];
+  if (segment == nullptr) {
+    segment = std::make_unique<ColumnSegment>(atom.arity());
   }
-  if (!mixed_arity_.contains(atom.predicate())) {
-    scratch_ids_.clear();
-    for (Term t : atom.args()) scratch_ids_.push_back(dict_.Intern(t));
-    it->second->Append(slot, scratch_ids_.data());
-  }
+  scratch_ids_.clear();
+  for (Term t : atom.args()) scratch_ids_.push_back(dict_.Intern(t));
+  segment->Append(slot, scratch_ids_.data());
 }
 
 bool AtomSet::Insert(const Atom& atom) { return Insert(Atom(atom)); }
@@ -156,9 +152,9 @@ size_t AtomSet::CountByTerm(Term term) const {
   return id == TermDictionary::kNoId ? 0 : live_by_term_[id];
 }
 
-const ColumnSegment* AtomSet::SegmentFor(PredicateId predicate) const {
-  if (mixed_arity_.contains(predicate)) return nullptr;
-  auto it = segments_.find(predicate);
+const ColumnSegment* AtomSet::SegmentFor(PredicateId predicate,
+                                         uint32_t arity) const {
+  auto it = segments_.find(SegmentKey(predicate, arity));
   return it == segments_.end() ? nullptr : it->second.get();
 }
 
@@ -266,8 +262,8 @@ size_t AtomSet::ApproxMemoryBytes() const {
   constexpr size_t kPerArgBytes = 24;
   size_t bytes = slots_.size() * kPerSlotBytes + slot_args_ * kPerArgBytes;
   bytes += dict_.ApproxMemoryBytes();
-  for (const auto& [pred, segment] : segments_) {
-    (void)pred;
+  for (const auto& [key, segment] : segments_) {
+    (void)key;
     bytes += segment->ApproxMemoryBytes();
   }
   return bytes;
@@ -300,7 +296,7 @@ void AtomSet::CompactPostings() {
   for (std::vector<Slot>& posting : term_postings_) posting.clear();
   std::fill(live_by_term_.begin(), live_by_term_.end(), 0);
   // Segments are rebuilt in the new slot order; the dictionary is kept
-  // (append-only ids), and so is the sticky mixed-arity set.
+  // (append-only ids).
   segments_.clear();
   for (Slot s = 0; s < slots_.size(); ++s) {
     const Atom& atom = slots_[s];

@@ -7,12 +7,12 @@
 //
 // Columnar layer: every term is interned into a TermDictionary of dense
 // 32-bit ids, per-term postings and live counters are flat vectors indexed
-// by those ids, and each predicate's atoms are mirrored into a ColumnSegment
-// (arguments stored column-wise with lazily sorted position indexes). The
-// join-based matcher (hom/matcher.cc) probes the segments directly through
-// the accessors below; the row/slot order of a segment equals posting order,
-// which is what keeps the two matching paths bit-identical. Public API and
-// insertion-order iteration are unchanged from the pre-columnar AtomSet.
+// by those ids, and the atoms of each (predicate, arity) pair are mirrored
+// into one ColumnSegment (arguments stored column-wise with lazily sorted
+// position indexes), so every atom lives in exactly one segment. The
+// matcher (hom/matcher.cc) probes the segments directly through the
+// accessors below; a segment's rows follow slot order, which is posting
+// order, and the matcher's candidate order rests on that.
 //
 // Delta hooks: a generation counter stamps every successful mutation, and an
 // opt-in delta journal records inserted/erased atoms until drained — the
@@ -26,7 +26,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model/atom.h"
@@ -155,18 +154,17 @@ class AtomSet {
   /// The dictionary interning every term this set has ever stored.
   const TermDictionary& dictionary() const { return dict_; }
 
-  /// The predicate's column segment, or null when the predicate was never
-  /// inserted or has been observed at more than one arity (the matcher then
-  /// falls back to the posting-based path).
-  const ColumnSegment* SegmentFor(PredicateId predicate) const;
+  /// The column segment of the atoms with this predicate and arity, or null
+  /// when no such atom was ever inserted.
+  const ColumnSegment* SegmentFor(PredicateId predicate, uint32_t arity) const;
 
   bool SlotAlive(Slot slot) const { return alive_[slot] != 0; }
   const Atom& SlotAtom(Slot slot) const { return slots_[slot]; }
 
   /// Raw posting lists (ascending slots, tombstones included — callers
   /// filter through SlotAlive). Null when the term/predicate is unknown.
-  /// Exposed so the join path can reproduce the legacy candidate head
-  /// without materialising a filtered vector.
+  /// Exposed so the matcher can read a posting's head (its identity-first
+  /// order) without materialising a filtered vector.
   const std::vector<Slot>* TermPostingSlots(Term term) const;
   const std::vector<Slot>* PredicatePostingSlots(PredicateId predicate) const;
 
@@ -174,6 +172,10 @@ class AtomSet {
   void MaybeCompact();
   void CompactPostings();
   void IndexNewAtom(const Atom& atom, Slot slot);
+
+  static uint64_t SegmentKey(PredicateId predicate, uint32_t arity) {
+    return (static_cast<uint64_t>(predicate) << 32) | arity;
+  }
 
   std::vector<Atom> slots_;
   std::vector<uint8_t> alive_;
@@ -184,9 +186,9 @@ class AtomSet {
   std::vector<std::vector<Slot>> term_postings_;
   std::vector<size_t> live_by_term_;
   TermDictionary dict_;
-  std::unordered_map<PredicateId, std::unique_ptr<ColumnSegment>> segments_;
-  std::unordered_set<PredicateId> mixed_arity_;  // sticky, survives compaction
-  std::vector<TermId> scratch_ids_;              // Insert's per-row id buffer
+  // Keyed by SegmentKey(predicate, arity).
+  std::unordered_map<uint64_t, std::unique_ptr<ColumnSegment>> segments_;
+  std::vector<TermId> scratch_ids_;  // Insert's per-row id buffer
   size_t live_count_ = 0;
   size_t dead_count_ = 0;
   uint64_t generation_ = 0;

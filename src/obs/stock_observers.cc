@@ -279,19 +279,6 @@ void EventLogObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
         << ", \"after\": " << event.size_after << "}\n";
 }
 
-void EventLogObserver::OnMatchPlan(const MatchPlanEvent& event) {
-  // Skipped by default: this event only fires on the columnar matching
-  // backend, and the event-stream bit-identity oracle compares logs
-  // between the columnar and legacy backends.
-  if (out_ == nullptr || !log_match_events_) return;
-  *out_ << "{\"event\": \"match_plan\", \"round\": " << event.round
-        << ", \"index_probes\": " << event.index_probes
-        << ", \"column_scans\": " << event.column_scans
-        << ", \"join_fallbacks\": " << event.join_fallbacks
-        << ", \"index_builds\": " << event.index_builds
-        << ", \"index_build_bytes\": " << event.index_build_bytes << "}\n";
-}
-
 void EventLogObserver::OnPlan(const PlanEvent& event) {
   // Skipped by default: this event only fires with --plan=on, and the
   // event-stream bit-identity oracle compares logs across plan on/off.

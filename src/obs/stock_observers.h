@@ -99,10 +99,8 @@ struct MetricsObserverOptions {
 ///              chase.plan.active_strata
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
-/// The chase.match.* instruments stay zero on the legacy matching backend
-/// and the chase.plan.* instruments stay zero with --plan=off; both are
-/// always registered so the column set does not depend on the backend or
-/// the planner.
+/// The chase.plan.* instruments stay zero with --plan=off; they are always
+/// registered so the column set does not depend on the planner.
 class MetricsObserver : public ChaseObserver {
  public:
   MetricsObserver(MetricsRegistry* registry,
@@ -159,22 +157,16 @@ class MetricsObserver : public ChaseObserver {
 ///   {"event": "round_begin", "round": 1, "pending": 5, "size": 4}
 /// The stream is append-only and flush-free; callers own the ostream.
 ///
-/// MatchPlanEvent is SKIPPED unless log_match_events is set: it only fires
-/// on the columnar matching backend, and logging it by default would break
-/// the bit-identity of event streams across backends (the oracle
-/// tests/storage_equivalence_test.cc relies on). PlanEvent is
-/// likewise SKIPPED unless log_plan_events is set: it only fires with
-/// --plan=on, and logging it by default would break the bit-identity of
-/// event streams across plan on/off (the oracle
-/// tests/plan_differential_test.cc relies on). Opt in for interactive
-/// debugging only.
+/// MatchPlanEvent is never logged: its counters are telemetry, which
+/// MetricsObserver folds into the chase.match.* instruments. PlanEvent is
+/// SKIPPED unless log_plan_events is set: it only fires with --plan=on, and
+/// logging it by default would break the bit-identity of event streams
+/// across plan on/off (the oracle tests/plan_differential_test.cc relies
+/// on). Opt in for interactive debugging only.
 class EventLogObserver : public ChaseObserver {
  public:
-  explicit EventLogObserver(std::ostream* out, bool log_match_events = false,
-                            bool log_plan_events = false)
-      : out_(out),
-        log_match_events_(log_match_events),
-        log_plan_events_(log_plan_events) {}
+  explicit EventLogObserver(std::ostream* out, bool log_plan_events = false)
+      : out_(out), log_plan_events_(log_plan_events) {}
 
   void OnRunBegin(const RunBeginEvent& event) override;
   void OnRoundBegin(const RoundBeginEvent& event) override;
@@ -183,7 +175,6 @@ class EventLogObserver : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnMatchPlan(const MatchPlanEvent& event) override;
   void OnPlan(const PlanEvent& event) override;
   void OnRoundEnd(const RoundEndEvent& event) override;
   void OnRobustRename(const RobustRenameEvent& event) override;
@@ -193,7 +184,6 @@ class EventLogObserver : public ChaseObserver {
 
  private:
   std::ostream* out_;
-  bool log_match_events_;
   bool log_plan_events_;
 };
 

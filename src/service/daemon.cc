@@ -626,7 +626,7 @@ void ChaseDaemon::RecoverFromStore() {
               CheckpointFingerprint(program->kb, recorded)) {
             unrecoverable = Status::FailedPrecondition(
                 "unrecoverable after restart: checkpoint fingerprint "
-                "mismatch (snapshot vs program/backend configuration)");
+                "mismatch (snapshot vs program/configuration)");
           } else {
             resume_text = SerializeCheckpoint(*checkpoint);
           }

@@ -136,13 +136,16 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
     r.path = base;
   }
 
-  // Legacy keys. Admit records written before incremental core maintenance
-  // and the parallel match fan-out were removed carry the full options
-  // object, so core.incremental_core, core.dirty_radius and
-  // parallel.threads are still read (and type-checked) but ignored:
-  // ignoring threads is exact, because runs were bit-identical at any
-  // thread count, and the radius only tuned the incremental mode. A request
-  // for the removed incremental mode itself cannot be honoured.
+  // Legacy keys. Admit records written before incremental core maintenance,
+  // the parallel match fan-out and the planner's sub-switches were removed
+  // carry the full options object, so core.incremental_core,
+  // core.dirty_radius, parallel.threads, plan.skip_dormant and
+  // plan.core_guard are still read (and type-checked) but ignored.
+  // Ignoring threads is exact, because runs were bit-identical at any
+  // thread count; so is ignoring the two plan keys, because planned runs
+  // are bit-identical to unplanned ones. The radius only tuned the
+  // incremental mode. A request for the removed incremental mode itself
+  // cannot be honoured.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
@@ -186,10 +189,9 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
         r.CheckKeys(*group, {"enabled", "skip_dormant", "core_guard"}));
     TWCHASE_RETURN_IF_ERROR(
         r.ReadBool(*group, "enabled", &options->plan.enabled));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadBool(*group, "skip_dormant", &options->plan.skip_dormant));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadBool(*group, "core_guard", &options->plan.core_guard));
+    bool ignored = false;
+    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "skip_dormant", &ignored));
+    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "core_guard", &ignored));
     r.path = base;
   }
 
@@ -285,8 +287,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
 
   Json plan = Json::Object();
   plan.Set("enabled", Json::Bool(options.plan.enabled));
-  plan.Set("skip_dormant", Json::Bool(options.plan.skip_dormant));
-  plan.Set("core_guard", Json::Bool(options.plan.core_guard));
   root.Set("plan", std::move(plan));
 
   Json resume = Json::Object();

@@ -28,11 +28,12 @@ bool GraphContainsGrid(const Graph& g, int n) {
   if (n == 1) return g.num_vertices() >= 1;
   if (g.num_vertices() < n * n) return false;
   Graph grid = Graph::Grid(n, n);
-  // Pattern vertex ids start far above target ids so the two variable spaces
-  // never collide.
-  constexpr uint32_t kPatternOffset = 1u << 24;
+  // Pattern vertex ids start right after the target's so the two variable
+  // spaces never collide. The offset stays small because an AtomSet's term
+  // dictionary sizes its variable table by the largest variable index.
   AtomSet target = EncodeGraph(g, 0);
-  AtomSet pattern = EncodeGraph(grid, kPatternOffset);
+  AtomSet pattern =
+      EncodeGraph(grid, static_cast<uint32_t>(g.num_vertices()));
   HomOptions options;
   options.limit = 1;
   options.injective = true;

@@ -10,22 +10,10 @@
 
 #include "core/chase.h"
 #include "core/checkpoint.h"
-#include "hom/matcher.h"
 #include "kb/examples.h"
 
 namespace twchase {
 namespace {
-
-// Scoped backend switch: restores the previous backend even on test failure
-// so a failing case cannot poison the rest of the binary.
-struct BackendGuard {
-  explicit BackendGuard(MatchBackend backend)
-      : previous(CurrentMatchBackend()) {
-    SetMatchBackend(backend);
-  }
-  ~BackendGuard() { SetMatchBackend(previous); }
-  MatchBackend previous;
-};
 
 ChaseOptions RecordingOptions(ChaseVariant variant, size_t max_steps) {
   ChaseOptions options;
@@ -267,28 +255,16 @@ TEST(ResumeChaseTest, RejectsDifferentProgram) {
 }
 
 // Regression: the fingerprint used to cover only the program (facts and
-// rules), so a checkpoint recorded under --match-backend=columnar resumed
-// silently under legacy (and vice versa), and a planned recording resumed
-// unplanned. Both knobs are now folded into CheckpointFingerprint and
-// mismatches are rejected up front.
-TEST(ResumeChaseTest, RejectsMismatchedBackendAndPlanMode) {
+// rules), so a planned recording resumed unplanned. The planner switch is
+// now folded into CheckpointFingerprint and mismatches are rejected up
+// front.
+TEST(ResumeChaseTest, RejectsMismatchedPlanMode) {
   StaircaseWorld world;
   ChaseOptions options = RecordingOptions(ChaseVariant::kRestricted, 3);
-  ChaseCheckpoint cp;
-  {
-    BackendGuard record_as(MatchBackend::kColumnar);
-    auto run = RunChase(world.kb(), options);
-    ASSERT_TRUE(run.ok());
-    StaircaseWorld fresh;
-    cp = MakeCheckpoint(fresh.kb(), options, *run);
-  }
-  {
-    BackendGuard resume_as(MatchBackend::kLegacy);
-    StaircaseWorld target;
-    auto resumed = ResumeChase(target.kb(), options, cp);
-    EXPECT_FALSE(resumed.ok());
-    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
-  }
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok());
+  StaircaseWorld fresh;
+  ChaseCheckpoint cp = MakeCheckpoint(fresh.kb(), options, *run);
   {
     ChaseOptions wrong = options;
     wrong.plan.enabled = !wrong.plan.enabled;

@@ -253,7 +253,7 @@ TEST(MemoryAccountingTest, ColumnIndexAndDictionaryBytesAreCounted) {
     s.Insert(Atom(p, {vocab.Constant("c" + std::to_string(i)),
                       vocab.Constant("d" + std::to_string(i))}));
   }
-  const ColumnSegment* seg = s.SegmentFor(p);
+  const ColumnSegment* seg = s.SegmentFor(p, 2);
   ASSERT_NE(seg, nullptr);
   size_t data_bytes = 2 * kRows * sizeof(TermId) + kRows * sizeof(uint32_t);
   size_t index_bytes = 2 * kRows * sizeof(uint32_t);

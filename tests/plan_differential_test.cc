@@ -162,8 +162,7 @@ TEST(PlanDifferential, GuardCertifiesOnTheCoreVariant) {
 TEST(PlanDifferential, EventLogOptInEmitsPlanEvents) {
   KnowledgeBase kb = FreshKb(Family::kStaircase);
   std::ostringstream events;
-  EventLogObserver log(&events, /*log_match_events=*/false,
-                       /*log_plan_events=*/true);
+  EventLogObserver log(&events, /*log_plan_events=*/true);
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = 12;

@@ -178,8 +178,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.core.core_initial = false;
   options.delta.enabled = false;
   options.plan.enabled = false;
-  options.plan.skip_dormant = false;
-  options.plan.core_guard = false;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -204,8 +202,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.core.core_initial, options.core.core_initial);
   EXPECT_EQ(back.delta.enabled, options.delta.enabled);
   EXPECT_EQ(back.plan.enabled, options.plan.enabled);
-  EXPECT_EQ(back.plan.skip_dormant, options.plan.skip_dormant);
-  EXPECT_EQ(back.plan.core_guard, options.plan.core_guard);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -242,22 +238,25 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
   EXPECT_EQ(error.path, "options.limits.max_instance_size");
 }
 
-// Options objects written before incremental core maintenance and the
-// parallel match fan-out were removed still parse: their keys are read and
-// ignored. Only a request for the removed incremental mode is refused, with
-// a field error on its exact path. The writer no longer emits any of them.
+// Options objects written before incremental core maintenance, the
+// parallel match fan-out and the planner's sub-switches were removed still
+// parse: their keys are read and ignored. Only a request for the removed
+// incremental mode is refused, with a field error on its exact path. The
+// writer no longer emits any of them.
 TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   auto legacy = Json::Parse(
       R"({"variant": "core", "core": {"core_every": 1,)"
       R"( "core_at_round_end": false, "core_initial": true,)"
       R"( "incremental_core": false, "dirty_radius": 2},)"
-      R"( "parallel": {"threads": 4}})");
+      R"( "plan": {"enabled": false, "skip_dormant": true,)"
+      R"( "core_guard": false}, "parallel": {"threads": 4}})");
   ASSERT_TRUE(legacy.ok());
   ChaseOptions options;
   FieldError error;
   Status status = ChaseOptionsFromJson(*legacy, "options", &options, &error);
   ASSERT_TRUE(status.ok()) << status << " at " << error.path;
   EXPECT_EQ(options.variant, ChaseVariant::kCore);
+  EXPECT_FALSE(options.plan.enabled);
   EXPECT_TRUE(options.Validate().ok());
 
   auto incremental = Json::Parse(R"({"core": {"incremental_core": true}})");
@@ -272,10 +271,18 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(error.path, "options.parallel.threads");
 
+  auto mistyped_plan = Json::Parse(R"({"plan": {"core_guard": "yes"}})");
+  ASSERT_TRUE(mistyped_plan.ok());
+  status = ChaseOptionsFromJson(*mistyped_plan, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.plan.core_guard");
+
   Json wire = ChaseOptionsToJson(ChaseOptions{});
   EXPECT_FALSE(wire.Has("parallel"));
   EXPECT_FALSE(wire.Get("core").Has("incremental_core"));
   EXPECT_FALSE(wire.Get("core").Has("dirty_radius"));
+  EXPECT_FALSE(wire.Get("plan").Has("skip_dormant"));
+  EXPECT_FALSE(wire.Get("plan").Has("core_guard"));
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {

@@ -4,8 +4,8 @@
 #   2. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
 #      label must diverge under every variant) and a seeded differential
-#      sweep smoke (all five variants × both match backends × plan on/off,
-#      bit-identity cross-checked per config);
+#      sweep smoke (all five variants × plan on/off, bit-identity
+#      cross-checked per variant);
 #   3. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability and analysis labelled suites
 #      under it (fault-injection, checkpoint/resume, the columnar storage
@@ -15,9 +15,8 @@
 #   4. TSan: ThreadSanitizer build, then the robustness, columnar, plan,
 #      service and analysis labelled suites under it to race-check
 #      cross-thread cancellation, the sharded metrics and lazy column-index
-#      builds that daemon workers and HTTP handlers share, the daemon's HTTP
-#      handler pool + job scheduler + preemption monitor, and the sweep's
-#      backend switching;
+#      builds that daemon workers and HTTP handlers share, and the daemon's
+#      HTTP handler pool + job scheduler + preemption monitor;
 #   5. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
@@ -34,7 +33,7 @@
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#   8. bench smoke: the full bench_engine sweep (delta, matching backends,
+#   8. bench smoke: the full bench_engine sweep (delta, match workloads,
 #      large instances, planner, service throughput, the preflight sweep)
 #      under a generous wall-time ceiling — it fails on parity violations,
 #      a tripped memory budget, or a hang;
