@@ -91,39 +91,6 @@ struct RuleState {
   std::unordered_set<PackedBindings, PackedBindingsHash> applied;
 };
 
-// Records the effect of replacing `before` by retraction(before) into the
-// delta index: exactly the atoms containing a moved variable disappear (a
-// retraction is the identity on all terms of its image, so an atom of the
-// image never contains a moved variable), and their images appear. An image
-// atom may have existed already — recording it as inserted is harmless, the
-// seeded probes deduplicate against the stored keys.
-void RecordRetractionDelta(const Substitution& retraction,
-                           const AtomSet& before, DeltaIndex* delta) {
-  for (const auto& [var, image] : retraction.map()) {
-    if (var == image) continue;
-    for (const Atom* atom : before.ByTerm(var)) {
-      delta->RecordErase(*atom);
-      delta->RecordInsert(retraction.Apply(*atom));
-    }
-  }
-}
-
-// Telemetry of one round's planner decisions (src/plan/), aggregated for the
-// per-round PlanEvent and ChaseStats.
-struct RoundPlanStats {
-  size_t active_strata = 0;
-  size_t enumerations_skipped = 0;
-  size_t probes_skipped = 0;
-  size_t core_proofs = 0;
-  size_t core_certified = 0;
-
-  bool any() const {
-    return active_strata + enumerations_skipped + probes_skipped +
-               core_proofs + core_certified >
-           0;
-  }
-};
-
 // Walks a recorded ResumeLog in lock-step with the scheduler. While
 // `active`, committed decisions come from the log instead of satisfaction
 // checks, and recorded retractions are applied instead of recomputing
@@ -208,65 +175,52 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // searches performed.
   MatchCounters match_counters;
   MatchCountersScope match_scope(&match_counters);
-  auto fold_match_stats = [&]() {
-    result.stats.match_index_probes =
+  // One read of the counters, in the shape both consumers below use.
+  auto match_totals = [&]() {
+    MatchPlanEvent totals;
+    totals.index_probes =
         match_counters.index_probes.load(std::memory_order_relaxed);
-    result.stats.match_column_scans =
+    totals.column_scans =
         match_counters.column_scans.load(std::memory_order_relaxed);
-    result.stats.match_join_fallbacks =
+    totals.join_fallbacks =
         match_counters.join_fallbacks.load(std::memory_order_relaxed);
-    result.stats.match_index_builds =
+    totals.index_builds =
         match_counters.index_builds.load(std::memory_order_relaxed);
-    result.stats.match_index_build_bytes =
+    totals.index_build_bytes =
         match_counters.index_build_bytes.load(std::memory_order_relaxed);
+    return totals;
   };
-
   // Counter values already reported through MatchPlanEvent, so each round's
-  // event carries deltas. Besides the round ends, this is flushed once after
-  // the scheduler loop (and on the pre-run budget-stop path): a mid-round
-  // stop used to drop the final round's counts from any attached
-  // MetricsRegistry while ChaseStats kept them, so the registry totals
-  // depended on where the stop landed.
+  // event carries deltas. Besides the round ends, finish_run flushes the
+  // tail a mid-round stop left unreported, so an attached MetricsRegistry
+  // ends exactly at the ChaseStats totals wherever the stop landed.
   MatchPlanEvent match_reported;
   auto emit_match_plan_delta = [&](size_t round) {
     if (obs == nullptr) return;
+    const MatchPlanEvent totals = match_totals();
     MatchPlanEvent plan;
     plan.round = round;
-    plan.index_probes =
-        match_counters.index_probes.load(std::memory_order_relaxed) -
-        match_reported.index_probes;
-    plan.column_scans =
-        match_counters.column_scans.load(std::memory_order_relaxed) -
-        match_reported.column_scans;
-    plan.join_fallbacks =
-        match_counters.join_fallbacks.load(std::memory_order_relaxed) -
-        match_reported.join_fallbacks;
-    plan.index_builds =
-        match_counters.index_builds.load(std::memory_order_relaxed) -
-        match_reported.index_builds;
+    plan.index_probes = totals.index_probes - match_reported.index_probes;
+    plan.column_scans = totals.column_scans - match_reported.column_scans;
+    plan.join_fallbacks = totals.join_fallbacks - match_reported.join_fallbacks;
+    plan.index_builds = totals.index_builds - match_reported.index_builds;
     plan.index_build_bytes =
-        match_counters.index_build_bytes.load(std::memory_order_relaxed) -
-        match_reported.index_build_bytes;
+        totals.index_build_bytes - match_reported.index_build_bytes;
     if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
             plan.index_builds + plan.index_build_bytes ==
         0) {
       return;
     }
     obs->OnMatchPlan(plan);
-    match_reported.index_probes += plan.index_probes;
-    match_reported.column_scans += plan.column_scans;
-    match_reported.join_fallbacks += plan.join_fallbacks;
-    match_reported.index_builds += plan.index_builds;
-    match_reported.index_build_bytes += plan.index_build_bytes;
+    match_reported = totals;
   };
 
   // Still-core guard (plan/core_guard.h). The instance is a certified core
   // exactly while `guard_base_established`: every certified variable was
   // minted before `guard_base_mark` and `guard_atoms_since` holds the atoms
-  // added since certification. Certification sites are exactly the live
-  // coring successes (initial, per-step, round-end) and guard proofs;
-  // replayed retractions never certify (the base predates the replayed
-  // mutations).
+  // added since certification. Only the live outcomes of the coring routine
+  // below certify (ComputeCore successes and guard proofs); replayed
+  // retractions never do (the base predates the replayed mutations).
   const bool plan_on = options.plan.enabled;
   const bool guard_cores = plan_on && is_core;
   bool guard_base_established = false;
@@ -308,73 +262,130 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
   };
 
+  // Ends the run once `result.stop_reason` is set: folds the match counters
+  // into the stats and reports the fault, the unreported match-plan tail and
+  // the run end to an attached observer.
+  auto finish_run = [&]() {
+    const MatchPlanEvent totals = match_totals();
+    result.stats.match_index_probes = totals.index_probes;
+    result.stats.match_column_scans = totals.column_scans;
+    result.stats.match_join_fallbacks = totals.join_fallbacks;
+    result.stats.match_index_builds = totals.index_builds;
+    result.stats.match_index_build_bytes = totals.index_build_bytes;
+    if (obs == nullptr) return;
+    if (governor.fault_fired()) {
+      obs->OnFaultInjected(
+          {governor.fault_site(), governor.fault_visit(), governor.reason()});
+    }
+    emit_match_plan_delta(result.rounds);
+    obs->OnRunEnd({result.steps, result.rounds,
+                   result.stop_reason == StopReason::kFixpoint,
+                   result.stop_reason == StopReason::kInstanceSizeGuard,
+                   current.size(), result.stop_reason});
+  };
+
+  // The plan's static shape (filled once the plan is built) and this
+  // round's planner telemetry on top of it; the coring routine counts its
+  // guard proofs here.
+  PlanEvent plan_shape;
+  PlanEvent round_plan;
+
+  // The run's one coring routine (σ_i of Definition 2), shared by the
+  // initial, per-step and round-end sites, live and replayed. Replay
+  // (`recorded` non-null) commits the recorded retraction; a live coring
+  // first tries the still-core guard, then falls back to ComputeCore. Every
+  // commit goes through ApplyRetractionRebuild, so the AtomSet journal is
+  // the only delta channel (the round-start drain picks it up). A round-end
+  // coring commits only a proper retraction; the initial one counts in no
+  // core_full stat. An aborted coring mutated nothing: each site decides
+  // what of its own to roll back.
+  enum class CoringSite { kInitial, kStep, kRoundEnd };
+  struct Coring {
+    Substitution sigma;
+    size_t folds = 0;
+    bool aborted = false;
+  };
+  auto run_coring = [&](CoringSite site, const Substitution* recorded,
+                        size_t recorded_folds) {
+    Coring out;
+    auto commit = [&](AtomSet* image) {
+      if (site != CoringSite::kRoundEnd || !out.sigma.IsIdentity()) {
+        ApplyRetractionRebuild(&current, out.sigma, image);
+      }
+      if (site != CoringSite::kInitial) ++result.stats.core_full;
+    };
+    if (recorded != nullptr) {
+      out.sigma = *recorded;
+      out.folds = recorded_folds;
+      commit(nullptr);
+      return out;
+    }
+    if (guard_cores && guard_base_established && !governor.stopped()) {
+      ++result.stats.plan_core_proofs;
+      ++round_plan.core_proofs;
+      // An inner search the governor aborted can miss a refutation, so a
+      // stopped run never certifies: it falls through to ComputeCore, whose
+      // abort the site handles.
+      if (ProveStillCore(current, guard_atoms_since, guard_base_mark)
+              .certified &&
+          !governor.stopped()) {
+        // Proven still a core without folding anything: ComputeCore would
+        // have returned the instance itself with an empty retraction and
+        // zero folds, so committing nothing reproduces its records and
+        // events bit for bit.
+        ++result.stats.plan_core_certified;
+        ++round_plan.core_certified;
+        note_certified();
+        return out;
+      }
+    }
+    CoreResult cored = ComputeCore(current);
+    if (governor.stopped()) {
+      // Aborted mid-search: the partial retraction is not a retraction of
+      // anything.
+      out.aborted = true;
+      return out;
+    }
+    out.sigma = std::move(cored.retraction);
+    out.folds = cored.folds;
+    commit(&cored.core);
+    note_certified();
+    return out;
+  };
+
   governor.NoteMemoryUsage(current.ApproxMemoryBytes());
   bool budget_stop = governor.ShouldStop(FaultSite::kRoundBoundary);
 
   Substitution sigma0;
   size_t initial_folds = 0;
-  size_t initial_size_before = current.size();
+  const size_t initial_size_before = current.size();
   if (!budget_stop && is_core && options.core.core_initial) {
-    if (cursor.active) {
-      sigma0 = cursor.log->initial_sigma;
-      initial_folds = cursor.log->initial_folds;
-      current = sigma0.Apply(current);
-    } else {
-      CoreResult cored = ComputeCore(current);
-      if (governor.stopped()) {
-        // Coring aborted mid-search: the partial retraction is not a
-        // retraction of anything. Keep F untouched.
-        budget_stop = true;
-      } else {
-        current = std::move(cored.core);
-        sigma0 = std::move(cored.retraction);
-        initial_folds = cored.folds;
-        note_certified();
-      }
-    }
+    // An aborted initial coring leaves F untouched.
+    Coring cored =
+        cursor.active ? run_coring(CoringSite::kInitial,
+                                   &cursor.log->initial_sigma,
+                                   cursor.log->initial_folds)
+                      : run_coring(CoringSite::kInitial, nullptr, 0);
+    budget_stop = cored.aborted;
+    sigma0 = std::move(cored.sigma);
+    initial_folds = cored.folds;
   }
   if (budget_stop) {
     // Stopped before the initial element committed: the result is the
     // untouched input (zero steps, empty resume log with have_initial
     // false — resuming is a fresh run).
     result.derivation.AddInitial(current, {});
-    result.stop_reason = governor.reason();
-    result.stats.peak_instance_size = current.size();
-    if (obs != nullptr) {
-      RunBeginEvent begin;
-      begin.variant = options.variant;
-      begin.rule_count = kb.rules.size();
-      begin.initial_size = current.size();
-      begin.initial_simplification = &result.derivation.step(0).simplification;
-      begin.instance = &current;
-      obs->OnRunBegin(begin);
-      if (governor.fault_fired()) {
-        obs->OnFaultInjected(
-            {governor.fault_site(), governor.fault_visit(), governor.reason()});
-      }
-      emit_match_plan_delta(0);
-      obs->OnRunEnd({result.steps, result.rounds, /*terminated=*/false,
-                     /*size_guard_tripped=*/false, current.size(),
-                     result.stop_reason});
+  } else {
+    if (rec != nullptr) {
+      rec->have_initial = true;
+      rec->initial_sigma = sigma0;
+      rec->initial_folds = initial_folds;
+      rec->initial_num_variables = vocab->num_variables();
+      rec->committed_num_variables = vocab->num_variables();
     }
-    fold_match_stats();
-    return result;
+    result.derivation.AddInitial(current, std::move(sigma0));
   }
-  if (rec != nullptr) {
-    rec->have_initial = true;
-    rec->initial_sigma = sigma0;
-    rec->initial_folds = initial_folds;
-    rec->initial_num_variables = vocab->num_variables();
-  }
-  result.derivation.AddInitial(current, std::move(sigma0));
-  if (rec != nullptr) rec->committed_num_variables = vocab->num_variables();
   result.stats.peak_instance_size = current.size();
-  // The final retained snapshot is the live instance; counting both would
-  // double the estimate (see ApproxMemoryBytesExcludingFinalSnapshot).
-  governor.NoteMemoryUsage(
-      current.ApproxMemoryBytes() +
-      result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
-
   if (obs != nullptr) {
     RunBeginEvent begin;
     begin.variant = options.variant;
@@ -383,14 +394,20 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     begin.initial_simplification = &result.derivation.step(0).simplification;
     begin.instance = &current;
     obs->OnRunBegin(begin);
-    if (is_core && options.core.core_initial) {
-      CoreRetractionEvent retraction;
-      retraction.step = 0;
-      retraction.folds = initial_folds;
-      retraction.size_before = initial_size_before;
-      retraction.size_after = current.size();
-      obs->OnCoreRetraction(retraction);
-    }
+  }
+  if (budget_stop) {
+    result.stop_reason = governor.reason();
+    finish_run();
+    return result;
+  }
+  // The final retained snapshot is the live instance; counting both would
+  // double the estimate (see ApproxMemoryBytesExcludingFinalSnapshot).
+  governor.NoteMemoryUsage(
+      current.ApproxMemoryBytes() +
+      result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
+  if (obs != nullptr && is_core && options.core.core_initial) {
+    obs->OnCoreRetraction(
+        {/*step=*/0, initial_folds, initial_size_before, current.size()});
   }
 
   std::vector<RuleState> rule_states(kb.rules.size());
@@ -418,17 +435,16 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     for (const RuleState& state : rule_states) {
       plan_body_predicates.push_back(state.body_predicates);
     }
-    if (obs != nullptr) {
-      PlanEvent plan_event;
-      plan_event.rules = kb.rules.size();
-      plan_event.reliance_edges = exec_plan.graph.edge_count;
-      plan_event.strata = exec_plan.strata.size();
-      plan_event.dormant_rules = exec_plan.dormant_count;
-      obs->OnPlan(plan_event);
-    }
+    plan_shape.rules = kb.rules.size();
+    plan_shape.reliance_edges = exec_plan.graph.edge_count;
+    plan_shape.strata = exec_plan.strata.size();
+    plan_shape.dormant_rules = exec_plan.dormant_count;
+    if (obs != nullptr) obs->OnPlan(plan_shape);
   }
   const bool prune_dormant = plan_on && exec_plan.dormant_count > 0;
 
+  // Every mutation of `current` — applications, frugal folds and corings —
+  // lands in its journal; the round-start Absorb below is the only drain.
   DeltaIndex pending_delta;
   bool delta_primed = false;
   if (delta_on) current.EnableDeltaJournal();
@@ -449,7 +465,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     ++result.rounds;
     if (rec != nullptr) rec->rounds.emplace_back();
     const size_t steps_at_round_start = result.steps;
-    RoundPlanStats round_plan;
+    round_plan = plan_shape;
+    round_plan.round = result.rounds;
 
     // Establish this round's match sets: naive evaluation re-enumerates
     // from scratch; delta evaluation repairs the stored sets from the atoms
@@ -597,10 +614,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
 
     bool progressed = false;
-    // Set when replay hits the end of a round record that carries a
-    // committed round-end coring: the recorded run left its trigger loop
-    // early (step budget or size guard) and then amended — follow it.
-    bool replay_round_cut = false;
     Substitution sigma_round;  // composition of simplifications this round
     for (const PendingTrigger& p : pending) {
       if (result.steps >= options.limits.max_steps) break;
@@ -619,7 +632,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           replaying_this = true;
           replay_bit = rr.decisions[cursor.bit_index++] != 0;
         } else if (rr.have_round_end) {
-          replay_round_cut = true;
+          // The recorded run left its trigger loop early (step budget or
+          // size guard) and then cored at round end — follow it there.
           break;
         } else {
           go_live();
@@ -645,36 +659,22 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // Activeness per variant. Replay substitutes the recorded decision
       // for the satisfaction check (the oblivious key bookkeeping still
       // runs — it is deterministic — and is cross-checked against the log).
-      bool satisfaction_aborted = false;
       bool skip = false;
       switch (options.variant) {
-        case ChaseVariant::kOblivious: {
-          PackedBindings key = match == &stored.match
-                                   ? stored.key
-                                   : PackedBindings::FromMatch(*match);
-          bool fresh = state.applied.insert(std::move(key)).second;
-          if (replaying_this) {
-            TWCHASE_CHECK_MSG(fresh == replay_bit,
-                              "resume log diverged from the oblivious "
-                              "application keys");
-          }
-          stored.retired = true;
-          if (obs != nullptr && retire_considered) {
-            obs->OnTriggerRetired({result.rounds, p.rule_index,
-                                   fresh ? TriggerRetireReason::kApplied
-                                         : TriggerRetireReason::kDuplicate});
-          }
-          if (!fresh) skip = true;
-          break;
-        }
+        case ChaseVariant::kOblivious:
         case ChaseVariant::kSemiOblivious: {
+          // Applied once per key: the whole match (oblivious) or its
+          // frontier restriction (semi-oblivious).
           PackedBindings key =
-              PackedBindings::FromRestricted(*match, rule.frontier());
+              options.variant == ChaseVariant::kSemiOblivious
+                  ? PackedBindings::FromRestricted(*match, rule.frontier())
+              : match == &stored.match ? stored.key
+                                       : PackedBindings::FromMatch(*match);
           bool fresh = state.applied.insert(std::move(key)).second;
           if (replaying_this) {
             TWCHASE_CHECK_MSG(fresh == replay_bit,
-                              "resume log diverged from the semi-oblivious "
-                              "application keys");
+                              "resume log diverged from the "
+                              "(semi-)oblivious application keys");
           }
           stored.retired = true;
           if (obs != nullptr && retire_considered) {
@@ -697,7 +697,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
               // The satisfaction search aborted; its verdict is not
               // trustworthy and nothing has been committed for this
               // consideration — stop exactly here.
-              satisfaction_aborted = true;
+              budget_stop = true;
               break;
             }
           }
@@ -714,10 +714,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           break;
         }
       }
-      if (satisfaction_aborted) {
-        budget_stop = true;
-        break;
-      }
+      if (budget_stop) break;
       if (skip) {
         if (rec != nullptr) rec->rounds.back().decisions.push_back(0);
         continue;
@@ -734,9 +731,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       Substitution sigma;
       std::vector<Substitution> fold_sigmas;
-      size_t core_folds = 0;
-      bool have_core_event = false;
-      bool application_aborted = false;
       CoreRetractionEvent core_event;
       const bool do_core = is_core && !options.core.core_at_round_end &&
                            ++since_last_core >= options.core.core_every;
@@ -751,72 +745,24 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       if (do_core) {
         core_event.size_before = current.size();
-        if (step_record != nullptr) {
-          // Replay the recorded retraction through the same mutation
-          // sequence as live coring (drain, record delta, rebuild): the
-          // resulting instance, journal and delta state are identical.
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          if (delta_on) {
-            RecordRetractionDelta(step_record->sigma, current, &pending_delta);
+        Coring cored =
+            step_record != nullptr
+                ? run_coring(CoringSite::kStep, &step_record->sigma,
+                             step_record->folds)
+                : run_coring(CoringSite::kStep, nullptr, 0);
+        if (cored.aborted) {
+          // Roll the application back to the last committed step (its added
+          // atoms are exactly what it inserted; everything else is
+          // untouched).
+          for (const Atom& atom : application.added_atoms) {
+            current.Erase(atom);
           }
-          current = step_record->sigma.Apply(current);
-          if (delta_on) current.EnableDeltaJournal();
-          sigma = step_record->sigma;
-          ++result.stats.core_full;
-          core_event.folds = step_record->folds;
-        } else {
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          bool guard_certified = false;
-          if (guard_cores && guard_base_established && !governor.stopped()) {
-            ++result.stats.plan_core_proofs;
-            ++round_plan.core_proofs;
-            CoreGuardOutcome guard =
-                ProveStillCore(current, guard_atoms_since, guard_base_mark);
-            // An inner search the governor aborted can miss a refutation,
-            // so a stopped run never certifies: it falls through to
-            // ComputeCore, whose abort path rolls the application back.
-            guard_certified = guard.certified && !governor.stopped();
-          }
-          if (guard_certified) {
-            // Proven still a core without folding anything: ComputeCore
-            // would have returned the instance itself with an empty
-            // retraction and zero folds, so leaving `current` in place
-            // (its journal survives the drain) with `sigma` empty
-            // reproduces the unguarded records and events bit for bit.
-            ++result.stats.plan_core_certified;
-            ++round_plan.core_certified;
-            if (delta_on) current.EnableDeltaJournal();
-            core_event.folds = 0;
-            note_certified();
-          } else {
-            CoreResult cored = ComputeCore(current);
-            if (governor.stopped()) {
-              // Coring aborted mid-search: discard it and roll the
-              // application back to the last committed step (its added atoms
-              // are exactly what it inserted; everything else is untouched).
-              for (const Atom& atom : application.added_atoms) {
-                current.Erase(atom);
-              }
-              application_aborted = true;
-            } else {
-              if (delta_on) {
-                RecordRetractionDelta(cored.retraction, current,
-                                      &pending_delta);
-              }
-              current = std::move(cored.core);
-              if (delta_on) current.EnableDeltaJournal();
-              sigma = std::move(cored.retraction);
-              ++result.stats.core_full;
-              core_event.folds = cored.folds;
-              note_certified();
-            }
-          }
+          budget_stop = true;
+          break;
         }
-        if (!application_aborted) {
-          core_event.size_after = current.size();
-          have_core_event = true;
-          core_folds = core_event.folds;
-        }
+        sigma = std::move(cored.sigma);
+        core_event.folds = cored.folds;
+        core_event.size_after = current.size();
       } else if (options.variant == ChaseVariant::kFrugal &&
                  !rule.existential().empty()) {
         if (step_record != nullptr) {
@@ -840,25 +786,14 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
               &current, fresh, rec != nullptr ? &fold_sigmas : nullptr);
         }
       }
-      if (application_aborted) {
-        budget_stop = true;
-        break;
-      }
-      if (match == &composed) {
-        result.derivation.AddStep(p.rule_index, rule.label(),
-                                  std::move(composed), sigma,
-                                  std::move(application.added_atoms), current);
-      } else if (!delta_on || stored.retired) {
-        // The stored match will not be used again: naive evaluation rebuilds
-        // the set next round, and retired matches are dropped below.
-        result.derivation.AddStep(p.rule_index, rule.label(),
-                                  std::move(stored.match), sigma,
-                                  std::move(application.added_atoms), current);
-      } else {
-        result.derivation.AddStep(p.rule_index, rule.label(), stored.match,
-                                  sigma, std::move(application.added_atoms),
-                                  current);
-      }
+      // A stored match not used again is moved: naive evaluation rebuilds
+      // the set next round, and retired matches are dropped below.
+      result.derivation.AddStep(
+          p.rule_index, rule.label(),
+          match == &composed               ? std::move(composed)
+          : !delta_on || stored.retired ? std::move(stored.match)
+                                        : stored.match,
+          sigma, std::move(application.added_atoms), current);
       if (!sigma.IsIdentity()) {
         sigma_round = Substitution::Compose(sigma, sigma_round);
       }
@@ -870,7 +805,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         step_rec.sigma = sigma;
         step_rec.fold_sigmas = std::move(fold_sigmas);
         step_rec.cored = do_core;
-        step_rec.folds = core_folds;
+        step_rec.folds = core_event.folds;
         rec->steps.push_back(std::move(step_rec));
         rec->committed_num_variables = vocab->num_variables();
       }
@@ -891,7 +826,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         applied.instance_size = current.size();
         applied.instance = &current;
         obs->OnTriggerApplied(applied);
-        if (have_core_event) {
+        if (do_core) {
           core_event.step = result.steps;
           obs->OnCoreRetraction(core_event);
         }
@@ -905,116 +840,43 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
     }
     if (budget_stop || !replay_error.ok()) break;
-    (void)replay_round_cut;  // consumed by the round-end replay below
     if (is_core && options.core.core_at_round_end && progressed) {
-      bool round_end_handled = false;
+      // Replay follows the round's recorded round-end coring; a round record
+      // without one is where the recorded run stopped, so resume runs the
+      // coring live.
+      const ResumeLog::RoundRecord* recorded = nullptr;
       if (cursor.active) {
         const ResumeLog::RoundRecord& rr =
             cursor.log->rounds[cursor.round_index];
         if (rr.have_round_end) {
-          // Same mutation sequence as the live path: unconditional drain,
-          // then record/rebuild/amend only for a proper retraction.
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          size_t size_before = current.size();
-          if (!rr.round_end_sigma.IsIdentity()) {
-            if (delta_on) {
-              RecordRetractionDelta(rr.round_end_sigma, current,
-                                    &pending_delta);
-            }
-            current = rr.round_end_sigma.Apply(current);
-            if (delta_on) current.EnableDeltaJournal();
-            result.derivation.AmendLastSimplification(rr.round_end_sigma,
-                                                      current);
-          }
-          ++result.stats.core_full;
-          if (rec != nullptr) {
-            rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = rr.round_end_sigma;
-            rec->rounds.back().round_end_folds = rr.round_end_folds;
-          }
-          if (obs != nullptr) {
-            CoreRetractionEvent retraction;
-            retraction.step = result.steps;
-            retraction.folds = rr.round_end_folds;
-            retraction.size_before = size_before;
-            retraction.size_after = current.size();
-            obs->OnCoreRetraction(retraction);
-          }
-          round_end_handled = true;
+          recorded = &rr;
         } else {
-          // The recorded run stopped at this round-end coring boundary;
-          // resume runs it live.
           go_live();
         }
       }
-      if (!round_end_handled && replay_error.ok()) {
-        if (delta_on) pending_delta.Absorb(current.DrainDelta());
-        size_t size_before = current.size();
-        bool guard_certified = false;
-        if (guard_cores && guard_base_established && !governor.stopped()) {
-          ++result.stats.plan_core_proofs;
-          ++round_plan.core_proofs;
-          CoreGuardOutcome guard =
-              ProveStillCore(current, guard_atoms_since, guard_base_mark);
-          // A governor-aborted inner search can miss a refutation, so a
-          // stopped run never certifies and takes the ComputeCore branch,
-          // whose abort handling is unchanged.
-          guard_certified = guard.certified && !governor.stopped();
-        }
-        if (guard_certified) {
-          // Zero-fold round end, synthesised: an identity retraction skips
-          // the record/rebuild/amend exactly as the unguarded path does, so
-          // the record and event below are bit-identical to it.
-          ++result.stats.plan_core_certified;
-          ++round_plan.core_certified;
-          note_certified();
+      if (replay_error.ok()) {
+        const size_t size_before = current.size();
+        Coring cored =
+            recorded != nullptr
+                ? run_coring(CoringSite::kRoundEnd, &recorded->round_end_sigma,
+                             recorded->round_end_folds)
+                : run_coring(CoringSite::kRoundEnd, nullptr, 0);
+        if (cored.aborted) {
+          // The round's committed applications stand; the amendment simply
+          // has not happened yet (resume re-runs it).
+          budget_stop = true;
+        } else {
+          if (!cored.sigma.IsIdentity()) {
+            result.derivation.AmendLastSimplification(cored.sigma, current);
+          }
           if (rec != nullptr) {
             rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = Substitution();
-            rec->rounds.back().round_end_folds = 0;
+            rec->rounds.back().round_end_sigma = cored.sigma;
+            rec->rounds.back().round_end_folds = cored.folds;
           }
           if (obs != nullptr) {
-            CoreRetractionEvent retraction;
-            retraction.step = result.steps;
-            retraction.folds = 0;
-            retraction.size_before = size_before;
-            retraction.size_after = current.size();
-            obs->OnCoreRetraction(retraction);
-          }
-        } else {
-          CoreResult cored = ComputeCore(current);
-          if (governor.stopped()) {
-            // Aborted mid-search; nothing was mutated — the round's
-            // committed applications stand, the amendment simply has not
-            // happened yet (resume re-runs it).
-            budget_stop = true;
-          } else {
-            ++result.stats.core_full;
-            size_t round_end_folds = cored.folds;
-            if (!cored.retraction.IsIdentity()) {
-              if (delta_on) {
-                RecordRetractionDelta(cored.retraction, current,
-                                      &pending_delta);
-              }
-              current = std::move(cored.core);
-              if (delta_on) current.EnableDeltaJournal();
-              result.derivation.AmendLastSimplification(cored.retraction,
-                                                        current);
-            }
-            note_certified();
-            if (rec != nullptr) {
-              rec->rounds.back().have_round_end = true;
-              rec->rounds.back().round_end_sigma = cored.retraction;
-              rec->rounds.back().round_end_folds = round_end_folds;
-            }
-            if (obs != nullptr) {
-              CoreRetractionEvent retraction;
-              retraction.step = result.steps;
-              retraction.folds = round_end_folds;
-              retraction.size_before = size_before;
-              retraction.size_after = current.size();
-              obs->OnCoreRetraction(retraction);
-            }
+            obs->OnCoreRetraction(
+                {result.steps, cored.folds, size_before, current.size()});
           }
         }
       }
@@ -1022,14 +884,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (budget_stop || !replay_error.ok()) break;
     if (retire_considered) {
       for (RuleState& state : rule_states) {
-        size_t kept = 0;
-        for (size_t i = 0; i < state.matches.size(); ++i) {
-          if (!state.matches[i].retired) {
-            if (kept != i) state.matches[kept] = std::move(state.matches[i]);
-            ++kept;
-          }
-        }
-        state.matches.resize(kept);
+        std::erase_if(state.matches,
+                      [](const StoredMatch& m) { return m.retired; });
       }
     }
     if (obs != nullptr) {
@@ -1037,20 +893,11 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // application and coring). Emitted only when the round did match
       // work; the stock event log does not record it.
       emit_match_plan_delta(result.rounds);
-      if (plan_on && round_plan.any()) {
-        PlanEvent plan_event;
-        plan_event.round = result.rounds;
-        plan_event.rules = kb.rules.size();
-        plan_event.reliance_edges = exec_plan.graph.edge_count;
-        plan_event.strata = exec_plan.strata.size();
-        plan_event.dormant_rules = exec_plan.dormant_count;
-        plan_event.active_strata = round_plan.active_strata;
-        plan_event.enumerations_skipped = round_plan.enumerations_skipped;
-        plan_event.probes_skipped = round_plan.probes_skipped;
-        plan_event.core_proofs = round_plan.core_proofs;
-        plan_event.core_certified = round_plan.core_certified;
-        obs->OnPlan(plan_event);
-      }
+      const size_t plan_work =
+          round_plan.active_strata + round_plan.enumerations_skipped +
+          round_plan.probes_skipped + round_plan.core_proofs +
+          round_plan.core_certified;
+      if (plan_on && plan_work > 0) obs->OnPlan(round_plan);
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
                        current.size(), progressed});
     }
@@ -1065,7 +912,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (size_guard_tripped) break;
   }
   if (!replay_error.ok()) return replay_error;
-  fold_match_stats();
   if (budget_stop) {
     result.stop_reason = governor.reason();
   } else if (size_guard_tripped) {
@@ -1075,19 +921,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   } else {
     result.stop_reason = StopReason::kStepBudget;
   }
-  if (obs != nullptr) {
-    if (governor.fault_fired()) {
-      obs->OnFaultInjected(
-          {governor.fault_site(), governor.fault_visit(), governor.reason()});
-    }
-    // Flush the match-plan tail a mid-round stop left unreported, so an
-    // attached MetricsRegistry ends exactly at the ChaseStats totals.
-    emit_match_plan_delta(result.rounds);
-    obs->OnRunEnd({result.steps, result.rounds,
-                   result.stop_reason == StopReason::kFixpoint,
-                   result.stop_reason == StopReason::kInstanceSizeGuard,
-                   current.size(), result.stop_reason});
-  }
+  finish_run();
   TWCHASE_LOG(Debug) << "chase " << ChaseVariantName(options.variant) << ": "
                      << result.steps << " steps, " << result.rounds
                      << " rounds, stop=" << StopReasonName(result.stop_reason)

@@ -186,10 +186,6 @@ struct ChaseOptions {
   /// unresolved --variant=auto). RunChase validates first and surfaces the
   /// same Status.
   Status Validate() const;
-
-  // The deprecated flat accessors (max_steps() et al.) that bridged the
-  // PR-2 regrouping were removed after their one-release grace period; use
-  // the nested groups (limits.max_steps, core.core_every, delta.enabled).
 };
 
 /// Evaluation counters, for benchmarks and the ablation tables. Not part of

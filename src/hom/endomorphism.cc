@@ -1,5 +1,7 @@
 #include "hom/endomorphism.h"
 
+#include <utility>
+
 #include "hom/matcher.h"
 #include "util/status.h"
 
@@ -78,9 +80,12 @@ Substitution FoldVariablesKeepingRestFixed(
   return accumulated;
 }
 
-void ApplyRetractionRebuild(AtomSet* atoms, const Substitution& retraction) {
-  AtomSet next = retraction.Apply(*atoms);
+void ApplyRetractionRebuild(AtomSet* atoms, const Substitution& retraction,
+                            AtomSet* image) {
+  AtomSet next =
+      image != nullptr ? std::move(*image) : retraction.Apply(*atoms);
   if (atoms->delta_journal_enabled()) {
+    next.DrainDelta();
     next.EnableDeltaJournal();
     AtomSet::Delta carried = atoms->DrainDelta();
     for (const Atom& atom : carried.inserted) next.NoteExternalInsert(atom);

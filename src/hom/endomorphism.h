@@ -49,7 +49,12 @@ Substitution FoldVariablesKeepingRestFixed(
 /// deterministic schedules depend on it), carrying an enabled delta journal
 /// across the rebuild: entries journaled so far are kept and the rebuild's
 /// net changes (moved atoms erased, their images inserted) are appended.
-void ApplyRetractionRebuild(AtomSet* atoms, const Substitution& retraction);
+/// Every retraction the chase commits goes through here. When `image` is
+/// non-null it already holds the retract (ComputeCore's core) and is moved
+/// in instead of rebuilt; any journal it copied from *atoms is discarded,
+/// the carried one comes from *atoms.
+void ApplyRetractionRebuild(AtomSet* atoms, const Substitution& retraction,
+                            AtomSet* image = nullptr);
 
 }  // namespace twchase
 

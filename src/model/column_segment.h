@@ -9,9 +9,9 @@
 // round quadratic in the segment. Erases never invalidate the index because
 // readers filter rows through the owning AtomSet's liveness bitmap.
 //
-// Rows are appended in slot-insertion order and row ranks order exactly as
-// slot ranks, so an EqualRange probe enumerates candidates in the same
-// relative order as the legacy posting lists — the property the matcher's
+// Slot-order contract: rows are appended in slot-insertion order and row
+// ranks order exactly as slot ranks, so an EqualRange probe enumerates
+// candidates in slot order — the fixed candidate order the matcher's
 // bit-identity argument rests on (see hom/matcher.cc and DESIGN.md §8).
 //
 // Thread-safety: Append follows the owning AtomSet's single-writer
@@ -51,12 +51,12 @@ class ColumnSegment {
   ColumnSegment(const ColumnSegment& other);
   ColumnSegment& operator=(const ColumnSegment&) = delete;
 
-  /// Appends one row. `slot` is the owning AtomSet's slot of the atom and
-  /// `args` its argument ids (args.size() == arity(), enforced by the
-  /// caller; a predicate observed with a different arity is routed to a
-  /// fresh mixed-arity marker instead, see AtomSet). The new row joins each
-  /// column's unsorted tail; probes absorb it either by scanning the tail
-  /// or, once the tail outgrows kTailMergeThreshold, by merging.
+  /// Appends one row. `slot` is the owning AtomSet's slot of the atom, and
+  /// slots must arrive in increasing order (the slot-order contract above).
+  /// `args` holds arity() argument ids: the AtomSet keeps one segment per
+  /// (predicate, arity). The new row joins each column's unsorted tail;
+  /// probes absorb it either by scanning the tail or, once the tail
+  /// outgrows kTailMergeThreshold, by merging.
   void Append(uint32_t slot, const TermId* args);
 
   uint32_t arity() const { return arity_; }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "hom/answers.h"
+#include "hom/matcher.h"
+
 namespace twchase {
 namespace {
 
@@ -65,6 +68,45 @@ std::string PrintQuery(const ParsedQuery& query, const Vocabulary& vocab) {
   }
   out += " :- ";
   out += PrintAtomsWith(SortedAtoms(query.atoms), vocab, &namer);
+  return out;
+}
+
+QueryVerdicts EvaluateQueries(const std::vector<ParsedQuery>& queries,
+                              const AtomSet& instance, bool terminated,
+                              const Vocabulary& vocab) {
+  QueryVerdicts out;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const ParsedQuery& query = queries[q];
+    QueryVerdict& verdict = out.verdicts.emplace_back();
+    verdict.query = PrintQuery(query, vocab);
+    std::string outcome;
+    if (query.answer_vars.empty()) {
+      verdict.entailed = ExistsHomomorphism(query.atoms, instance);
+      verdict.certain = terminated || verdict.entailed;
+      outcome = verdict.entailed ? "entailed" : "not entailed";
+      if (!verdict.certain) outcome += " (within budget)";
+    } else {
+      AnswerOptions answer_options;
+      answer_options.ground_only = true;
+      verdict.answers = AnswerQuery(instance, query.atoms, query.answer_vars,
+                                    answer_options);
+      outcome = std::to_string(verdict.answers.size()) + " certain answer(s)";
+    }
+    // "query N: %-40s -> outcome": the printed query left-aligned in 40.
+    out.text += "query " + std::to_string(q + 1) + ": " + verdict.query;
+    if (verdict.query.size() < 40) {
+      out.text.append(40 - verdict.query.size(), ' ');
+    }
+    out.text += " -> " + outcome + "\n";
+    for (const std::vector<Term>& tuple : verdict.answers) {
+      out.text += "    (";
+      for (size_t i = 0; i < tuple.size(); ++i) {
+        if (i > 0) out.text += ", ";
+        out.text += vocab.TermName(tuple[i]);
+      }
+      out.text += ")\n";
+    }
+  }
   return out;
 }
 

@@ -11,8 +11,6 @@
 #include "analysis/preflight.h"
 #include "core/checkpoint.h"
 #include "core/session.h"
-#include "hom/answers.h"
-#include "hom/matcher.h"
 #include "obs/observer.h"
 #include "obs/stock_observers.h"
 #include "parser/parser.h"
@@ -382,37 +380,24 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
       ChaseVariantName(request_.options.variant), run.steps, run.rounds,
       elapsed_seconds_, StopReasonName(run.stop_reason), instance.size());
 
+  QueryVerdicts verdicts =
+      EvaluateQueries(program.queries, instance, terminated, *kb.vocab);
+  text += verdicts.text;
   Json queries = Json::Array();
   for (size_t q = 0; q < program.queries.size(); ++q) {
-    const ParsedQuery& query = program.queries[q];
+    const QueryVerdict& verdict = verdicts.verdicts[q];
     Json entry = Json::Object();
-    entry.Set("query", Json::String(PrintQuery(query, *kb.vocab)));
-    if (query.answer_vars.empty()) {
-      bool entailed = ExistsHomomorphism(query.atoms, instance);
-      const char* certainty =
-          terminated ? "" : (entailed ? "" : " (within budget)");
-      text += Sprintf("query %zu: %-40s -> %s%s\n", q + 1,
-                      PrintQuery(query, *kb.vocab).c_str(),
-                      entailed ? "entailed" : "not entailed", certainty);
-      entry.Set("entailed", Json::Bool(entailed));
-      entry.Set("certain", Json::Bool(terminated || entailed));
+    entry.Set("query", Json::String(verdict.query));
+    if (program.queries[q].answer_vars.empty()) {
+      entry.Set("entailed", Json::Bool(verdict.entailed));
+      entry.Set("certain", Json::Bool(verdict.certain));
     } else {
-      AnswerOptions answer_options;
-      answer_options.ground_only = true;
-      auto answers = AnswerQuery(instance, query.atoms, query.answer_vars,
-                                 answer_options);
-      text += Sprintf("query %zu: %-40s -> %zu certain answer(s)\n", q + 1,
-                      PrintQuery(query, *kb.vocab).c_str(), answers.size());
       Json tuples = Json::Array();
-      for (const auto& tuple : answers) {
-        text += "    (";
+      for (const std::vector<Term>& tuple : verdict.answers) {
         Json rendered = Json::Array();
-        for (size_t i = 0; i < tuple.size(); ++i) {
-          if (i > 0) text += ", ";
-          text += kb.vocab->TermName(tuple[i]);
-          rendered.Append(Json::String(kb.vocab->TermName(tuple[i])));
+        for (Term term : tuple) {
+          rendered.Append(Json::String(kb.vocab->TermName(term)));
         }
-        text += ")\n";
         tuples.Append(std::move(rendered));
       }
       entry.Set("answers", std::move(tuples));

@@ -1,5 +1,5 @@
-// Differential tests for semi-naive delta evaluation (ChaseOptions::
-// delta_evaluation): for every chase variant and every paper KB, the run
+// Differential tests for semi-naive delta evaluation (ChaseOptions
+// delta.enabled): for every chase variant and every paper KB, the run
 // with delta-driven trigger generation must be *identical* — not merely
 // equivalent — to the naive re-enumerating run: same steps, same rounds,
 // same rule at every step, same match, same simplification, and the same

@@ -7,6 +7,8 @@
 // families.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,19 +38,47 @@ KnowledgeBase FreshKb(Family family) {
   return ElevatorWorld().kb();
 }
 
+// A coring / evaluation schedule layered over the default options. The
+// default schedule cores after every step with delta evaluation on; the
+// others exercise the replay of per-step corings skipped by the schedule,
+// round-end corings (and stops inside them), and the journal-free path.
+struct Schedule {
+  const char* name = "default";
+  size_t core_every = 1;
+  bool core_at_round_end = false;
+  bool delta = true;
+};
+
+const Schedule kDefaultSchedule;
+const Schedule kOffDefaultSchedules[] = {
+    {"core-every-3", 3, false, true},
+    {"round-end", 1, true, true},
+    {"delta-off", 1, false, false},
+};
+
+ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
+                        const Schedule& schedule) {
+  ChaseOptions options;
+  options.variant = variant;
+  options.limits.max_steps = max_steps;
+  options.core.core_every = schedule.core_every;
+  options.core.core_at_round_end = schedule.core_at_round_end;
+  options.delta.enabled = schedule.delta;
+  return options;
+}
+
 struct RunOutput {
   ChaseResult result;
   std::string events;
 };
 
 RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
-              bool record_log, FaultInjector* injector) {
+                     bool record_log, FaultInjector* injector,
+                     const Schedule& schedule = kDefaultSchedule) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
-  ChaseOptions options;
-  options.variant = variant;
-  options.limits.max_steps = max_steps;
+  ChaseOptions options = OptionsFor(variant, max_steps, schedule);
   options.resume.record_log = record_log;
   options.observer = &log;
   StatusOr<ChaseResult> run = Status::Internal("not run");
@@ -63,13 +93,11 @@ RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
 }
 
 RunOutput Resume(Family family, ChaseVariant variant, size_t max_steps,
-                 const ChaseCheckpoint& checkpoint) {
+                 const ChaseCheckpoint& checkpoint, const Schedule& schedule) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
-  ChaseOptions options;
-  options.variant = variant;
-  options.limits.max_steps = max_steps;
+  ChaseOptions options = OptionsFor(variant, max_steps, schedule);
   options.observer = &log;
   auto run = ResumeChase(kb, options, checkpoint);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -114,13 +142,18 @@ void ExpectBitIdentical(const RunOutput& resumed, const RunOutput& golden,
 // Interrupts a recording run with `injector`, checkpoints it through the
 // serialized text format, resumes, and demands bit-identity with the
 // uninterrupted golden run. Returns false when the fault never fired (the
-// run finished first), so sweeps know to stop probing deeper visits.
+// run finished first), so sweeps know to stop probing deeper visits. When
+// `landed_in_round_end` is non-null it is set when the stop fell inside a
+// round-end coring: the last round applied triggers but committed no
+// round-end retraction, so resume must run that coring live.
 bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
                                    size_t max_steps, FaultInjector injector,
                                    const RunOutput& golden,
-                                   const std::string& context) {
-  RunOutput interrupted =
-      RunVariant(family, variant, max_steps, /*record_log=*/true, &injector);
+                                   const std::string& context,
+                                   const Schedule& schedule = kDefaultSchedule,
+                                   bool* landed_in_round_end = nullptr) {
+  RunOutput interrupted = RunVariant(family, variant, max_steps,
+                                     /*record_log=*/true, &injector, schedule);
   if (injector.fired_count() == 0) {
     // Budget reached before the armed visit; nothing was injected.
     EXPECT_EQ(interrupted.result.stop_reason, golden.result.stop_reason)
@@ -136,9 +169,17 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
             std::string::npos)
       << context;
 
-  ChaseOptions recorded_options;
-  recorded_options.variant = variant;
-  recorded_options.limits.max_steps = max_steps;
+  if (landed_in_round_end != nullptr) {
+    const std::vector<ResumeLog::RoundRecord>& rounds =
+        interrupted.result.resume_log.rounds;
+    *landed_in_round_end =
+        !rounds.empty() && !rounds.back().have_round_end &&
+        std::find(rounds.back().decisions.begin(),
+                  rounds.back().decisions.end(),
+                  1) != rounds.back().decisions.end();
+  }
+
+  ChaseOptions recorded_options = OptionsFor(variant, max_steps, schedule);
   recorded_options.resume.record_log = true;
   KnowledgeBase kb = FreshKb(family);
   ChaseCheckpoint checkpoint =
@@ -149,68 +190,125 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
   EXPECT_TRUE(parsed.ok()) << context << ": " << parsed.status().ToString();
   if (!parsed.ok()) return true;
 
-  RunOutput resumed = Resume(family, variant, max_steps, parsed.value());
+  RunOutput resumed =
+      Resume(family, variant, max_steps, parsed.value(), schedule);
   ExpectBitIdentical(resumed, golden, context);
   return true;
 }
 
 std::string Context(Family family, ChaseVariant variant,
-                    const std::string& what) {
+                    const std::string& what,
+                    const Schedule& schedule = kDefaultSchedule) {
   return std::string(family == Family::kStaircase ? "staircase" : "elevator") +
-         "/" + ChaseVariantName(variant) + "/" + what;
+         "/" + ChaseVariantName(variant) + "/" + schedule.name + "/" + what;
 }
 
 // Sweep every trigger boundary of a short prefix run: for visit v = 1, 2,
 // ... arm a cancellation (odd v) or an allocation failure (even v) at the
 // v-th trigger boundary and prove the stop is resumable.
-void SweepTriggerBoundaries(Family family, size_t max_steps) {
-  for (ChaseVariant variant : kAllVariants) {
-    RunOutput golden =
-        RunVariant(family, variant, max_steps, /*record_log=*/false, nullptr);
-    int verified = 0;
-    for (uint64_t visit = 1;; ++visit) {
-      FaultInjector injector;
-      injector.Arm(FaultSite::kTriggerBoundary, visit,
-                   visit % 2 == 1 ? FaultAction::kCancel
-                                  : FaultAction::kAllocationFailure);
-      if (!CheckInterruptResumeRoundTrip(
-              family, variant, max_steps, injector, golden,
-              Context(family, variant,
-                      "trigger-visit-" + std::to_string(visit)))) {
-        break;
-      }
-      ++verified;
-      if (::testing::Test::HasFatalFailure()) return;
+void SweepTriggerBoundaries(Family family, ChaseVariant variant,
+                            size_t max_steps, const Schedule& schedule) {
+  RunOutput golden = RunVariant(family, variant, max_steps,
+                                /*record_log=*/false, nullptr, schedule);
+  int verified = 0;
+  for (uint64_t visit = 1;; ++visit) {
+    FaultInjector injector;
+    injector.Arm(FaultSite::kTriggerBoundary, visit,
+                 visit % 2 == 1 ? FaultAction::kCancel
+                                : FaultAction::kAllocationFailure);
+    if (!CheckInterruptResumeRoundTrip(
+            family, variant, max_steps, injector, golden,
+            Context(family, variant, "trigger-visit-" + std::to_string(visit),
+                    schedule),
+            schedule)) {
+      break;
     }
-    // The sweep must not pass vacuously: a run with max_steps applications
-    // crosses at least max_steps trigger boundaries.
-    EXPECT_GE(verified, static_cast<int>(max_steps))
-        << Context(family, variant, "sweep-coverage");
+    ++verified;
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  // The sweep must not pass vacuously: a run with max_steps applications
+  // crosses at least max_steps trigger boundaries.
+  EXPECT_GE(verified, static_cast<int>(max_steps))
+      << Context(family, variant, "sweep-coverage", schedule);
 }
 
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnStaircase) {
-  SweepTriggerBoundaries(Family::kStaircase, /*max_steps=*/6);
+  for (ChaseVariant variant : kAllVariants) {
+    SweepTriggerBoundaries(Family::kStaircase, variant, /*max_steps=*/6,
+                           kDefaultSchedule);
+  }
 }
 
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnElevator) {
-  SweepTriggerBoundaries(Family::kElevator, /*max_steps=*/5);
+  for (ChaseVariant variant : kAllVariants) {
+    SweepTriggerBoundaries(Family::kElevator, variant, /*max_steps=*/5,
+                           kDefaultSchedule);
+  }
+}
+
+// The retracting variants under the schedules the default sweep never
+// replays: a coring every third step, corings only at round end, and delta
+// evaluation off.
+TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableUnderCoringSchedules) {
+  for (const Schedule& schedule : kOffDefaultSchedules) {
+    for (Family family : {Family::kStaircase, Family::kElevator}) {
+      for (ChaseVariant variant :
+           {ChaseVariant::kFrugal, ChaseVariant::kCore}) {
+        SweepTriggerBoundaries(family, variant, /*max_steps=*/8, schedule);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(FaultInjectionTest, RoundBoundaryStopsAreResumable) {
-  for (ChaseVariant variant : kAllVariants) {
-    for (Family family : {Family::kStaircase, Family::kElevator}) {
-      const size_t max_steps = 6;
-      RunOutput golden =
-          RunVariant(family, variant, max_steps, /*record_log=*/false, nullptr);
+  std::vector<Schedule> schedules = {kDefaultSchedule};
+  schedules.insert(schedules.end(), std::begin(kOffDefaultSchedules),
+                   std::end(kOffDefaultSchedules));
+  for (const Schedule& schedule : schedules) {
+    for (ChaseVariant variant : kAllVariants) {
+      for (Family family : {Family::kStaircase, Family::kElevator}) {
+        const size_t max_steps = 6;
+        RunOutput golden = RunVariant(family, variant, max_steps,
+                                      /*record_log=*/false, nullptr, schedule);
+        FaultInjector injector;
+        injector.Arm(FaultSite::kRoundBoundary, 2, FaultAction::kCancel);
+        CheckInterruptResumeRoundTrip(
+            family, variant, max_steps, injector, golden,
+            Context(family, variant, "round-2", schedule), schedule);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// Sweeps every coring fold boundary of a round-end schedule. Some stops fall
+// inside the initial coring, some inside a round-end coring after the round
+// applied its triggers: the checkpoint then holds a round with no round-end
+// record, and resume must land there and run that coring live.
+TEST(FaultInjectionTest, StopsInsideRoundEndCoringsAreResumable) {
+  const Schedule& round_end = kOffDefaultSchedules[1];
+  int round_end_landings = 0;
+  for (Family family : {Family::kStaircase, Family::kElevator}) {
+    const size_t max_steps = 8;
+    RunOutput golden = RunVariant(family, ChaseVariant::kCore, max_steps,
+                                  /*record_log=*/false, nullptr, round_end);
+    for (uint64_t visit = 1;; ++visit) {
       FaultInjector injector;
-      injector.Arm(FaultSite::kRoundBoundary, 2, FaultAction::kCancel);
-      CheckInterruptResumeRoundTrip(family, variant, max_steps, injector,
-                                    golden,
-                                    Context(family, variant, "round-2"));
+      injector.Arm(FaultSite::kCoreFold, visit, FaultAction::kCancel);
+      bool landed_in_round_end = false;
+      if (!CheckInterruptResumeRoundTrip(
+              family, ChaseVariant::kCore, max_steps, injector, golden,
+              Context(family, ChaseVariant::kCore,
+                      "core-fold-visit-" + std::to_string(visit), round_end),
+              round_end, &landed_in_round_end)) {
+        break;
+      }
+      if (landed_in_round_end) ++round_end_landings;
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+  EXPECT_GE(round_end_landings, 1);
 }
 
 TEST(FaultInjectionTest, SeededSchedulesAreResumable) {
@@ -231,6 +329,27 @@ TEST(FaultInjectionTest, SeededSchedulesAreResumable) {
           Context(Family::kElevator, variant,
                   "seed-" + std::to_string(seed)));
       if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(FaultInjectionTest, SeededSchedulesAreResumableUnderCoringSchedules) {
+  for (const Schedule& schedule : kOffDefaultSchedules) {
+    for (ChaseVariant variant : {ChaseVariant::kFrugal, ChaseVariant::kCore}) {
+      const size_t max_steps = 8;
+      RunOutput golden = RunVariant(Family::kStaircase, variant, max_steps,
+                                    /*record_log=*/false, nullptr, schedule);
+      for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        FaultInjector injector =
+            FaultInjector::FromSeed(seed, /*max_visit=*/40);
+        CheckInterruptResumeRoundTrip(
+            Family::kStaircase, variant, max_steps, injector, golden,
+            Context(Family::kStaircase, variant,
+                    "seed-" + std::to_string(seed), schedule),
+            schedule);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }

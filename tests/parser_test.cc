@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "hom/isomorphism.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
@@ -154,6 +157,44 @@ TEST(PrinterTest, RoundTripAnswerVariables) {
   EXPECT_EQ(reparsed->queries[0].answer_vars.size(), 2u);
   EXPECT_TRUE(
       AreIsomorphic(program->queries[0].atoms, reparsed->queries[0].atoms));
+}
+
+// The verdict lines keep the historical printf layout ("%-40s" query
+// column) the CLI-vs-daemon diff depends on; a non-entailment is hedged
+// unless the chase terminated.
+TEST(PrinterTest, QueryVerdictsRenderTheCliLines) {
+  auto program = ParseProgram(R"(
+    e(a, b). e(b, c).
+    ? :- e(a, b).
+    ? :- e(c, a).
+    ?(X) :- e(a, X).
+  )");
+  ASSERT_TRUE(program.ok()) << program.status();
+  const Vocabulary& vocab = *program->kb.vocab;
+  auto line = [&](size_t q, const std::string& outcome) {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf), "query %zu: %-40s -> %s\n", q + 1,
+                  PrintQuery(program->queries[q], vocab).c_str(),
+                  outcome.c_str());
+    return std::string(buf);
+  };
+  QueryVerdicts budget = EvaluateQueries(program->queries, program->kb.facts,
+                                         /*terminated=*/false, vocab);
+  ASSERT_EQ(budget.verdicts.size(), 3u);
+  EXPECT_TRUE(budget.verdicts[0].entailed);
+  EXPECT_TRUE(budget.verdicts[0].certain);
+  EXPECT_FALSE(budget.verdicts[1].entailed);
+  EXPECT_FALSE(budget.verdicts[1].certain);
+  ASSERT_EQ(budget.verdicts[2].answers.size(), 1u);
+  EXPECT_EQ(budget.text, line(0, "entailed") +
+                             line(1, "not entailed (within budget)") +
+                             line(2, "1 certain answer(s)") + "    (b)\n");
+
+  QueryVerdicts fixpoint = EvaluateQueries(
+      program->queries, program->kb.facts, /*terminated=*/true, vocab);
+  EXPECT_TRUE(fixpoint.verdicts[1].certain);
+  EXPECT_EQ(fixpoint.text, line(0, "entailed") + line(1, "not entailed") +
+                               line(2, "1 certain answer(s)") + "    (b)\n");
 }
 
 }  // namespace

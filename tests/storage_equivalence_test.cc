@@ -75,13 +75,15 @@ struct RunOutput {
   std::string events;
 };
 
-RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps) {
+RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
+                     void (*schedule)(ChaseOptions*) = nullptr) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
+  if (schedule != nullptr) schedule(&options);
   options.observer = &log;
   auto run = RunChase(kb, options);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -169,6 +171,74 @@ TEST(PinnedRuns, AllVariantsElevator) {
        0xa59707763d2c7bb1ull, 0x1b9ffefa63f538d3ull},
   };
   ExpectPinned(Family::kElevator, /*max_steps=*/12, pinned);
+}
+
+// The coring schedules and the delta-off path off the defaults, recorded
+// before the engine's coring sites were folded into one routine: every
+// site (initial, per-step, round-end) and both delta channels must commit
+// exactly as they did.
+TEST(PinnedRuns, CoringSchedules) {
+  struct Case {
+    const char* name;
+    Family family;
+    ChaseVariant variant;
+    size_t max_steps;
+    void (*schedule)(ChaseOptions*);
+    RunDigest pinned;
+  };
+  auto core_every_3 = [](ChaseOptions* o) { o->core.core_every = 3; };
+  auto round_end = [](ChaseOptions* o) { o->core.core_at_round_end = true; };
+  auto no_initial = [](ChaseOptions* o) { o->core.core_initial = false; };
+  auto delta_off = [](ChaseOptions* o) { o->delta.enabled = false; };
+  const Case cases[] = {
+      {"staircase/core/core-every-3", Family::kStaircase, ChaseVariant::kCore,
+       16, core_every_3,
+       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
+        0xd51ad5dd5cf7a3e5ull, 0xa7d6666bc58f1453ull}},
+      {"elevator/core/core-every-3", Family::kElevator, ChaseVariant::kCore,
+       12, core_every_3,
+       {1, 12, 7, 28, 0x90d4400f55530138ull,
+        0xa59707763d2c7bb1ull, 0x67e2fc28701fa3f7ull}},
+      {"staircase/core/round-end", Family::kStaircase, ChaseVariant::kCore,
+       16, round_end,
+       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
+        0xf527de40a055dc3eull, 0x4675b9fcea8d145dull}},
+      {"elevator/core/round-end", Family::kElevator, ChaseVariant::kCore, 12,
+       round_end,
+       {1, 12, 7, 28, 0x90d4400f55530138ull,
+        0xa59707763d2c7bb1ull, 0xf174b82ba911e71dull}},
+      {"staircase/core/no-initial", Family::kStaircase, ChaseVariant::kCore,
+       16, no_initial,
+       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
+        0xf527de40a055dc3eull, 0x225dda686e18ad5ull}},
+      {"elevator/core/no-initial", Family::kElevator, ChaseVariant::kCore, 12,
+       no_initial,
+       {1, 12, 7, 28, 0x90d4400f55530138ull,
+        0xa59707763d2c7bb1ull, 0xcc2896e55743c8dfull}},
+      {"staircase/frugal/delta-off", Family::kStaircase,
+       ChaseVariant::kFrugal, 16, delta_off,
+       {1, 16, 16, 43, 0x441d1606de9a7910ull,
+        0x901e226d187fc537ull, 0xc6f63e7e1491735aull}},
+      {"elevator/frugal/delta-off", Family::kElevator, ChaseVariant::kFrugal,
+       12, delta_off,
+       {1, 12, 7, 28, 0x90d4400f55530138ull,
+        0xa59707763d2c7bb1ull, 0xc4244fd52115e26dull}},
+      {"staircase/core/delta-off", Family::kStaircase, ChaseVariant::kCore, 16,
+       delta_off,
+       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
+        0xf527de40a055dc3eull, 0x75f96eb28260eda8ull}},
+      {"elevator/core/delta-off", Family::kElevator, ChaseVariant::kCore, 12,
+       delta_off,
+       {1, 12, 7, 28, 0x90d4400f55530138ull,
+        0xa59707763d2c7bb1ull, 0x953ddbed6964d012ull}},
+  };
+  for (const Case& c : cases) {
+    RunDigest got =
+        DigestOf(RunVariant(c.family, c.variant, c.max_steps, c.schedule));
+    EXPECT_TRUE(got == c.pinned)
+        << c.name << ": got " << ToString(got) << ", pinned "
+        << ToString(c.pinned);
+  }
 }
 
 // A checkpoint or state directory written before the backend switch was

@@ -41,8 +41,6 @@
 #include "core/measures.h"
 #include "core/robust.h"
 #include "core/trace.h"
-#include "hom/answers.h"
-#include "hom/matcher.h"
 #include "kb/analysis.h"
 #include "obs/metrics.h"
 #include "obs/observer.h"
@@ -338,34 +336,10 @@ int main(int argc, char** argv) {
                 run->derivation.Last().ToString(*kb.vocab).c_str());
   }
 
-  for (size_t q = 0; q < program->queries.size(); ++q) {
-    const ParsedQuery& query = program->queries[q];
-    const AtomSet& result_instance = run->derivation.Last();
-    if (query.answer_vars.empty()) {
-      bool entailed = ExistsHomomorphism(query.atoms, result_instance);
-      const char* certainty =
-          run->stop_reason == twchase::StopReason::kFixpoint
-              ? ""
-              : (entailed ? "" : " (within budget)");
-      std::printf("query %zu: %-40s -> %s%s\n", q + 1,
-                  PrintQuery(query, *kb.vocab).c_str(),
-                  entailed ? "entailed" : "not entailed", certainty);
-    } else {
-      AnswerOptions answer_options;
-      answer_options.ground_only = true;
-      auto answers = AnswerQuery(result_instance, query.atoms,
-                                 query.answer_vars, answer_options);
-      std::printf("query %zu: %-40s -> %zu certain answer(s)\n", q + 1,
-                  PrintQuery(query, *kb.vocab).c_str(), answers.size());
-      for (const auto& tuple : answers) {
-        std::printf("    (");
-        for (size_t i = 0; i < tuple.size(); ++i) {
-          std::printf("%s%s", i ? ", " : "",
-                      kb.vocab->TermName(tuple[i]).c_str());
-        }
-        std::printf(")\n");
-      }
-    }
-  }
+  std::printf("%s",
+              EvaluateQueries(program->queries, run->derivation.Last(),
+                              run->stop_reason == StopReason::kFixpoint,
+                              *kb.vocab)
+                  .text.c_str());
   return 0;
 }
