@@ -1,28 +1,25 @@
 // ENG — engine benchmarks.
 //
-// Default mode: the delta-evaluation sweep. Runs every chase workload twice
-// (semi-naive delta trigger generation ON and OFF — identical runs by
-// construction, see tests/delta_differential_test.cc) and writes the
-// machine-readable comparison to BENCH_engine.json in the working directory:
-// per workload the rounds, steps, trigger counts, wall milliseconds and the
-// peak instance size, plus the OFF/ON speedup. The host's
-// hardware_concurrency is recorded next to it: the engine is sequential,
-// so the figure only qualifies the service and wall-time numbers.
+// Default mode: the engine sweep. Runs every chase workload (best of three)
+// and writes the machine-readable rows to BENCH_engine.json in the working
+// directory: per workload the rounds, steps, trigger counts, wall
+// milliseconds, the peak instance size and the coring counters (full
+// ComputeCore calls, still-core proofs and certificates). The
+// staircase-core and elevator-core coring counters back the planner
+// baseline gate in tools/check.sh. The host's hardware_concurrency is
+// recorded next to them: the engine is sequential, so the figure only
+// qualifies the service and wall-time numbers.
 //
 // A second section runs trigger-heavy random workloads, where homomorphism
 // matching dominates, and records their wall times and the chase.match.*
 // counters. A third section runs the large-instance family (scaled
 // transitive closure and a wide guarded chain, each ≥100k atoms) under a
 // governor memory budget.
-// A fourth section sweeps the execution planner (--plan off/on) over the
-// core-chase workloads, verifies bit-parity, and records the planner stats
-// (reliance edges, strata, dormancy skips, still-core certificates) — the
-// staircase-core row backs the planner regression gate in tools/check.sh.
-// A fifth section measures daemon throughput: an in-process ChaseDaemon
+// A fourth section measures daemon throughput: an in-process ChaseDaemon
 // serving identical core-chase jobs over real HTTP at 1, 4 and 8 concurrent
 // tenants, reporting jobs/sec (submit-to-terminal) per tenant count and
 // verifying every job's final instance hash agrees.
-// A sixth section measures the termination-analysis preflight: wall time
+// A fifth section measures the termination-analysis preflight: wall time
 // and verdict per witness program (the paper's worlds plus twgen-generated
 // programs of every labeled class), failing on any misclassification — the
 // cost of --variant=auto is this sweep's headline number.
@@ -177,7 +174,7 @@ void BM_StaircaseCoreChase(benchmark::State& state) {
 BENCHMARK(BM_StaircaseCoreChase)->Arg(15)->Arg(30)->Arg(45);
 
 // ---------------------------------------------------------------------------
-// Delta-evaluation sweep (default mode).
+// Engine sweep (default mode).
 
 struct SweepWorkload {
   std::string name;
@@ -192,8 +189,8 @@ struct SweepMeasurement {
   ChaseResult result;
 };
 
-SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
-                              int repetitions, Histogram* phase_ms) {
+SweepMeasurement MeasureChase(const SweepWorkload& workload, int repetitions,
+                              Histogram* phase_ms) {
   SweepMeasurement best;
   for (int rep = 0; rep < repetitions; ++rep) {
     KnowledgeBase kb = workload.make_kb();
@@ -201,7 +198,6 @@ SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
     options.variant = workload.variant;
     options.limits.max_steps = workload.max_steps;
     options.keep_snapshots = false;
-    options.delta.enabled = delta_on;
     Stopwatch watch;
     auto run = RunChase(kb, options);
     double ms = watch.ElapsedMillis();
@@ -217,29 +213,6 @@ SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
     }
   }
   return best;
-}
-
-void AppendSide(std::string* json, const char* key,
-                const SweepMeasurement& m) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "      \"%s\": {\"rounds\": %zu, \"steps\": %zu, "
-                "\"terminated\": %s, \"wall_ms\": %.3f, "
-                "\"triggers_found\": %zu, \"triggers_considered\": %zu, "
-                "\"full_enumerations\": %zu, \"seed_probes\": %zu, "
-                "\"matches_invalidated\": %zu, \"peak_atoms\": %zu, "
-                "\"final_atoms\": %zu}",
-                key, m.result.rounds, m.result.steps,
-                m.result.stop_reason == StopReason::kFixpoint ? "true"
-                                                              : "false",
-                m.wall_ms,
-                m.result.stats.triggers_found,
-                m.result.stats.triggers_considered,
-                m.result.stats.full_enumerations, m.result.stats.seed_probes,
-                m.result.stats.matches_invalidated,
-                m.result.stats.peak_instance_size,
-                m.result.derivation.Last().size());
-  *json += buffer;
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +304,7 @@ std::string RunMatchWorkloads(MetricsRegistry* registry) {
   for (size_t i = 0; i < workloads.size(); ++i) {
     const SweepWorkload& workload = workloads[i];
     SweepMeasurement m = MeasureChase(
-        workload, /*delta_on=*/true, 2,
+        workload, 2,
         registry->GetHistogram("phase." + workload.name + ".wall_ms"));
     const ChaseStats& stats = m.result.stats;
     std::printf("%-30s %9.2f %14llu\n", workload.name.c_str(), m.wall_ms,
@@ -410,97 +383,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
         static_cast<unsigned long long>(run->stats.match_index_probes),
         static_cast<unsigned long long>(run->stats.match_index_builds),
         static_cast<unsigned long long>(run->stats.match_index_build_bytes));
-    json += buffer;
-    json += (i + 1 < workloads.size()) ? ",\n" : "\n";
-  }
-  json += "    ]\n  }";
-  return json;
-}
-
-// ---------------------------------------------------------------------------
-// Execution-planner sweep.
-
-// Runs the core-chase workloads with the planner off and on and returns the
-// "plan_sweep" JSON object (empty string on parity violation). The planner's
-// contract is bit-identity — dormant-rule skips are provably empty
-// enumerations and still-core certificates replace zero-fold ComputeCore
-// calls — so the off/on pair must be the same run, and the speedup column is
-// pure saved work (mostly fold searches on the core variant).
-std::string RunPlanSweep(MetricsRegistry* registry) {
-  std::vector<SweepWorkload> workloads;
-  workloads.push_back({"staircase-core", ChaseVariant::kCore, 45,
-                       [] { return StaircaseWorld().kb(); }});
-  workloads.push_back({"elevator-core", ChaseVariant::kCore, 60,
-                       [] { return ElevatorWorld().kb(); }});
-  workloads.push_back({"staircase-restricted", ChaseVariant::kRestricted, 120,
-                       [] { return StaircaseWorld().kb(); }});
-
-  auto measure = [&](const SweepWorkload& workload, bool plan_on) {
-    SweepMeasurement best;
-    for (int rep = 0; rep < 3; ++rep) {
-      KnowledgeBase kb = workload.make_kb();
-      ChaseOptions options;
-      options.variant = workload.variant;
-      options.limits.max_steps = workload.max_steps;
-      options.keep_snapshots = false;
-      options.plan.enabled = plan_on;
-      Stopwatch watch;
-      auto run = RunChase(kb, options);
-      double ms = watch.ElapsedMillis();
-      registry
-          ->GetHistogram("phase." + workload.name + ".plan_" +
-                         (plan_on ? "on" : "off") + ".wall_ms")
-          ->Observe(ms);
-      if (!run.ok()) {
-        std::fprintf(stderr, "workload %s failed: %s\n", workload.name.c_str(),
-                     run.status().message().c_str());
-        continue;
-      }
-      if (rep == 0 || ms < best.wall_ms) {
-        best.wall_ms = ms;
-        best.result = std::move(*run);
-      }
-    }
-    return best;
-  };
-
-  std::string json = "  \"plan_sweep\": {\n    \"workloads\": [\n";
-  std::printf("\n%-26s %-14s %10s %10s %10s %10s\n", "workload", "variant",
-              "off ms", "on ms", "speedup", "certified");
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    const SweepWorkload& workload = workloads[i];
-    SweepMeasurement off = measure(workload, /*plan_on=*/false);
-    SweepMeasurement on = measure(workload, /*plan_on=*/true);
-    if (on.result.steps != off.result.steps ||
-        on.result.rounds != off.result.rounds ||
-        !(on.result.derivation.Last() == off.result.derivation.Last())) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s: plan on/off disagree\n",
-                   workload.name.c_str());
-      return "";
-    }
-    double speedup = on.wall_ms > 0 ? off.wall_ms / on.wall_ms : 0;
-    std::printf("%-26s %-14s %9.2f %9.2f %9.2fx %10zu\n",
-                workload.name.c_str(), ChaseVariantName(workload.variant),
-                off.wall_ms, on.wall_ms, speedup,
-                on.result.stats.plan_core_certified);
-    char buffer[1024];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "      {\"name\": \"%s\", \"variant\": \"%s\", \"steps\": %zu,\n"
-        "       \"plan_off\": {\"wall_ms\": %.3f, \"core_full\": %zu},\n"
-        "       \"plan_on\": {\"wall_ms\": %.3f, \"core_full\": %zu,\n"
-        "        \"reliance_edges\": %zu, \"strata\": %zu, "
-        "\"dormant_rules\": %zu,\n"
-        "        \"enumerations_skipped\": %zu, \"probes_skipped\": %zu,\n"
-        "        \"core_proofs\": %zu, \"core_certified\": %zu},\n"
-        "       \"speedup\": %.2f}",
-        workload.name.c_str(), ChaseVariantName(workload.variant),
-        on.result.steps, off.wall_ms, off.result.stats.core_full, on.wall_ms,
-        on.result.stats.core_full, on.result.stats.plan_reliance_edges,
-        on.result.stats.plan_strata, on.result.stats.plan_dormant_rules,
-        on.result.stats.plan_enumerations_skipped,
-        on.result.stats.plan_probes_skipped, on.result.stats.plan_core_proofs,
-        on.result.stats.plan_core_certified, speedup);
     json += buffer;
     json += (i + 1 < workloads.size()) ? ",\n" : "\n";
   }
@@ -721,7 +603,7 @@ std::string RunPreflightSweep(MetricsRegistry* registry) {
   return json;
 }
 
-int RunDeltaSweep(const char* output_path) {
+int RunEngineSweep(const char* output_path) {
   std::vector<SweepWorkload> workloads;
   workloads.push_back({"transitive-closure-12", ChaseVariant::kRestricted,
                        2000, [] { return MakeTransitiveClosure(12); }});
@@ -742,53 +624,49 @@ int RunDeltaSweep(const char* output_path) {
   // reported best) go into a registry and are embedded into the artifact
   // under "metrics". The measured runs themselves carry no observer.
   MetricsRegistry registry;
-  std::string json = "{\n  \"benchmark\": \"delta_evaluation_sweep\",\n";
+  std::string json = "{\n  \"benchmark\": \"engine_sweep\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"workloads\": [\n";
-  std::printf("%-26s %-14s %8s %10s %10s %8s\n", "workload", "variant",
-              "steps", "off ms", "on ms", "speedup");
+  std::printf("%-26s %-14s %8s %10s %10s %10s\n", "workload", "variant",
+              "steps", "wall ms", "core full", "certified");
   for (size_t i = 0; i < workloads.size(); ++i) {
     const SweepWorkload& workload = workloads[i];
-    SweepMeasurement off = MeasureChase(
-        workload, /*delta_on=*/false, 3,
-        registry.GetHistogram("phase." + workload.name + ".off.wall_ms"));
-    SweepMeasurement on = MeasureChase(
-        workload, /*delta_on=*/true, 3,
-        registry.GetHistogram("phase." + workload.name + ".on.wall_ms"));
-    // The two runs must be the same run; anything else is an engine bug.
-    if (on.result.steps != off.result.steps ||
-        on.result.rounds != off.result.rounds ||
-        !(on.result.derivation.Last() == off.result.derivation.Last())) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s: delta on/off disagree\n",
-                   workload.name.c_str());
-      return 1;
-    }
-    double speedup = on.wall_ms > 0 ? off.wall_ms / on.wall_ms : 0;
-    std::printf("%-26s %-14s %8zu %9.2f %9.2f %7.2fx\n", workload.name.c_str(),
-                ChaseVariantName(workload.variant), on.result.steps,
-                off.wall_ms, on.wall_ms, speedup);
-    json += "    {\n      \"name\": \"" + workload.name + "\",\n";
-    json += "      \"variant\": \"";
-    json += ChaseVariantName(workload.variant);
-    json += "\",\n";
-    AppendSide(&json, "delta_off", off);
-    json += ",\n";
-    AppendSide(&json, "delta_on", on);
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), ",\n      \"speedup\": %.2f\n",
-                  speedup);
+    SweepMeasurement m = MeasureChase(
+        workload, 3,
+        registry.GetHistogram("phase." + workload.name + ".wall_ms"));
+    const ChaseStats& stats = m.result.stats;
+    std::printf("%-26s %-14s %8zu %9.2f %10zu %10zu\n", workload.name.c_str(),
+                ChaseVariantName(workload.variant), m.result.steps, m.wall_ms,
+                stats.core_full, stats.plan_core_certified);
+    // One row per line: tools/check.sh reads the core rows' coring counts.
+    char buffer[768];
+    std::snprintf(buffer, sizeof(buffer),
+                  "    {\"name\": \"%s\", \"variant\": \"%s\", "
+                  "\"rounds\": %zu, \"steps\": %zu, \"terminated\": %s, "
+                  "\"wall_ms\": %.3f, \"triggers_found\": %zu, "
+                  "\"triggers_considered\": %zu, \"full_enumerations\": %zu, "
+                  "\"seed_probes\": %zu, \"matches_invalidated\": %zu, "
+                  "\"peak_atoms\": %zu, \"final_atoms\": %zu, "
+                  "\"core_full\": %zu, \"plan_core_proofs\": %zu, "
+                  "\"plan_core_certified\": %zu}",
+                  workload.name.c_str(), ChaseVariantName(workload.variant),
+                  m.result.rounds, m.result.steps,
+                  m.result.stop_reason == StopReason::kFixpoint ? "true"
+                                                                : "false",
+                  m.wall_ms, stats.triggers_found, stats.triggers_considered,
+                  stats.full_enumerations, stats.seed_probes,
+                  stats.matches_invalidated, stats.peak_instance_size,
+                  m.result.derivation.Last().size(), stats.core_full,
+                  stats.plan_core_proofs, stats.plan_core_certified);
     json += buffer;
-    json += (i + 1 < workloads.size()) ? "    },\n" : "    }\n";
+    json += (i + 1 < workloads.size()) ? ",\n" : "\n";
   }
   json += "  ],\n";
   json += RunMatchWorkloads(&registry) + ",\n";
   std::string large_instance = RunLargeInstanceSweep(&registry);
   if (large_instance.empty()) return 1;
   json += large_instance + ",\n";
-  std::string plan_sweep = RunPlanSweep(&registry);
-  if (plan_sweep.empty()) return 1;
-  json += plan_sweep + ",\n";
   std::string service_sweep = RunServiceSweep(&registry);
   if (service_sweep.empty()) return 1;
   json += service_sweep + ",\n";
@@ -825,7 +703,7 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (!micro) return twchase::RunDeltaSweep(output_path);
+  if (!micro) return twchase::RunEngineSweep(output_path);
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   benchmark::RunSpecifiedBenchmarks();

@@ -1,13 +1,16 @@
-// Differential sweep harness: run a program under every chase variant with
-// the planner on and off and cross-check bit-identity where the engine
-// guarantees it (for a fixed variant, both runs must produce the same final
-// instance, derivation journal and observer event stream). Any divergence is
-// delta-minimized (greedy rule, then fact removal) into the smallest
-// program that still diverges, ready to pin as a regression test.
-//
-// This is the semantic fuzzer behind `twgen --sweep` and the check.sh
-// smoke gate; the generator (analysis/generator.h) supplies labeled
-// programs, the sweep supplies the oracle.
+// Definition sweep: runs a program under every chase variant and checks
+// each run against the paper's definitions, never one schedule against
+// another (restricted-chase results depend on the trigger order, Carral et
+// al.). Per variant: the run, stopped at a trigger boundary drawn from the
+// program, checkpointed through the text format and resumed on a fresh parse,
+// is bit-identical to the uninterrupted one ("resume"); a terminated
+// restricted, frugal or core result is a model ("model"); a core result is
+// a core ("core"). Across variants: terminated results are homomorphically
+// equivalent ("hom-equivalence") and the core result is isomorphic to the
+// restricted result's core ("core-isomorphism"). The first failure of each
+// check on each variant is delta-minimized (greedy rule, then fact removal)
+// into the smallest program on which it still fails. This is the semantic fuzzer behind
+// `twgen --sweep` and the check.sh smoke gate.
 #ifndef TWCHASE_ANALYSIS_SWEEP_H_
 #define TWCHASE_ANALYSIS_SWEEP_H_
 
@@ -20,11 +23,11 @@
 namespace twchase {
 
 struct SweepOptions {
-  /// Step budget per run — small on purpose: divergence shows up early and
+  /// Step budget per run — small on purpose: violations show up early and
   /// non-terminating programs must not stall the sweep.
   size_t max_steps = 40;
 
-  /// Delta-minimize divergent programs before reporting.
+  /// Delta-minimize the first failing program of each check and variant.
   bool minimize = true;
 
   /// Variants to sweep; empty = all five.
@@ -35,15 +38,18 @@ struct SweepDivergence {
   /// Program as given to the sweep.
   std::string program;
 
-  /// Greedy-minimized reproducer (equals `program` when minimize is off).
+  /// Greedy-minimized reproducer, or `program` itself when minimize is off
+  /// or the same check already failed on the same variant.
   std::string minimized;
 
+  /// The checked variant (of a cross-variant check, the second; `detail`
+  /// names both).
   ChaseVariant variant = ChaseVariant::kRestricted;
 
-  /// The diverging configuration ("plan=off" against the planned run).
+  /// The failed check, as named above, or "run" when a run itself failed.
   std::string config;
 
-  /// First differing field, e.g. "instance hash", "journal step 12".
+  /// What failed, e.g. "journal step 12".
   std::string detail;
 };
 

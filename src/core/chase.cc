@@ -39,7 +39,7 @@ const char* ChaseVariantName(ChaseVariant variant) {
 }
 
 // Error messages lead with the full nested field path (limits. / core. /
-// delta. / resume. / preflight.), so CLI users see which flag to fix and the
+// resume. / preflight.), so CLI users see which flag to fix and the
 // HTTP surface (src/service/wire.cc) can lift the path into its structured
 // 400 payload without guessing.
 Status ChaseOptions::Validate() const {
@@ -57,8 +57,7 @@ Status ChaseOptions::Validate() const {
 
 namespace {
 
-// A body match of one rule. Under delta evaluation it is kept across rounds;
-// under naive evaluation it lives for one round. `key` packs the full
+// A body match of one rule, kept across rounds. `key` packs the full
 // binding map and serves as both the deduplication identity and the
 // within-rule sort key (via PackedBindings::LegacyLess, which reproduces the
 // engine's historical string-key order exactly).
@@ -75,11 +74,7 @@ struct StoredMatch {
 struct RuleState {
   bool datalog = false;
 
-  // Predicates occurring in the rule body — the probe filter for inserted
-  // atoms.
-  std::unordered_set<PredicateId> body_predicates;
-
-  // Invariant under delta evaluation (at every round start): `matches` is
+  // Invariant at every round start: `matches` is
   // exactly the set of homomorphisms body → current instance, minus retired
   // ones, and `match_keys` contains the key of every match ever stored and
   // not invalidated (retired keys are kept: their atoms can never be
@@ -138,19 +133,18 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   if (replay != nullptr && !replay->have_initial) replay = nullptr;
   Vocabulary* vocab = kb.vocab.get();
   const bool is_core = options.variant == ChaseVariant::kCore;
-  const bool delta_on = options.delta.enabled;
   // The observer is a read-only tap; every emission site below is a single
   // untaken branch when no observer is attached.
   ChaseObserver* const obs = options.observer;
   // Monotone variants never erase atoms, so a trigger once applied — or, for
   // the restricted chase, once satisfied — can never become active again:
-  // the delta evaluation retires such matches instead of re-checking them
-  // every round. Frugal and core runs erase atoms (satisfaction is not
-  // stable), so their matches are kept and re-checked.
+  // such matches are retired instead of re-checked every round. Frugal and
+  // core runs erase atoms (satisfaction is not stable), so their matches are
+  // kept and re-checked.
   const bool retire_considered =
-      delta_on && (options.variant == ChaseVariant::kOblivious ||
-                   options.variant == ChaseVariant::kSemiOblivious ||
-                   options.variant == ChaseVariant::kRestricted);
+      options.variant == ChaseVariant::kOblivious ||
+      options.variant == ChaseVariant::kSemiOblivious ||
+      options.variant == ChaseVariant::kRestricted;
 
   ChaseResult result;
   result.derivation = Derivation(options.keep_snapshots);
@@ -218,16 +212,14 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // Still-core guard (plan/core_guard.h). The instance is a certified core
   // exactly while `guard_base_established`: every certified variable was
   // minted before `guard_base_mark` and `guard_atoms_since` holds the atoms
-  // added since certification. Only the live outcomes of the coring routine
-  // below certify (ComputeCore successes and guard proofs); replayed
-  // retractions never do (the base predates the replayed mutations).
-  const bool plan_on = options.plan.enabled;
-  const bool guard_cores = plan_on && is_core;
+  // added since certification. Every committed coring certifies: a live one
+  // is a guard proof or a ComputeCore result, and a replayed one was one of
+  // those in the recorded run, so it is a core by Definition 2 and the
+  // replay lands with the guard state the recorded run held.
   bool guard_base_established = false;
   uint32_t guard_base_mark = 0;
   std::vector<Atom> guard_atoms_since;
   auto note_certified = [&]() {
-    if (!guard_cores) return;
     guard_base_established = true;
     guard_base_mark = static_cast<uint32_t>(vocab->num_variables());
     guard_atoms_since.clear();
@@ -318,9 +310,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       out.sigma = *recorded;
       out.folds = recorded_folds;
       commit(nullptr);
+      note_certified();
       return out;
     }
-    if (guard_cores && guard_base_established && !governor.stopped()) {
+    if (guard_base_established && !governor.stopped()) {
       ++result.stats.plan_core_proofs;
       ++round_plan.core_proofs;
       // An inner search the governor aborted can miss a refutation, so a
@@ -411,10 +404,14 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   }
 
   std::vector<RuleState> rule_states(kb.rules.size());
+  // Predicates occurring in each rule body: the probe filter for inserted
+  // atoms, and the planner's input for counting active strata.
+  std::vector<std::unordered_set<PredicateId>> body_predicates(
+      kb.rules.size());
   for (size_t r = 0; r < kb.rules.size(); ++r) {
     rule_states[r].datalog = kb.rules[r].IsDatalog();
     kb.rules[r].body().ForEach([&](const Atom& atom) {
-      rule_states[r].body_predicates.insert(atom.predicate());
+      body_predicates[r].insert(atom.predicate());
     });
   }
 
@@ -424,30 +421,20 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // chase instance can ever hold has a producible predicate (induction over
   // applications), so a dormant rule has no match in any reachable
   // instance, retractions included — see BuildExecutionPlan.
-  ExecutionPlan exec_plan;
-  std::vector<std::unordered_set<PredicateId>> plan_body_predicates;
-  if (plan_on) {
-    exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
-    result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
-    result.stats.plan_strata = exec_plan.strata.size();
-    result.stats.plan_dormant_rules = exec_plan.dormant_count;
-    plan_body_predicates.reserve(rule_states.size());
-    for (const RuleState& state : rule_states) {
-      plan_body_predicates.push_back(state.body_predicates);
-    }
-    plan_shape.rules = kb.rules.size();
-    plan_shape.reliance_edges = exec_plan.graph.edge_count;
-    plan_shape.strata = exec_plan.strata.size();
-    plan_shape.dormant_rules = exec_plan.dormant_count;
-    if (obs != nullptr) obs->OnPlan(plan_shape);
-  }
-  const bool prune_dormant = plan_on && exec_plan.dormant_count > 0;
+  const ExecutionPlan exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
+  result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
+  result.stats.plan_strata = exec_plan.strata.size();
+  result.stats.plan_dormant_rules = exec_plan.dormant_count;
+  plan_shape.rules = kb.rules.size();
+  plan_shape.reliance_edges = exec_plan.graph.edge_count;
+  plan_shape.strata = exec_plan.strata.size();
+  plan_shape.dormant_rules = exec_plan.dormant_count;
+  if (obs != nullptr) obs->OnPlan(plan_shape);
 
   // Every mutation of `current` — applications, frugal folds and corings —
   // lands in its journal; the round-start Absorb below is the only drain.
   DeltaIndex pending_delta;
-  bool delta_primed = false;
-  if (delta_on) current.EnableDeltaJournal();
+  current.EnableDeltaJournal();
 
   size_t since_last_core = 0;
   bool fixpoint = false;
@@ -468,16 +455,15 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     round_plan = plan_shape;
     round_plan.round = result.rounds;
 
-    // Establish this round's match sets: naive evaluation re-enumerates
-    // from scratch; delta evaluation repairs the stored sets from the atoms
+    // Establish this round's match sets: the first round enumerates every
+    // rule's matches; later rounds repair the stored sets from the atoms
     // inserted/erased since the last round. Either way, afterwards each
     // rule's matches (minus retired ones, which are inactive by
     // construction) are exactly its triggers for `current`.
-    if (!delta_on || !delta_primed) {
+    if (result.rounds == 1) {
       for (size_t r = 0; r < kb.rules.size(); ++r) {
         RuleState& state = rule_states[r];
-        state.matches.clear();
-        if (prune_dormant && exec_plan.dormant[r]) {
+        if (exec_plan.dormant[r]) {
           // The enumeration is guaranteed empty for a dormant rule.
           ++result.stats.plan_enumerations_skipped;
           ++round_plan.enumerations_skipped;
@@ -486,13 +472,12 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         for (Trigger& tr :
              FindTriggers(kb.rules[r], static_cast<int>(r), current)) {
           PackedBindings key = PackedBindings::FromMatch(tr.match);
-          if (delta_on) state.match_keys.insert(key);
+          state.match_keys.insert(key);
           state.matches.push_back(
               StoredMatch{std::move(tr.match), std::move(key)});
         }
         ++result.stats.full_enumerations;
       }
-      delta_primed = true;
     } else {
       pending_delta.Absorb(current.DrainDelta());
       DeltaRepairEvent repair;
@@ -507,7 +492,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         // Outcomes (and with them retire events and counters) are exactly
         // those of the unconditional IsTriggerFor sweep.
         auto rule_touched_by_erasure = [&](size_t r) {
-          for (PredicateId p : rule_states[r].body_predicates) {
+          for (PredicateId p : body_predicates[r]) {
             if (pending_delta.ErasedTouchesPredicate(p)) return true;
           }
           return false;
@@ -544,12 +529,13 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         if (!current.Contains(fact)) continue;
         for (size_t r = 0; r < kb.rules.size(); ++r) {
           RuleState& state = rule_states[r];
-          if (!state.body_predicates.contains(fact.predicate())) continue;
+          if (!body_predicates[r].contains(fact.predicate())) continue;
           // Skipped probes stay accounted: the DeltaRepairEvent payload
-          // (and the seed_probes counters) must not depend on the planner.
+          // (and the seed_probes counters) count what the delta calls for,
+          // pruned or not.
           ++result.stats.seed_probes;
           ++repair.seed_probes;
-          if (prune_dormant && exec_plan.dormant[r]) {
+          if (exec_plan.dormant[r]) {
             ++result.stats.plan_probes_skipped;
             ++round_plan.probes_skipped;
             continue;
@@ -565,10 +551,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           }
         }
       }
-      if (plan_on) {
-        round_plan.active_strata = CountActiveStrata(
-            exec_plan, plan_body_predicates, pending_delta.InsertedPredicates());
-      }
+      round_plan.active_strata = CountActiveStrata(
+          exec_plan, body_predicates, pending_delta.InsertedPredicates());
       pending_delta.Clear();
       if (obs != nullptr) obs->OnDeltaRepair(repair);
     }
@@ -722,7 +706,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
 
       TriggerApplication application =
           ApplyTrigger(rule, *match, &current, vocab);
-      if (guard_cores && guard_base_established) {
+      if (guard_base_established) {
         // Copied, not moved: added_atoms still feeds the derivation step
         // (and the abort rollback) below.
         guard_atoms_since.insert(guard_atoms_since.end(),
@@ -786,13 +770,13 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
               &current, fresh, rec != nullptr ? &fold_sigmas : nullptr);
         }
       }
-      // A stored match not used again is moved: naive evaluation rebuilds
-      // the set next round, and retired matches are dropped below.
+      // A stored match not used again is moved: retired matches are
+      // dropped below.
       result.derivation.AddStep(
           p.rule_index, rule.label(),
-          match == &composed               ? std::move(composed)
-          : !delta_on || stored.retired ? std::move(stored.match)
-                                        : stored.match,
+          match == &composed ? std::move(composed)
+          : stored.retired   ? std::move(stored.match)
+                             : stored.match,
           sigma, std::move(application.added_atoms), current);
       if (!sigma.IsIdentity()) {
         sigma_round = Substitution::Compose(sigma, sigma_round);
@@ -897,7 +881,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           round_plan.active_strata + round_plan.enumerations_skipped +
           round_plan.probes_skipped + round_plan.core_proofs +
           round_plan.core_certified;
-      if (plan_on && plan_work > 0) obs->OnPlan(round_plan);
+      if (plan_work > 0) obs->OnPlan(round_plan);
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
                        current.size(), progressed});
     }

@@ -42,8 +42,10 @@ const char* ChaseVariantName(ChaseVariant variant);
 class ChaseObserver;  // obs/observer.h
 
 /// Chase configuration, grouped by concern: `limits` (budgets), `core`
-/// (coring schedule of the core chase), `delta` (semi-naive evaluation).
-/// Invariants across groups are checked by Validate(), which RunChase calls
+/// (coring schedule of the core chase), `resume` (checkpoint recording) and
+/// `preflight` (--variant=auto provenance). Trigger generation is always
+/// delta-driven and always planned (DESIGN.md §5 and §9); neither is an
+/// option. Invariants across groups are checked by Validate(), which RunChase calls
 /// first — inconsistent combinations are rejected, never silently patched.
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kRestricted;
@@ -97,42 +99,6 @@ struct ChaseOptions {
     bool core_initial = true;
   };
 
-  /// Semi-naive (delta-driven) trigger generation.
-  struct DeltaOptions {
-    /// Keep each rule's set of body matches across rounds and repair/extend
-    /// it from the atoms inserted and erased since the previous round,
-    /// instead of re-enumerating all matches of the whole instance every
-    /// round. A pure optimisation: the produced run is identical — same
-    /// instances, same steps, same trigger order — to the naive evaluation
-    /// for every variant.
-    bool enabled = true;
-  };
-
-  /// Reliance-based execution planning (src/plan/). On by default: every
-  /// pruning the planner performs is backed by a soundness proof (a dormant
-  /// rule can never match; a guarded core is proven still-core before the
-  /// recomputation is skipped), so planned and unplanned runs are
-  /// bit-identical — same instance, derivation journal and observer event
-  /// stream — and the flag exists for ablation and the differential tests.
-  ///
-  /// On, the planner does two things:
-  ///   * it skips match establishment for dormant rules (some body
-  ///     predicate is neither in the initial facts nor producible by any
-  ///     rule chain, so the rule cannot acquire a match in any chase of
-  ///     this KB); seed-probe counters still advance, so the
-  ///     DeltaRepairEvent payload is unchanged;
-  ///   * it guards the core chase's per-step and round-end corings with the
-  ///     still-core proof (plan/core_guard.h): when the proof certifies that
-  ///     the additions since the last certified core left the instance a
-  ///     core, the full ComputeCore (whose output would be the instance
-  ///     itself with zero folds) is skipped and its zero-fold events and
-  ///     records are synthesised identically.
-  struct PlanOptions {
-    /// Off disables the analysis entirely (no plan is built, no PlanEvent
-    /// is emitted, zero overhead).
-    bool enabled = true;
-  };
-
   /// Termination-analysis preflight provenance (filled by
   /// analysis/preflight.h's ResolveAutoVariant; plain ints so core stays
   /// decoupled from the analysis layer). When a run was requested as
@@ -164,8 +130,6 @@ struct ChaseOptions {
 
   LimitOptions limits;
   CoreOptions core;
-  DeltaOptions delta;
-  PlanOptions plan;
   ResumeOptions resume;
   PreflightProvenance preflight;
 
@@ -189,8 +153,8 @@ struct ChaseOptions {
 };
 
 /// Evaluation counters, for benchmarks and the ablation tables. Not part of
-/// run equivalence: delta ON and OFF produce identical derivations but
-/// different counter values.
+/// run equivalence: a resumed run reproduces the derivation of the
+/// uninterrupted one but not all of its counter values.
 struct ChaseStats {
   /// Pending triggers snapshotted, summed over rounds.
   size_t triggers_found = 0;
@@ -198,8 +162,8 @@ struct ChaseStats {
   /// Activeness checks performed (pending entries actually examined).
   size_t triggers_considered = 0;
 
-  /// Whole-instance trigger enumerations (one per rule per naive round,
-  /// plus one per rule to prime the delta state).
+  /// Whole-instance trigger enumerations (one per live rule, priming the
+  /// stored match sets in the first round).
   size_t full_enumerations = 0;
 
   /// Delta-seeded match probes (one per inserted atom per rule whose body
@@ -232,8 +196,7 @@ struct ChaseStats {
   uint64_t match_index_builds = 0;
   uint64_t match_index_build_bytes = 0;
 
-  /// Execution-planner telemetry (src/plan/; all zero with plan.enabled
-  /// off). Static plan shape:
+  /// Execution-planner telemetry (src/plan/). Static plan shape:
   size_t plan_reliance_edges = 0;
   size_t plan_strata = 0;
   size_t plan_dormant_rules = 0;

@@ -124,10 +124,11 @@ uint64_t ProgramFingerprint(const KnowledgeBase& kb) {
 uint64_t CheckpointFingerprint(const KnowledgeBase& kb,
                                const ChaseOptions& options) {
   uint64_t h = ProgramFingerprint(kb);
-  // Where the removed matcher switch was folded: its default value,
-  // so checkpoints written while the switch existed keep resuming.
+  // Where the removed matcher and planner switches were folded: their
+  // default values, so checkpoints written while the switches existed keep
+  // resuming (and ones recorded with planning off are rejected).
   h = Fnv1a(h, 0u);
-  h = Fnv1a(h, options.plan.enabled ? 1u : 0u);
+  h = Fnv1a(h, 1u);
   // A checkpoint written under --variant=auto pins the preflight decision:
   // resuming is only valid if re-classification of the (unchanged) program
   // reaches the same verdict and picks the same variant. Explicit-variant
@@ -149,7 +150,6 @@ ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,
   ChaseCheckpoint cp;
   cp.variant = options.variant;
   cp.datalog_first = options.datalog_first;
-  cp.delta_enabled = options.delta.enabled;
   cp.core_every = options.core.core_every;
   cp.core_at_round_end = options.core.core_at_round_end;
   cp.core_initial = options.core.core_initial;

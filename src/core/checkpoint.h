@@ -45,8 +45,8 @@ uint64_t ProgramFingerprint(const KnowledgeBase& kb);
 
 /// The fingerprint a checkpoint actually stores: ProgramFingerprint plus
 /// everything run-shaping that lives outside the schedule echo — the
-/// planner switch and, for runs requested as --variant=auto, the preflight
-/// decision (classifier verdict + resolved variant), so a resume whose
+/// constants the removed matcher and planner switches contributed and, for
+/// runs requested as --variant=auto, the preflight decision (classifier verdict + resolved variant), so a resume whose
 /// re-classification would decide differently is rejected. Computed at
 /// MakeCheckpoint time and re-computed by ResumeChase for the rejection
 /// check.
@@ -63,6 +63,9 @@ struct ChaseCheckpoint {
   /// rejects a resume whose options disagree (the bits would be
   /// meaningless against a different schedule).
   bool datalog_first = true;
+  /// Always written as true: trigger generation is always delta-driven. A
+  /// checkpoint recorded with the removed naive evaluation parses with
+  /// false and is rejected at resume.
   bool delta_enabled = true;
   size_t core_every = 1;
   bool core_at_round_end = false;

@@ -74,21 +74,23 @@ Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
         ChaseVariantName(checkpoint.variant) + "', options request '" +
         ChaseVariantName(options_.variant) + "'");
   }
+  // Trigger generation is always delta-driven; a checkpoint recorded with
+  // the removed naive evaluation holds a different decision-bit stream.
   if (options_.datalog_first != checkpoint.datalog_first ||
-      options_.delta.enabled != checkpoint.delta_enabled ||
+      !checkpoint.delta_enabled ||
       options_.core.core_every != checkpoint.core_every ||
       options_.core.core_at_round_end != checkpoint.core_at_round_end ||
       options_.core.core_initial != checkpoint.core_initial) {
     return Status::FailedPrecondition(
-        "resume: schedule-shaping options (datalog_first, delta.enabled, "
-        "coring schedule) differ from the recorded run; the decision bits "
-        "are meaningless against a different schedule");
+        "resume: schedule-shaping options (datalog_first, delta "
+        "evaluation, coring schedule) differ from the recorded run; the "
+        "decision bits are meaningless against a different schedule");
   }
   if (CheckpointFingerprint(*kb_, options_) != checkpoint.program_fingerprint) {
     return Status::FailedPrecondition(
         "resume: fingerprint mismatch — the checkpoint belongs to a "
-        "different rule set or fact base, or was recorded under a different "
-        "--plan setting");
+        "different rule set or fact base, or was recorded with planning "
+        "off");
   }
   if (checkpoint.log.have_initial &&
       kb_->vocab->num_variables() != checkpoint.log.initial_num_variables) {

@@ -132,12 +132,11 @@ struct MatchPlanEvent {
   uint64_t index_build_bytes = 0; // bytes of sorted rows written by builds
 };
 
-/// Execution-planner telemetry (src/plan/; ChaseOptions::plan). Emitted once
-/// at run begin with the static plan shape (round == 0) and once per round in
-/// which the planner pruned or proved something. Pure telemetry: a plan-off
-/// run emits no such event but is otherwise bit-identical, so the stock
-/// EventLogObserver skips it unless explicitly opted in — event streams stay
-/// comparable across plan on/off.
+/// Execution-planner telemetry (src/plan/). Emitted once at run begin with
+/// the static plan shape (round == 0) and once per round in which the
+/// planner pruned or proved something. Pure telemetry: the stock
+/// EventLogObserver does not record it, MetricsObserver folds it into the
+/// chase.plan.* instruments.
 struct PlanEvent {
   size_t round = 0;            // 0 = static summary at run begin
   size_t rules = 0;            // program size (static fields repeat per event)

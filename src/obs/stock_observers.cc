@@ -279,22 +279,6 @@ void EventLogObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
         << ", \"after\": " << event.size_after << "}\n";
 }
 
-void EventLogObserver::OnPlan(const PlanEvent& event) {
-  // Skipped by default: this event only fires with --plan=on, and the
-  // event-stream bit-identity oracle compares logs across plan on/off.
-  if (out_ == nullptr || !log_plan_events_) return;
-  *out_ << "{\"event\": \"plan\", \"round\": " << event.round
-        << ", \"rules\": " << event.rules
-        << ", \"reliance_edges\": " << event.reliance_edges
-        << ", \"strata\": " << event.strata
-        << ", \"dormant_rules\": " << event.dormant_rules
-        << ", \"active_strata\": " << event.active_strata
-        << ", \"enumerations_skipped\": " << event.enumerations_skipped
-        << ", \"probes_skipped\": " << event.probes_skipped
-        << ", \"core_proofs\": " << event.core_proofs
-        << ", \"core_certified\": " << event.core_certified << "}\n";
-}
-
 void EventLogObserver::OnRoundEnd(const RoundEndEvent& event) {
   if (out_ == nullptr) return;
   *out_ << "{\"event\": \"round_end\", \"round\": " << event.round

@@ -99,8 +99,8 @@ struct MetricsObserverOptions {
 ///              chase.plan.active_strata
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
-/// The chase.plan.* instruments stay zero with --plan=off; they are always
-/// registered so the column set does not depend on the planner.
+/// The chase.plan.* instruments are always registered, so the column set
+/// does not depend on whether the planner pruned or proved anything.
 class MetricsObserver : public ChaseObserver {
  public:
   MetricsObserver(MetricsRegistry* registry,
@@ -157,16 +157,13 @@ class MetricsObserver : public ChaseObserver {
 ///   {"event": "round_begin", "round": 1, "pending": 5, "size": 4}
 /// The stream is append-only and flush-free; callers own the ostream.
 ///
-/// MatchPlanEvent is never logged: its counters are telemetry, which
-/// MetricsObserver folds into the chase.match.* instruments. PlanEvent is
-/// SKIPPED unless log_plan_events is set: it only fires with --plan=on, and
-/// logging it by default would break the bit-identity of event streams
-/// across plan on/off (the oracle tests/plan_differential_test.cc relies
-/// on). Opt in for interactive debugging only.
+/// MatchPlanEvent and PlanEvent are never logged: their counters are
+/// telemetry, which MetricsObserver folds into the chase.match.* and
+/// chase.plan.* instruments. Keeping them out keeps every event log stable
+/// across planner improvements that only change how much work was saved.
 class EventLogObserver : public ChaseObserver {
  public:
-  explicit EventLogObserver(std::ostream* out, bool log_plan_events = false)
-      : out_(out), log_plan_events_(log_plan_events) {}
+  explicit EventLogObserver(std::ostream* out) : out_(out) {}
 
   void OnRunBegin(const RunBeginEvent& event) override;
   void OnRoundBegin(const RoundBeginEvent& event) override;
@@ -175,7 +172,6 @@ class EventLogObserver : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnPlan(const PlanEvent& event) override;
   void OnRoundEnd(const RoundEndEvent& event) override;
   void OnRobustRename(const RobustRenameEvent& event) override;
   void OnPhase(const PhaseEvent& event) override;
@@ -184,7 +180,6 @@ class EventLogObserver : public ChaseObserver {
 
  private:
   std::ostream* out_;
-  bool log_plan_events_;
 };
 
 }  // namespace twchase

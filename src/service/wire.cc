@@ -137,15 +137,13 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   }
 
   // Legacy keys. Admit records written before incremental core maintenance,
-  // the parallel match fan-out and the planner's sub-switches were removed
-  // carry the full options object, so core.incremental_core,
-  // core.dirty_radius, parallel.threads, plan.skip_dormant and
-  // plan.core_guard are still read (and type-checked) but ignored.
-  // Ignoring threads is exact, because runs were bit-identical at any
-  // thread count; so is ignoring the two plan keys, because planned runs
-  // are bit-identical to unplanned ones. The radius only tuned the
-  // incremental mode. A request for the removed incremental mode itself
-  // cannot be honoured.
+  // the parallel match fan-out and the delta and planner switches were
+  // removed carry the full options object, so core.incremental_core,
+  // core.dirty_radius, parallel.threads and every key of the delta and plan
+  // groups are still read (and type-checked) but ignored. Ignoring them is exact, because runs were bit-identical at
+  // any thread count and with the delta and planner switches either way.
+  // The radius only tuned the incremental mode. A request for the removed
+  // incremental mode itself cannot be honoured.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
@@ -177,8 +175,8 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   if (group != nullptr) {
     r.path = r.Join("delta");
     TWCHASE_RETURN_IF_ERROR(r.CheckKeys(*group, {"enabled"}));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadBool(*group, "enabled", &options->delta.enabled));
+    bool ignored = false;
+    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "enabled", &ignored));
     r.path = base;
   }
 
@@ -187,9 +185,8 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
     r.path = r.Join("plan");
     TWCHASE_RETURN_IF_ERROR(
         r.CheckKeys(*group, {"enabled", "skip_dormant", "core_guard"}));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadBool(*group, "enabled", &options->plan.enabled));
     bool ignored = false;
+    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "enabled", &ignored));
     TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "skip_dormant", &ignored));
     TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "core_guard", &ignored));
     r.path = base;
@@ -280,14 +277,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   core.Set("core_at_round_end", Json::Bool(options.core.core_at_round_end));
   core.Set("core_initial", Json::Bool(options.core.core_initial));
   root.Set("core", std::move(core));
-
-  Json delta = Json::Object();
-  delta.Set("enabled", Json::Bool(options.delta.enabled));
-  root.Set("delta", std::move(delta));
-
-  Json plan = Json::Object();
-  plan.Set("enabled", Json::Bool(options.plan.enabled));
-  root.Set("plan", std::move(plan));
 
   Json resume = Json::Object();
   resume.Set("record_log", Json::Bool(options.resume.record_log));

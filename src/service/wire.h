@@ -39,8 +39,8 @@ struct FieldError {
 };
 
 /// Renders `options` as the wire object: nested groups mirrored one-to-one
-/// (variant, limits{...}, core{...}, delta{...}, plan{...}, resume{...},
-/// datalog_first, keep_snapshots). Deterministic member order;
+/// (variant, limits{...}, core{...}, resume{...}, preflight{...} for auto
+/// runs, datalog_first, keep_snapshots). Deterministic member order;
 /// limits.deadline_ms is omitted when unset. Round-trips exactly through
 /// ChaseOptionsFromJson.
 Json ChaseOptionsToJson(const ChaseOptions& options);

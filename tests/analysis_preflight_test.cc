@@ -362,10 +362,10 @@ TEST(AutoVariantDaemonTest, DaemonResolvesAutoAndReportsTheDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// A small in-process differential sweep stays clean (the big seeded sweep
+// A small in-process definition sweep stays clean (the big seeded sweep
 // runs via twgen in check.sh and EXPERIMENTS.md)
 
-TEST(DifferentialSweepTest, GeneratedProgramsAreBitIdenticalAcrossConfigs) {
+TEST(DifferentialSweepTest, GeneratedProgramsPassTheDefinitionChecks) {
   std::vector<std::string> programs;
   for (uint64_t seed = 21; seed <= 22; ++seed) {
     for (GeneratedClass label :
@@ -382,7 +382,7 @@ TEST(DifferentialSweepTest, GeneratedProgramsAreBitIdenticalAcrossConfigs) {
   SweepReport report = RunDifferentialSweep(programs, options);
   EXPECT_TRUE(report.clean());
   for (const SweepDivergence& divergence : report.divergences) {
-    ADD_FAILURE() << "divergence under " << divergence.config << " ("
+    ADD_FAILURE() << "check " << divergence.config << " failed ("
                   << divergence.detail << "):\n"
                   << divergence.minimized;
   }

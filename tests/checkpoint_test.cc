@@ -254,31 +254,61 @@ TEST(ResumeChaseTest, RejectsDifferentProgram) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// Regression: the fingerprint used to cover only the program (facts and
-// rules), so a planned recording resumed unplanned. The planner switch is
-// now folded into CheckpointFingerprint and mismatches are rejected up
-// front.
-TEST(ResumeChaseTest, RejectsMismatchedPlanMode) {
+// Trigger generation is always delta-driven and planned. A checkpoint
+// written while delta evaluation or planning could be switched off, and
+// recorded with one of them off, is refused up front: its decision bits and
+// fingerprint describe a run this build does not make.
+std::string RecordStaircaseCheckpoint() {
   StaircaseWorld world;
   ChaseOptions options = RecordingOptions(ChaseVariant::kRestricted, 3);
   auto run = RunChase(world.kb(), options);
-  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
   StaircaseWorld fresh;
-  ChaseCheckpoint cp = MakeCheckpoint(fresh.kb(), options, *run);
-  {
-    ChaseOptions wrong = options;
-    wrong.plan.enabled = !wrong.plan.enabled;
-    StaircaseWorld target;
-    auto resumed = ResumeChase(target.kb(), wrong, cp);
-    EXPECT_FALSE(resumed.ok());
-    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
-  }
-  {
-    // Matching settings still resume.
-    StaircaseWorld target;
-    auto resumed = ResumeChase(target.kb(), options, cp);
-    EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
-  }
+  return SerializeCheckpoint(MakeCheckpoint(fresh.kb(), options, *run));
+}
+
+void ExpectResumeRefused(const std::string& text) {
+  auto cp = ParseCheckpoint(text);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  StaircaseWorld target;
+  auto resumed = ResumeChase(
+      target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
+  EXPECT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+std::string ReplaceOnce(std::string text, const std::string& from,
+                        const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
+  const std::string text = RecordStaircaseCheckpoint();
+  // The schedule line echoes datalog_first, then delta_enabled.
+  ExpectResumeRefused(ReplaceOnce(text, "\nschedule 1 1 ", "\nschedule 1 0 "));
+  // The unmodified checkpoint still resumes.
+  auto cp = ParseCheckpoint(text);
+  ASSERT_TRUE(cp.ok());
+  StaircaseWorld target;
+  auto resumed = ResumeChase(
+      target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
+  EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+}
+
+TEST(ResumeChaseTest, RejectsACheckpointRecordedWithPlanningOff) {
+  StaircaseWorld world;
+  const std::string planned =
+      std::to_string(CheckpointFingerprint(world.kb(), ChaseOptions{}));
+  // The staircase's fingerprint with planning off, as recorded while the
+  // switch existed (it folded 0 where the constant 1 is folded now).
+  const std::string unplanned = "742879900336940584";
+  ASSERT_NE(planned, unplanned);
+  ExpectResumeRefused(ReplaceOnce(RecordStaircaseCheckpoint(),
+                                  "\nprogram " + planned + "\n",
+                                  "\nprogram " + unplanned + "\n"));
 }
 
 // Regression: a --variant=auto resolution (preflight verdict + picked

@@ -38,22 +38,20 @@ KnowledgeBase FreshKb(Family family) {
   return ElevatorWorld().kb();
 }
 
-// A coring / evaluation schedule layered over the default options. The
-// default schedule cores after every step with delta evaluation on; the
-// others exercise the replay of per-step corings skipped by the schedule,
-// round-end corings (and stops inside them), and the journal-free path.
+// A coring schedule layered over the default options. The default schedule
+// cores after every step; the others exercise the replay of per-step
+// corings skipped by the schedule and round-end corings (and stops inside
+// them).
 struct Schedule {
   const char* name = "default";
   size_t core_every = 1;
   bool core_at_round_end = false;
-  bool delta = true;
 };
 
 const Schedule kDefaultSchedule;
 const Schedule kOffDefaultSchedules[] = {
-    {"core-every-3", 3, false, true},
-    {"round-end", 1, true, true},
-    {"delta-off", 1, false, false},
+    {"core-every-3", 3, false},
+    {"round-end", 1, true},
 };
 
 ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
@@ -63,7 +61,6 @@ ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
   options.limits.max_steps = max_steps;
   options.core.core_every = schedule.core_every;
   options.core.core_at_round_end = schedule.core_at_round_end;
-  options.delta.enabled = schedule.delta;
   return options;
 }
 
@@ -247,8 +244,7 @@ TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnElevator) {
 }
 
 // The retracting variants under the schedules the default sweep never
-// replays: a coring every third step, corings only at round end, and delta
-// evaluation off.
+// replays: a coring every third step and corings only at round end.
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableUnderCoringSchedules) {
   for (const Schedule& schedule : kOffDefaultSchedules) {
     for (Family family : {Family::kStaircase, Family::kElevator}) {

@@ -214,12 +214,14 @@ TEST(EstimateCacheParity, ComputeCoreProvingTheRestrictedElevatorIsACore) {
                {79149, 77111, 2038, 0, 5});
 }
 
-TEST(EstimateCacheParity, StaircaseCoreChaseWithThePlannerOff) {
+// The core chase's searches: trigger matching, satisfaction, the still-core
+// guard and the ComputeCore calls it does not certify away. Recorded with
+// the estimate cache; the two cases above pin the full re-score.
+TEST(EstimateCacheParity, StaircaseCoreChase) {
   StaircaseWorld world;
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = 30;
-  options.plan.enabled = false;
   FaultInjector injector;
   StatusOr<ChaseResult> run = Status::Internal("not run");
   {
@@ -231,7 +233,7 @@ TEST(EstimateCacheParity, StaircaseCoreChaseWithThePlannerOff) {
   ExpectCounts({injector.visits(FaultSite::kHomNode), stats.match_index_probes,
                 stats.match_column_scans, stats.match_join_fallbacks,
                 stats.match_index_builds},
-               {12753, 11201, 1170, 0, 0});
+               {4791, 4016, 389, 0, 0});
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ TEST(ObserverGoldenTest, ElevatorPrefixStreams) {
 
 // ---------------------------------------------------------------------------
 // Parity: observers are read-only taps — an observer-attached run must be
-// bit-identical to a bare run, with delta evaluation on and off.
+// bit-identical to a bare run.
 // ---------------------------------------------------------------------------
 
 void ExpectStatsEqual(const ChaseStats& a, const ChaseStats& b,
@@ -228,44 +228,39 @@ void ExpectStatsEqual(const ChaseStats& a, const ChaseStats& b,
 }
 
 TEST(ObserverParityTest, ObserverRunsAreBitIdenticalToBareRuns) {
-  for (bool delta : {false, true}) {
-    for (ChaseVariant variant :
-         {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
-          ChaseVariant::kRestricted, ChaseVariant::kFrugal,
-          ChaseVariant::kCore}) {
-      const std::string context = std::string(ChaseVariantName(variant)) +
-                                  (delta ? " delta" : " naive");
-      ChaseOptions options;
-      options.variant = variant;
-      options.limits.max_steps = 12;
-      options.delta.enabled = delta;
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted, ChaseVariant::kFrugal,
+        ChaseVariant::kCore}) {
+    const std::string context = ChaseVariantName(variant);
+    ChaseOptions options;
+    options.variant = variant;
+    options.limits.max_steps = 12;
 
-      StaircaseWorld bare_world;
-      auto bare = RunChase(bare_world.kb(), options);
-      ASSERT_TRUE(bare.ok()) << context;
+    StaircaseWorld bare_world;
+    auto bare = RunChase(bare_world.kb(), options);
+    ASSERT_TRUE(bare.ok()) << context;
 
-      StaircaseWorld observed_world;
-      std::ostringstream events;
-      EventLogObserver log(&events);
-      options.observer = &log;
-      auto observed = RunChase(observed_world.kb(), options);
-      ASSERT_TRUE(observed.ok()) << context;
-      EXPECT_FALSE(events.str().empty()) << context;
+    StaircaseWorld observed_world;
+    std::ostringstream events;
+    EventLogObserver log(&events);
+    options.observer = &log;
+    auto observed = RunChase(observed_world.kb(), options);
+    ASSERT_TRUE(observed.ok()) << context;
+    EXPECT_FALSE(events.str().empty()) << context;
 
-      EXPECT_EQ(bare->steps, observed->steps) << context;
-      EXPECT_EQ(bare->rounds, observed->rounds) << context;
-      EXPECT_EQ(bare->stop_reason, observed->stop_reason) << context;
-      ExpectStatsEqual(bare->stats, observed->stats, context.c_str());
-      EXPECT_EQ(bare->derivation.size(), observed->derivation.size())
-          << context;
-      // Fresh worlds mint identical null names, so the rendered traces (and
-      // hence every step) must agree byte for byte.
-      EXPECT_EQ(DerivationTrace(bare->derivation, *bare_world.vocab()),
-                DerivationTrace(observed->derivation, *observed_world.vocab()))
-          << context;
-      EXPECT_TRUE(bare->derivation.Last() == observed->derivation.Last())
-          << context;
-    }
+    EXPECT_EQ(bare->steps, observed->steps) << context;
+    EXPECT_EQ(bare->rounds, observed->rounds) << context;
+    EXPECT_EQ(bare->stop_reason, observed->stop_reason) << context;
+    ExpectStatsEqual(bare->stats, observed->stats, context.c_str());
+    EXPECT_EQ(bare->derivation.size(), observed->derivation.size()) << context;
+    // Fresh worlds mint identical null names, so the rendered traces (and
+    // hence every step) must agree byte for byte.
+    EXPECT_EQ(DerivationTrace(bare->derivation, *bare_world.vocab()),
+              DerivationTrace(observed->derivation, *observed_world.vocab()))
+        << context;
+    EXPECT_TRUE(bare->derivation.Last() == observed->derivation.Last())
+        << context;
   }
 }
 

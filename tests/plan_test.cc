@@ -1,22 +1,26 @@
 // Unit tests for the execution-planning layer (src/plan/): two-sided atom
 // unification, the positive-reliance graph, SCC stratification, dormancy
-// and the still-core guard. The end-to-end bit-identity of planned runs is
-// the subject of tests/plan_differential_test.cc; here each ingredient is
-// checked against hand-computed programs.
+// and the still-core guard, each checked against hand-computed programs or
+// counts pinned before planning became unconditional. End-to-end, runs are
+// checked against the paper's definitions by tests/semantic_oracle_test.cc
+// and pinned by tests/storage_equivalence_test.cc.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "analysis/generator.h"
 #include "core/chase.h"
+#include "core/checkpoint.h"
 #include "core/trigger.h"
 #include "hom/core.h"
 #include "kb/examples.h"
 #include "kb/knowledge_base.h"
 #include "model/atom_set.h"
 #include "obs/observer.h"
+#include "obs/stock_observers.h"
 #include "parser/parser.h"
 #include "plan/core_guard.h"
 #include "plan/execution_plan.h"
@@ -359,36 +363,98 @@ TEST(CoreGuardProperty, CertifiedStepsAreCores) {
   }
 }
 
+// FNV-1a over a string: the digest of an event log.
+uint64_t FnvString(const std::string& text) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The dormant rule's enumeration is skipped, and the run is the one recorded
+// before the planner could be switched off: with the planner off it took
+// the same steps and rounds and reached the same instance and event log.
 TEST(PlanChase, DormantRuleSkipsMatchWorkWithoutChangingTheRun) {
   KbBuilder b;
   b.Fact("a", {b.C("k")});
   b.AddRule("live", {b.A("a", {b.V("X")})},
             {b.A("b", {b.V("X"), b.V("Z")})});
   b.AddRule("dead", {b.A("ghost", {b.V("X")})}, {b.A("c", {b.V("X")})});
-  KnowledgeBase kb_on = b.Build();
+  KnowledgeBase kb = b.Build();
 
-  ChaseOptions on;
-  on.variant = ChaseVariant::kRestricted;
-  on.limits.max_steps = 20;
-  auto run_on = RunChase(kb_on, on);
-  ASSERT_TRUE(run_on.ok());
-  EXPECT_GT(run_on->stats.plan_enumerations_skipped, 0u);
-  EXPECT_EQ(run_on->stats.plan_dormant_rules, 1u);
+  std::ostringstream events;
+  EventLogObserver log(&events);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  options.limits.max_steps = 20;
+  options.observer = &log;
+  auto run = RunChase(kb, options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_GT(run->stats.plan_enumerations_skipped, 0u);
+  EXPECT_EQ(run->stats.plan_dormant_rules, 1u);
+  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
+  EXPECT_EQ(run->steps, 1u);
+  EXPECT_EQ(run->rounds, 2u);
+  EXPECT_EQ(run->derivation.Last().ContentHash(), 0x3b0742767af5effaull);
+  EXPECT_EQ(FnvString(events.str()), 0xe95056e5f5c2edfcull);
+}
 
-  KbBuilder b2;
-  b2.Fact("a", {b2.C("k")});
-  b2.AddRule("live", {b2.A("a", {b2.V("X")})},
-             {b2.A("b", {b2.V("X"), b2.V("Z")})});
-  b2.AddRule("dead", {b2.A("ghost", {b2.V("X")})}, {b2.A("c", {b2.V("X")})});
-  KnowledgeBase kb_off = b2.Build();
-  ChaseOptions off = on;
-  off.plan.enabled = false;
-  auto run_off = RunChase(kb_off, off);
-  ASSERT_TRUE(run_off.ok());
-  EXPECT_EQ(run_off->stats.plan_enumerations_skipped, 0u);
-  EXPECT_EQ(run_on->steps, run_off->steps);
-  EXPECT_EQ(run_on->derivation.Last().ContentHash(),
-            run_off->derivation.Last().ContentHash());
+// The guard proves every coring of a core run and certifies most of them;
+// only the uncertified ones pay for a full ComputeCore. Counts recorded
+// before the planner could no longer be switched off.
+TEST(CoreGuardProperty, GuardProvesAndCertifiesOnCoreRuns) {
+  struct Case {
+    const char* name;
+    KnowledgeBase kb;
+    size_t core_full;
+    size_t proofs;
+    size_t certified;
+  };
+  Case cases[] = {
+      {"staircase", StaircaseWorld().kb(), 5, 40, 35},
+      {"elevator", ElevatorWorld().kb(), 0, 40, 40},
+  };
+  for (const Case& c : cases) {
+    ChaseOptions options;
+    options.variant = ChaseVariant::kCore;
+    options.limits.max_steps = 40;
+    auto run = RunChase(c.kb, options);
+    ASSERT_TRUE(run.ok()) << c.name;
+    EXPECT_EQ(run->stats.core_full, c.core_full) << c.name;
+    EXPECT_EQ(run->stats.plan_core_proofs, c.proofs) << c.name;
+    EXPECT_EQ(run->stats.plan_core_certified, c.certified) << c.name;
+    EXPECT_TRUE(IsCore(run->derivation.Last())) << c.name;
+  }
+}
+
+// A replayed coring restores the guard's certified base: it was a guard
+// proof or a ComputeCore result in the recorded run, so it is a core. The
+// first live coring after a resume is then proved, not recomputed from
+// scratch (without the base it fell back to a full ComputeCore over the
+// whole instance, and resumed elevator segments took minutes).
+TEST(CoreGuardProperty, ResumedRunKeepsTheGuardBase) {
+  ChaseOptions recorded;
+  recorded.variant = ChaseVariant::kCore;
+  recorded.limits.max_steps = 100;
+  recorded.resume.record_log = true;
+  ElevatorWorld recorded_world;
+  auto run = RunChase(recorded_world.kb(), recorded);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ElevatorWorld checkpoint_world;
+  ChaseCheckpoint checkpoint =
+      MakeCheckpoint(checkpoint_world.kb(), recorded, *run);
+
+  ChaseOptions resumed_options;
+  resumed_options.variant = ChaseVariant::kCore;
+  resumed_options.limits.max_steps = 101;
+  ElevatorWorld resumed_world;
+  auto resumed = ResumeChase(resumed_world.kb(), resumed_options, checkpoint);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->steps, 101u);
+  EXPECT_EQ(resumed->stats.plan_core_proofs, 1u);
+  EXPECT_EQ(resumed->stats.plan_core_certified, 1u);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
-// Brute-force reference for HomOptions searches: enumerates every
-// assignment of the pattern's unseeded variables to the target's terms and
-// keeps the ones whose image atoms all lie in the target. No postings,
-// segments, estimates or candidate order — only the definitions — so it is
-// an independent oracle for the result SET of FindAllHomomorphisms(limit=0).
-// Exponential in the number of pattern variables: small instances only.
+// Reference homomorphism searches built from the definitions alone: no
+// postings, segments, estimates, candidate order, delta or plan code.
+//   * AllHomomorphisms enumerates every assignment of the pattern's unseeded
+//     variables to the target's terms and keeps the ones whose image atoms
+//     all lie in the target: the oracle for the result SET of
+//     FindAllHomomorphisms(limit=0). Exponential in the number of pattern
+//     variables: small instances only.
+//   * ForEachHomomorphism / ExistsHomomorphism backtrack atom by atom over
+//     linear scans of the target: the oracle for the semantic checks
+//     (models, homomorphic equivalence, cores) of tests/semantic_oracle_test.
 #ifndef TWCHASE_TESTS_REFERENCE_MATCHER_H_
 #define TWCHASE_TESTS_REFERENCE_MATCHER_H_
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -85,6 +90,80 @@ inline std::vector<Binding> AllHomomorphisms(const AtomSet& pattern,
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Calls `visit(h)` for every homomorphism h: pattern → target that extends
+/// `seed`, until `visit` returns false. Naive backtracking over the
+/// pattern's atoms; each atom is matched by a linear scan of the target's
+/// atoms. Constants map to themselves, variables to any term. The atoms are
+/// taken most-bound-first, so a connected pattern is extended along shared
+/// terms rather than enumerated blindly.
+template <typename Visit>
+void ForEachHomomorphism(const AtomSet& pattern, const AtomSet& target,
+                         const Substitution& seed, Visit&& visit) {
+  std::vector<Atom> rest = pattern.Atoms();
+  const std::vector<Atom> facts = target.Atoms();
+  std::unordered_set<Term, TermHash> bound;
+  for (const auto& [var, term] : seed.map()) bound.insert(var);
+  std::vector<Atom> order;
+  while (!rest.empty()) {
+    auto bound_args = [&](const Atom& a) {
+      size_t n = 0;
+      for (Term t : a.args()) n += t.is_constant() || bound.contains(t);
+      return n;
+    };
+    auto best = std::max_element(
+        rest.begin(), rest.end(), [&](const Atom& a, const Atom& b) {
+          return bound_args(a) < bound_args(b);
+        });
+    for (Term t : best->args()) bound.insert(t);
+    order.push_back(*best);
+    rest.erase(best);
+  }
+
+  Substitution h = seed;
+  bool stopped = false;
+  auto extend = [&](auto&& self, size_t depth) -> void {
+    if (depth == order.size()) {
+      stopped = !visit(static_cast<const Substitution&>(h));
+      return;
+    }
+    const Atom& atom = order[depth];
+    for (const Atom& fact : facts) {
+      if (fact.predicate() != atom.predicate() ||
+          fact.arity() != atom.arity()) {
+        continue;
+      }
+      std::vector<Term> fresh;
+      bool ok = true;
+      for (size_t k = 0; k < atom.arity() && ok; ++k) {
+        const Term p = atom.arg(k);
+        if (p.is_constant()) {
+          ok = p == fact.arg(k);
+        } else if (std::optional<Term> image = h.Lookup(p)) {
+          ok = *image == fact.arg(k);
+        } else {
+          h.Bind(p, fact.arg(k));
+          fresh.push_back(p);
+        }
+      }
+      if (ok) self(self, depth + 1);
+      for (Term v : fresh) h.Unbind(v);
+      if (stopped) return;
+    }
+  };
+  extend(extend, 0);
+}
+
+/// True iff some homomorphism pattern → target extends `seed`.
+inline bool ExistsHomomorphism(const AtomSet& pattern, const AtomSet& target,
+                               const Substitution& seed = {}) {
+  bool found = false;
+  ForEachHomomorphism(pattern, target, seed, [&](const Substitution&) {
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 }  // namespace reference

@@ -176,8 +176,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.core.core_every = 3;
   options.core.core_at_round_end = true;
   options.core.core_initial = false;
-  options.delta.enabled = false;
-  options.plan.enabled = false;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -200,8 +198,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.core.core_every, options.core.core_every);
   EXPECT_EQ(back.core.core_at_round_end, options.core.core_at_round_end);
   EXPECT_EQ(back.core.core_initial, options.core.core_initial);
-  EXPECT_EQ(back.delta.enabled, options.delta.enabled);
-  EXPECT_EQ(back.plan.enabled, options.plan.enabled);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -239,15 +235,16 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
 }
 
 // Options objects written before incremental core maintenance, the
-// parallel match fan-out and the planner's sub-switches were removed still
-// parse: their keys are read and ignored. Only a request for the removed
-// incremental mode is refused, with a field error on its exact path. The
-// writer no longer emits any of them.
+// parallel match fan-out and the delta and planner switches were removed
+// still parse: their keys are read (type-checked) and ignored. Only a
+// request for the removed incremental mode is refused, with a field error
+// on its exact path. The writer no longer emits any of them.
 TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   auto legacy = Json::Parse(
       R"({"variant": "core", "core": {"core_every": 1,)"
       R"( "core_at_round_end": false, "core_initial": true,)"
       R"( "incremental_core": false, "dirty_radius": 2},)"
+      R"( "delta": {"enabled": false},)"
       R"( "plan": {"enabled": false, "skip_dormant": true,)"
       R"( "core_guard": false}, "parallel": {"threads": 4}})");
   ASSERT_TRUE(legacy.ok());
@@ -256,7 +253,6 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   Status status = ChaseOptionsFromJson(*legacy, "options", &options, &error);
   ASSERT_TRUE(status.ok()) << status << " at " << error.path;
   EXPECT_EQ(options.variant, ChaseVariant::kCore);
-  EXPECT_FALSE(options.plan.enabled);
   EXPECT_TRUE(options.Validate().ok());
 
   auto incremental = Json::Parse(R"({"core": {"incremental_core": true}})");
@@ -277,12 +273,24 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(error.path, "options.plan.core_guard");
 
+  auto mistyped_delta = Json::Parse(R"({"delta": {"enabled": 0}})");
+  ASSERT_TRUE(mistyped_delta.ok());
+  status = ChaseOptionsFromJson(*mistyped_delta, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.delta.enabled");
+
+  auto mistyped_switch = Json::Parse(R"({"plan": {"enabled": "off"}})");
+  ASSERT_TRUE(mistyped_switch.ok());
+  status = ChaseOptionsFromJson(*mistyped_switch, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.plan.enabled");
+
   Json wire = ChaseOptionsToJson(ChaseOptions{});
   EXPECT_FALSE(wire.Has("parallel"));
+  EXPECT_FALSE(wire.Has("delta"));
+  EXPECT_FALSE(wire.Has("plan"));
   EXPECT_FALSE(wire.Get("core").Has("incremental_core"));
   EXPECT_FALSE(wire.Get("core").Has("dirty_radius"));
-  EXPECT_FALSE(wire.Get("plan").Has("skip_dormant"));
-  EXPECT_FALSE(wire.Get("plan").Has("core_guard"));
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {

@@ -173,10 +173,9 @@ TEST(PinnedRuns, AllVariantsElevator) {
   ExpectPinned(Family::kElevator, /*max_steps=*/12, pinned);
 }
 
-// The coring schedules and the delta-off path off the defaults, recorded
-// before the engine's coring sites were folded into one routine: every
-// site (initial, per-step, round-end) and both delta channels must commit
-// exactly as they did.
+// The coring schedules off the defaults, recorded before the engine's
+// coring sites were folded into one routine: every site (initial, per-step,
+// round-end) must commit exactly as it did.
 TEST(PinnedRuns, CoringSchedules) {
   struct Case {
     const char* name;
@@ -189,7 +188,6 @@ TEST(PinnedRuns, CoringSchedules) {
   auto core_every_3 = [](ChaseOptions* o) { o->core.core_every = 3; };
   auto round_end = [](ChaseOptions* o) { o->core.core_at_round_end = true; };
   auto no_initial = [](ChaseOptions* o) { o->core.core_initial = false; };
-  auto delta_off = [](ChaseOptions* o) { o->delta.enabled = false; };
   const Case cases[] = {
       {"staircase/core/core-every-3", Family::kStaircase, ChaseVariant::kCore,
        16, core_every_3,
@@ -215,22 +213,6 @@ TEST(PinnedRuns, CoringSchedules) {
        no_initial,
        {1, 12, 7, 28, 0x90d4400f55530138ull,
         0xa59707763d2c7bb1ull, 0xcc2896e55743c8dfull}},
-      {"staircase/frugal/delta-off", Family::kStaircase,
-       ChaseVariant::kFrugal, 16, delta_off,
-       {1, 16, 16, 43, 0x441d1606de9a7910ull,
-        0x901e226d187fc537ull, 0xc6f63e7e1491735aull}},
-      {"elevator/frugal/delta-off", Family::kElevator, ChaseVariant::kFrugal,
-       12, delta_off,
-       {1, 12, 7, 28, 0x90d4400f55530138ull,
-        0xa59707763d2c7bb1ull, 0xc4244fd52115e26dull}},
-      {"staircase/core/delta-off", Family::kStaircase, ChaseVariant::kCore, 16,
-       delta_off,
-       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
-        0xf527de40a055dc3eull, 0x75f96eb28260eda8ull}},
-      {"elevator/core/delta-off", Family::kElevator, ChaseVariant::kCore, 12,
-       delta_off,
-       {1, 12, 7, 28, 0x90d4400f55530138ull,
-        0xa59707763d2c7bb1ull, 0x953ddbed6964d012ull}},
   };
   for (const Case& c : cases) {
     RunDigest got =

@@ -3,9 +3,10 @@
 #   1. tier-1: configure + build + full ctest under the default preset;
 #   2. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
-#      label must diverge under every variant) and a seeded differential
-#      sweep smoke (all five variants × plan on/off, bit-identity
-#      cross-checked per variant);
+#      label must diverge under every variant) and a seeded definition
+#      sweep smoke (all five variants: checkpoint + resume is
+#      bit-identical, terminated results are models and homomorphically
+#      equivalent, core results are cores and the restricted result's core);
 #   3. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability and analysis labelled suites
 #      under it (fault-injection, checkpoint/resume, the columnar storage
@@ -33,14 +34,16 @@
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#   8. bench smoke: the full bench_engine sweep (delta, match workloads,
-#      large instances, planner, service throughput, the preflight sweep)
+#   8. bench smoke: the full bench_engine sweep (engine workloads, match
+#      workloads, large instances, service throughput, the preflight sweep)
 #      under a generous wall-time ceiling — it fails on parity violations,
 #      a tripped memory budget, or a hang;
-#   9. planner regression gate: from the bench smoke artifact, the
-#      staircase-core and elevator-core workloads must not be slower with the
-#      planner on than off — the planner only ever skips work, so a regression
-#      means the reliance/guard machinery itself got too expensive.
+#   9. planner baseline gate: from the bench smoke artifact, the
+#      staircase-core and elevator-core rows must not need more full
+#      ComputeCore calls (core_full), nor certify fewer corings with the
+#      still-core guard (plan_core_certified), than the committed
+#      BENCH_engine.json. Both counts are deterministic, so any change is a
+#      change of the guard's verdicts, not noise.
 # Run from the repository root. Fails fast on the first broken step. Every
 # ctest invocation is wrapped in a hard `timeout` so a hung governed run can
 # never wedge the gate (individual tests additionally carry ctest TIMEOUT
@@ -63,7 +66,7 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --preset default
 
-echo "== twgen gates: label soundness (500 programs) + differential sweep smoke =="
+echo "== twgen gates: label soundness (500 programs) + definition sweep smoke =="
 timeout "$CTEST_HARD_TIMEOUT" ./build/tools/twgen --soundness --programs=500
 timeout "$CTEST_HARD_TIMEOUT" ./build/tools/twgen --sweep --programs=60 \
   --max-steps=30
@@ -136,16 +139,14 @@ if ! grep -q "shutdown complete, 0 leaked jobs" /tmp/twchased_smoke.log; then
 fi
 
 echo "== crash recovery: SIGKILL mid-job, restart, byte-identical results =="
-# Uninterrupted CLI goldens: slow jobs (staircase at 600 steps, ~1.5s of
-# core chase each) that the kill catches mid-run, and a fast one (staircase
-# at 60 steps) that finishes beforehand and must be served from the
-# retained terminal record. Two slow jobs on one worker force preemption
-# (the monitor only pauses a job when another is queued), so the crash
-# lands on real durable checkpoints, not just the admit records. Elevator
-# jobs cannot serve here: at 100 steps one finishes well inside the 1s
-# before the kill, and a resumed elevator segment re-cores from scratch, so
-# longer ones take minutes.
-./build/tools/twchase_cli --variant=core --max-steps=600 data/staircase.twc \
+# Uninterrupted CLI goldens: slow jobs (elevator at 300 steps, ~0.7s of core
+# chase each) that the kill catches mid-run, and a fast one (staircase at 60
+# steps) that finishes beforehand and must be served from the retained
+# terminal record. Two slow jobs on one worker force preemption (the
+# monitor only pauses a job when another is queued), so the crash lands on
+# real durable checkpoints, not just the admit records, and every resumed
+# segment replays its checkpoint before continuing live.
+./build/tools/twchase_cli --variant=core --max-steps=300 data/elevator.twc \
   | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_recovery_golden_slow.out
 ./build/tools/twchase_cli --variant=core --max-steps=60 data/staircase.twc \
   | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_recovery_golden_fast.out
@@ -168,9 +169,9 @@ fi
 FAST_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" --max-steps=60 \
     --no-wait data/staircase.twc)"
 SLOW_A_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" \
-    --max-steps=600 --no-wait data/staircase.twc)"
+    --max-steps=300 --no-wait data/elevator.twc)"
 SLOW_B_ID="$(./build/tools/twchase_client --port="$DAEMON_PORT" \
-    --max-steps=600 --no-wait data/staircase.twc)"
+    --max-steps=300 --no-wait data/elevator.twc)"
 # Let the fast job finish and the slow pair alternate across preemption
 # boundaries (each pause persists a sealed checkpoint), then crash hard.
 sleep 1
@@ -229,24 +230,19 @@ echo "== bench smoke: full sweep under ${BENCH_HARD_TIMEOUT}s ceiling =="
 timeout "$BENCH_HARD_TIMEOUT" ./build/bench/bench_engine \
   --out /tmp/twchase_bench_smoke.json > /dev/null
 
-echo "== planner regression gate: staircase-core and elevator-core plan on vs off =="
+echo "== planner baseline gate: staircase-core and elevator-core coring counts =="
+# core_full and plan_core_certified of the engine-sweep row $2 in artifact $1.
+coring_counts() {
+  sed -n "s/.*{\"name\": \"$2\", .*\"core_full\": \([0-9]*\), .*\"plan_core_certified\": \([0-9]*\)}.*/\1 \2/p" "$1"
+}
 for workload in staircase-core elevator-core; do
-  if ! awk -v name="$workload" '
-    /"plan_sweep"/ { in_sweep = 1 }
-    in_sweep && index($0, "\"name\": \"" name "\"") { in_row = 1 }
-    in_row && /"plan_off"/ && match($0, /"wall_ms": [0-9.]+/) {
-      off = substr($0, RSTART + 11, RLENGTH - 11) + 0
-    }
-    in_row && /"plan_on"/ && match($0, /"wall_ms": [0-9.]+/) {
-      on = substr($0, RSTART + 11, RLENGTH - 11) + 0
-      printf "  %s: plan off %.2f ms, plan on %.2f ms\n", name, off, on
-      exit !(off > 0 && on > 0 && on <= off)
-    }
-    END {
-      if (on == "") { print "  " name " plan_sweep row missing"; exit 1 }
-    }
-  ' /tmp/twchase_bench_smoke.json; then
-    echo "PLANNER REGRESSION: $workload slower with the planner on" >&2
+  set -- $(coring_counts BENCH_engine.json "$workload") \
+    $(coring_counts /tmp/twchase_bench_smoke.json "$workload")
+  echo "  $workload: core_full ${3:-?} (baseline ${1:-?}), certified ${4:-?}" \
+    "(baseline ${2:-?})"
+  if [ "$#" -ne 4 ] || [ "$3" -gt "$1" ] || [ "$4" -lt "$2" ]; then
+    echo "PLANNER REGRESSION: $workload cores more or certifies less than" \
+      "the committed BENCH_engine.json (or its row is missing)" >&2
     exit 1
   fi
 done

@@ -21,10 +21,6 @@
 //     --deadline-ms=N      wall-clock budget (0 stops at the first boundary;
 //                          omit the flag for unlimited)
 //     --memory-budget-mb=N estimated-memory budget (0 = unlimited)
-//     --plan=on|off        trigger-graph execution planning: skip dormant
-//                          rules and prove cores still cores instead of
-//                          re-folding them (default: on; results are
-//                          bit-identical either way)
 //     --checkpoint-out=FILE record the run and write a resumable checkpoint
 //     --resume-from=FILE   resume a checkpointed run (same program file)
 #include <algorithm>
@@ -73,7 +69,7 @@ int Usage(const char* argv0) {
                "[--measures] [--robust] [--analyze] [--trace] "
                "[--print-result] [--metrics-out=FILE] [--events-out=FILE] "
                "[--deadline-ms=N] [--memory-budget-mb=N] "
-               "[--plan=on|off] [--checkpoint-out=FILE] "
+               "[--checkpoint-out=FILE] "
                "[--resume-from=FILE] <program-file>\n",
                argv0);
   return 2;
@@ -101,7 +97,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     std::string arg = argv[i];
     twchase::flags::ArgMatcher m(arg);
     std::string variant_name;
-    std::string plan_mode;
     if (m.Value("--variant", &variant_name)) {
       if (variant_name == "auto") {
         options->chase.preflight.auto_variant = true;
@@ -109,15 +104,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         std::fprintf(stderr, "unknown variant: %s (expected oblivious, semi, "
                      "restricted, frugal, core, or auto)\n",
                      variant_name.c_str());
-        return false;
-      }
-    } else if (m.Value("--plan", &plan_mode)) {
-      if (plan_mode == "on") {
-        options->chase.plan.enabled = true;
-      } else if (plan_mode == "off") {
-        options->chase.plan.enabled = false;
-      } else {
-        std::fprintf(stderr, "unknown plan mode: %s\n", plan_mode.c_str());
         return false;
       }
     } else if (m.SizeValue("--deadline-ms", &deadline_ms)) {

@@ -1,11 +1,11 @@
 // twgen: seeded rule-set generator with known termination-class labels,
-// plus the differential sweep and label-soundness gates built on it.
+// plus the definition sweep and label-soundness gates built on it.
 //
 //   twgen --class=fes --seed=7                    emit one program to stdout
 //   twgen --class=bts --seed=3 --out=prog.twc     ... or to a file
 //   twgen --corpus-dir=data/corpus --per-class=3  emit a labeled corpus
 //   twgen --soundness --programs=500              label-soundness gate
-//   twgen --sweep --programs=40 --max-steps=30    differential sweep gate
+//   twgen --sweep --programs=40 --max-steps=30    definition sweep gate
 //
 // Both gates exit non-zero on any violation; the sweep prints the minimized
 // reproducer so it can be pinned as a regression test.
@@ -151,12 +151,12 @@ int RunSweep(const GeneratorOptions& base, uint64_t seed0, size_t programs,
   if (!report.clean()) {
     for (const SweepDivergence& d : report.divergences) {
       std::fprintf(stderr,
-                   "sweep DIVERGENCE: variant=%s %s (%s)\n"
-                   "--- minimized reproducer ---\n%s\n",
+                   "sweep VIOLATION: variant=%s check=%s (%s)\n"
+                   "--- reproducer ---\n%s\n",
                    ChaseVariantName(d.variant), d.config.c_str(),
                    d.detail.c_str(), d.minimized.c_str());
     }
-    std::fprintf(stderr, "sweep: %zu divergences over %zu programs (%zu runs)\n",
+    std::fprintf(stderr, "sweep: %zu violations over %zu programs (%zu runs)\n",
                  report.divergences.size(), report.programs, report.runs);
     return 1;
   }
