@@ -91,7 +91,6 @@ int main() {
     ChaseOptions chase_options;
     chase_options.variant = ChaseVariant::kCore;
     chase_options.limits.max_steps = 35;
-    chase_options.keep_snapshots = false;
     auto run = RunChase(world.kb(), chase_options);
     if (run.ok()) {
       const AtomSet& instance = run->derivation.Last();
@@ -127,9 +126,9 @@ int main() {
     auto run = RunChase(world.kb(), options);
     if (!run.ok()) continue;
     int max_tw = -1;
-    for (size_t i = 0; i < run->derivation.size(); i += 5) {
-      max_tw = std::max(
-          max_tw, ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
+    for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+      if (c.index() % 5 != 0) continue;
+      max_tw = std::max(max_tw, ComputeTreewidth(c.instance()).upper_bound);
     }
     std::printf("%12zu %10zu %7.2fs %10d\n", spacing, run->steps,
                 w.ElapsedSeconds(), max_tw);
@@ -145,7 +144,6 @@ int main() {
     ChaseOptions options;
     options.variant = variant;
     options.limits.max_steps = 300;
-    options.keep_snapshots = false;
     Stopwatch w;
     auto run = RunChase(kb, options);
     if (!run.ok()) continue;
@@ -162,7 +160,6 @@ int main() {
     auto kb = MakeTransitiveClosure(14);
     ChaseOptions chase_options;
     chase_options.limits.max_steps = 5000;
-    chase_options.keep_snapshots = false;
     auto run = RunChase(kb, chase_options);
     std::vector<Substitution> matches;
     if (run.ok()) {

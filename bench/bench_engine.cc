@@ -3,8 +3,9 @@
 // Default mode: the engine sweep. Runs every chase workload (best of three)
 // and writes the machine-readable rows to BENCH_engine.json in the working
 // directory: per workload the rounds, steps, trigger counts, wall
-// milliseconds, the peak instance size and the coring counters (full
-// ComputeCore calls, still-core proofs and certificates). The
+// milliseconds, the peak instance size, the derivation's estimated bytes
+// and the coring counters (full ComputeCore calls, still-core proofs and
+// certificates). Every run uses the library's default options. The
 // staircase-core and elevator-core coring counters back the planner
 // baseline gate in tools/check.sh. The host's hardware_concurrency is
 // recorded next to them: the engine is sequential, so the figure only
@@ -146,7 +147,6 @@ void BM_ChaseVariant(benchmark::State& state) {
     ChaseOptions options;
     options.variant = variant;
     options.limits.max_steps = 500;
-    options.keep_snapshots = false;
     auto run = RunChase(kb, options);
     benchmark::DoNotOptimize(run->steps);
   }
@@ -166,7 +166,6 @@ void BM_StaircaseCoreChase(benchmark::State& state) {
     ChaseOptions options;
     options.variant = ChaseVariant::kCore;
     options.limits.max_steps = steps;
-    options.keep_snapshots = false;
     auto run = RunChase(world.kb(), options);
     benchmark::DoNotOptimize(run->steps);
   }
@@ -197,7 +196,6 @@ SweepMeasurement MeasureChase(const SweepWorkload& workload, int repetitions,
     ChaseOptions options;
     options.variant = workload.variant;
     options.limits.max_steps = workload.max_steps;
-    options.keep_snapshots = false;
     Stopwatch watch;
     auto run = RunChase(kb, options);
     double ms = watch.ElapsedMillis();
@@ -354,7 +352,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
     options.variant = workload.variant;
     options.limits.max_steps = workload.max_steps;
     options.limits.memory_budget_bytes = kBudgetBytes;
-    options.keep_snapshots = false;
     Stopwatch watch;
     auto run = RunChase(kb, options);
     double wall_ms = watch.ElapsedMillis();
@@ -615,6 +612,10 @@ int RunEngineSweep(const char* output_path) {
                        600, [] { return MakeWeaklyAcyclicPipeline(40); }});
   workloads.push_back({"staircase-restricted", ChaseVariant::kRestricted, 120,
                        [] { return StaircaseWorld().kb(); }});
+  // A long run whose instance grows every step: its derivation_bytes shows
+  // what the run record costs (journal only, no per-step copies).
+  workloads.push_back({"staircase-restricted-2000", ChaseVariant::kRestricted,
+                       2000, [] { return StaircaseWorld().kb(); }});
   workloads.push_back({"staircase-core", ChaseVariant::kCore, 45,
                        [] { return StaircaseWorld().kb(); }});
   workloads.push_back({"elevator-core", ChaseVariant::kCore, 60,
@@ -648,6 +649,7 @@ int RunEngineSweep(const char* output_path) {
                   "\"triggers_considered\": %zu, \"full_enumerations\": %zu, "
                   "\"seed_probes\": %zu, \"matches_invalidated\": %zu, "
                   "\"peak_atoms\": %zu, \"final_atoms\": %zu, "
+                  "\"derivation_bytes\": %zu, "
                   "\"core_full\": %zu, \"plan_core_proofs\": %zu, "
                   "\"plan_core_certified\": %zu}",
                   workload.name.c_str(), ChaseVariantName(workload.variant),
@@ -657,7 +659,8 @@ int RunEngineSweep(const char* output_path) {
                   m.wall_ms, stats.triggers_found, stats.triggers_considered,
                   stats.full_enumerations, stats.seed_probes,
                   stats.matches_invalidated, stats.peak_instance_size,
-                  m.result.derivation.Last().size(), stats.core_full,
+                  m.result.derivation.Last().size(),
+                  m.result.derivation.ApproxMemoryBytes(), stats.core_full,
                   stats.plan_core_proofs, stats.plan_core_certified);
     json += buffer;
     json += (i + 1 < workloads.size()) ? ",\n" : "\n";

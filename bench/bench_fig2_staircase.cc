@@ -39,14 +39,15 @@ int main() {
 
   AtomSet natural;
   int max_tw = -1;
-  for (size_t i = 0; i < d.size(); ++i) {
-    natural.InsertAll(d.Instance(i));
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    const size_t i = c.index();
+    natural.InsertAll(c.instance());
     if (i % 7 != 0 && i + 1 != d.size()) continue;
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+    TreewidthResult tw = ComputeTreewidth(c.instance());
     int grid = GridLowerBound(natural, 6);
     TreewidthResult agg_tw = ComputeTreewidth(natural);
     max_tw = std::max(max_tw, tw.upper_bound);
-    std::printf("%5zu %8zu %10d %9dx%-3d %10d\n", i, d.Instance(i).size(),
+    std::printf("%5zu %8zu %10d %9dx%-3d %10d\n", i, c.instance().size(),
                 tw.upper_bound, grid, grid,
                 std::max(agg_tw.lower_bound, grid));
   }

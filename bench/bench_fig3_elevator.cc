@@ -37,10 +37,11 @@ int main() {
       "every 3)\n",
       run->steps, sw.ElapsedSeconds());
   std::printf("%5s %8s %8s %8s\n", "step", "|F_i|", "tw_lb", "tw_ub");
-  for (size_t i = 0; i < d.size(); i += 10) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
-    std::printf("%5zu %8zu %8d %8d\n", i, d.Instance(i).size(), tw.lower_bound,
-                tw.upper_bound);
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    if (c.index() % 10 != 0) continue;
+    TreewidthResult tw = ComputeTreewidth(c.instance());
+    std::printf("%5zu %8zu %8d %8d\n", c.index(), c.instance().size(),
+                tw.lower_bound, tw.upper_bound);
   }
   TreewidthResult last_tw = ComputeTreewidth(d.Last());
   std::printf("%5s %8zu %8d %8d  <- grows with the budget (Corollary 1)\n",

@@ -30,11 +30,12 @@ int main() {
               run->stop_reason == StopReason::kFixpoint);
   std::printf("%5s %6s %6s %6s\n", "step", "|F_i|", "tw_lb", "tw_ub");
   int max_lb = -1;
-  for (size_t i = 0; i < d.size(); i += 10) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    if (c.index() % 10 != 0) continue;
+    TreewidthResult tw = ComputeTreewidth(c.instance());
     max_lb = std::max(max_lb, tw.lower_bound);
-    std::printf("%5zu %6zu %6d %6d\n", i, d.Instance(i).size(), tw.lower_bound,
-                tw.upper_bound);
+    std::printf("%5zu %6zu %6d %6d\n", c.index(), c.instance().size(),
+                tw.lower_bound, tw.upper_bound);
   }
   TreewidthResult final_tw = ComputeTreewidth(d.Last());
   std::printf("final: |F| = %zu, tw in [%d, %d]\n", d.Last().size(),

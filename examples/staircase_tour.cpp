@@ -35,11 +35,11 @@ int main() {
   std::printf("%5s %6s %4s %s\n", "step", "|F_i|", "tw", "rule");
   const Derivation& d = core_run->derivation;
   int max_tw = -1;
-  for (size_t i = 0; i < d.size(); ++i) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    TreewidthResult tw = ComputeTreewidth(c.instance());
     max_tw = std::max(max_tw, tw.upper_bound);
-    std::printf("%5zu %6zu %4d %s\n", i, d.Instance(i).size(), tw.upper_bound,
-                d.step(i).rule_label.c_str());
+    std::printf("%5zu %6zu %4d %s\n", c.index(), c.instance().size(),
+                tw.upper_bound, c.step().rule_label.c_str());
   }
   std::printf("max treewidth along core chase: %d (paper: uniformly ≤ 2)\n\n",
               max_tw);

@@ -100,8 +100,7 @@ struct DynamicRun {
   ChaseResult result;
 };
 
-// Dynamic runs keep no per-step snapshots: whatever a run must measure per
-// step, `observer` measures live.
+// Whatever a dynamic run must measure per step, `observer` measures live.
 DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
                        size_t max_steps, size_t max_instance,
                        std::optional<uint64_t> deadline_ms,
@@ -111,7 +110,6 @@ DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
   options.limits.max_steps = max_steps;
   options.limits.max_instance_size = max_instance;
   options.limits.deadline_ms = deadline_ms;
-  options.keep_snapshots = false;
   options.observer = observer;
   DynamicRun run;
   StatusOr<ChaseResult> result = RunChase(kb, options);

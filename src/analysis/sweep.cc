@@ -48,10 +48,10 @@ ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps) {
   return options;
 }
 
-// One run of `text` under `variant`: fresh parse, event log attached, resume
-// log recorded and the trigger-boundary visits counted. A nonzero `stop_at`
+// One run of `text` under `base` (from OptionsFor): fresh parse, event log
+// attached and the trigger-boundary visits counted. A nonzero `stop_at`
 // cancels the run at that trigger boundary; with `checkpoint` it resumes.
-RunOutput Run(const std::string& text, ChaseVariant variant, size_t max_steps,
+RunOutput Run(const std::string& text, const ChaseOptions& base,
               uint64_t stop_at = 0,
               const ChaseCheckpoint* checkpoint = nullptr) {
   RunOutput out;
@@ -63,7 +63,7 @@ RunOutput Run(const std::string& text, ChaseVariant variant, size_t max_steps,
   out.kb = std::move(parsed.value().kb);
   std::ostringstream events;
   EventLogObserver log(&events);
-  ChaseOptions options = OptionsFor(variant, max_steps);
+  ChaseOptions options = base;
   options.observer = &log;
   FaultInjector injector;
   if (stop_at != 0) {
@@ -100,17 +100,32 @@ std::optional<std::string> FirstDifference(const RunOutput& ref,
     return "final instance hash";
   }
   if (rd.size() != ad.size()) return "journal length";
-  for (size_t i = 0; i < rd.size(); ++i) {
-    const DerivationStep& r = rd.step(i);
-    const DerivationStep& a = ad.step(i);
+  DerivationCursor rc(rd), ac(ad);
+  for (; !rc.done(); rc.Next(), ac.Next()) {
+    const DerivationStep& r = rc.step();
+    const DerivationStep& a = ac.step();
     if (r.rule_index != a.rule_index || r.rule_label != a.rule_label ||
         r.match != a.match || r.simplification != a.simplification ||
         r.added_atoms != a.added_atoms || r.instance_size != a.instance_size ||
-        r.instance.ContentHash() != a.instance.ContentHash()) {
-      return "journal step " + std::to_string(i);
+        rc.instance().ContentHash() != ac.instance().ContentHash()) {
+      return "journal step " + std::to_string(rc.index());
     }
   }
   if (ref.events != alt.events) return "event stream";
+  return std::nullopt;
+}
+
+// The journal rebuilds the run: walking F_0 .. F_n from F_0 and the
+// recorded steps gives every recorded |F_i| and lands on Last().
+std::optional<std::string> CheckJournal(const Derivation& d) {
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    const bool last = c.index() + 1 == d.size();
+    if (c.instance().size() != c.step().instance_size ||
+        (last && c.instance().ContentHash() != d.Last().ContentHash())) {
+      return "F_" + std::to_string(c.index()) +
+             " rebuilt from the journal differs from the live run";
+    }
+  }
   return std::nullopt;
 }
 
@@ -129,13 +144,13 @@ std::optional<std::string> CheckResume(const std::string& text,
   const uint64_t visit = 1 + boundary_seed % ref.trigger_boundaries;
   const std::string at =
       "stopped at trigger boundary " + std::to_string(visit) + ": ";
-  RunOutput stopped = Run(text, variant, max_steps, visit);
+  const ChaseOptions options = OptionsFor(variant, max_steps);
+  RunOutput stopped = Run(text, options, visit);
   if (!stopped.ok()) return at + stopped.error;
-  StatusOr<ChaseCheckpoint> checkpoint =
-      ParseCheckpoint(SerializeCheckpoint(MakeCheckpoint(
-          stopped.kb, OptionsFor(variant, max_steps), stopped.result)));
+  StatusOr<ChaseCheckpoint> checkpoint = ParseCheckpoint(
+      SerializeCheckpoint(MakeCheckpoint(stopped.kb, options, stopped.result)));
   if (!checkpoint.ok()) return at + checkpoint.status().ToString();
-  RunOutput resumed = Run(text, variant, max_steps, 0, &checkpoint.value());
+  RunOutput resumed = Run(text, options, 0, &checkpoint.value());
   if (!resumed.ok()) return at + resumed.error;
   if (std::optional<std::string> diff = FirstDifference(ref, resumed)) {
     return at + *diff;
@@ -144,17 +159,18 @@ std::optional<std::string> CheckResume(const std::string& text,
 }
 
 // Runs every check on `text` under `variants` (in ChaseVariant order): per
-// variant the first of run, resume, model and core that fails, then the
-// cross-variant checks. Each checkpoint boundary is drawn from the program's
-// fingerprint, so a reproducer replays on its text alone. `runs` counts the
-// chase runs made.
+// variant the first of run, journal, resume, model and core that fails, then
+// the cross-variant checks. The core variant's journal check also covers a
+// run coring at round end, whose retractions amend a recorded step. Each
+// checkpoint boundary is drawn from the program's fingerprint, so a
+// reproducer replays on its text alone. `runs` counts the chase runs made.
 std::vector<Failure> CheckProgram(const std::string& text,
                                   const std::vector<ChaseVariant>& variants,
                                   size_t max_steps, size_t* runs) {
   std::vector<Failure> failures;
   std::vector<RunOutput> outputs;
   for (ChaseVariant variant : variants) {
-    outputs.push_back(Run(text, variant, max_steps));
+    outputs.push_back(Run(text, OptionsFor(variant, max_steps)));
     const RunOutput& ref = outputs.back();
     ++*runs;
     auto fail = [&](const char* check, std::string detail) {
@@ -169,8 +185,20 @@ std::vector<Failure> CheckProgram(const std::string& text,
     const uint64_t boundary_seed =
         Rng(ProgramFingerprint(ref.kb) + static_cast<uint64_t>(variant))
             .engine()();
-    if (auto diff =
-            CheckResume(text, variant, max_steps, ref, boundary_seed)) {
+    std::optional<std::string> journal = CheckJournal(ref.result.derivation);
+    if (!journal && variant == ChaseVariant::kCore) {
+      ChaseOptions round_end = OptionsFor(variant, max_steps);
+      round_end.core.core_at_round_end = true;
+      RunOutput run = Run(text, round_end);
+      ++*runs;
+      journal = run.ok() ? CheckJournal(run.result.derivation)
+                         : std::optional<std::string>(run.error);
+      if (journal) journal = "coring at round end: " + *journal;
+    }
+    if (journal) {
+      fail("journal", *journal);
+    } else if (auto diff = CheckResume(text, variant, max_steps, ref,
+                                       boundary_seed)) {
       fail("resume", *diff);
     } else if (Terminated(ref) && variant != ChaseVariant::kOblivious &&
                variant != ChaseVariant::kSemiOblivious &&

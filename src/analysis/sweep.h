@@ -1,16 +1,19 @@
 // Definition sweep: runs a program under every chase variant and checks
 // each run against the paper's definitions, never one schedule against
 // another (restricted-chase results depend on the trigger order, Carral et
-// al.). Per variant: the run, stopped at a trigger boundary drawn from the
-// program, checkpointed through the text format and resumed on a fresh parse,
-// is bit-identical to the uninterrupted one ("resume"); a terminated
-// restricted, frugal or core result is a model ("model"); a core result is
-// a core ("core"). Across variants: terminated results are homomorphically
-// equivalent ("hom-equivalence") and the core result is isomorphic to the
-// restricted result's core ("core-isomorphism"). The first failure of each
-// check on each variant is delta-minimized (greedy rule, then fact removal)
-// into the smallest program on which it still fails. This is the semantic fuzzer behind
-// `twgen --sweep` and the check.sh smoke gate.
+// al.). Per variant: every F_i rebuilt from the derivation journal has its
+// recorded size and the last one is the live result ("journal"; the core
+// variant checks a run coring at round end as well); the run, stopped at a
+// trigger boundary drawn from the program, checkpointed through the text
+// format and resumed on a fresh parse, is bit-identical to the
+// uninterrupted one ("resume"); a terminated restricted, frugal or core
+// result is a model ("model"); a core result is a core ("core"). Across
+// variants: terminated results are homomorphically equivalent
+// ("hom-equivalence") and the core result is isomorphic to the restricted
+// result's core ("core-isomorphism"). The first failure of each check on
+// each variant is delta-minimized (greedy rule, then fact removal) into the
+// smallest program on which it still fails. This is the semantic fuzzer
+// behind `twgen --sweep` and the check.sh smoke gate.
 #ifndef TWCHASE_ANALYSIS_SWEEP_H_
 #define TWCHASE_ANALYSIS_SWEEP_H_
 

@@ -147,7 +147,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       options.variant == ChaseVariant::kRestricted;
 
   ChaseResult result;
-  result.derivation = Derivation(options.keep_snapshots);
   ScopedCrashContext crash_context("chase run", &result.steps);
 
   // Cooperative resource governance: the governor is polled at every
@@ -393,11 +392,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     finish_run();
     return result;
   }
-  // The final retained snapshot is the live instance; counting both would
-  // double the estimate (see ApproxMemoryBytesExcludingFinalSnapshot).
-  governor.NoteMemoryUsage(
-      current.ApproxMemoryBytes() +
-      result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
+  governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
+                           result.derivation.ApproxMemoryBytes());
   if (obs != nullptr && is_core && options.core.core_initial) {
     obs->OnCoreRetraction(
         {/*step=*/0, initial_folds, initial_size_before, current.size()});
@@ -793,9 +789,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         rec->steps.push_back(std::move(step_rec));
         rec->committed_num_variables = vocab->num_variables();
       }
-      governor.NoteMemoryUsage(
-          current.ApproxMemoryBytes() +
-          result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
+      governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
+                               result.derivation.ApproxMemoryBytes());
       if (obs != nullptr) {
         const DerivationStep& last =
             result.derivation.step(result.derivation.size() - 1);
@@ -883,7 +878,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           round_plan.core_certified;
       if (plan_work > 0) obs->OnPlan(round_plan);
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
-                       current.size(), progressed});
+                       current.size(), progressed, &current});
     }
     if (cursor.active) {
       ++cursor.round_index;

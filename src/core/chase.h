@@ -137,7 +137,9 @@ struct ChaseOptions {
   /// a round, as the paper's constructions assume (Proposition 6).
   bool datalog_first = true;
 
-  /// Keep per-step instance snapshots (needed by aggregations and measures).
+  /// Nothing reads this. The derivation is a journal that rebuilds any F_i
+  /// (core/derivation.h); kept because the benchmark runner
+  /// (perfbench/twbench.cc) still assigns it.
   bool keep_snapshots = true;
 
   /// Structured event tap (obs/observer.h), non-owning. Null (the default)
@@ -294,7 +296,7 @@ struct ResumeLog {
 };
 
 struct ChaseResult {
-  Derivation derivation{true};
+  Derivation derivation;
 
   /// Why the run stopped. kFixpoint is the terminated case (a fixpoint
   /// was reached within the budget); every other reason leaves

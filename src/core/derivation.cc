@@ -1,5 +1,7 @@
 #include "core/derivation.h"
 
+#include <utility>
+
 #include "util/status.h"
 
 namespace twchase {
@@ -9,10 +11,9 @@ void Derivation::AddInitial(const AtomSet& f0, Substitution sigma0) {
   DerivationStep step;
   step.simplification = std::move(sigma0);
   step.instance_size = f0.size();
-  if (keep_snapshots_) step.instance = f0;
+  initial_ = f0;
   last_step_bytes_ = StepBytes(step);
-  last_snapshot_bytes_ = keep_snapshots_ ? step.instance.ApproxMemoryBytes() : 0;
-  approx_bytes_ += last_step_bytes_;
+  approx_bytes_ = initial_.ApproxMemoryBytes() + last_step_bytes_;
   steps_.push_back(std::move(step));
   last_ = f0;
 }
@@ -29,9 +30,7 @@ void Derivation::AddStep(int rule_index, std::string rule_label,
   step.simplification = std::move(sigma);
   step.added_atoms = std::move(added_atoms);
   step.instance_size = instance.size();
-  if (keep_snapshots_) step.instance = instance;
   last_step_bytes_ = StepBytes(step);
-  last_snapshot_bytes_ = keep_snapshots_ ? step.instance.ApproxMemoryBytes() : 0;
   approx_bytes_ += last_step_bytes_;
   // Maintain the running F_i without an O(|F_i|) copy per step: when the
   // simplification is the identity, the step only inserted `added_atoms`
@@ -56,27 +55,26 @@ void Derivation::AmendLastSimplification(const Substitution& sigma,
   DerivationStep& last = steps_.back();
   last.simplification = Substitution::Compose(sigma, last.simplification);
   last.instance_size = instance.size();
-  if (keep_snapshots_) last.instance = instance;
   approx_bytes_ -= last_step_bytes_;
   last_step_bytes_ = StepBytes(last);
-  last_snapshot_bytes_ = keep_snapshots_ ? last.instance.ApproxMemoryBytes() : 0;
   approx_bytes_ += last_step_bytes_;
   last_ = instance;
 }
 
-size_t Derivation::StepBytes(const DerivationStep& step) const {
-  // Rough per-step footprint; the snapshot (when kept) dominates. The
-  // 48-byte constant approximates one hash-map node per substitution entry.
+size_t Derivation::StepBytes(const DerivationStep& step) {
+  // Rough per-step footprint. The 48-byte constant approximates one
+  // hash-map node per substitution entry.
   size_t bytes = sizeof(DerivationStep) + step.rule_label.capacity();
   bytes += (step.match.size() + step.simplification.size()) * 48;
   bytes += step.added_atoms.size() * 64;
-  if (keep_snapshots_) bytes += step.instance.ApproxMemoryBytes();
   return bytes;
 }
 
-const AtomSet& Derivation::Instance(size_t i) const {
-  TWCHASE_CHECK(keep_snapshots_ && i < steps_.size());
-  return steps_[i].instance;
+AtomSet Derivation::Instance(size_t i) const {
+  TWCHASE_CHECK(i < steps_.size());
+  DerivationCursor cursor(*this);
+  while (cursor.index() < i) cursor.Next();
+  return cursor.instance();
 }
 
 Substitution Derivation::SigmaBetween(size_t i, size_t j) const {
@@ -89,42 +87,68 @@ Substitution Derivation::SigmaBetween(size_t i, size_t j) const {
 }
 
 AtomSet Derivation::PreSimplification(size_t i) const {
-  TWCHASE_CHECK(keep_snapshots_ && i >= 1 && i < steps_.size());
-  AtomSet out = steps_[i - 1].instance;
-  for (const Atom& atom : steps_[i].added_atoms) out.Insert(atom);
-  return out;
+  TWCHASE_CHECK(i >= 1 && i < steps_.size());
+  DerivationCursor cursor(*this);
+  while (cursor.index() < i) cursor.Next();
+  return cursor.pre_simplification();
 }
 
 bool Derivation::IsMonotonic() const {
-  TWCHASE_CHECK(keep_snapshots_);
-  for (size_t i = 1; i < steps_.size(); ++i) {
-    if (!steps_[i - 1].instance.IsSubsetOf(steps_[i].instance)) return false;
+  if (steps_.empty()) return true;
+  DerivationCursor previous(*this);
+  DerivationCursor current = previous;
+  for (current.Next(); !current.done(); previous.Next(), current.Next()) {
+    if (!previous.instance().IsSubsetOf(current.instance())) return false;
   }
   return true;
 }
 
 AtomSet Derivation::NaturalAggregation() const {
-  TWCHASE_CHECK(keep_snapshots_);
   AtomSet out;
-  for (const DerivationStep& step : steps_) {
-    out.InsertAll(step.instance);
+  for (DerivationCursor cursor(*this); !cursor.done(); cursor.Next()) {
+    out.InsertAll(cursor.instance());
   }
   return out;
 }
 
 std::unordered_map<Atom, size_t, AtomHash> Derivation::ProvenanceIndex()
     const {
-  TWCHASE_CHECK(keep_snapshots_);
   std::unordered_map<Atom, size_t, AtomHash> out;
   if (steps_.empty()) return out;
-  steps_[0].instance.ForEach(
-      [&](const Atom& atom) { out.emplace(atom, 0); });
+  initial_.ForEach([&](const Atom& atom) { out.emplace(atom, 0); });
   for (size_t i = 1; i < steps_.size(); ++i) {
     for (const Atom& atom : steps_[i].added_atoms) {
       out.emplace(atom, i);
     }
   }
   return out;
+}
+
+DerivationCursor::DerivationCursor(const Derivation& derivation)
+    : derivation_(&derivation) {
+  if (!derivation.empty()) current_ = derivation.Initial();
+}
+
+void DerivationCursor::Next() {
+  TWCHASE_CHECK(!done());
+  ++index_;
+  if (done()) {
+    current_ = AtomSet();
+    pre_ = AtomSet();
+    return;
+  }
+  const DerivationStep& step = derivation_->step(index_);
+  AtomSet alpha = std::move(current_);
+  for (const Atom& atom : step.added_atoms) alpha.Insert(atom);
+  if (step.simplification.IsIdentity()) {
+    current_ = std::move(alpha);
+    pre_ = AtomSet();
+    pre_is_current_ = true;
+  } else {
+    current_ = step.simplification.Apply(alpha);
+    pre_ = std::move(alpha);
+    pre_is_current_ = false;
+  }
 }
 
 }  // namespace twchase

@@ -19,7 +19,7 @@ enum class Measure {
   kTreewidthLower,  // certified lower bound
 };
 
-/// Per-step series of the measure over a derivation with snapshots.
+/// Per-step series of the measure over a derivation's elements F_0, F_1, ...
 std::vector<int> MeasureSeries(const Derivation& derivation, Measure measure,
                                const TreewidthOptions& tw_options = {});
 

@@ -52,7 +52,7 @@ class RobustAggregator {
   void Step(const AtomSet& pre, const Substitution& sigma_i);
 
   /// Replays a derivation prefix: elements F_0 .. F_{limit-1}, or the whole
-  /// derivation when limit is 0 or exceeds it (requires snapshots). An
+  /// derivation when limit is 0 or exceeds it, in one journal walk. An
   /// observer, if given, receives one OnRobustRename per processed element.
   static RobustAggregator FromDerivation(const Derivation& derivation,
                                          size_t limit = 0,

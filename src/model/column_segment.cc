@@ -14,8 +14,9 @@ ColumnSegment::ColumnSegment(const ColumnSegment& other)
       slots_(other.slots_),
       cols_(other.cols_),
       indexes_(std::make_unique<ColumnIndex[]>(other.arity_)) {
-  // Indexes are not copied: a copy is a snapshot (derivation history,
-  // checkpoint verification) that is rarely probed, so it rebuilds lazily.
+  // Indexes are not copied: a copy (a derivation element rebuilt from the
+  // journal, checkpoint verification) is rarely probed, so it rebuilds
+  // lazily.
 }
 
 void ColumnSegment::Append(uint32_t slot, const TermId* args) {

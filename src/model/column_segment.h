@@ -94,7 +94,7 @@ class ColumnSegment {
   /// (one uint32_t per row per column) whether or not the lazy build has
   /// run yet. The governed estimate must be deterministic in the
   /// instance's content — independent of probe schedules, thread counts
-  /// and snapshot copies (which drop built indexes) — and the index charge
+  /// and copies (which drop built indexes) — and the index charge
   /// is the upper bound the resident bytes converge to on first probe.
   size_t ApproxMemoryBytes() const {
     return cols_.size() * slots_.size() * sizeof(TermId) +

@@ -66,26 +66,26 @@ void ObserverList::OnRunEnd(const RunEndEvent& event) {
 void ReplayDerivation(const Derivation& derivation, ChaseVariant variant,
                       ChaseObserver* observer) {
   if (observer == nullptr || derivation.empty()) return;
-  const bool snapshots = derivation.keeps_snapshots();
+  DerivationCursor cursor(derivation);
 
   RunBeginEvent begin;
   begin.variant = variant;
-  begin.initial_size = derivation.step(0).instance_size;
-  begin.initial_simplification = &derivation.step(0).simplification;
-  if (snapshots) begin.instance = &derivation.Instance(0);
+  begin.initial_size = cursor.step().instance_size;
+  begin.initial_simplification = &cursor.step().simplification;
+  begin.instance = &cursor.instance();
   observer->OnRunBegin(begin);
 
-  for (size_t i = 1; i < derivation.size(); ++i) {
-    const DerivationStep& step = derivation.step(i);
+  for (cursor.Next(); !cursor.done(); cursor.Next()) {
+    const DerivationStep& step = cursor.step();
     TriggerAppliedEvent applied;
-    applied.step = i;
+    applied.step = cursor.index();
     applied.rule_index = step.rule_index;
     applied.rule_label = &step.rule_label;
     applied.match = &step.match;
     applied.simplification = &step.simplification;
     applied.added_atoms = step.added_atoms.size();
     applied.instance_size = step.instance_size;
-    if (snapshots) applied.instance = &derivation.Instance(i);
+    applied.instance = &cursor.instance();
     observer->OnTriggerApplied(applied);
   }
 

@@ -41,7 +41,7 @@ struct RunBeginEvent {
   /// σ_0 (the initial coring retraction; identity-or-empty otherwise).
   const Substitution* initial_simplification = nullptr;
 
-  /// F_0. Null in snapshot-less replays.
+  /// F_0.
   const AtomSet* instance = nullptr;
 };
 
@@ -94,7 +94,7 @@ struct TriggerAppliedEvent {
   size_t added_atoms = 0;
   size_t instance_size = 0;  // |F_step| after the simplification
 
-  /// F_step. Null in snapshot-less replays.
+  /// F_step.
   const AtomSet* instance = nullptr;
 };
 
@@ -156,6 +156,10 @@ struct RoundEndEvent {
   size_t steps_in_round = 0;
   size_t instance_size = 0;
   bool progressed = false;
+
+  /// The live instance: the round's last element, after any round-end
+  /// coring amended it.
+  const AtomSet* instance = nullptr;
 };
 
 /// One robust-aggregation step: π_i renamed `renamed_variables` variables of
@@ -257,10 +261,11 @@ class ObserverList : public ChaseObserver {
 };
 
 /// Re-feeds a recorded derivation through an observer as a synthetic run:
-/// OnRunBegin for F_0, one OnTriggerApplied per step (instance pointers set
-/// when the derivation keeps snapshots), then OnRunEnd. Round-level and
-/// engine-internal events (delta repairs, retirements, corings) are not
-/// reconstructible from a Derivation and are not emitted. This is the shared
+/// OnRunBegin for F_0, one OnTriggerApplied per step (instance pointers
+/// point at the element rebuilt from the journal, valid during the call),
+/// then OnRunEnd. Round-level and engine-internal events (delta repairs,
+/// retirements, corings) are not reconstructible from a Derivation and are
+/// not emitted. This is the shared
 /// code path behind the post-hoc DerivationTrace and MeasureSeries.
 void ReplayDerivation(const Derivation& derivation, ChaseVariant variant,
                       ChaseObserver* observer);

@@ -73,7 +73,7 @@ void MeasuresObserver::Record(size_t instance_size, const AtomSet* instance) {
     case Measure::kTreewidthUpper:
     case Measure::kTreewidthLower: {
       TWCHASE_CHECK_MSG(instance != nullptr,
-                        "treewidth measures need instance snapshots");
+                        "treewidth measures need the instance payload");
       TreewidthResult tw = ComputeTreewidth(*instance, tw_options_);
       series_.push_back(measure_ == Measure::kTreewidthUpper ? tw.upper_bound
                                                              : tw.lower_bound);

@@ -52,8 +52,8 @@ class TraceObserver : public ChaseObserver {
   size_t elements_printed_ = 0;
 };
 
-/// Per-step series of one measure. Treewidth measures need instance
-/// payloads (live runs always have them; replays need snapshots).
+/// Per-step series of one measure. Treewidth measures read the instance
+/// payload, which live runs and ReplayDerivation always set.
 class MeasuresObserver : public ChaseObserver {
  public:
   explicit MeasuresObserver(Measure measure,

@@ -110,8 +110,11 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   }
   TWCHASE_RETURN_IF_ERROR(
       r.ReadBool(json, "datalog_first", &options->datalog_first));
-  TWCHASE_RETURN_IF_ERROR(
-      r.ReadBool(json, "keep_snapshots", &options->keep_snapshots));
+  // Legacy key: admit records written while the derivation kept per-step
+  // snapshots carry keep_snapshots. It is read (and type-checked) but
+  // ignored: the snapshots only ever changed memory, never the run.
+  bool keep_snapshots = false;
+  TWCHASE_RETURN_IF_ERROR(r.ReadBool(json, "keep_snapshots", &keep_snapshots));
 
   const std::string base = r.path;
   const Json* group = nullptr;
@@ -259,7 +262,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
     root.Set("variant", Json::String(ChaseVariantName(options.variant)));
   }
   root.Set("datalog_first", Json::Bool(options.datalog_first));
-  root.Set("keep_snapshots", Json::Bool(options.keep_snapshots));
 
   Json limits = Json::Object();
   limits.Set("max_steps", Json::Number(uint64_t{options.limits.max_steps}));

@@ -68,8 +68,8 @@ TEST(ChaseTest, CoreChaseElementsAreCores) {
   options.limits.max_steps = 10;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    EXPECT_TRUE(IsCore(run->derivation.Instance(i))) << "step " << i;
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    EXPECT_TRUE(IsCore(c.instance())) << "step " << c.index();
   }
 }
 
@@ -80,10 +80,10 @@ TEST(ChaseTest, SimplificationsAreRetractions) {
   options.limits.max_steps = 100;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  for (size_t i = 1; i < run->derivation.size(); ++i) {
-    AtomSet alpha = run->derivation.PreSimplification(i);
-    EXPECT_TRUE(run->derivation.step(i).simplification.IsRetractionOf(alpha))
-        << "step " << i;
+  DerivationCursor c(run->derivation);
+  for (c.Next(); !c.done(); c.Next()) {
+    EXPECT_TRUE(c.step().simplification.IsRetractionOf(c.pre_simplification()))
+        << "step " << c.index();
   }
 }
 
@@ -225,11 +225,10 @@ TEST(ChaseTest, RoundEndCoringMatchesDnrPresentation) {
   EXPECT_TRUE(AreIsomorphic(r1->derivation.Last(), r2->derivation.Last()));
 
   // Simplifications recorded by amendment are still valid retractions.
-  for (size_t i = 1; i < r2->derivation.size(); ++i) {
-    AtomSet alpha = r2->derivation.PreSimplification(i);
-    EXPECT_TRUE(
-        r2->derivation.step(i).simplification.IsRetractionOf(alpha))
-        << "step " << i;
+  DerivationCursor c(r2->derivation);
+  for (c.Next(); !c.done(); c.Next()) {
+    EXPECT_TRUE(c.step().simplification.IsRetractionOf(c.pre_simplification()))
+        << "step " << c.index();
   }
 }
 
@@ -244,10 +243,9 @@ TEST(ChaseTest, RoundEndCoringOnStaircaseStaysBounded) {
   // Round-cored elements are cores; mid-round growth is absorbed before the
   // next round, so the recorded sequence still witnesses core-bts.
   int max_final_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    max_final_tw = std::max(
-        max_final_tw,
-        ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    max_final_tw =
+        std::max(max_final_tw, ComputeTreewidth(c.instance()).upper_bound);
   }
   EXPECT_LE(max_final_tw, 3);
 }

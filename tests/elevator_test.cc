@@ -60,9 +60,11 @@ TEST_F(ElevatorChaseTest, ChaseElementsAreCoresAndEmbedInCeiling) {
   // maps into the treewidth-1 universal model I^v* (Proposition 7).
   AtomSet ceiling = world_.CeilingPrefix(120);
   const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); i += 10) {
-    EXPECT_TRUE(IsCore(d.Instance(i))) << "step " << i;
-    EXPECT_TRUE(ExistsHomomorphism(d.Instance(i), ceiling)) << "step " << i;
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    if (c.index() % 10 != 0) continue;
+    EXPECT_TRUE(IsCore(c.instance())) << "step " << c.index();
+    EXPECT_TRUE(ExistsHomomorphism(c.instance(), ceiling))
+        << "step " << c.index();
   }
   EXPECT_TRUE(ExistsHomomorphism(d.Last(), ceiling));
 }
@@ -114,9 +116,9 @@ TEST_F(ElevatorChaseTest, CoreEverySpacingPreservesGrowth) {
   auto run = RunChase(world_.kb(), options);
   ASSERT_TRUE(run.ok());
   int max_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); i += 5) {
-    max_tw = std::max(
-        max_tw, ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    if (c.index() % 5 != 0) continue;
+    max_tw = std::max(max_tw, ComputeTreewidth(c.instance()).upper_bound);
   }
   EXPECT_GE(max_tw, 3);
 }

@@ -102,21 +102,23 @@ RunOutput Resume(Family family, ChaseVariant variant, size_t max_steps,
 }
 
 // Step-by-step derivation journal equality: rule sequence, trigger
-// matches, simplifications, added atoms and every instance snapshot.
+// matches, simplifications, added atoms and every element F_i rebuilt from
+// the journal.
 void ExpectSameJournal(const Derivation& got, const Derivation& want,
                        const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
-  for (size_t i = 0; i < got.size(); ++i) {
-    SCOPED_TRACE(context + ", step " + std::to_string(i));
-    const DerivationStep& g = got.step(i);
-    const DerivationStep& w = want.step(i);
+  DerivationCursor gc(got), wc(want);
+  for (; !gc.done(); gc.Next(), wc.Next()) {
+    SCOPED_TRACE(context + ", step " + std::to_string(gc.index()));
+    const DerivationStep& g = gc.step();
+    const DerivationStep& w = wc.step();
     EXPECT_EQ(g.rule_index, w.rule_index);
     EXPECT_EQ(g.rule_label, w.rule_label);
     EXPECT_EQ(g.match, w.match);
     EXPECT_EQ(g.simplification, w.simplification);
     EXPECT_EQ(g.added_atoms, w.added_atoms);
     EXPECT_EQ(g.instance_size, w.instance_size);
-    EXPECT_EQ(g.instance.ContentHash(), w.instance.ContentHash());
+    EXPECT_EQ(gc.instance().ContentHash(), wc.instance().ContentHash());
   }
 }
 

@@ -112,15 +112,20 @@ TEST(FrugalChaseTest, SimplificationsFixOldTerms) {
   auto run = RunChase(world.kb(), options);
   ASSERT_TRUE(run.ok());
   const Derivation& d = run->derivation;
-  for (size_t i = 1; i < d.size(); ++i) {
-    const Substitution& sigma = d.step(i).simplification;
-    if (sigma.empty()) continue;
-    // σ_i is a retraction of A_i fixing all terms of F_{i-1}.
-    AtomSet alpha = d.PreSimplification(i);
-    EXPECT_TRUE(sigma.IsRetractionOf(alpha)) << "step " << i;
-    for (Term t : d.Instance(i - 1).Terms()) {
-      EXPECT_EQ(sigma.Apply(t), t) << "step " << i;
+  DerivationCursor c(d);
+  std::vector<Term> previous_terms = c.instance().Terms();
+  for (c.Next(); !c.done(); c.Next()) {
+    const size_t i = c.index();
+    const Substitution& sigma = c.step().simplification;
+    if (!sigma.empty()) {
+      // σ_i is a retraction of A_i fixing all terms of F_{i-1}.
+      EXPECT_TRUE(sigma.IsRetractionOf(c.pre_simplification()))
+          << "step " << i;
+      for (Term t : previous_terms) {
+        EXPECT_EQ(sigma.Apply(t), t) << "step " << i;
+      }
     }
+    previous_terms = c.instance().Terms();
   }
 }
 

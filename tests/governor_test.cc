@@ -102,7 +102,6 @@ TEST(GovernorBoundaryTest, MidRunCancellationKeepsConsistentPrefix) {
     options.limits.max_steps = 1000000;
     options.limits.deadline_ms = 30;  // stop somewhere mid-run
     options.limits.max_instance_size = 20000;
-    options.keep_snapshots = false;
     auto run = RunChase(world.kb(), options);
     ASSERT_TRUE(run.ok()) << ChaseVariantName(variant);
     EXPECT_TRUE(run->stop_reason == StopReason::kDeadline ||
@@ -124,7 +123,6 @@ TEST(GovernorBoundaryTest, CrossThreadCancelStopsObliviousRun) {
   options.variant = ChaseVariant::kOblivious;
   options.limits.max_steps = 100000000;
   options.limits.cancel = CancelToken::Create();
-  options.keep_snapshots = false;
   CancelToken token = options.limits.cancel;
   std::thread canceller([token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -179,52 +177,54 @@ TEST(ResourceGovernorTest, MemoryBudgetTripsOnReportedUsage) {
   EXPECT_EQ(governor.reason(), StopReason::kMemoryBudget);
 }
 
-TEST(MemoryAccountingTest, FinalSnapshotIsExcludedFromTheDedupedEstimate) {
-  // Regression for the memory double-count: with snapshots retained, the
-  // derivation's final snapshot IS the live instance, yet the governed
-  // estimate used to add both `current.ApproxMemoryBytes()` and the full
-  // `derivation.ApproxMemoryBytes()` — charging the final instance twice.
-  // The deduped accessor subtracts exactly the final snapshot's share.
+TEST(MemoryAccountingTest, DerivationEstimateChargesTheJournalNotCopies) {
+  // The derivation keeps F_0 and one record per step, not a copy of every
+  // F_i. A 2,000-step restricted staircase run at library defaults was
+  // estimated at about 687 MB while every step copied its instance; the
+  // journal stays under 4 MB.
   ChaseOptions options;
-  options.limits.max_steps = 6;
+  options.variant = ChaseVariant::kRestricted;
+  options.limits.max_steps = 2000;
   auto run = RunChase(StaircaseWorld().kb(), options);
   ASSERT_TRUE(run.ok());
-  const Derivation& d = run->derivation;
-  ASSERT_GT(d.size(), 1u);
-  size_t final_snapshot = d.Instance(d.size() - 1).ApproxMemoryBytes();
-  EXPECT_GT(final_snapshot, 0u);
-  EXPECT_EQ(d.ApproxMemoryBytesExcludingFinalSnapshot(),
-            d.ApproxMemoryBytes() - final_snapshot);
+  ASSERT_EQ(run->steps, 2000u);
+  EXPECT_GT(run->derivation.ApproxMemoryBytes(), 0u);
+  EXPECT_LT(run->derivation.ApproxMemoryBytes(), 4u << 20);
+}
 
-  // Without snapshots there is nothing retained to dedupe: the two
-  // accessors agree.
-  ChaseOptions no_snapshots = options;
-  no_snapshots.keep_snapshots = false;
-  auto lean = RunChase(StaircaseWorld().kb(), no_snapshots);
-  ASSERT_TRUE(lean.ok());
-  EXPECT_EQ(lean->derivation.ApproxMemoryBytesExcludingFinalSnapshot(),
-            lean->derivation.ApproxMemoryBytes());
+TEST(MemoryAccountingTest, BudgetChargesLiveDataNotTheRunsHistory) {
+  // While every step kept a copy of F_i, a 16 MB budget stopped this
+  // 600-step restricted staircase run at step 265, on its own history.
+  // Charged for the live instance and the journal, it reaches its step
+  // budget.
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  options.limits.max_steps = 600;
+  options.limits.memory_budget_bytes = 16u << 20;
+  auto run = RunChase(StaircaseWorld().kb(), options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->stop_reason, StopReason::kStepBudget);
+  EXPECT_EQ(run->steps, 600u);
 }
 
 TEST(MemoryAccountingTest, BudgetAtTheDedupedEstimateIsNotTrippedEarly) {
-  // Behavioural pin of the double-count fix. Measure the true (deduped)
-  // estimate after exactly 6 steps, then run with that budget and a larger
+  // Behavioural pin of the double-count fix. Measure the governed estimate
+  // (live instance plus the derivation journal) after exactly 6 steps, then run with that budget and a larger
   // step allowance. The restricted staircase run grows monotonically, so
   // the governed estimate reaches the budget exactly at the step-6
   // boundary (not over — NoteMemoryUsage trips on strictly-greater) and
   // exceeds it only at step 7: the run must get STRICTLY PAST step 6
-  // before stopping on kMemoryBudget. Pre-fix, the governor added the
-  // final retained snapshot on top of the live instance, overshooting the
-  // budget at step 6 or earlier.
+  // before stopping on kMemoryBudget. While per-step snapshots existed, the
+  // governor once added the final retained snapshot on top of the live
+  // instance, overshooting the budget at step 6 or earlier.
   ChaseOptions options;
   options.limits.max_steps = 6;
   auto golden = RunChase(StaircaseWorld().kb(), options);
   ASSERT_TRUE(golden.ok());
   ASSERT_EQ(golden->stop_reason, StopReason::kStepBudget);
   ASSERT_EQ(golden->steps, 6u);
-  size_t deduped_at_6 =
-      golden->derivation.Last().ApproxMemoryBytes() +
-      golden->derivation.ApproxMemoryBytesExcludingFinalSnapshot();
+  size_t deduped_at_6 = golden->derivation.Last().ApproxMemoryBytes() +
+                        golden->derivation.ApproxMemoryBytes();
 
   ChaseOptions budgeted = options;
   budgeted.limits.max_steps = 1000;
@@ -234,7 +234,7 @@ TEST(MemoryAccountingTest, BudgetAtTheDedupedEstimateIsNotTrippedEarly) {
   EXPECT_EQ(run->stop_reason, StopReason::kMemoryBudget);
   EXPECT_GT(run->steps, 6u)
       << "stopped at or before step 6: the estimate overshot the budget "
-         "(final snapshot double-counted?)";
+         "(live instance double-counted?)";
 }
 
 TEST(MemoryAccountingTest, ColumnIndexAndDictionaryBytesAreCounted) {

@@ -14,8 +14,8 @@ TEST(MeasuresTest, SizeSeriesMatchesInstances) {
   ASSERT_TRUE(run.ok());
   std::vector<int> sizes = MeasureSeries(run->derivation, Measure::kSize);
   ASSERT_EQ(sizes.size(), run->derivation.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(sizes[i], static_cast<int>(run->derivation.Instance(i).size()));
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    EXPECT_EQ(sizes[c.index()], static_cast<int>(c.instance().size()));
   }
   // Monotone for a restricted chase.
   for (size_t i = 1; i < sizes.size(); ++i) {

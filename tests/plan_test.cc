@@ -329,11 +329,13 @@ size_t ExpectCertifiedStepsAreCores(const KnowledgeBase& kb, size_t max_steps) {
   size_t certified = 0;
   size_t base = 0;
   std::vector<Atom> since;
-  for (size_t i = 1; i < derivation.size(); ++i) {
-    const std::vector<Atom>& added = derivation.step(i).added_atoms;
+  DerivationCursor c(derivation);
+  for (c.Next(); !c.done(); c.Next()) {
+    const size_t i = c.index();
+    const std::vector<Atom>& added = c.step().added_atoms;
     since.insert(since.end(), added.begin(), added.end());
     if (i >= inputs.cored.size() || !inputs.cored[i]) continue;
-    AtomSet pre = derivation.PreSimplification(i);
+    const AtomSet& pre = c.pre_simplification();
     if (ProveStillCore(pre, since, inputs.marks[base]).certified) {
       ++certified;
       EXPECT_TRUE(IsCore(pre)) << "certified step " << i << " is not a core";

@@ -70,14 +70,16 @@ TEST(RobustAggregatorTest, GIsomorphicToFThroughout) {
   ASSERT_TRUE(run.ok());
   const Derivation& d = run->derivation;
   RobustAggregator agg;
-  agg.Begin(d.Instance(0), d.step(0).simplification);
-  EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(0)));
-  for (size_t i = 1; i < d.size(); ++i) {
-    agg.Step(d.PreSimplification(i), d.step(i).simplification);
-    EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(i))) << "step " << i;
+  DerivationCursor c(d);
+  agg.Begin(c.instance(), c.step().simplification);
+  EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), c.instance()));
+  for (c.Next(); !c.done(); c.Next()) {
+    agg.Step(c.pre_simplification(), c.step().simplification);
+    EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), c.instance()))
+        << "step " << c.index();
     // ρ_i maps F_i onto G_i.
-    EXPECT_EQ(agg.CurrentRho().Apply(d.Instance(i)), agg.CurrentG())
-        << "step " << i;
+    EXPECT_EQ(agg.CurrentRho().Apply(c.instance()), agg.CurrentG())
+        << "step " << c.index();
   }
 }
 
@@ -175,13 +177,14 @@ TEST(RobustAggregatorTest, ForwardedUnionIsSubsetOfCurrentG) {
     ASSERT_TRUE(run.ok());
     const Derivation& d = run->derivation;
     RobustAggregator agg;
-    agg.Begin(d.Instance(0), d.step(0).simplification);
-    for (size_t i = 1; i < d.size(); ++i) {
-      agg.Step(d.PreSimplification(i), d.step(i).simplification);
+    DerivationCursor c(d);
+    agg.Begin(c.instance(), c.step().simplification);
+    for (c.Next(); !c.done(); c.Next()) {
+      agg.Step(c.pre_simplification(), c.step().simplification);
       EXPECT_TRUE(agg.Aggregate().IsSubsetOf(agg.CurrentG()))
-          << "kb " << which << " step " << i;
-      EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(i)))
-          << "kb " << which << " step " << i;
+          << "kb " << which << " step " << c.index();
+      EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), c.instance()))
+          << "kb " << which << " step " << c.index();
     }
   }
 }
@@ -200,6 +203,50 @@ TEST(RobustAggregatorTest, MonotonicDerivationRobustEqualsNatural) {
   EXPECT_EQ(agg.Aggregate(), run->derivation.NaturalAggregation());
   for (const RobustStepStats& s : agg.stats()) {
     EXPECT_EQ(s.renamed_variables, 0u);
+  }
+}
+
+// Per-step robust statistics (|G_i|, |U_i|, renamed, stable) of 60-step
+// core chases, recorded while every step kept a copy of F_i. Replaying the
+// derivation journal must reproduce them exactly: the digest is FNV-1a over
+// the four counts of every step, in order.
+TEST(RobustAggregatorTest, StatsArePinned) {
+  struct Pin {
+    const char* name;
+    KnowledgeBase kb;
+    uint64_t digest;
+    RobustStepStats last;
+  };
+  const Pin pins[] = {
+      {"staircase", StaircaseWorld().kb(), 0xfcc941f96c520339ull,
+       {49, 49, 0, 16}},
+      {"elevator", ElevatorWorld().kb(), 0xa4a4bae2a3c58c3eull,
+       {113, 113, 0, 48}},
+  };
+  for (const Pin& pin : pins) {
+    ChaseOptions options;
+    options.variant = ChaseVariant::kCore;
+    options.limits.max_steps = 60;
+    auto run = RunChase(pin.kb, options);
+    ASSERT_TRUE(run.ok());
+    RobustAggregator agg = RobustAggregator::FromDerivation(run->derivation);
+    ASSERT_EQ(agg.stats().size(), 61u) << pin.name;
+    uint64_t digest = 1469598103934665603ull;
+    for (const RobustStepStats& s : agg.stats()) {
+      for (uint64_t value : {s.g_size, s.union_size, s.renamed_variables,
+                             s.stable_variables}) {
+        for (int i = 0; i < 8; ++i) {
+          digest ^= (value >> (8 * i)) & 0xFF;
+          digest *= 1099511628211ull;
+        }
+      }
+    }
+    EXPECT_EQ(digest, pin.digest) << pin.name;
+    const RobustStepStats& last = agg.stats().back();
+    EXPECT_EQ(last.g_size, pin.last.g_size) << pin.name;
+    EXPECT_EQ(last.union_size, pin.last.union_size) << pin.name;
+    EXPECT_EQ(last.renamed_variables, pin.last.renamed_variables) << pin.name;
+    EXPECT_EQ(last.stable_variables, pin.last.stable_variables) << pin.name;
   }
 }
 

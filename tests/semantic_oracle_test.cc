@@ -13,7 +13,10 @@
 //   * sampled core-chase elements F_i are cores (Definition 2): F_i has no
 //     homomorphism into F_i − {a} for any atom a;
 //   * every simplification σ_i is a retraction (Definition 1): σ_i(A_i) = F_i
-//     and σ_i fixes every term of F_i.
+//     and σ_i fixes every term of F_i. The elements F_i are rebuilt from the
+//     derivation journal (for i ≥ 1 as σ_i(A_i), so there the check is on
+//     the fixed terms and the recorded |F_i|); derivation_test's
+//     JournalMatchesTheLiveRun checks that they are the live run's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,11 +115,13 @@ bool IsRetractionOnto(const Substitution& sigma, const AtomSet& pre,
 // A_i = F_{i-1} plus the atoms the application added.
 void ExpectRetractions(const KnowledgeBase& kb, const Derivation& derivation,
                        const std::string& context) {
-  for (size_t i = 0; i < derivation.size(); ++i) {
-    const DerivationStep& step = derivation.step(i);
-    const AtomSet pre = i == 0 ? kb.facts : derivation.PreSimplification(i);
-    EXPECT_TRUE(IsRetractionOnto(step.simplification, pre, step.instance))
+  for (DerivationCursor c(derivation); !c.done(); c.Next()) {
+    const size_t i = c.index();
+    const AtomSet& pre = i == 0 ? kb.facts : c.pre_simplification();
+    EXPECT_TRUE(IsRetractionOnto(c.step().simplification, pre, c.instance()))
         << context << ": σ_" << i << " is not a retraction onto F_" << i;
+    EXPECT_EQ(c.instance().size(), c.step().instance_size)
+        << context << ": F_" << i << " is not the recorded size";
   }
 }
 
@@ -135,16 +140,18 @@ void ExpectSampledCores(const Derivation& derivation,
                         const std::string& context) {
   std::vector<size_t> eligible;
   for (size_t i = 0; i < derivation.size(); ++i) {
-    if (derivation.step(i).instance.size() <= kMaxCoreCheckAtoms) {
+    if (derivation.step(i).instance_size <= kMaxCoreCheckAtoms) {
       eligible.push_back(i);
     }
   }
   ASSERT_FALSE(eligible.empty()) << context;
   const size_t stride = std::max<size_t>(1, eligible.size() / kCoreSamples);
+  DerivationCursor cursor(derivation);
   for (size_t k = 0; k < eligible.size(); ++k) {
     if (k % stride != 0 && k + 1 != eligible.size()) continue;
     const size_t i = eligible[k];
-    EXPECT_TRUE(IsCoreByDefinition(derivation.step(i).instance))
+    while (cursor.index() < i) cursor.Next();
+    EXPECT_TRUE(IsCoreByDefinition(cursor.instance()))
         << context << ": F_" << i << " is not a core";
   }
 }

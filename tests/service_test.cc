@@ -168,7 +168,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   ChaseOptions options;
   options.variant = ChaseVariant::kFrugal;
   options.datalog_first = false;
-  options.keep_snapshots = false;
   options.limits.max_steps = 123;
   options.limits.max_instance_size = 456;
   options.limits.deadline_ms = 789;
@@ -189,7 +188,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
 
   EXPECT_EQ(back.variant, options.variant);
   EXPECT_EQ(back.datalog_first, options.datalog_first);
-  EXPECT_EQ(back.keep_snapshots, options.keep_snapshots);
   EXPECT_EQ(back.limits.max_steps, options.limits.max_steps);
   EXPECT_EQ(back.limits.max_instance_size, options.limits.max_instance_size);
   EXPECT_EQ(back.limits.deadline_ms, options.limits.deadline_ms);
@@ -235,13 +233,14 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
 }
 
 // Options objects written before incremental core maintenance, the
-// parallel match fan-out and the delta and planner switches were removed
-// still parse: their keys are read (type-checked) and ignored. Only a
+// parallel match fan-out, the delta and planner switches and per-step
+// derivation snapshots were removed still parse: their keys are read (type-checked) and ignored. Only a
 // request for the removed incremental mode is refused, with a field error
 // on its exact path. The writer no longer emits any of them.
 TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   auto legacy = Json::Parse(
-      R"({"variant": "core", "core": {"core_every": 1,)"
+      R"({"variant": "core", "keep_snapshots": true,)"
+      R"( "core": {"core_every": 1,)"
       R"( "core_at_round_end": false, "core_initial": true,)"
       R"( "incremental_core": false, "dirty_radius": 2},)"
       R"( "delta": {"enabled": false},)"
@@ -254,6 +253,18 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   ASSERT_TRUE(status.ok()) << status << " at " << error.path;
   EXPECT_EQ(options.variant, ChaseVariant::kCore);
   EXPECT_TRUE(options.Validate().ok());
+
+  auto no_snapshots = Json::Parse(R"({"keep_snapshots": false})");
+  ASSERT_TRUE(no_snapshots.ok());
+  status = ChaseOptionsFromJson(*no_snapshots, "options", &options, &error);
+  EXPECT_TRUE(status.ok()) << status << " at " << error.path;
+
+  auto mistyped_snapshots = Json::Parse(R"({"keep_snapshots": "yes"})");
+  ASSERT_TRUE(mistyped_snapshots.ok());
+  status =
+      ChaseOptionsFromJson(*mistyped_snapshots, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.keep_snapshots");
 
   auto incremental = Json::Parse(R"({"core": {"incremental_core": true}})");
   ASSERT_TRUE(incremental.ok());
@@ -286,6 +297,7 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   EXPECT_EQ(error.path, "options.plan.enabled");
 
   Json wire = ChaseOptionsToJson(ChaseOptions{});
+  EXPECT_FALSE(wire.Has("keep_snapshots"));
   EXPECT_FALSE(wire.Has("parallel"));
   EXPECT_FALSE(wire.Has("delta"));
   EXPECT_FALSE(wire.Has("plan"));

@@ -59,10 +59,10 @@ TEST_F(StaircaseChaseTest, DoesNotTerminate) {
 TEST_F(StaircaseChaseTest, CoreChaseUniformlyTreewidthBoundedByTwo) {
   // Proposition 4.
   const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); ++i) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
-    ASSERT_TRUE(tw.exact() || tw.upper_bound <= 2) << "step " << i;
-    EXPECT_LE(tw.upper_bound, 2) << "step " << i;
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    TreewidthResult tw = ComputeTreewidth(c.instance());
+    ASSERT_TRUE(tw.exact() || tw.upper_bound <= 2) << "step " << c.index();
+    EXPECT_LE(tw.upper_bound, 2) << "step " << c.index();
   }
 }
 
@@ -71,8 +71,10 @@ TEST_F(StaircaseChaseTest, CollapsesLandOnColumns) {
   ASSERT_GE(collapses.size(), 3u);
   // The c-th collapse (0-based) retracts step S^h_c onto column C^h_{c+1}.
   int k = 1;
+  DerivationCursor cursor(run_->derivation);
   for (size_t idx : collapses) {
-    const AtomSet& instance = run_->derivation.Instance(idx);
+    while (cursor.index() < idx) cursor.Next();
+    const AtomSet& instance = cursor.instance();
     EXPECT_TRUE(AreIsomorphic(instance, world_.Column(k)))
         << "collapse at step " << idx << " is not C^h_" << k;
     ++k;
@@ -103,8 +105,10 @@ TEST_F(StaircaseChaseTest, ChaseElementsEmbedInUniversalModelPrefix) {
   // model I^h; with ~60 steps the column-8 prefix suffices.
   AtomSet prefix = world_.UniversalModelPrefix(9);
   const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); i += 7) {
-    EXPECT_TRUE(ExistsHomomorphism(d.Instance(i), prefix)) << "step " << i;
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    if (c.index() % 7 != 0) continue;
+    EXPECT_TRUE(ExistsHomomorphism(c.instance(), prefix))
+        << "step " << c.index();
   }
 }
 
@@ -141,12 +145,14 @@ TEST_F(StaircaseChaseTest, RobustAggregationMonotoneForwarding) {
   // Lemma 1(i): π_i(G_{i-1}) ⊆ G_i along the robust sequence.
   RobustAggregator agg;
   const Derivation& d = run_->derivation;
-  agg.Begin(d.Instance(0), d.step(0).simplification);
+  DerivationCursor c(d);
+  agg.Begin(c.instance(), c.step().simplification);
   AtomSet prev_g = agg.CurrentG();
-  for (size_t i = 1; i < d.size(); ++i) {
-    agg.Step(d.PreSimplification(i), d.step(i).simplification);
+  for (c.Next(); !c.done(); c.Next()) {
+    agg.Step(c.pre_simplification(), c.step().simplification);
     const Substitution& pi = agg.pis().back();
-    EXPECT_TRUE(pi.Apply(prev_g).IsSubsetOf(agg.CurrentG())) << "step " << i;
+    EXPECT_TRUE(pi.Apply(prev_g).IsSubsetOf(agg.CurrentG()))
+        << "step " << c.index();
     prev_g = agg.CurrentG();
   }
 }
@@ -180,9 +186,9 @@ TEST_F(StaircaseChaseTest, RestrictedChaseTreewidthGrows) {
   auto run = RunChase(world_.kb(), options);
   ASSERT_TRUE(run.ok());
   int max_lb = -1;
-  for (size_t i = 0; i < run->derivation.size(); i += 5) {
-    max_lb = std::max(
-        max_lb, ComputeTreewidth(run->derivation.Instance(i)).lower_bound);
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    if (c.index() % 5 != 0) continue;
+    max_lb = std::max(max_lb, ComputeTreewidth(c.instance()).lower_bound);
   }
   EXPECT_GE(max_lb, 3);
 }

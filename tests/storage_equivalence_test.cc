@@ -108,8 +108,8 @@ struct RunDigest {
 RunDigest DigestOf(const RunOutput& run) {
   const Derivation& d = run.result.derivation;
   uint64_t step_hashes = kFnvBasis;
-  for (size_t i = 0; i < d.size(); ++i) {
-    step_hashes = Fnv(step_hashes, d.step(i).instance.ContentHash());
+  for (DerivationCursor c(d); !c.done(); c.Next()) {
+    step_hashes = Fnv(step_hashes, c.instance().ContentHash());
   }
   return {static_cast<int>(run.result.stop_reason),
           run.result.steps,

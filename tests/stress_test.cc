@@ -108,9 +108,8 @@ TEST(RobustOnFrugalTest, AggregationIsFinitelyUniversalPrefix) {
   // Proposition 12 direction: treewidth of the aggregate is bounded by the
   // observed sequence bound.
   int max_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    max_tw = std::max(
-        max_tw, ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    max_tw = std::max(max_tw, ComputeTreewidth(c.instance()).upper_bound);
   }
   EXPECT_LE(ComputeTreewidth(agg.Aggregate()).upper_bound, max_tw);
 }
@@ -121,7 +120,6 @@ TEST(LargeChaseSmokeTest, LongTransitiveClosure) {
   ChaseOptions options;
   options.variant = ChaseVariant::kRestricted;
   options.limits.max_steps = 2000;
-  options.keep_snapshots = false;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
