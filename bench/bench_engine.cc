@@ -453,7 +453,7 @@ f(X00), h(X00, X00).
         }
         auto body = Json::Parse(response->body);
         if (!body.ok()) return "";
-        ids.push_back(body->Get("job").Get("id").string_value());
+        ids.emplace_back(body->Get("job").Get("id").string_value());
       }
     }
     std::string expected_hash;
@@ -463,7 +463,7 @@ f(X00), h(X00, X00).
         if (!response.ok()) return "";
         auto body = Json::Parse(response->body);
         if (!body.ok()) return "";
-        const std::string state = body->Get("state").string_value();
+        const std::string state(body->Get("state").string_value());
         if (state == "done") break;
         if (state == "failed" || state == "cancelled") {
           std::fprintf(stderr, "service sweep: job %s ended %s\n", id.c_str(),
@@ -476,7 +476,7 @@ f(X00), h(X00, X00).
       if (!result.ok() || result->status != 200) return "";
       auto body = Json::Parse(result->body);
       if (!body.ok()) return "";
-      const std::string hash = body->Get("instance_hash").string_value();
+      const std::string hash(body->Get("instance_hash").string_value());
       if (expected_hash.empty()) expected_hash = hash;
       if (hash != expected_hash) {
         std::fprintf(stderr,
@@ -620,6 +620,11 @@ int RunEngineSweep(const char* output_path) {
                        [] { return StaircaseWorld().kb(); }});
   workloads.push_back({"elevator-core", ChaseVariant::kCore, 60,
                        [] { return ElevatorWorld().kb(); }});
+  // Long core runs, where the still-core guard's search dominates.
+  workloads.push_back({"elevator-core-300", ChaseVariant::kCore, 300,
+                       [] { return ElevatorWorld().kb(); }});
+  workloads.push_back({"staircase-core-1500", ChaseVariant::kCore, 1500,
+                       [] { return StaircaseWorld().kb(); }});
 
   // Per-phase wall times (one observation per repetition, so min is the
   // reported best) go into a registry and are embedded into the artifact
@@ -629,17 +634,19 @@ int RunEngineSweep(const char* output_path) {
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"workloads\": [\n";
-  std::printf("%-26s %-14s %8s %10s %10s %10s\n", "workload", "variant",
-              "steps", "wall ms", "core full", "certified");
+  std::printf("%-26s %-14s %8s %10s %10s %10s %12s\n", "workload", "variant",
+              "steps", "wall ms", "core full", "certified", "guard nodes");
   for (size_t i = 0; i < workloads.size(); ++i) {
     const SweepWorkload& workload = workloads[i];
     SweepMeasurement m = MeasureChase(
         workload, 3,
         registry.GetHistogram("phase." + workload.name + ".wall_ms"));
     const ChaseStats& stats = m.result.stats;
-    std::printf("%-26s %-14s %8zu %9.2f %10zu %10zu\n", workload.name.c_str(),
-                ChaseVariantName(workload.variant), m.result.steps, m.wall_ms,
-                stats.core_full, stats.plan_core_certified);
+    std::printf("%-26s %-14s %8zu %9.2f %10zu %10zu %12llu\n",
+                workload.name.c_str(), ChaseVariantName(workload.variant),
+                m.result.steps, m.wall_ms, stats.core_full,
+                stats.plan_core_certified,
+                static_cast<unsigned long long>(stats.guard_search_nodes));
     // One row per line: tools/check.sh reads the core rows' coring counts.
     char buffer[768];
     std::snprintf(buffer, sizeof(buffer),
@@ -649,7 +656,8 @@ int RunEngineSweep(const char* output_path) {
                   "\"triggers_considered\": %zu, \"full_enumerations\": %zu, "
                   "\"seed_probes\": %zu, \"matches_invalidated\": %zu, "
                   "\"peak_atoms\": %zu, \"final_atoms\": %zu, "
-                  "\"derivation_bytes\": %zu, "
+                  "\"derivation_bytes\": %zu, \"search_nodes\": %llu, "
+                  "\"guard_nodes\": %llu, "
                   "\"core_full\": %zu, \"plan_core_proofs\": %zu, "
                   "\"plan_core_certified\": %zu}",
                   workload.name.c_str(), ChaseVariantName(workload.variant),
@@ -660,7 +668,10 @@ int RunEngineSweep(const char* output_path) {
                   stats.full_enumerations, stats.seed_probes,
                   stats.matches_invalidated, stats.peak_instance_size,
                   m.result.derivation.Last().size(),
-                  m.result.derivation.ApproxMemoryBytes(), stats.core_full,
+                  m.result.derivation.ApproxMemoryBytes(),
+                  static_cast<unsigned long long>(stats.match_search_nodes),
+                  static_cast<unsigned long long>(stats.guard_search_nodes),
+                  stats.core_full,
                   stats.plan_core_proofs, stats.plan_core_certified);
     json += buffer;
     json += (i + 1 < workloads.size()) ? ",\n" : "\n";

@@ -181,6 +181,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         match_counters.index_builds.load(std::memory_order_relaxed);
     totals.index_build_bytes =
         match_counters.index_build_bytes.load(std::memory_order_relaxed);
+    totals.search_nodes =
+        match_counters.search_nodes.load(std::memory_order_relaxed);
     return totals;
   };
   // Counter values already reported through MatchPlanEvent, so each round's
@@ -199,8 +201,9 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     plan.index_builds = totals.index_builds - match_reported.index_builds;
     plan.index_build_bytes =
         totals.index_build_bytes - match_reported.index_build_bytes;
+    plan.search_nodes = totals.search_nodes - match_reported.search_nodes;
     if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
-            plan.index_builds + plan.index_build_bytes ==
+            plan.index_builds + plan.index_build_bytes + plan.search_nodes ==
         0) {
       return;
     }
@@ -263,6 +266,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     result.stats.match_join_fallbacks = totals.join_fallbacks;
     result.stats.match_index_builds = totals.index_builds;
     result.stats.match_index_build_bytes = totals.index_build_bytes;
+    result.stats.match_search_nodes = totals.search_nodes;
     if (obs == nullptr) return;
     if (governor.fault_fired()) {
       obs->OnFaultInjected(
@@ -318,9 +322,19 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // An inner search the governor aborted can miss a refutation, so a
       // stopped run never certifies: it falls through to ComputeCore, whose
       // abort the site handles.
-      if (ProveStillCore(current, guard_atoms_since, guard_base_mark)
-              .certified &&
-          !governor.stopped()) {
+      const MatchPlanEvent before = match_totals();
+      const bool certified =
+          ProveStillCore(current, guard_atoms_since, guard_base_mark)
+              .certified;
+      const MatchPlanEvent after = match_totals();
+      const uint64_t nodes = after.search_nodes - before.search_nodes;
+      result.stats.guard_search_nodes += nodes;
+      result.stats.guard_index_probes +=
+          after.index_probes - before.index_probes;
+      result.stats.guard_column_scans +=
+          after.column_scans - before.column_scans;
+      round_plan.guard_nodes += nodes;
+      if (certified && !governor.stopped()) {
         // Proven still a core without folding anything: ComputeCore would
         // have returned the instance itself with an empty retraction and
         // zero folds, so committing nothing reproduces its records and
@@ -875,7 +889,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       const size_t plan_work =
           round_plan.active_strata + round_plan.enumerations_skipped +
           round_plan.probes_skipped + round_plan.core_proofs +
-          round_plan.core_certified;
+          round_plan.core_certified + round_plan.guard_nodes;
       if (plan_work > 0) obs->OnPlan(round_plan);
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
                        current.size(), progressed, &current});

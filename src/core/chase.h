@@ -198,6 +198,9 @@ struct ChaseStats {
   uint64_t match_index_builds = 0;
   uint64_t match_index_build_bytes = 0;
 
+  /// Backtracking nodes of every hom search of the run.
+  uint64_t match_search_nodes = 0;
+
   /// Execution-planner telemetry (src/plan/). Static plan shape:
   size_t plan_reliance_edges = 0;
   size_t plan_strata = 0;
@@ -214,6 +217,12 @@ struct ChaseStats {
   /// certification skips one full ComputeCore).
   size_t plan_core_proofs = 0;
   size_t plan_core_certified = 0;
+
+  /// The still-core guard's share of the hom-search work above (both of
+  /// its cases): backtracking nodes, index probes and segment scans.
+  uint64_t guard_search_nodes = 0;
+  uint64_t guard_index_probes = 0;
+  uint64_t guard_column_scans = 0;
 };
 
 /// Everything needed to replay a recorded run deterministically: one

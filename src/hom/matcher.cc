@@ -40,7 +40,8 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // variables are renumbered into a dense local index so that the hot path
 // (estimates, unification, rollback) is array access, not hashing.
 // Run() is called at most once; only retraction mode reuses a search, one
-// ExistsRetractionOnto query after another.
+// ExistsRetractionOnto query after another. Every search folds its node
+// count into the ambient MatchCounters.
 //
 // Candidates come from JoinCandidates, which probes the target's
 // ColumnSegment for the pattern atom's (predicate, arity): it picks the
@@ -122,6 +123,13 @@ class HomSearch {
     }
     candidate_buffers_.resize(pattern_atoms_.size() + 1);
     if (retractions_only_) {
+      var_count_.assign(pattern_atoms_.size(), 0);
+      bound_count_.assign(pattern_atoms_.size(), 0);
+      moved_.assign(pattern_atoms_.size(), 0);
+      for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
+        ForEachDistinctVar(pattern_atoms_[i],
+                           [&](uint32_t) { ++var_count_[i]; });
+      }
       // Pattern and target are the same instance, so every image variable
       // is a pattern variable; index them by vocabulary index.
       for (size_t v = 0; v < var_terms_.size(); ++v) {
@@ -137,6 +145,7 @@ class HomSearch {
   std::vector<Substitution> Run() {
     // An empty pattern has exactly one homomorphism: the seed itself.
     Search(pattern_atoms_.size());
+    FlushNodes();
     return std::move(results_);
   }
 
@@ -160,6 +169,7 @@ class HomSearch {
     Rescore(mark);
     Search(pattern_atoms_.size());
     RollbackTo(mark);
+    FlushNodes();
     const bool found = !results_.empty();
     results_.clear();
     return found;
@@ -436,6 +446,46 @@ class HomSearch {
     binding_[var] = image;
     bound_[var] = true;
     trail_.push_back(var);
+    if (retractions_only_) CountBinding(var, true);
+  }
+
+  // Retraction mode: keeps bound_count_, moved_ and frontier_left_ in step
+  // with one binding of `var` made (`bind`) or undone. binding_[var] holds
+  // the image either way.
+  void CountBinding(uint32_t var, bool bind) {
+    const bool moves = binding_[var] != var_terms_[var];
+    for (uint32_t k = occurrence_begin_[var]; k < occurrence_begin_[var + 1];
+         ++k) {
+      const uint32_t atom = occurrences_[k];
+      bind ? ++bound_count_[atom] : --bound_count_[atom];
+      if (!moves) continue;
+      // An atom joins or leaves the frontier with its first moved variable.
+      const bool edge = bind ? moved_[atom]++ == 0 : --moved_[atom] == 0;
+      if (edge && !assigned_[atom]) bind ? ++frontier_left_ : --frontier_left_;
+    }
+  }
+
+  // Retraction mode: atom `i` was just assigned (or unassigned), which takes
+  // a frontier atom off (or back onto) frontier_left_.
+  void CountAssignment(size_t i, bool assign) {
+    if (!retractions_only_ || moved_[i] == 0) return;
+    assign ? --frontier_left_ : ++frontier_left_;
+  }
+
+  // Retraction mode: the atoms worth choosing. A fully bound atom off the
+  // frontier maps to itself, which is in the instance; a fully unbound one
+  // constrains nothing yet. Boundary atoms, bound and unbound variables
+  // mixed, stay selectable: plan/core_guard.h says why.
+  bool Selectable(size_t i) const {
+    return bound_count_[i] > 0 &&
+           (moved_[i] > 0 || bound_count_[i] < var_count_[i]);
+  }
+
+  void FlushNodes() {
+    if (counters_ != nullptr && nodes_ > 0) {
+      counters_->search_nodes.fetch_add(nodes_, std::memory_order_relaxed);
+    }
+    nodes_ = 0;
   }
 
   // Undoes every binding pushed after `mark` and refreshes the cached
@@ -444,6 +494,7 @@ class HomSearch {
     for (size_t i = trail_.size(); i > mark; --i) {
       uint32_t var = trail_[i - 1];
       if (options_.injective) used_targets_.erase(binding_[var]);
+      if (retractions_only_) CountBinding(var, false);
       bound_[var] = false;
     }
     Rescore(mark);
@@ -480,9 +531,14 @@ class HomSearch {
   // GovernorStopped(): results found before the stop are returned, but the
   // enumeration may be incomplete and a "no homomorphism" verdict is then
   // not trustworthy).
+  //
+  // Retraction mode succeeds as soon as no unassigned atom is on the
+  // frontier: the identity then completes the binding to a retraction (the
+  // frontier rule of plan/core_guard.h).
   bool Search(size_t remaining) {
+    ++nodes_;
     if (GovernorPoll(FaultSite::kHomNode)) return true;
-    if (remaining == 0) {
+    if (retractions_only_ ? frontier_left_ == 0 : remaining == 0) {
       Emit();
       return options_.limit != 0 && results_.size() >= options_.limit;
     }
@@ -495,6 +551,7 @@ class HomSearch {
     for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
       if (assigned_[i]) continue;
       if (remaining_focus_ > 0 && !pattern_atoms_[i].focus) continue;
+      if (retractions_only_ && !Selectable(i)) continue;
       size_t score = estimates_[i];
       if (score < best_score) {
         best_score = score;
@@ -505,6 +562,7 @@ class HomSearch {
     TWCHASE_CHECK(chosen < pattern_atoms_.size());
     const PatAtom& pat = pattern_atoms_[chosen];
     assigned_[chosen] = true;
+    CountAssignment(chosen, true);
     if (pat.focus) --remaining_focus_;
     bool stop = false;
     std::vector<const Atom*>& candidates = candidate_buffers_[remaining];
@@ -521,6 +579,7 @@ class HomSearch {
       if (stop) break;
     }
     assigned_[chosen] = false;
+    CountAssignment(chosen, false);
     if (pat.focus) ++remaining_focus_;
     return stop;
   }
@@ -544,9 +603,17 @@ class HomSearch {
   std::unordered_set<Term, TermHash> used_targets_;
   std::vector<Substitution> results_;
   // Retraction mode: only idempotent maps; local_of_image_ maps a
-  // variable's vocabulary index to its local index.
+  // variable's vocabulary index to its local index. Per atom: its distinct
+  // variables, how many are bound, and how many are bound to a term other
+  // than themselves (moved). frontier_left_ counts the unassigned atoms
+  // with a moved variable.
   bool retractions_only_ = false;
   std::vector<uint32_t> local_of_image_;
+  std::vector<uint32_t> var_count_;
+  std::vector<uint32_t> bound_count_;
+  std::vector<uint32_t> moved_;
+  size_t frontier_left_ = 0;
+  uint64_t nodes_ = 0;  // search nodes not yet folded into counters_
   MatchCounters* counters_ = nullptr;
   // JoinCandidates per-position plan, reused across nodes so the hot path
   // allocates nothing after warm-up.

@@ -47,6 +47,7 @@ struct MatchCounters {
   std::atomic<uint64_t> join_fallbacks{0};
   std::atomic<uint64_t> index_builds{0};      // lazy column-index (re)builds
   std::atomic<uint64_t> index_build_bytes{0};  // bytes of those builds
+  std::atomic<uint64_t> search_nodes{0};       // backtracking nodes visited
 };
 
 /// Installs `counters` as the thread's ambient MatchCounters for the scope
@@ -115,9 +116,11 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
 /// The still-core guard's case-(i) search (plan/core_guard.h). The whole
 /// instance is compiled once as both pattern and target, and only
 /// retractions are searched: binding X ↦ t, t a variable, also fixes t ↦ t.
-/// Each query binds its seed, decides, and rolls back, so one object
-/// answers any number of queries. Not thread-safe; `instance` must outlive
-/// the object unmodified.
+/// The search is bounded by what the retraction moves: it succeeds once
+/// every atom with a variable bound away from itself has an image, since
+/// the identity completes the rest. Each query binds its seed, decides, and
+/// rolls back, so one object answers any number of queries. Not
+/// thread-safe; `instance` must outlive the object unmodified.
 class RetractionSearch {
  public:
   explicit RetractionSearch(const AtomSet& instance);

@@ -130,6 +130,7 @@ struct MatchPlanEvent {
   uint64_t join_fallbacks = 0;    // always 0 (every search is a join)
   uint64_t index_builds = 0;      // lazy column-index (re)builds
   uint64_t index_build_bytes = 0; // bytes of sorted rows written by builds
+  uint64_t search_nodes = 0;      // backtracking nodes of every search
 };
 
 /// Execution-planner telemetry (src/plan/). Emitted once at run begin with
@@ -148,6 +149,7 @@ struct PlanEvent {
   size_t probes_skipped = 0;   // dormant seeded probes pruned (this round)
   size_t core_proofs = 0;      // still-core proofs attempted (this round)
   size_t core_certified = 0;   // ... that certified and skipped a ComputeCore
+  uint64_t guard_nodes = 0;    // hom-search nodes those proofs visited
 };
 
 /// A scheduler round finished (after round-end coring and match retirement).

@@ -112,11 +112,13 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   match_index_builds_ = registry_->GetCounter("chase.match.index_builds");
   match_index_build_bytes_ =
       registry_->GetCounter("chase.match.index_build_bytes");
+  match_search_nodes_ = registry_->GetCounter("chase.match.search_nodes");
   plan_enumerations_skipped_ =
       registry_->GetCounter("chase.plan.enumerations_skipped");
   plan_probes_skipped_ = registry_->GetCounter("chase.plan.probes_skipped");
   plan_core_proofs_ = registry_->GetCounter("chase.plan.core_proofs");
   plan_core_certified_ = registry_->GetCounter("chase.plan.core_certified");
+  plan_guard_nodes_ = registry_->GetCounter("chase.plan.guard_nodes");
   round_ = registry_->GetGauge("chase.round");
   instance_size_ = registry_->GetGauge("chase.instance.size");
   plan_reliance_edges_ = registry_->GetGauge("chase.plan.reliance_edges");
@@ -184,6 +186,7 @@ void MetricsObserver::OnMatchPlan(const MatchPlanEvent& event) {
   match_join_fallbacks_->Increment(event.join_fallbacks);
   match_index_builds_->Increment(event.index_builds);
   match_index_build_bytes_->Increment(event.index_build_bytes);
+  match_search_nodes_->Increment(event.search_nodes);
 }
 
 void MetricsObserver::OnPlan(const PlanEvent& event) {
@@ -195,6 +198,7 @@ void MetricsObserver::OnPlan(const PlanEvent& event) {
   plan_probes_skipped_->Increment(event.probes_skipped);
   plan_core_proofs_->Increment(event.core_proofs);
   plan_core_certified_->Increment(event.core_certified);
+  plan_guard_nodes_->Increment(event.guard_nodes);
 }
 
 void MetricsObserver::OnPhase(const PhaseEvent& event) {

@@ -138,10 +138,12 @@ class MetricsObserver : public ChaseObserver {
   Counter* match_join_fallbacks_;
   Counter* match_index_builds_;
   Counter* match_index_build_bytes_;
+  Counter* match_search_nodes_;
   Counter* plan_enumerations_skipped_;
   Counter* plan_probes_skipped_;
   Counter* plan_core_proofs_;
   Counter* plan_core_certified_;
+  Counter* plan_guard_nodes_;
   Gauge* round_;
   Gauge* instance_size_;
   Gauge* plan_reliance_edges_;

@@ -239,11 +239,13 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
       // Checkpoint unavailable: fall through to the cancelled terminal.
     }
 
-    if (request_.capture_events) last_events_ = events.str();
-    RenderResultLocked(**session, *program);
+    RenderResultLocked(**session, *program, events.str());
     state_ = (*session)->stop_reason() == StopReason::kCancelled
                  ? "cancelled"
                  : "done";
+    // A terminal job never resumes: its last preemption checkpoint has no
+    // reader left.
+    std::string().swap(saved_checkpoint_);
     result_.Set("state", Json::String(state_));
     FoldMetricsLocked();
     daemon_->PersistTerminal(id_, state_, result_);
@@ -310,14 +312,17 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   Outcome TerminalLocked(const Status& status) {
     error_ = status;
     state_ = "failed";
+    std::string().swap(saved_checkpoint_);
     daemon_->PersistFailed(id_, status);
     return Outcome::kFailed;
   }
 
   /// Renders the terminal payload. Holds mu_; the program (and its
   /// vocabulary, which the printed atoms reference) is alive only for this
-  /// call, so everything is rendered to strings now.
-  void RenderResultLocked(ChaseSession& session, const ParsedProgram& program);
+  /// call, so everything is rendered to strings now. `events` is the
+  /// segment's event capture (empty unless requested).
+  void RenderResultLocked(ChaseSession& session, const ParsedProgram& program,
+                          std::string_view events);
   void FoldMetricsLocked();
 
   /// The --variant=auto provenance payload for status and result bodies.
@@ -347,8 +352,7 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   bool cancel_requested_ = false;
   uint64_t segments_ = 0;
   double elapsed_seconds_ = 0;
-  std::string saved_checkpoint_;
-  std::string last_events_;
+  std::string saved_checkpoint_;  // the last preemption's, until terminal
   std::string preflight_summary_;
   ChaseSession* live_session_ = nullptr;
 
@@ -358,7 +362,8 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
 };
 
 void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
-                                               const ParsedProgram& program) {
+                                               const ParsedProgram& program,
+                                               std::string_view events) {
   const ChaseResult& run = session.Result();
   const bool terminated = run.stop_reason == StopReason::kFixpoint;
   const KnowledgeBase& kb = program.kb;
@@ -434,7 +439,7 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
   if (request_.capture_events) {
     // (Filled by RunSegment's capture; a resumed segment re-emits the full
     // stream, so the last segment's capture is the complete one.)
-    result_.Set("events", Json::String(last_events_));
+    result_.Set("events", Json::String(events));
   }
   if (request_.return_checkpoint) {
     // Submission rejected return_checkpoint on unrecordable jobs, so the

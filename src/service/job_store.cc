@@ -82,8 +82,8 @@ bool ApplyRecord(const Json& payload, const std::string& framed_line,
       !payload.Get("id").is_string()) {
     return false;
   }
-  const std::string& type = payload.Get("type").string_value();
-  const std::string& id = payload.Get("id").string_value();
+  const std::string_view type = payload.Get("type").string_value();
+  const std::string id(payload.Get("id").string_value());
   if (id.empty()) return false;
 
   if (type == "admit") {
@@ -92,8 +92,9 @@ bool ApplyRecord(const Json& payload, const std::string& framed_line,
       return false;
     }
     uint64_t fingerprint = 0;
-    if (!ParseFingerprintHex(payload.Get("fingerprint").string_value(),
-                             &fingerprint)) {
+    if (!ParseFingerprintHex(
+            std::string(payload.Get("fingerprint").string_value()),
+            &fingerprint)) {
       return false;
     }
     if (!payload.Get("job").is_object()) return false;

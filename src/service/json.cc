@@ -1,9 +1,15 @@
 #include "service/json.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <memory>
+#include <new>
+#include <vector>
 
 namespace twchase {
 namespace {
@@ -20,6 +26,9 @@ const Json& NullJson() {
 struct JsonParser {
   std::string_view text;
   size_t pos = 0;
+  std::string scratch;                // the string being unescaped
+  std::vector<Json> items;            // open arrays' values, innermost last
+  std::vector<Json::Member> members;  // open objects' members, likewise
 
   Status Error(const std::string& what) const {
     return Status::InvalidArgument("json: " + what + " at offset " +
@@ -106,10 +115,9 @@ struct JsonParser {
   }
 
   Status ParseString(Json* out) {
-    std::string value;
-    TWCHASE_RETURN_IF_ERROR(ParseStringBody(&value));
-    value.shrink_to_fit();
-    *out = Json::String(std::move(value));
+    scratch.clear();
+    TWCHASE_RETURN_IF_ERROR(ParseStringBody(&scratch));
+    *out = Json::String(scratch);
     return Status::OK();
   }
 
@@ -171,80 +179,225 @@ struct JsonParser {
     }
   }
 
+  // Containers collect their values on a stack shared by every nesting
+  // level and move them into one exact-size block at the closing bracket.
   Status ParseArray(Json* out, int depth) {
     Consume('[');
-    *out = Json::Array();
+    const size_t base = items.size();
     SkipSpace();
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      Json item;
-      TWCHASE_RETURN_IF_ERROR(ParseValue(&item, depth + 1));
-      out->Append(std::move(item));
-      SkipSpace();
-      if (Consume(']')) {
-        std::get<Json::Items>(out->value_).shrink_to_fit();
-        return Status::OK();
+    if (!Consume(']')) {
+      while (true) {
+        Json item;
+        TWCHASE_RETURN_IF_ERROR(ParseValue(&item, depth + 1));
+        items.push_back(std::move(item));
+        SkipSpace();
+        if (Consume(']')) break;
+        if (!Consume(',')) return Error("expected ',' or ']'");
       }
-      if (!Consume(',')) return Error("expected ',' or ']'");
     }
+    *out = Json::ArrayOf(items.data() + base, items.size() - base);
+    items.resize(base);
+    return Status::OK();
   }
 
   Status ParseObject(Json* out, int depth) {
     Consume('{');
-    *out = Json::Object();
+    const size_t base = members.size();
     SkipSpace();
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipSpace();
-      std::string key;
-      TWCHASE_RETURN_IF_ERROR(ParseStringBody(&key));
-      SkipSpace();
-      if (!Consume(':')) return Error("expected ':'");
-      Json value;
-      TWCHASE_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->Set(key, std::move(value));
-      SkipSpace();
-      if (Consume('}')) {
-        std::get<Json::Members>(out->value_).shrink_to_fit();
-        return Status::OK();
+    if (!Consume('}')) {
+      while (true) {
+        SkipSpace();
+        scratch.clear();
+        TWCHASE_RETURN_IF_ERROR(ParseStringBody(&scratch));
+        Json key = Json::String(scratch);
+        SkipSpace();
+        if (!Consume(':')) return Error("expected ':'");
+        Json value;
+        TWCHASE_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
+        // A repeated key overwrites in place, as Set does.
+        auto repeated = std::find_if(
+            members.begin() + static_cast<std::ptrdiff_t>(base),
+            members.end(), [&](const Json::Member& member) {
+              return member.key.string_value() == key.string_value();
+            });
+        if (repeated != members.end()) {
+          repeated->value = std::move(value);
+        } else {
+          members.push_back({std::move(key), std::move(value)});
+        }
+        SkipSpace();
+        if (Consume('}')) break;
+        if (!Consume(',')) return Error("expected ',' or '}'");
       }
-      if (!Consume(',')) return Error("expected ',' or '}'");
     }
+    *out = Json::ObjectOf(members.data() + base, members.size() - base);
+    members.resize(base);
+    return Status::OK();
   }
 };
 
+namespace {
+
+// Raw storage for `count` values of T; construction is the caller's.
+template <typename T>
+T* AllocateBlock(size_t count) {
+  return static_cast<T*>(::operator new(count * sizeof(T)));
+}
+
+// Destroys the `count` values at `block` and frees it.
+template <typename T>
+void FreeBlock(T* block, size_t count) {
+  std::destroy_n(block, count);
+  ::operator delete(block);
+}
+
+// A block of exactly `count` values moved from `first`.
+template <typename T>
+T* MoveBlock(T* first, size_t count) {
+  if (count == 0) return nullptr;
+  T* block = AllocateBlock<T>(count);
+  std::uninitialized_move_n(first, count, block);
+  return block;
+}
+
+// A block of exactly `count` copies of the values at `first`.
+template <typename T>
+T* CopyBlock(const T* first, size_t count) {
+  if (count == 0) return nullptr;
+  T* block = AllocateBlock<T>(count);
+  std::uninitialized_copy_n(first, count, block);
+  return block;
+}
+
+uint32_t CheckedSize(size_t size) {
+  TWCHASE_CHECK_MSG(size <= std::numeric_limits<uint32_t>::max(),
+                    "Json value too large");
+  return static_cast<uint32_t>(size);
+}
+
+// Makes room for one more value in a block of `size` values whose second
+// byte is `*tag`: a parsed (exact) block or a full grown one moves into a
+// block of bit_ceil(size + 1) and is marked grown.
+template <typename T>
+T* GrowBlock(T* block, uint32_t size, uint8_t* tag, uint8_t grown) {
+  const size_t capacity = (*tag & grown) != 0 && size > 0
+                              ? std::bit_ceil(size_t{size})
+                              : size_t{size};
+  if (size < capacity) return block;
+  const size_t new_capacity = std::bit_ceil(size_t{size} + 1);
+  CheckedSize(new_capacity);
+  T* bigger = AllocateBlock<T>(new_capacity);
+  std::uninitialized_move_n(block, size, bigger);
+  if (block != nullptr) FreeBlock(block, size);
+  *tag |= grown;
+  return bigger;
+}
+
+}  // namespace
+
+Json::Json(const Json& other) : rep_(other.rep_) {
+  Heap& heap = rep_.heap;
+  if (other.is_long_string()) {
+    heap.text = CopyBlock(other.rep_.heap.text, heap.size);
+  } else if (other.is_array()) {
+    heap.items = CopyBlock(other.rep_.heap.items, heap.size);
+    heap.tag = 0;
+  } else if (other.is_object()) {
+    heap.members = CopyBlock(other.rep_.heap.members, heap.size);
+    heap.tag = 0;
+  }
+}
+
+Json& Json::operator=(const Json& other) {
+  if (this != &other) *this = Json(other);
+  return *this;
+}
+
+Json& Json::operator=(Json&& other) noexcept {
+  if (this != &other) {
+    Release();
+    rep_ = other.rep_;
+    other.rep_ = Rep();
+  }
+  return *this;
+}
+
+void Json::Release() {
+  Heap& heap = rep_.heap;
+  if (is_long_string()) {
+    ::operator delete(heap.text);
+  } else if (is_array()) {
+    if (heap.items != nullptr) FreeBlock(heap.items, heap.size);
+  } else if (is_object()) {
+    if (heap.members != nullptr) FreeBlock(heap.members, heap.size);
+  }
+  rep_ = Rep();
+}
+
 Json Json::Bool(bool value) {
   Json j;
-  j.value_ = value;
+  j.rep_.heap.type = Type::kBool;
+  j.rep_.heap.boolean = value;
   return j;
 }
 
 Json Json::Number(double value) {
   Json j;
-  j.value_ = value;
+  j.rep_.heap.type = Type::kNumber;
+  j.rep_.heap.number = value;
   return j;
 }
 
-Json Json::String(std::string value) {
+Json Json::String(std::string_view value) {
   Json j;
-  j.value_ = std::move(value);
+  if (value.size() <= kInlineChars) {
+    Inline in{};
+    in.type = Type::kString;
+    in.size = static_cast<uint8_t>(value.size());
+    std::copy(value.begin(), value.end(), in.chars);
+    j.rep_.in = in;
+    return j;
+  }
+  Heap& heap = j.rep_.heap;
+  heap.type = Type::kString;
+  heap.tag = kLong;
+  heap.size = CheckedSize(value.size());
+  heap.text = AllocateBlock<char>(value.size());
+  std::copy(value.begin(), value.end(), heap.text);
   return j;
 }
 
 Json Json::Array() {
   Json j;
-  j.value_ = Items();
+  j.rep_.heap.type = Type::kArray;
+  j.rep_.heap.items = nullptr;
   return j;
 }
 
 Json Json::Object() {
   Json j;
-  j.value_ = Members();
+  j.rep_.heap.type = Type::kObject;
+  j.rep_.heap.members = nullptr;
+  return j;
+}
+
+Json Json::ArrayOf(Json* first, size_t count) {
+  Json j = Array();
+  j.rep_.heap.size = CheckedSize(count);
+  j.rep_.heap.items = MoveBlock(first, count);
+  return j;
+}
+
+Json Json::ObjectOf(Member* first, size_t count) {
+  Json j = Object();
+  j.rep_.heap.size = CheckedSize(count);
+  j.rep_.heap.members = MoveBlock(first, count);
   return j;
 }
 
 StatusOr<Json> Json::Parse(std::string_view text) {
-  JsonParser parser{text};
+  JsonParser parser;
+  parser.text = text;
   Json value;
   TWCHASE_RETURN_IF_ERROR(parser.ParseValue(&value, 0));
   parser.SkipSpace();
@@ -254,64 +407,62 @@ StatusOr<Json> Json::Parse(std::string_view text) {
   return value;
 }
 
-bool Json::bool_value() const {
-  const bool* value = std::get_if<bool>(&value_);
-  return value != nullptr && *value;
-}
+bool Json::bool_value() const { return is_bool() && rep_.heap.boolean; }
 
 double Json::number_value() const {
-  const double* value = std::get_if<double>(&value_);
-  return value != nullptr ? *value : 0;
+  return is_number() ? rep_.heap.number : 0;
 }
 
-const std::string& Json::string_value() const {
-  static const std::string* kEmpty = new std::string();
-  const std::string* value = std::get_if<std::string>(&value_);
-  return value != nullptr ? *value : *kEmpty;
+std::string_view Json::string_value() const {
+  if (!is_string()) return {};
+  if (rep_.heap.tag == kLong) return {rep_.heap.text, rep_.heap.size};
+  return {rep_.in.chars, rep_.in.size};
 }
 
-const Json::Items& Json::items() const {
-  static const Items* kEmpty = new Items();
-  const Items* value = std::get_if<Items>(&value_);
-  return value != nullptr ? *value : *kEmpty;
+std::span<const Json> Json::items() const {
+  if (!is_array() || rep_.heap.size == 0) return {};
+  return {rep_.heap.items, rep_.heap.size};
 }
 
-const Json::Members& Json::members() const {
-  static const Members* kEmpty = new Members();
-  const Members* value = std::get_if<Members>(&value_);
-  return value != nullptr ? *value : *kEmpty;
+std::span<const Json::Member> Json::members() const {
+  if (!is_object() || rep_.heap.size == 0) return {};
+  return {rep_.heap.members, rep_.heap.size};
 }
 
 void Json::Append(Json value) {
-  Items* items = std::get_if<Items>(&value_);
-  TWCHASE_CHECK_MSG(items != nullptr, "Append on non-array Json");
-  items->push_back(std::move(value));
+  TWCHASE_CHECK_MSG(is_array(), "Append on non-array Json");
+  Heap& heap = rep_.heap;
+  heap.items = GrowBlock(heap.items, heap.size, &heap.tag, kGrown);
+  new (heap.items + heap.size) Json(std::move(value));
+  ++heap.size;
 }
 
 bool Json::Has(std::string_view key) const {
-  for (const auto& [name, value] : members()) {
-    if (name == key) return true;
+  for (const Member& member : members()) {
+    if (member.key.string_value() == key) return true;
   }
   return false;
 }
 
 const Json& Json::Get(std::string_view key) const {
-  for (const auto& [name, value] : members()) {
-    if (name == key) return value;
+  for (const Member& member : members()) {
+    if (member.key.string_value() == key) return member.value;
   }
   return NullJson();
 }
 
 void Json::Set(std::string_view key, Json value) {
-  Members* members = std::get_if<Members>(&value_);
-  TWCHASE_CHECK_MSG(members != nullptr, "Set on non-object Json");
-  for (auto& [name, existing] : *members) {
-    if (name == key) {
-      existing = std::move(value);
+  TWCHASE_CHECK_MSG(is_object(), "Set on non-object Json");
+  Heap& heap = rep_.heap;
+  for (uint32_t i = 0; i < heap.size; ++i) {
+    if (heap.members[i].key.string_value() == key) {
+      heap.members[i].value = std::move(value);
       return;
     }
   }
-  members->emplace_back(std::string(key), std::move(value));
+  heap.members = GrowBlock(heap.members, heap.size, &heap.tag, kGrown);
+  new (heap.members + heap.size) Member{String(key), std::move(value)};
+  ++heap.size;
 }
 
 std::string JsonEscape(std::string_view text) {
@@ -368,7 +519,7 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       out->push_back('"');
       return;
     case Type::kArray: {
-      const Items& elements = items();
+      const std::span<const Json> elements = items();
       if (elements.empty()) {
         *out += "[]";
         return;
@@ -384,7 +535,7 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       return;
     }
     case Type::kObject: {
-      const Members& fields = members();
+      const std::span<const Member> fields = members();
       if (fields.empty()) {
         *out += "{}";
         return;
@@ -394,9 +545,9 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
         if (i > 0) out->push_back(',');
         newline_indent(depth + 1);
         out->push_back('"');
-        *out += JsonEscape(fields[i].first);
+        *out += JsonEscape(fields[i].key.string_value());
         *out += pretty ? "\": " : "\":";
-        fields[i].second.DumpTo(out, indent, depth + 1);
+        fields[i].value.DumpTo(out, indent, depth + 1);
       }
       newline_indent(depth);
       out->push_back('}');

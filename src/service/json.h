@@ -11,10 +11,12 @@
 // rounds, sizes) is far below 2^53, so round-tripping through double is
 // exact; the writer prints integral doubles without a fraction.
 //
-// A value holds only its own kind (one variant, 40 bytes), and parsed
-// containers and strings are trimmed to their size: daemons retain
-// terminal results and clients keep fetched ones, so the per-node
-// footprint is what a busy service's memory grows by.
+// Compact nodes: daemons retain terminal results and clients keep fetched
+// ones, so the per-node footprint is what a busy service's memory grows by.
+// A node is 16 bytes. A string of up to 14 bytes lives inside the node;
+// a longer string, an array or an object is one heap block. Parsed
+// containers and strings are allocated at their exact size; a container
+// grown by Append or Set doubles its block as it fills.
 //
 // Parsing untrusted bytes never aborts: malformed input, depth bombs and
 // truncated documents come back as Status (the HTTP layer maps them to 400).
@@ -22,11 +24,9 @@
 #define TWCHASE_SERVICE_JSON_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <variant>
-#include <vector>
 
 #include "util/status.h"
 
@@ -34,16 +34,25 @@ namespace twchase {
 
 class Json {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Type : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  /// One object member: `key` is always a string value.
+  struct Member;
 
   Json() = default;  // null
+  Json(const Json& other);
+  Json(Json&& other) noexcept : rep_(other.rep_) { other.rep_ = Rep(); }
+  Json& operator=(const Json& other);
+  Json& operator=(Json&& other) noexcept;
+  ~Json() { Release(); }
+
   static Json Null() { return Json(); }
   static Json Bool(bool value);
   static Json Number(double value);
   static Json Number(uint64_t value) {
     return Number(static_cast<double>(value));
   }
-  static Json String(std::string value);
+  static Json String(std::string_view value);
   static Json Array();
   static Json Object();
 
@@ -52,10 +61,7 @@ class Json {
   /// input; nesting deeper than 64 levels is rejected.
   static StatusOr<Json> Parse(std::string_view text);
 
-  using Items = std::vector<Json>;
-  using Members = std::vector<std::pair<std::string, Json>>;
-
-  Type type() const { return static_cast<Type>(value_.index()); }
+  Type type() const { return rep_.heap.type; }
   bool is_null() const { return type() == Type::kNull; }
   bool is_bool() const { return type() == Type::kBool; }
   bool is_number() const { return type() == Type::kNumber; }
@@ -64,17 +70,18 @@ class Json {
   bool is_object() const { return type() == Type::kObject; }
 
   /// Typed access; a value of another kind reads as false, 0 or empty.
+  /// The views stay valid until the value is modified or destroyed.
   bool bool_value() const;
   double number_value() const;
-  const std::string& string_value() const;
+  std::string_view string_value() const;
 
   /// Array access.
-  const Items& items() const;
+  std::span<const Json> items() const;
   void Append(Json value);
 
   /// Object access, insertion-ordered. Get returns null for a missing key
   /// (distinguish with Has when null is a legal value).
-  const Members& members() const;
+  std::span<const Member> members() const;
   bool Has(std::string_view key) const;
   const Json& Get(std::string_view key) const;
   /// Insert-or-overwrite, preserving first-insertion order.
@@ -87,12 +94,59 @@ class Json {
  private:
   friend struct JsonParser;
 
+  static constexpr size_t kInlineChars = 14;
+  // The second byte of a string: its length when it is inline, or kLong.
+  static constexpr uint8_t kLong = 0xFF;
+  // The second byte of an array or object: kGrown once Append or Set has
+  // resized its block, whose capacity is then bit_ceil(size); otherwise the
+  // block holds exactly size elements.
+  static constexpr uint8_t kGrown = 1;
+
+  // Both layouts start with the type and one tag byte, so either may be
+  // read through the other (a union's common initial sequence).
+  struct Inline {
+    Type type;
+    uint8_t size;
+    char chars[kInlineChars];
+  };
+  struct Heap {
+    Type type;
+    uint8_t tag;
+    uint32_t size;  // long-string bytes, array items or object members
+    union {
+      bool boolean;
+      double number;
+      char* text;
+      Json* items;
+      Member* members;
+    };
+  };
+  union Rep {
+    Rep() : heap{} {}
+    Inline in;
+    Heap heap;
+  };
+
+  // An array or object holding exactly the `count` values at `first`,
+  // moved out of there.
+  static Json ArrayOf(Json* first, size_t count);
+  static Json ObjectOf(Member* first, size_t count);
+
+  bool is_long_string() const {
+    return is_string() && rep_.heap.tag == kLong;
+  }
+  void Release();
   void DumpTo(std::string* out, int indent, int depth) const;
 
-  // Alternatives in Type order: index() is the type.
-  std::variant<std::monostate, bool, double, std::string, Items, Members>
-      value_;
+  Rep rep_;
 };
+
+struct Json::Member {
+  Json key;
+  Json value;
+};
+
+static_assert(sizeof(Json) == 16);
 
 /// Escapes `text` as the body of a JSON string literal (no quotes added).
 std::string JsonEscape(std::string_view text);

@@ -24,8 +24,8 @@ struct Reader {
     return Status::InvalidArgument(at + ": " + message);
   }
 
-  std::string Join(const std::string& key) const {
-    return path.empty() ? key : path + "." + key;
+  std::string Join(std::string_view key) const {
+    return path.empty() ? std::string(key) : path + "." + std::string(key);
   }
 
   Status ReadBool(const Json& object, const std::string& key, bool* out) {
@@ -64,7 +64,8 @@ struct Reader {
   /// not ask for).
   Status CheckKeys(const Json& object,
                    std::initializer_list<const char*> allowed) {
-    for (const auto& [key, value] : object.members()) {
+    for (const Json::Member& member : object.members()) {
+      const std::string_view key = member.key.string_value();
       bool known = false;
       for (const char* name : allowed) {
         if (key == name) {
@@ -102,7 +103,8 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
     if (value.is_string() && value.string_value() == "auto") {
       options->preflight.auto_variant = true;
     } else if (!value.is_string() ||
-               !ParseChaseVariant(value.string_value(), &options->variant)) {
+               !ParseChaseVariant(std::string(value.string_value()),
+                                  &options->variant)) {
       return r.Fail(r.Join("variant"),
                     "must be one of \"oblivious\", \"semi-oblivious\", "
                     "\"restricted\", \"frugal\", \"core\", \"auto\"");

@@ -318,7 +318,7 @@ TEST(AutoVariantDaemonTest, DaemonResolvesAutoAndReportsTheDecision) {
   ASSERT_EQ(submit->status, 202) << submit->body;
   auto accepted = Json::Parse(submit->body);
   ASSERT_TRUE(accepted.ok());
-  const std::string id = accepted->Get("job").Get("id").string_value();
+  const std::string id(accepted->Get("job").Get("id").string_value());
 
   std::string state;
   auto deadline =

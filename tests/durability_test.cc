@@ -140,7 +140,8 @@ class DaemonClient {
     EXPECT_EQ(response.status, 202) << response.body;
     auto json = Json::Parse(response.body);
     EXPECT_TRUE(json.ok());
-    return json.ok() ? json->Get("job").Get("id").string_value() : "";
+    return json.ok() ? std::string(json->Get("job").Get("id").string_value())
+                   : "";
   }
 
   /// Polls until the job is terminal; "missing" on 404, "timeout" on stall.
@@ -152,7 +153,7 @@ class DaemonClient {
       if (response.status == 404) return "missing";
       auto json = Json::Parse(response.body);
       if (json.ok()) {
-        std::string state = json->Get("state").string_value();
+        std::string state(json->Get("state").string_value());
         if (state == "done" || state == "cancelled" || state == "failed") {
           return state;
         }
@@ -170,7 +171,7 @@ class DaemonClient {
     while (std::chrono::steady_clock::now() < deadline) {
       auto json = Json::Parse(Fetch("GET", "/v1/jobs/" + id).body);
       if (json.ok()) {
-        std::string state = json->Get("state").string_value();
+        std::string state(json->Get("state").string_value());
         if (state != "queued") return;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -620,7 +621,9 @@ TEST(DurableDaemonTest, InterruptedJobResumesBitIdenticallyAfterRestart) {
   options.preempt_after_ms = 25;
   options.state_dir = dir;
 
-  ChaseOptions chase = CoreOptions(200);
+  // Long enough to still be running at Stop(): 200 steps now finish in
+  // about the 60 ms this test waits.
+  ChaseOptions chase = CoreOptions(600);
   std::string id;
   {
     ChaseDaemon daemon(options);
@@ -681,7 +684,9 @@ TEST(DurableDaemonTest, CorruptSnapshotFailsStructurallyAndDurably) {
     ChaseDaemon daemon(options);
     ASSERT_TRUE(daemon.Start().ok());
     DaemonClient client(daemon.port());
-    id = client.Submit("alpha", kStaircase, CoreOptions(200));
+    // Long enough to still be running at Stop(): 200 steps now finish in
+    // about the 60 ms this test waits.
+    id = client.Submit("alpha", kStaircase, CoreOptions(600));
     client.AwaitStarted(id);
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
     daemon.Stop();
@@ -945,7 +950,7 @@ TEST(DurabilityFaultSweepTest, AnySingleFsFaultDegradesGracefully) {
             client.Result(closure_id).Get("instance_hash").string_value(),
             closure_hash);
         Json health = client.Healthz();
-        const std::string persistence =
+        const std::string_view persistence =
             health.Get("persistence").string_value();
         EXPECT_TRUE(persistence == "durable" ||
                     persistence.rfind("degraded:", 0) == 0)

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/chase.h"
 #include "hom/core.h"
 #include "hom/matcher.h"
@@ -8,6 +12,7 @@
 #include "model/predicate.h"
 #include "util/fault.h"
 #include "util/governor.h"
+#include "reference_matcher.h"
 
 namespace twchase {
 namespace {
@@ -217,7 +222,12 @@ TEST(EstimateCacheParity, ComputeCoreProvingTheRestrictedElevatorIsACore) {
 // The core chase's searches: trigger matching, satisfaction, the still-core
 // guard and the ComputeCore calls it does not certify away. Recorded with
 // the estimate cache; the two cases above pin the full re-score.
-TEST(EstimateCacheParity, StaircaseCoreChase) {
+struct CoreChaseCounts {
+  SearchCounts outside_guard;
+  SearchCounts guard;
+};
+
+CoreChaseCounts StaircaseCoreChaseCounts() {
   StaircaseWorld world;
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
@@ -228,12 +238,122 @@ TEST(EstimateCacheParity, StaircaseCoreChase) {
     FaultInjectorScope faults(&injector);
     run = RunChase(world.kb(), options);
   }
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return {};
   const ChaseStats& stats = run->stats;
-  ExpectCounts({injector.visits(FaultSite::kHomNode), stats.match_index_probes,
-                stats.match_column_scans, stats.match_join_fallbacks,
-                stats.match_index_builds},
-               {4791, 4016, 389, 0, 0});
+  EXPECT_EQ(stats.match_search_nodes, injector.visits(FaultSite::kHomNode));
+  return {{stats.match_search_nodes - stats.guard_search_nodes,
+           stats.match_index_probes - stats.guard_index_probes,
+           stats.match_column_scans - stats.guard_column_scans,
+           stats.match_join_fallbacks, stats.match_index_builds},
+          {stats.guard_search_nodes, stats.guard_index_probes,
+           stats.guard_column_scans, 0, 0}};
+}
+
+// Trigger matching, satisfaction and ComputeCore: the counts of the
+// whole-run pin taken before the guard's search was bounded by the frontier
+// (nodes, probes and scans 4791, 4016, 389 in all), less the guard's share.
+TEST(EstimateCacheParity, StaircaseCoreChaseOutsideTheGuard) {
+  ExpectCounts(StaircaseCoreChaseCounts().outside_guard,
+               {2333, 1873, 78, 0, 0});
+}
+
+// The still-core guard, whose case-(i) search stops once every atom the
+// retraction moves has an image (plan/core_guard.h).
+TEST(EstimateCacheParity, StaircaseCoreChaseGuard) {
+  ExpectCounts(StaircaseCoreChaseCounts().guard, {794, 782, 8, 0, 0});
+}
+
+// RetractionSearch::MapsOnto against the brute-force enumerator of
+// tests/reference_matcher.h, for every d in `ontos` and every other atom a
+// of `instance` with d's predicate. Returns the seeds that have a
+// retraction; `seeds` counts all of them.
+size_t ExpectMapsOntoMatchesReference(const AtomSet& instance,
+                                      const std::vector<Atom>& ontos,
+                                      size_t* seeds) {
+  RetractionSearch search(instance);
+  size_t hits = 0;
+  for (const Atom& d : ontos) {
+    for (const Atom* a : instance.ByPredicate(d.predicate())) {
+      if (*a == d) continue;
+      const bool want = reference::ExistsRetractionOnto(instance, *a, d);
+      EXPECT_EQ(search.MapsOnto(*a, d), want)
+          << "seed " << *seeds << " of an instance of " << instance.size()
+          << " atoms";
+      ++*seeds;
+      hits += want;
+    }
+  }
+  return hits;
+}
+
+TEST_F(MatcherTest, RetractionSearchMatchesReferenceOnRandomInstances) {
+  const PredicateId s = vocab_.MustPredicate("s", 3);
+  const PredicateId u = vocab_.MustPredicate("u", 1);
+  const std::vector<std::pair<PredicateId, size_t>> predicates = {
+      {e_, 2}, {e_, 2}, {s, 3}, {u, 1}};
+  std::vector<Term> terms;
+  for (int i = 0; i < 6; ++i) {
+    terms.push_back(vocab_.NamedVariable("V" + std::to_string(i)));
+  }
+  terms.push_back(a_);
+  terms.push_back(b_);
+  std::mt19937 rng(20231);
+  size_t seeds = 0;
+  size_t hits = 0;
+  for (int round = 0; round < 400; ++round) {
+    AtomSet instance;
+    const size_t atoms = 3 + rng() % 8;
+    for (size_t i = 0; i < atoms; ++i) {
+      const auto& [predicate, arity] = predicates[rng() % predicates.size()];
+      std::vector<Term> args;
+      for (size_t k = 0; k < arity; ++k) {
+        args.push_back(terms[rng() % terms.size()]);
+      }
+      instance.Insert(Atom(predicate, args));
+    }
+    hits += ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &seeds);
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(hits, seeds / 20);
+  EXPECT_LT(hits, seeds - seeds / 20);
+}
+
+// The guard's inputs, A_i = F_{i-1} ∪ added atoms of a core chase, and the
+// cored F_i, a core (no hits), at every `stride`-th step from `first`, on
+// every seed. Returns the seeds of the A_i that have a retraction.
+size_t ExpectMapsOntoMatchesReferenceOnCoreChase(const KnowledgeBase& kb,
+                                                 size_t steps, size_t first,
+                                                 size_t stride) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = steps;
+  auto run = RunChase(kb, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (!run.ok()) return 0;
+  const Derivation& derivation = run->derivation;
+  EXPECT_EQ(derivation.size(), steps + 1);
+  size_t seeds = 0;
+  size_t hits = 0;
+  for (size_t i = first; i < derivation.size(); i += stride) {
+    const AtomSet pre = derivation.PreSimplification(i);
+    hits += ExpectMapsOntoMatchesReference(pre, pre.Atoms(), &seeds);
+    const AtomSet cored = derivation.Instance(i);
+    EXPECT_EQ(ExpectMapsOntoMatchesReference(cored, cored.Atoms(), &seeds),
+              0u);
+  }
+  EXPECT_GT(seeds, hits);
+  return hits;
+}
+
+TEST(RetractionSearchReference, StaircaseCoreChaseElements) {
+  EXPECT_GT(ExpectMapsOntoMatchesReferenceOnCoreChase(StaircaseWorld().kb(),
+                                                      60, 1, 2),
+            0u);
+}
+
+TEST(RetractionSearchReference, ElevatorCoreChaseElements) {
+  ExpectMapsOntoMatchesReferenceOnCoreChase(ElevatorWorld().kb(), 48, 6, 6);
 }
 
 }  // namespace

@@ -194,7 +194,34 @@ TEST(MetricsTest, MatchCounterParityBetweenRegistryAndStats) {
     EXPECT_EQ(registry.GetCounter("chase.match.index_build_bytes")->value(),
               stats.match_index_build_bytes)
         << context;
+    EXPECT_EQ(registry.GetCounter("chase.match.search_nodes")->value(),
+              stats.match_search_nodes)
+        << context;
+    EXPECT_GT(stats.match_search_nodes, 0u) << context;
   }
+}
+
+// The still-core guard's node count reaches the registry through the
+// per-round PlanEvent, and is a part of all the nodes searched.
+TEST(MetricsTest, GuardNodesReachTheRegistry) {
+  StaircaseWorld world;
+  MetricsRegistry registry;
+  MetricsObserver metrics(&registry);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 30;
+  options.observer = &metrics;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const ChaseStats& stats = run->stats;
+  EXPECT_GT(stats.guard_search_nodes, 0u);
+  EXPECT_LT(stats.guard_search_nodes, stats.match_search_nodes);
+  EXPECT_LE(stats.guard_index_probes, stats.match_index_probes);
+  EXPECT_LE(stats.guard_column_scans, stats.match_column_scans);
+  EXPECT_EQ(registry.GetCounter("chase.plan.guard_nodes")->value(),
+            stats.guard_search_nodes);
+  EXPECT_EQ(registry.GetCounter("chase.match.search_nodes")->value(),
+            stats.match_search_nodes);
 }
 
 // The sharded counters behind MetricsRegistry must not lose increments

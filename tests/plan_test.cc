@@ -459,5 +459,26 @@ TEST(CoreGuardProperty, ResumedRunKeepsTheGuardBase) {
   EXPECT_EQ(resumed->stats.plan_core_certified, 1u);
 }
 
+// Guard call 226 of the elevator core chase (|F| = 391) is where a case-(i)
+// search that selects only atoms with a moved variable explodes: one seed
+// took 493,372 nodes where the whole-instance search takes 555, and the
+// call passed 20M. The frontier-bounded search keeps boundary atoms
+// selectable, so the run finishes its 230 steps with fewer guard nodes
+// than the whole-instance search needed (539,088), well before the deadline.
+TEST(CoreGuardProperty, ElevatorCoreReachesStep230BeforeTheDeadline) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 230;
+  options.limits.deadline_ms = 120000;
+  ElevatorWorld world;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->stop_reason, StopReason::kStepBudget);
+  EXPECT_EQ(run->steps, 230u);
+  EXPECT_EQ(run->stats.plan_core_proofs, 230u);
+  EXPECT_EQ(run->stats.plan_core_certified, 230u);
+  EXPECT_LE(run->stats.guard_search_nodes, 539088u);
+}
+
 }  // namespace
 }  // namespace twchase

@@ -8,6 +8,9 @@
 //   * ForEachHomomorphism / ExistsHomomorphism backtrack atom by atom over
 //     linear scans of the target: the oracle for the semantic checks
 //     (models, homomorphic equivalence, cores) of tests/semantic_oracle_test.
+//   * ExistsRetractionOnto backtracks the same way over every atom of an
+//     instance, keeping only idempotent maps: the oracle for
+//     RetractionSearch::MapsOnto, the still-core guard's case-(i) search.
 #ifndef TWCHASE_TESTS_REFERENCE_MATCHER_H_
 #define TWCHASE_TESTS_REFERENCE_MATCHER_H_
 
@@ -164,6 +167,77 @@ inline bool ExistsHomomorphism(const AtomSet& pattern, const AtomSet& target,
     return false;
   });
   return found;
+}
+
+/// True iff some retraction ρ of `instance` (an endomorphism with ρ∘ρ = ρ)
+/// has ρ(from) = onto. Idempotence is the definition read as "ρ fixes every
+/// term of its image": binding X ↦ t, t a variable, also binds t ↦ t. Every
+/// atom of the instance gets an image (no frontier shortcut), one linear
+/// scan per atom, the most-bound atom first.
+inline bool ExistsRetractionOnto(const AtomSet& instance, const Atom& from,
+                                 const Atom& onto) {
+  const std::vector<Atom> facts = instance.Atoms();
+  Substitution h;
+  std::vector<Term> trail;
+  // Binds var ↦ image and, for a variable image, image ↦ image.
+  auto bind = [&](Term var, Term image) {
+    for (auto [v, t] : {std::pair{var, image}, std::pair{image, image}}) {
+      if (!v.is_variable()) continue;
+      if (std::optional<Term> old = h.Lookup(v)) {
+        if (*old != t) return false;
+        continue;
+      }
+      h.Bind(v, t);
+      trail.push_back(v);
+    }
+    return true;
+  };
+  auto unify = [&](const Atom& atom, const Atom& fact) {
+    if (atom.predicate() != fact.predicate() ||
+        atom.arity() != fact.arity()) {
+      return false;
+    }
+    for (size_t k = 0; k < atom.arity(); ++k) {
+      const Term p = atom.arg(k);
+      if (p.is_constant() ? p != fact.arg(k) : !bind(p, fact.arg(k))) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto rollback = [&](size_t mark) {
+    while (trail.size() > mark) {
+      h.Unbind(trail.back());
+      trail.pop_back();
+    }
+  };
+  if (!unify(from, onto)) return false;
+  std::vector<bool> done(facts.size(), false);
+  auto extend = [&](auto&& self, size_t left) -> bool {
+    if (left == 0) return true;
+    size_t best = facts.size();
+    size_t best_bound = 0;
+    for (size_t i = 0; i < facts.size(); ++i) {
+      if (done[i]) continue;
+      size_t bound = 0;
+      for (Term t : facts[i].args()) {
+        bound += t.is_constant() || h.Lookup(t).has_value();
+      }
+      if (best == facts.size() || bound > best_bound) {
+        best = i;
+        best_bound = bound;
+      }
+    }
+    done[best] = true;
+    for (const Atom& fact : facts) {
+      const size_t mark = trail.size();
+      if (unify(facts[best], fact) && self(self, left - 1)) return true;
+      rollback(mark);
+    }
+    done[best] = false;
+    return false;
+  };
+  return extend(extend, facts.size());
 }
 
 }  // namespace reference

@@ -118,7 +118,17 @@ class DaemonClient {
                      const std::string& body = "") {
     auto response = HttpFetch("127.0.0.1", port_, method, target, body);
     EXPECT_TRUE(response.ok()) << response.status();
-    return response.ok() ? *response : HttpResponse{599, "", ""};
+    if (!response.ok()) return HttpResponse{599, "", ""};
+    // Every JSON payload the daemon serves survives Parse→Dump byte for
+    // byte (the writer's output is what the parser keeps).
+    if (!response->body.empty() && response->body.front() == '{') {
+      auto parsed = Json::Parse(response->body);
+      EXPECT_TRUE(parsed.ok()) << response->body;
+      if (parsed.ok()) {
+        EXPECT_EQ(parsed->Dump() + "\n", response->body);
+      }
+    }
+    return *response;
   }
 
   /// Submits and expects 202; returns the job id.
@@ -127,7 +137,8 @@ class DaemonClient {
     EXPECT_EQ(response.status, 202) << response.body;
     auto json = Json::Parse(response.body);
     EXPECT_TRUE(json.ok());
-    return json.ok() ? json->Get("job").Get("id").string_value() : "";
+    return json.ok() ? std::string(json->Get("job").Get("id").string_value())
+                   : "";
   }
 
   /// Polls the job until a terminal state (bounded), returns that state.
@@ -138,7 +149,7 @@ class DaemonClient {
       HttpResponse response = Fetch("GET", "/v1/jobs/" + id);
       auto json = Json::Parse(response.body);
       if (json.ok()) {
-        std::string state = json->Get("state").string_value();
+        std::string state(json->Get("state").string_value());
         if (state == "done" || state == "cancelled" || state == "failed") {
           return state;
         }
@@ -361,6 +372,51 @@ TEST(JsonTest, StrictParserRejectsMalformedInput) {
   EXPECT_EQ(ok->Dump(), R"({"a":[1,2.5,"x\n",true,null]})");
 }
 
+// Strings up to 14 bytes live in the 16-byte node, longer ones and every
+// container in one heap block; copies are deep, moves leave null behind,
+// and Set keeps first-insertion order.
+TEST(JsonTest, CompactNodesKeepValuesAndOrder) {
+  const std::string inline_text(14, 'a');
+  const std::string long_text(15, 'b');
+  Json object = Json::Object();
+  object.Set("inline", Json::String(inline_text));
+  object.Set("long", Json::String(long_text));
+  Json numbers = Json::Array();
+  for (uint64_t i = 0; i < 100; ++i) numbers.Append(Json::Number(i));
+  object.Set("numbers", std::move(numbers));
+  EXPECT_TRUE(numbers.is_null());
+  object.Set("inline", Json::String("replaced"));
+  object.Set("empty", Json::Object());
+
+  ASSERT_EQ(object.members().size(), 4u);
+  EXPECT_EQ(object.members()[0].key.string_value(), "inline");
+  EXPECT_EQ(object.Get("inline").string_value(), "replaced");
+  EXPECT_EQ(object.Get("long").string_value(), long_text);
+  ASSERT_EQ(object.Get("numbers").items().size(), 100u);
+  EXPECT_EQ(object.Get("numbers").items()[99].number_value(), 99);
+  EXPECT_TRUE(object.Get("empty").members().empty());
+  EXPECT_TRUE(object.Get("missing").is_null());
+  EXPECT_EQ(object.Get("long").items().size(), 0u);
+
+  Json copy = object;
+  copy.Set("long", Json::String(inline_text));
+  EXPECT_EQ(object.Get("long").string_value(), long_text);
+  EXPECT_EQ(copy.Dump(), Json::Parse(copy.Dump())->Dump());
+
+  const std::string text = object.Dump();
+  auto parsed = Json::Parse(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Dump(), text);
+  parsed->Set("added", Json::Bool(true));
+  EXPECT_TRUE(parsed->Get("added").bool_value());
+  EXPECT_EQ(parsed->Get("long").string_value(), long_text);
+
+  // A repeated key overwrites in place, as Set does.
+  auto repeated = Json::Parse(R"({"k": 1, "j": 2, "k": "longer than 14 bytes"})");
+  ASSERT_TRUE(repeated.ok());
+  EXPECT_EQ(repeated->Dump(), R"({"k":"longer than 14 bytes","j":2})");
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler unit tests (no HTTP)
 
@@ -555,8 +611,9 @@ TEST(DaemonTest, PreemptedJobResumesBitIdentically) {
   DaemonClient client(daemon.port());
 
   // A long job (hundreds of core-chase steps), then short jobs arriving
-  // behind it so the monitor preempts the long one repeatedly.
-  ChaseOptions long_chase = SmallCoreOptions(200);
+  // behind it so the monitor preempts the long one repeatedly. 200 steps
+  // now finish in about 60 ms, too close to the 25 ms preemption bound.
+  ChaseOptions long_chase = SmallCoreOptions(600);
   std::string long_id =
       client.Submit(MakeJobBody("alpha", kStaircase, long_chase, true));
   std::vector<std::string> short_ids;
@@ -892,7 +949,7 @@ TEST(DaemonTest, LongQueryLinesRenderUntruncated) {
   std::string id =
       client.Submit(MakeJobBody("t", program, SmallCoreOptions(100)));
   ASSERT_EQ(client.AwaitTerminal(id), "done");
-  std::string text = client.Result(id).Get("text").string_value();
+  std::string text(client.Result(id).Get("text").string_value());
   // The line's tail survives: the last atom and the verdict after it.
   EXPECT_NE(text.find("p(c69)"), std::string::npos) << text;
   EXPECT_NE(text.find("-> entailed"), std::string::npos) << text;

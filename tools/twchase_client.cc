@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "malformed status: %s\n", status->body.c_str());
       return 1;
     }
-    const std::string state = parsed->Get("state").string_value();
+    const std::string state(parsed->Get("state").string_value());
     if (state == "done" || state == "cancelled" || state == "failed") break;
     std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
   }
@@ -196,6 +196,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "malformed result: %s\n", result->body.c_str());
     return 1;
   }
-  std::fputs(payload->Get("text").string_value().c_str(), stdout);
+  const std::string_view text = payload->Get("text").string_value();
+  std::fwrite(text.data(), 1, text.size(), stdout);
   return 0;
 }
