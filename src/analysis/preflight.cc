@@ -156,34 +156,6 @@ const char* TerminationClassName(TerminationClass c) {
   return "unknown";
 }
 
-bool ParseTerminationClass(const std::string& name, TerminationClass* out) {
-  for (TerminationClass c :
-       {TerminationClass::kUnknown, TerminationClass::kFes,
-        TerminationClass::kBts, TerminationClass::kCoreBts}) {
-    if (name == TerminationClassName(c)) {
-      *out = c;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* FesEvidenceName(FesEvidence e) {
-  switch (e) {
-    case FesEvidence::kNone:
-      return "none";
-    case FesEvidence::kStaticAllVariants:
-      return "static";
-    case FesEvidence::kStaticSkolem:
-      return "jointly-acyclic";
-    case FesEvidence::kCriticalInstance:
-      return "critical-instance";
-    case FesEvidence::kCoreRun:
-      return "core-run";
-  }
-  return "none";
-}
-
 std::string PreflightReport::Summary() const {
   std::ostringstream out;
   out << TerminationClassName(verdict);

@@ -48,7 +48,6 @@ enum class TerminationClass : uint32_t {
 };
 
 const char* TerminationClassName(TerminationClass c);
-bool ParseTerminationClass(const std::string& name, TerminationClass* out);
 
 /// Which tier produced a kFes verdict; decides the variants the verdict is
 /// allowed to recommend (see the soundness contract above).
@@ -59,8 +58,6 @@ enum class FesEvidence : uint32_t {
   kCriticalInstance = 3,   // MSA critical-instance run: semi-oblivious and up
   kCoreRun = 4,            // core chase of this instance terminated: core only
 };
-
-const char* FesEvidenceName(FesEvidence e);
 
 struct PreflightOptions {
   /// Run the MSA-style critical-instance check (tier 2). Skipped

@@ -101,21 +101,15 @@ struct ReplayCursor {
 
 }  // namespace
 
-// The one-shot compatibility surface: both free functions are thin wrappers
-// over ChaseSession (core/session.h), which owns validation and lifecycle.
-// A session that is only ever started is exactly the historical run — the
-// goldens and the differential suites pin the bit-identity.
+// The one-shot compatibility surface: a thin wrapper over ChaseSession
+// (core/session.h), which owns validation and lifecycle. A session that is
+// only ever started is exactly the historical run — the goldens and the
+// differential suites pin the bit-identity.
 StatusOr<ChaseResult> RunChase(const KnowledgeBase& kb,
                                const ChaseOptions& options) {
-  return RunChaseWithReplay(kb, options, nullptr);
-}
-
-StatusOr<ChaseResult> RunChaseWithReplay(const KnowledgeBase& kb,
-                                         const ChaseOptions& options,
-                                         const ResumeLog* replay) {
   auto session = ChaseSession::Create(kb, options);
   if (!session.ok()) return session.status();
-  TWCHASE_RETURN_IF_ERROR((*session)->StartWithReplay(replay));
+  TWCHASE_RETURN_IF_ERROR((*session)->Start());
   return (*session)->TakeResult();
 }
 
@@ -256,9 +250,28 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
   };
 
+  // The plan's static shape (filled once the plan is built) and this
+  // round's planner telemetry on top of it; the coring routine counts its
+  // guard proofs here.
+  PlanEvent plan_shape;
+  PlanEvent round_plan;
+  // Reports the round's planner telemetry once, at round end, or from
+  // finish_run when the run stopped partway through the round. Emitted only
+  // when the round did planner work; the stock event log does not record it.
+  auto emit_round_plan = [&]() {
+    if (obs == nullptr) return;
+    const size_t plan_work =
+        round_plan.active_strata + round_plan.enumerations_skipped +
+        round_plan.probes_skipped + round_plan.core_proofs +
+        round_plan.core_certified + round_plan.guard_nodes;
+    if (plan_work > 0) obs->OnPlan(round_plan);
+    round_plan = plan_shape;
+  };
+
   // Ends the run once `result.stop_reason` is set: folds the match counters
-  // into the stats and reports the fault, the unreported match-plan tail and
-  // the run end to an attached observer.
+  // into the stats and reports the fault, the unreported match-plan and
+  // planner tails and the run end to an attached observer, so an attached
+  // MetricsRegistry ends at the ChaseStats totals wherever the stop landed.
   auto finish_run = [&]() {
     const MatchPlanEvent totals = match_totals();
     result.stats.match_index_probes = totals.index_probes;
@@ -273,17 +286,12 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           {governor.fault_site(), governor.fault_visit(), governor.reason()});
     }
     emit_match_plan_delta(result.rounds);
+    emit_round_plan();
     obs->OnRunEnd({result.steps, result.rounds,
                    result.stop_reason == StopReason::kFixpoint,
                    result.stop_reason == StopReason::kInstanceSizeGuard,
                    current.size(), result.stop_reason});
   };
-
-  // The plan's static shape (filled once the plan is built) and this
-  // round's planner telemetry on top of it; the coring routine counts its
-  // guard proofs here.
-  PlanEvent plan_shape;
-  PlanEvent round_plan;
 
   // The run's one coring routine (σ_i of Definition 2), shared by the
   // initial, per-step and round-end sites, live and replayed. Replay
@@ -365,7 +373,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   Substitution sigma0;
   size_t initial_folds = 0;
   const size_t initial_size_before = current.size();
-  if (!budget_stop && is_core && options.core.core_initial) {
+  if (!budget_stop && is_core) {
     // An aborted initial coring leaves F untouched.
     Coring cored =
         cursor.active ? run_coring(CoringSite::kInitial,
@@ -408,7 +416,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   }
   governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
                            result.derivation.ApproxMemoryBytes());
-  if (obs != nullptr && is_core && options.core.core_initial) {
+  if (obs != nullptr && is_core) {
     obs->OnCoreRetraction(
         {/*step=*/0, initial_folds, initial_size_before, current.size()});
   }
@@ -574,9 +582,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       break;
     }
 
-    // Snapshot and order the round's triggers. The order is total — within
-    // a rule, distinct matches have distinct packed keys — and equals the
-    // historical (datalog_first, rule_index, string sort key) order.
+    // Snapshot and order the round's triggers: datalog rules first, as the
+    // paper's constructions assume (Proposition 6), then by rule index, then
+    // by the historical string sort key. The order is total — within a rule,
+    // distinct matches have distinct packed keys.
     struct PendingTrigger {
       int rule_index;
       bool datalog;
@@ -591,9 +600,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
     std::sort(pending.begin(), pending.end(),
               [&](const PendingTrigger& a, const PendingTrigger& b) {
-                if (options.datalog_first && a.datalog != b.datalog) {
-                  return a.datalog;
-                }
+                if (a.datalog != b.datalog) return a.datalog;
                 if (a.rule_index != b.rule_index) {
                   return a.rule_index < b.rule_index;
                 }
@@ -886,11 +893,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // application and coring). Emitted only when the round did match
       // work; the stock event log does not record it.
       emit_match_plan_delta(result.rounds);
-      const size_t plan_work =
-          round_plan.active_strata + round_plan.enumerations_skipped +
-          round_plan.probes_skipped + round_plan.core_proofs +
-          round_plan.core_certified + round_plan.guard_nodes;
-      if (plan_work > 0) obs->OnPlan(round_plan);
+      emit_round_plan();
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
                        current.size(), progressed, &current});
     }

@@ -45,8 +45,11 @@ class ChaseObserver;  // obs/observer.h
 /// (coring schedule of the core chase), `resume` (checkpoint recording) and
 /// `preflight` (--variant=auto provenance). Trigger generation is always
 /// delta-driven and always planned (DESIGN.md §5 and §9); neither is an
-/// option. Invariants across groups are checked by Validate(), which RunChase calls
-/// first — inconsistent combinations are rejected, never silently patched.
+/// option. The paper's schedule is fixed too: datalog rules come first in
+/// every round (Proposition 6) and the core chase always cores F_0 (σ_0 of
+/// Definition 1). Invariants across groups are checked by Validate(), which
+/// RunChase calls first — inconsistent combinations are rejected, never
+/// silently patched.
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kRestricted;
 
@@ -80,7 +83,8 @@ struct ChaseOptions {
     CancelToken cancel;
   };
 
-  /// Coring schedule (core chase only; ignored by the other variants).
+  /// Coring schedule of the core chase after F_0, which it always cores
+  /// (ignored by the other variants).
   struct CoreOptions {
     /// Retract to a core after every k-th application (the paper allows any
     /// finite spacing; 1 = after every application).
@@ -93,10 +97,6 @@ struct ChaseOptions {
     /// which keeps the run a valid derivation (Definition 1) and a core
     /// chase sequence (finitely many applications between corings).
     bool core_at_round_end = false;
-
-    /// Also core the initial fact set (the core chase does; other variants
-    /// keep F as-is).
-    bool core_initial = true;
   };
 
   /// Termination-analysis preflight provenance (filled by
@@ -132,10 +132,6 @@ struct ChaseOptions {
   CoreOptions core;
   ResumeOptions resume;
   PreflightProvenance preflight;
-
-  /// Process datalog (non-existential) rules before existential ones within
-  /// a round, as the paper's constructions assume (Proposition 6).
-  bool datalog_first = true;
 
   /// Nothing reads this. The derivation is a journal that rebuilds any F_i
   /// (core/derivation.h); kept because the benchmark runner
@@ -274,8 +270,8 @@ struct ResumeLog {
   /// commitment) and replaying it is a plain fresh run.
   bool have_initial = false;
 
-  /// Initial coring retraction (σ_0); identity when core_initial is off or
-  /// the variant is not core.
+  /// Initial coring retraction (σ_0); identity when the variant is not
+  /// core.
   Substitution initial_sigma;
   size_t initial_folds = 0;
 
@@ -336,25 +332,13 @@ struct ChaseResult {
 StatusOr<ChaseResult> RunChase(const KnowledgeBase& kb,
                                const ChaseOptions& options);
 
-/// RunChase, deterministically replaying the prefix recorded in `replay`
-/// (decision bits consumed instead of satisfaction checks, recorded
-/// retractions applied instead of recomputing cores) before continuing
-/// live. The backbone of ResumeChase (core/checkpoint.h); `replay` may be
-/// null, which is plain RunChase. Replay requires the same kb, options and
-/// a fresh vocabulary state — callers go through ResumeChase, which
-/// validates all of that. Compatibility wrapper over
-/// ChaseSession::StartWithReplay, like RunChase above.
-StatusOr<ChaseResult> RunChaseWithReplay(const KnowledgeBase& kb,
-                                         const ChaseOptions& options,
-                                         const ResumeLog* replay);
-
 namespace internal {
 
 /// The engine proper: one uninterrupted run segment (optionally replaying a
 /// recorded prefix) on the calling thread. Exposed for ChaseSession
 /// (core/session.h), which owns validation and lifecycle; everything else —
-/// the CLI, the daemon, tests — goes through the session or the
-/// compatibility wrappers above.
+/// the CLI, the daemon, tests — goes through the session or RunChase
+/// above.
 StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                                    const ChaseOptions& options,
                                    const ResumeLog* replay);

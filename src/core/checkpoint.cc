@@ -149,10 +149,8 @@ ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,
                     "resume.record_log = true");
   ChaseCheckpoint cp;
   cp.variant = options.variant;
-  cp.datalog_first = options.datalog_first;
   cp.core_every = options.core.core_every;
   cp.core_at_round_end = options.core.core_at_round_end;
-  cp.core_initial = options.core.core_initial;
   cp.program_fingerprint = CheckpointFingerprint(kb, options);
   cp.stop_reason = result.stop_reason;
   cp.steps = result.steps;

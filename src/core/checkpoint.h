@@ -14,7 +14,7 @@
 // applied-key sets, the coring cadence). Instead a checkpoint carries the
 // ResumeLog — the per-round decision bits and the recorded coring/folding
 // retractions — and resumption REPLAYS the recorded prefix through the very
-// same scheduler code path (RunChaseWithReplay): decision bits substitute
+// same scheduler code path (ChaseSession::Resume): decision bits substitute
 // for satisfaction checks and recorded retractions substitute for core
 // recomputation, so replay is cheap (no homomorphism searches) and lands in
 // the exact scheduler state, stored matches and all, where the run stopped.
@@ -59,13 +59,16 @@ struct ChaseCheckpoint {
 
   ChaseVariant variant = ChaseVariant::kRestricted;
 
-  /// Echo of the options that shape the decision-bit stream; ResumeChase
+  /// Echo of the schedule that shapes the decision-bit stream; ResumeChase
   /// rejects a resume whose options disagree (the bits would be
   /// meaningless against a different schedule).
+  ///
+  /// datalog_first, delta_enabled and core_initial are always written as
+  /// true: datalog rules always come first, trigger generation is always
+  /// delta-driven and the core chase always cores F_0. A checkpoint
+  /// recorded with any of them off (by a build that still had the switch)
+  /// parses with false and is rejected at resume.
   bool datalog_first = true;
-  /// Always written as true: trigger generation is always delta-driven. A
-  /// checkpoint recorded with the removed naive evaluation parses with
-  /// false and is rejected at resume.
   bool delta_enabled = true;
   size_t core_every = 1;
   bool core_at_round_end = false;

@@ -4,7 +4,6 @@ namespace twchase {
 
 void DeltaIndex::RecordInsert(const Atom& atom) {
   if (!inserted_seen_.insert(atom).second) return;
-  inserted_by_predicate_[atom.predicate()].push_back(inserted_.size());
   inserted_predicates_.insert(atom.predicate());
   inserted_.push_back(atom);
 }
@@ -20,18 +19,11 @@ void DeltaIndex::Absorb(AtomSet::Delta delta) {
   for (Atom& atom : delta.erased) RecordErase(atom);
 }
 
-const std::vector<size_t>* DeltaIndex::InsertedWithPredicate(
-    PredicateId predicate) const {
-  auto it = inserted_by_predicate_.find(predicate);
-  return it == inserted_by_predicate_.end() ? nullptr : &it->second;
-}
-
 void DeltaIndex::Clear() {
   inserted_.clear();
   erased_.clear();
   inserted_seen_.clear();
   erased_seen_.clear();
-  inserted_by_predicate_.clear();
   inserted_predicates_.clear();
   erased_predicates_.clear();
 }

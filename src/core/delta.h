@@ -13,7 +13,6 @@
 #define TWCHASE_CORE_DELTA_H_
 
 #include <cstddef>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,10 +37,6 @@ class DeltaIndex {
 
   /// Erased atoms, deduplicated, in first-record order.
   const std::vector<Atom>& erased() const { return erased_; }
-
-  /// Indices into inserted() of the atoms with the given predicate — the
-  /// seeding points for a body atom of that predicate.
-  const std::vector<size_t>* InsertedWithPredicate(PredicateId predicate) const;
 
   /// Predicates with at least one inserted atom. The execution planner
   /// intersects this with per-stratum body predicates to count the strata
@@ -69,7 +64,6 @@ class DeltaIndex {
   std::vector<Atom> erased_;
   std::unordered_set<Atom, AtomHash> inserted_seen_;
   std::unordered_set<Atom, AtomHash> erased_seen_;
-  std::unordered_map<PredicateId, std::vector<size_t>> inserted_by_predicate_;
   std::unordered_set<PredicateId> inserted_predicates_;
   std::unordered_set<PredicateId> erased_predicates_;
 };

@@ -1,9 +1,9 @@
 // ChaseSession: the lifecycle handle for one chase run, and the primary
 // entry point of the engine. A session owns the validated ChaseOptions, the
 // cancellation token its control surface drives, and (while running) the
-// engine invocation itself; the free functions RunChase / ResumeChase /
-// RunChaseWithReplay in core/chase.h and core/checkpoint.h are retained as
-// the one-shot compatibility surface and are thin wrappers over a session.
+// engine invocation itself; the free functions RunChase / ResumeChase in
+// core/chase.h and core/checkpoint.h are retained as the one-shot
+// compatibility surface and are thin wrappers over a session.
 //
 // The session exists because one process now hosts MANY chases at once (the
 // multi-tenant daemon in src/service/): each concurrent job needs its own
@@ -79,12 +79,6 @@ class ChaseSession {
   /// goes live. Same threading and outcome contract as Start().
   Status Resume(const ChaseCheckpoint& checkpoint);
 
-  /// Compatibility entry for the deterministic-replay path (the backbone of
-  /// Resume and of the recorded-run tests): Start(), but replaying `replay`
-  /// first. `replay` may be null (plain Start) and is borrowed for the
-  /// duration of the call.
-  Status StartWithReplay(const ResumeLog* replay);
-
   /// Requests preemption from any thread: the run stops at the next
   /// governed boundary and the session lands in kPaused, from which
   /// Checkpoint() resumes it later. FailedPrecondition unless the session
@@ -115,16 +109,17 @@ class ChaseSession {
   /// Meaningful once the session left kRunning.
   StopReason stop_reason() const { return result_.stop_reason; }
 
-  /// True once Pause() was requested (even if the run finished first).
-  bool pause_requested() const {
-    return pause_requested_.load(std::memory_order_acquire);
-  }
-
   const ChaseOptions& options() const { return options_; }
   const KnowledgeBase& kb() const { return *kb_; }
 
  private:
   ChaseSession(const KnowledgeBase& kb, const ChaseOptions& options);
+
+  /// Start(), but deterministically replaying the prefix recorded in
+  /// `replay` first (decision bits consumed instead of satisfaction checks,
+  /// recorded retractions applied instead of recomputing cores); null is
+  /// plain Start(). Resume() validates the log against kb and options.
+  Status StartWithReplay(const ResumeLog* replay);
 
   const KnowledgeBase* kb_;
   ChaseOptions options_;

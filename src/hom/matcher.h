@@ -139,11 +139,6 @@ class RetractionSearch {
   std::unique_ptr<Impl> impl_;
 };
 
-/// True iff pattern maps to target, i.e. target |= pattern as a Boolean CQ.
-inline bool Entails(const AtomSet& target, const AtomSet& query) {
-  return ExistsHomomorphism(query, target);
-}
-
 }  // namespace twchase
 
 #endif  // TWCHASE_HOM_MATCHER_H_

@@ -27,7 +27,6 @@ class StaircaseWorld {
   StaircaseWorld();
 
   const KnowledgeBase& kb() const { return kb_; }
-  KnowledgeBase& mutable_kb() { return kb_; }
   const std::shared_ptr<Vocabulary>& vocab() const { return kb_.vocab; }
 
   /// The null X^i_j (registered on first use).
@@ -63,7 +62,6 @@ class ElevatorWorld {
   ElevatorWorld();
 
   const KnowledgeBase& kb() const { return kb_; }
-  KnowledgeBase& mutable_kb() { return kb_; }
   const std::shared_ptr<Vocabulary>& vocab() const { return kb_.vocab; }
 
   Term X(int i, int j);

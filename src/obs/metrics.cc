@@ -134,11 +134,6 @@ std::vector<MetricColumn> MetricsRegistry::SnapshotColumns() const {
   return columns;
 }
 
-void MetricsRegistry::EmitRow(MetricsSink* sink, size_t step) const {
-  if (sink == nullptr) return;
-  sink->Row(step, SnapshotColumns());
-}
-
 std::string FormatMetricNumber(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::abs(value) < 1e15) {
@@ -237,33 +232,14 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
 }
 
-void JsonlSink::Row(size_t step, const std::vector<MetricColumn>& columns) {
-  if (out_ == nullptr) return;
-  *out_ << "{\"step\": " << step;
-  for (const MetricColumn& column : columns) {
-    *out_ << ", \"" << JsonEscape(column.name)
-          << "\": " << FormatMetricNumber(column.value);
+void MetricsRegistry::EmitRow(std::ostream* out, size_t step) const {
+  if (out == nullptr) return;
+  *out << "{\"step\": " << step;
+  for (const MetricColumn& column : SnapshotColumns()) {
+    *out << ", \"" << JsonEscape(column.name)
+         << "\": " << FormatMetricNumber(column.value);
   }
-  *out_ << "}\n";
-}
-
-void CsvSink::Row(size_t step, const std::vector<MetricColumn>& columns) {
-  if (out_ == nullptr) return;
-  if (!header_written_) {
-    *out_ << "step";
-    for (const MetricColumn& column : columns) *out_ << "," << column.name;
-    *out_ << "\n";
-    header_written_ = true;
-    header_columns_ = columns.size();
-  }
-  TWCHASE_CHECK_MSG(columns.size() == header_columns_,
-                    "metrics column set changed after the CSV header; "
-                    "register all instruments before the first row");
-  *out_ << step;
-  for (const MetricColumn& column : columns) {
-    *out_ << "," << FormatMetricNumber(column.value);
-  }
-  *out_ << "\n";
+  *out << "}\n";
 }
 
 }  // namespace twchase

@@ -1,12 +1,11 @@
 // MetricsRegistry: named counters, gauges and summary histograms with
-// deterministic (registration-order) iteration, plus row-oriented sinks.
+// deterministic (registration-order) iteration.
 //
 // Two consumption modes:
 //   * Snapshot — ToJson() renders every instrument once (benches embed this
 //     into their BENCH_*.json artifacts).
-//   * Series — EmitRow(sink, step) appends one row with the current value of
-//     every instrument; JsonlSink writes one JSON object per line (the CLI's
-//     --metrics-out), CsvSink writes a header plus comma-separated rows.
+//   * Series — EmitRow(out, step) writes one JSON object per line with the
+//     current value of every instrument (the CLI's --metrics-out).
 //     Histograms expand into .count/.sum/.min/.max columns so rows stay
 //     flat. The column set is fixed at the first row: register every
 //     instrument before emitting (stock observers do this in their
@@ -123,14 +122,6 @@ struct MetricColumn {
   double value = 0;
 };
 
-/// Receives one row per EmitRow call. Column order and names are identical
-/// across the rows of one registry.
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-  virtual void Row(size_t step, const std::vector<MetricColumn>& columns) = 0;
-};
-
 class MetricsRegistry {
  public:
   /// Get-or-create by name. The returned pointer is stable. A name may be
@@ -142,8 +133,10 @@ class MetricsRegistry {
   /// Flattens every instrument into columns, registration order.
   std::vector<MetricColumn> SnapshotColumns() const;
 
-  /// Appends one row with the current value of every instrument.
-  void EmitRow(MetricsSink* sink, size_t step) const;
+  /// Writes one row with the current value of every instrument, as one
+  /// JSON object on its own line: {"step": 3, "chase.instance.size": 14,
+  /// ...}. A null `out` writes nothing.
+  void EmitRow(std::ostream* out, size_t step) const;
 
   /// Renders all instruments as one JSON object, grouped by kind:
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
@@ -180,31 +173,6 @@ class MetricsRegistry {
 /// Renders a double the way our JSON artifacts expect: integral values
 /// without a fraction ("42"), others with up to 6 significant decimals.
 std::string FormatMetricNumber(double value);
-
-/// One JSON object per row, one row per line:
-/// {"step":3,"chase.instance.size":14,...}
-class JsonlSink : public MetricsSink {
- public:
-  explicit JsonlSink(std::ostream* out) : out_(out) {}
-  void Row(size_t step, const std::vector<MetricColumn>& columns) override;
-
- private:
-  std::ostream* out_;
-};
-
-/// Header row ("step,<col>,..."), then one comma-separated row per call.
-/// The header is written lazily at the first row and the column set is
-/// checked to stay identical afterwards.
-class CsvSink : public MetricsSink {
- public:
-  explicit CsvSink(std::ostream* out) : out_(out) {}
-  void Row(size_t step, const std::vector<MetricColumn>& columns) override;
-
- private:
-  std::ostream* out_;
-  size_t header_columns_ = 0;
-  bool header_written_ = false;
-};
 
 }  // namespace twchase
 

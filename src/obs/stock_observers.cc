@@ -141,7 +141,7 @@ void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
     treewidth_upper_->Set(static_cast<double>(
         ComputeTreewidth(*instance, options_.tw).upper_bound));
   }
-  registry_->EmitRow(options_.sink, step);
+  registry_->EmitRow(options_.out, step);
 }
 
 void MetricsObserver::OnRunBegin(const RunBeginEvent& event) {
@@ -204,6 +204,13 @@ void MetricsObserver::OnPlan(const PlanEvent& event) {
 void MetricsObserver::OnPhase(const PhaseEvent& event) {
   registry_->GetHistogram(std::string("phase.") + event.name + ".wall_ms")
       ->Observe(event.wall_ms);
+}
+
+// The engine reports a round's match and planner counters at its end (or,
+// for a run stopped partway through a round, just before the run end), after
+// the round's last per-step row; this row carries them.
+void MetricsObserver::OnRunEnd(const RunEndEvent& event) {
+  registry_->EmitRow(options_.out, event.steps);
 }
 
 // --------------------------------------------------------------------------

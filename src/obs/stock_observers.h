@@ -9,7 +9,8 @@
 //                        certified treewidth bounds), the engine behind
 //                        MeasureSeries.
 //   * MetricsObserver  — folds events into a MetricsRegistry and optionally
-//                        emits one metrics row per derivation step.
+//                        writes one metrics row per derivation step, plus
+//                        one at run end.
 //   * EventLogObserver — writes every event as one JSON object per line
 //                        (the --events-out stream).
 #ifndef TWCHASE_OBS_STOCK_OBSERVERS_H_
@@ -79,14 +80,16 @@ struct MetricsObserverOptions {
   bool treewidth_upper = false;
   TreewidthOptions tw;
 
-  /// When set, one row per derivation step (step 0 = F_0) is emitted with
-  /// the current value of every instrument.
-  MetricsSink* sink = nullptr;
+  /// When set, one JSON row per derivation step (step 0 = F_0) is written
+  /// with the current value of every instrument, plus a final row at run
+  /// end (its step is the run's step count) that carries the counters of
+  /// the run's last round.
+  std::ostream* out = nullptr;
 };
 
 /// Folds the event stream into counters/gauges/histograms. All instruments
-/// are registered up front (constructor), so sink rows have a stable column
-/// set from the first row. Instrument names:
+/// are registered up front (constructor), so rows have a stable column set
+/// from the first row. Instrument names:
 ///   counters   chase.triggers.{considered,applied,retired}
 ///              chase.delta.{repairs,inserted,erased,invalidated,seed_probes}
 ///              chase.core.{retractions,folds}
@@ -116,6 +119,7 @@ class MetricsObserver : public ChaseObserver {
   void OnMatchPlan(const MatchPlanEvent& event) override;
   void OnPlan(const PlanEvent& event) override;
   void OnPhase(const PhaseEvent& event) override;
+  void OnRunEnd(const RunEndEvent& event) override;
 
  private:
   void UpdatePerStepGauges(size_t step, size_t instance_size,

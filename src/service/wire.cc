@@ -36,6 +36,16 @@ struct Reader {
     return Status::OK();
   }
 
+  /// A key that names a fixed part of the paper's schedule: true (what
+  /// every run does) is accepted, false is refused with `why`.
+  Status ReadFixedTrue(const Json& object, const std::string& key,
+                       const std::string& why) {
+    bool value = true;
+    TWCHASE_RETURN_IF_ERROR(ReadBool(object, key, &value));
+    if (!value) return Fail(Join(key), why);
+    return Status::OK();
+  }
+
   Status ReadCount(const Json& object, const std::string& key, size_t* out) {
     if (!object.Has(key)) return Status::OK();
     const Json& value = object.Get(key);
@@ -110,8 +120,12 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
                     "\"restricted\", \"frugal\", \"core\", \"auto\"");
     }
   }
-  TWCHASE_RETURN_IF_ERROR(
-      r.ReadBool(json, "datalog_first", &options->datalog_first));
+  // Legacy key: admit records written while the rule order was settable
+  // carry datalog_first. Datalog rules now always come first.
+  TWCHASE_RETURN_IF_ERROR(r.ReadFixedTrue(
+      json, "datalog_first",
+      "is no longer supported as false: datalog rules always come first "
+      "(Proposition 6)"));
   // Legacy key: admit records written while the derivation kept per-step
   // snapshots carry keep_snapshots. It is read (and type-checked) but
   // ignored: the snapshots only ever changed memory, never the run.
@@ -145,10 +159,12 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   // the parallel match fan-out and the delta and planner switches were
   // removed carry the full options object, so core.incremental_core,
   // core.dirty_radius, parallel.threads and every key of the delta and plan
-  // groups are still read (and type-checked) but ignored. Ignoring them is exact, because runs were bit-identical at
-  // any thread count and with the delta and planner switches either way.
-  // The radius only tuned the incremental mode. A request for the removed
-  // incremental mode itself cannot be honoured.
+  // groups are still read (and type-checked) but ignored. Ignoring them is
+  // exact, because runs were bit-identical at any thread count and with the
+  // delta and planner switches either way. The radius only tuned the
+  // incremental mode. A request for the removed incremental mode itself
+  // cannot be honoured, nor can core.core_initial false: the core chase
+  // always cores F_0.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
@@ -159,8 +175,10 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
         r.ReadCount(*group, "core_every", &options->core.core_every));
     TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "core_at_round_end",
                                        &options->core.core_at_round_end));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadBool(*group, "core_initial", &options->core.core_initial));
+    TWCHASE_RETURN_IF_ERROR(r.ReadFixedTrue(
+        *group, "core_initial",
+        "is no longer supported as false: the core chase always cores the "
+        "initial fact set (Definition 1)"));
     bool incremental_core = false;
     TWCHASE_RETURN_IF_ERROR(
         r.ReadBool(*group, "incremental_core", &incremental_core));
@@ -263,7 +281,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   } else {
     root.Set("variant", Json::String(ChaseVariantName(options.variant)));
   }
-  root.Set("datalog_first", Json::Bool(options.datalog_first));
 
   Json limits = Json::Object();
   limits.Set("max_steps", Json::Number(uint64_t{options.limits.max_steps}));
@@ -279,7 +296,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   Json core = Json::Object();
   core.Set("core_every", Json::Number(uint64_t{options.core.core_every}));
   core.Set("core_at_round_end", Json::Bool(options.core.core_at_round_end));
-  core.Set("core_initial", Json::Bool(options.core.core_initial));
   root.Set("core", std::move(core));
 
   Json resume = Json::Object();

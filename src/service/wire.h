@@ -40,7 +40,7 @@ struct FieldError {
 
 /// Renders `options` as the wire object: nested groups mirrored one-to-one
 /// (variant, limits{...}, core{...}, resume{...}, preflight{...} for auto
-/// runs, datalog_first). Deterministic member order;
+/// runs). Deterministic member order;
 /// limits.deadline_ms is omitted when unset. Round-trips exactly through
 /// ChaseOptionsFromJson.
 Json ChaseOptionsToJson(const ChaseOptions& options);
@@ -49,8 +49,9 @@ Json ChaseOptionsToJson(const ChaseOptions& options);
 /// `options`, strictly: unknown keys, wrong types, non-integral or negative
 /// counts are InvalidArgument with `error` filled (path rooted at
 /// `path_prefix`, e.g. "options"). Keys written by earlier versions for
-/// removed options are read and ignored (see wire.cc); the one legacy value
-/// that cannot be honoured is rejected. Absent groups/keys keep the defaults
+/// removed options are read and ignored (see wire.cc); the legacy values
+/// that cannot be honoured (core.incremental_core true, datalog_first or
+/// core.core_initial false) are rejected. Absent groups/keys keep the defaults
 /// already in `*options`, so a payload may be sparse. Does NOT run
 /// Validate() — the daemon validates via ChaseSession::Create and lifts
 /// those messages with FieldErrorFromValidate.

@@ -4,15 +4,6 @@
 
 namespace twchase {
 
-const char* JobOutcomeName(PreemptibleJob::Outcome outcome) {
-  switch (outcome) {
-    case PreemptibleJob::Outcome::kCompleted: return "completed";
-    case PreemptibleJob::Outcome::kPaused: return "paused";
-    case PreemptibleJob::Outcome::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 JobScheduler::JobScheduler(const Options& options) : options_(options) {}
 
 JobScheduler::~JobScheduler() { Stop(); }
@@ -83,12 +74,6 @@ Status JobScheduler::Submit(const std::string& tenant,
   }
   work_ready_.notify_one();
   return Status::OK();
-}
-
-size_t JobScheduler::TenantInFlight(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = in_flight_.find(tenant);
-  return it == in_flight_.end() ? 0 : it->second;
 }
 
 size_t JobScheduler::InFlight() const {

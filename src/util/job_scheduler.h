@@ -68,8 +68,6 @@ class PreemptibleJob {
   virtual void RequestCancel() = 0;
 };
 
-const char* JobOutcomeName(PreemptibleJob::Outcome outcome);
-
 class JobScheduler {
  public:
   struct Options {
@@ -122,9 +120,6 @@ class JobScheduler {
   /// shares ownership until the terminal segment returns.
   Status Submit(const std::string& tenant, std::shared_ptr<PreemptibleJob> job,
                 FinishCallback done);
-
-  /// In-flight (queued + running + paused-requeued) jobs of one tenant.
-  size_t TenantInFlight(const std::string& tenant) const;
 
   /// Total in-flight jobs — the daemon's shutdown leak check.
   size_t InFlight() const;

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/aggregation.h"
 #include "core/chase.h"
 #include "core/entailment.h"
+#include "fair_prefix.h"
 #include "hom/core.h"
 #include "hom/isomorphism.h"
 #include "hom/matcher.h"
@@ -280,21 +280,6 @@ TEST(ChaseTest, SizeGuardStopsRunawayChase) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->stop_reason, StopReason::kInstanceSizeGuard);
   EXPECT_LE(run->derivation.Last().size(), 30u);
-}
-
-TEST(ChaseTest, DatalogFirstOffStillSoundOnElevator) {
-  // The paper's construction of I^v assumes datalog rules are prioritised
-  // (Proposition 6). Without the priority the derivation differs, but every
-  // element is still universal: it maps into the ceiling model.
-  ElevatorWorld world;
-  ChaseOptions options;
-  options.variant = ChaseVariant::kCore;
-  options.datalog_first = false;
-  options.limits.max_steps = 30;
-  auto run = RunChase(world.kb(), options);
-  ASSERT_TRUE(run.ok());
-  AtomSet ceiling = world.CeilingPrefix(100);
-  EXPECT_TRUE(ExistsHomomorphism(run->derivation.Last(), ceiling));
 }
 
 TEST(ChaseTest, InvalidOptionsRejected) {

@@ -66,9 +66,10 @@ TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->version, cp.version);
   EXPECT_EQ(parsed->variant, cp.variant);
-  EXPECT_EQ(parsed->datalog_first, cp.datalog_first);
-  EXPECT_EQ(parsed->delta_enabled, cp.delta_enabled);
+  EXPECT_TRUE(parsed->datalog_first);
+  EXPECT_TRUE(parsed->delta_enabled);
   EXPECT_EQ(parsed->core_every, cp.core_every);
+  EXPECT_TRUE(parsed->core_initial);
   EXPECT_EQ(parsed->program_fingerprint, cp.program_fingerprint);
   EXPECT_EQ(parsed->stop_reason, cp.stop_reason);
   EXPECT_EQ(parsed->steps, cp.steps);
@@ -231,7 +232,7 @@ TEST(ResumeChaseTest, RejectsMismatchedVariantAndOptions) {
   }
   {
     ChaseOptions wrong = options;
-    wrong.datalog_first = !wrong.datalog_first;
+    wrong.core.core_every = 2;
     StaircaseWorld target;
     auto resumed = ResumeChase(target.kb(), wrong, cp);
     EXPECT_FALSE(resumed.ok());
@@ -287,7 +288,8 @@ std::string ReplaceOnce(std::string text, const std::string& from,
 
 TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
   const std::string text = RecordStaircaseCheckpoint();
-  // The schedule line echoes datalog_first, then delta_enabled.
+  // The schedule line echoes datalog_first, delta_enabled, core_every,
+  // core_at_round_end and core_initial.
   ExpectResumeRefused(ReplaceOnce(text, "\nschedule 1 1 ", "\nschedule 1 0 "));
   // The unmodified checkpoint still resumes.
   auto cp = ParseCheckpoint(text);
@@ -296,6 +298,76 @@ TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
   auto resumed = ResumeChase(
       target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
   EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+}
+
+// A checkpoint as written before datalog_first and core.core_initial became
+// fixed behaviour (core staircase, 4 steps): this build writes the same
+// bytes for the same run and resumes it to the uninterrupted run.
+TEST(ResumeChaseTest, EarlierFormatCheckpointResumesBitIdentically) {
+  const std::string recorded =
+      "twchase-checkpoint 1\n"
+      "variant core\n"
+      "schedule 1 1 1 0 1\n"
+      "program 2975195307304529993\n"
+      "stop step-budget\n"
+      "progress 4 4\n"
+      "instance 10 15959365901224280656\n"
+      "variables 5 11\n"
+      "initial 1 0 0\n"
+      "steps 4\n"
+      "step 1 0 0 0\n"
+      "step 1 0 0 0\n"
+      "step 1 1 4 2147483652 2147483653 2147483653 2147483653 2147483654 "
+      "2147483655 2147483655 2147483655 0\n"
+      "step 1 0 0 0\n"
+      "rounds 4\n"
+      "round 2 01 0 0 0\n"
+      "round 3 010 0 0 0\n"
+      "round 6 000100 0 0 0\n"
+      "round 4 0001 0 0 0\n"
+      "end\n";
+  StaircaseWorld world;
+  auto run = RunChase(world.kb(), RecordingOptions(ChaseVariant::kCore, 4));
+  ASSERT_TRUE(run.ok());
+  StaircaseWorld fresh;
+  EXPECT_EQ(SerializeCheckpoint(MakeCheckpoint(
+                fresh.kb(), RecordingOptions(ChaseVariant::kCore, 4), *run)),
+            recorded);
+
+  auto cp = ParseCheckpoint(recorded);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  StaircaseWorld target;
+  auto resumed =
+      ResumeChase(target.kb(), RecordingOptions(ChaseVariant::kCore, 12), *cp);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  StaircaseWorld whole;
+  auto uninterrupted =
+      RunChase(whole.kb(), RecordingOptions(ChaseVariant::kCore, 12));
+  ASSERT_TRUE(uninterrupted.ok());
+  EXPECT_EQ(resumed->steps, uninterrupted->steps);
+  EXPECT_EQ(resumed->rounds, uninterrupted->rounds);
+  EXPECT_EQ(resumed->derivation.Last().ContentHash(),
+            uninterrupted->derivation.Last().ContentHash());
+  StaircaseWorld again;
+  EXPECT_EQ(
+      SerializeCheckpoint(MakeCheckpoint(
+          again.kb(), RecordingOptions(ChaseVariant::kCore, 12), *resumed)),
+      SerializeCheckpoint(MakeCheckpoint(
+          again.kb(), RecordingOptions(ChaseVariant::kCore, 12),
+          *uninterrupted)));
+}
+
+// Datalog rules always come first and the core chase always cores F_0. A
+// checkpoint recorded while either could be switched off, with it off,
+// holds decision bits of another schedule: a 0 in either schedule column is
+// refused at resume.
+TEST(ResumeChaseTest, RejectsACheckpointRecordedOffThePapersSchedule) {
+  const std::string text = RecordStaircaseCheckpoint();
+  ASSERT_NE(text.find("\nschedule 1 1 1 0 1\n"), std::string::npos) << text;
+  ExpectResumeRefused(
+      ReplaceOnce(text, "\nschedule 1 1 1 0 1\n", "\nschedule 0 1 1 0 1\n"));
+  ExpectResumeRefused(
+      ReplaceOnce(text, "\nschedule 1 1 1 0 1\n", "\nschedule 1 1 1 0 0\n"));
 }
 
 TEST(ResumeChaseTest, RejectsACheckpointRecordedWithPlanningOff) {

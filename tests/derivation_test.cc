@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/aggregation.h"
 #include "core/chase.h"
 #include "core/derivation.h"
 #include "kb/examples.h"

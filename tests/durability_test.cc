@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -767,11 +768,14 @@ std::string FramedLine(const std::string& payload) {
   return header + payload + "\n";
 }
 
-// A manifest as the previous release wrote it: every admit record carries
+// A manifest as an earlier release wrote it: every admit record carries
 // that release's full options object, including the since-removed
-// core.incremental_core, core.dirty_radius and parallel.threads keys.
+// core.incremental_core, core.dirty_radius and parallel.threads keys and the
+// since-fixed datalog_first and core.core_initial.
 std::string LegacyAdmitLine(const std::string& id, const std::string& program,
-                            size_t max_steps, bool incremental_core) {
+                            size_t max_steps, bool incremental_core,
+                            bool datalog_first = true,
+                            bool core_initial = true) {
   char fingerprint[24];
   std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
                 static_cast<unsigned long long>(FingerprintOf(program)));
@@ -780,12 +784,14 @@ std::string LegacyAdmitLine(const std::string& id, const std::string& program,
       fingerprint +
       R"(","job":{"schema_version":1,"tenant":"acme","program":)" +
       Json::String(program).Dump() +
-      R"(,"options":{"variant":"core","datalog_first":true,)"
-      R"("keep_snapshots":true,"limits":{"max_steps":)" +
+      R"(,"options":{"variant":"core","datalog_first":)" +
+      (datalog_first ? "true" : "false") +
+      R"(,"keep_snapshots":true,"limits":{"max_steps":)" +
       std::to_string(max_steps) +
       R"(,"max_instance_size":0,"memory_budget_bytes":0},)"
       R"("core":{"core_every":1,"core_at_round_end":false,)"
-      R"("core_initial":true,"incremental_core":)" +
+      R"("core_initial":)" + (core_initial ? "true" : "false") +
+      R"(,"incremental_core":)" +
       (incremental_core ? "true" : "false") +
       R"(,"dirty_radius":2},"delta":{"enabled":true},)"
       R"("plan":{"enabled":true,"skip_dormant":true,"core_guard":true},)"
@@ -798,14 +804,19 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
   std::string dir = FreshStateDir();
   const std::string retained = R"({"state":"done","steps":5})";
   // j-1 finished before the restart, j-2 was admitted but never ran, j-3
-  // asked for the removed incremental core, j-4 was queued behind it.
+  // asked for the removed incremental core, j-4 was queued behind it, j-5
+  // and j-6 asked for the fixed schedule off (existential rules first, F_0
+  // left uncored).
   std::string manifest =
       LegacyAdmitLine("j-1", kClosure, 5, false) +
       FramedLine(R"({"type":"terminal","id":"j-1","state":"done","result":)" +
                  retained + "}") +
       LegacyAdmitLine("j-2", kStaircase, 40, false) +
       LegacyAdmitLine("j-3", kClosure, 5, true) +
-      LegacyAdmitLine("j-4", kClosure, 50, false);
+      LegacyAdmitLine("j-4", kClosure, 50, false) +
+      LegacyAdmitLine("j-5", kClosure, 5, false, /*datalog_first=*/false) +
+      LegacyAdmitLine("j-6", kClosure, 5, false, true,
+                      /*core_initial=*/false);
   WriteFileOrDie(dir + "/manifest.wal", manifest);
 
   DaemonOptions options;
@@ -850,6 +861,19 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
                   "core.incremental_core"),
               std::string::npos)
         << error.Dump();
+    // So do the jobs recorded off the fixed schedule, each naming its key.
+    for (const auto& [id, key] :
+         {std::pair<const char*, const char*>{"j-5", "options.datalog_first"},
+          {"j-6", "options.core.core_initial"}}) {
+      EXPECT_EQ(client.AwaitTerminal(id), "failed") << id;
+      Json failed = client.Result(id, 500);
+      EXPECT_EQ(failed.Get("error").Get("code").string_value(),
+                "FailedPrecondition")
+          << id;
+      EXPECT_NE(failed.Get("error").Get("message").string_value().find(key),
+                std::string::npos)
+          << failed.Dump();
+    }
 
     // A fresh submission asking for it is a structured 400 on its path.
     auto body = Json::Parse(
@@ -873,6 +897,8 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
   ASSERT_TRUE(again.Start().ok());
   DaemonClient client(again.port());
   EXPECT_EQ(client.AwaitTerminal("j-3"), "failed");
+  EXPECT_EQ(client.AwaitTerminal("j-5"), "failed");
+  EXPECT_EQ(client.AwaitTerminal("j-6"), "failed");
   EXPECT_EQ(client.AwaitTerminal("j-2"), "done");
   EXPECT_EQ(client.AwaitTerminal("j-4"), "done");
   again.Stop();

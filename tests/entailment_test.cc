@@ -54,7 +54,7 @@ TEST(EntailmentTest, CounterModelRefutesLoopQuery) {
   ASSERT_TRUE(model.has_value());
   EXPECT_TRUE(kb.IsModel(*model));
   // And the query really does not hold in it.
-  EXPECT_FALSE(Entails(*model, query));
+  EXPECT_FALSE(ExistsHomomorphism(query, *model));
 }
 
 TEST(EntailmentTest, CounterModelFailsForEntailedQuery) {

@@ -162,10 +162,10 @@ TEST_F(MatcherTest, EmptyPatternHasExactlyTheSeed) {
   EXPECT_TRUE(homs[0].empty());
 }
 
-TEST_F(MatcherTest, EntailsHelper) {
+TEST_F(MatcherTest, BooleanQueryHoldsIffItMaps) {
   AtomSet target = Edges({{a_, b_}, {b_, a_}});
   AtomSet query = Edges({{x_, y_}, {y_, x_}});
-  EXPECT_TRUE(Entails(target, query));
+  EXPECT_TRUE(ExistsHomomorphism(query, target));
 }
 
 // Estimate-cache parity. The matcher keeps each pattern atom's candidate

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/chase.h"
 #include "core/measures.h"
 #include "kb/examples.h"
 #include "obs/stock_observers.h"
+#include "parser/parser.h"
 #include "util/fault.h"
 
 namespace twchase {
@@ -57,32 +60,18 @@ TEST(MetricsTest, FormatMetricNumber) {
   EXPECT_EQ(FormatMetricNumber(-3), "-3");
 }
 
-TEST(MetricsTest, JsonlSinkEmitsOneObjectPerRow) {
+TEST(MetricsTest, EmitRowWritesOneObjectPerLine) {
   MetricsRegistry registry;
   registry.GetCounter("steps")->Increment(2);
   registry.GetGauge("size")->Set(7);
   std::ostringstream out;
-  JsonlSink sink(&out);
-  registry.EmitRow(&sink, 0);
+  registry.EmitRow(&out, 0);
   registry.GetCounter("steps")->Increment();
-  registry.EmitRow(&sink, 1);
+  registry.EmitRow(&out, 1);
+  registry.EmitRow(nullptr, 2);
   EXPECT_EQ(out.str(),
             "{\"step\": 0, \"steps\": 2, \"size\": 7}\n"
             "{\"step\": 1, \"steps\": 3, \"size\": 7}\n");
-}
-
-TEST(MetricsTest, CsvSinkWritesHeaderOnce) {
-  MetricsRegistry registry;
-  registry.GetCounter("steps");
-  registry.GetHistogram("h")->Observe(2);
-  std::ostringstream out;
-  CsvSink sink(&out);
-  registry.EmitRow(&sink, 0);
-  registry.EmitRow(&sink, 1);
-  EXPECT_EQ(out.str(),
-            "step,steps,h.count,h.sum,h.min,h.max\n"
-            "0,0,1,2,2,2\n"
-            "1,0,1,2,2,2\n");
 }
 
 TEST(MetricsTest, ToJsonGroupsByKind) {
@@ -104,9 +93,8 @@ TEST(MetricsTest, PerStepRowsMatchMeasureSeries) {
   StaircaseWorld world;
   std::ostringstream rows;
   MetricsRegistry registry;
-  JsonlSink sink(&rows);
   MetricsObserverOptions mo;
-  mo.sink = &sink;
+  mo.out = &rows;
   MetricsObserver metrics(&registry, mo);
 
   ChaseOptions options;
@@ -118,17 +106,26 @@ TEST(MetricsTest, PerStepRowsMatchMeasureSeries) {
 
   std::vector<int> sizes = MeasureSeries(run->derivation, Measure::kSize);
   std::vector<int> emitted;
-  std::istringstream lines(rows.str());
+  std::vector<std::string> lines;
+  std::istringstream in(rows.str());
   std::string line;
-  while (std::getline(lines, line)) {
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_FALSE(lines.empty());
+  for (const std::string& row : lines) {
     const std::string key = "\"chase.instance.size\": ";
-    size_t pos = line.find(key);
-    ASSERT_NE(pos, std::string::npos) << line;
-    emitted.push_back(std::stoi(line.substr(pos + key.size())));
+    size_t pos = row.find(key);
+    ASSERT_NE(pos, std::string::npos) << row;
+    emitted.push_back(std::stoi(row.substr(pos + key.size())));
   }
-  // One row per derivation element (step 0 = F_0). Live rows are emitted
-  // before any round-end amendment, but the default schedule cores per
-  // application, so the series agree exactly.
+  // One row per derivation element (step 0 = F_0), then the run-end row,
+  // which repeats the last step. Live rows are emitted before any round-end
+  // amendment, but the default schedule cores per application, so the
+  // series agree exactly.
+  EXPECT_EQ(lines.back().rfind(
+                "{\"step\": " + std::to_string(run->steps) + ",", 0),
+            0u)
+      << lines.back();
+  emitted.pop_back();
   EXPECT_EQ(emitted, sizes);
 }
 
@@ -149,55 +146,85 @@ TEST(MetricsTest, ObserverCountsAppliedTriggers) {
                    static_cast<double>(run->derivation.Last().size()));
 }
 
-// Regression: the chase.match.* registry counters are fed by per-round
-// MatchPlanEvent deltas, so a run stopped between round ends (here: a
-// fault-injected mid-round governor stop) used to leave the last partial
-// round's counts in ChaseStats but NOT in the registry. The engine flushes
-// the tail before OnRunEnd; the registry must equal ChaseStats exactly, at
-// any stop boundary.
-TEST(MetricsTest, MatchCounterParityBetweenRegistryAndStats) {
-  for (bool interrupt : {false, true}) {
-    StaircaseWorld world;
-    MetricsRegistry registry;
-    MetricsObserver metrics(&registry);
-    ChaseOptions options;
-    options.variant = ChaseVariant::kRestricted;
-    options.limits.max_steps = 12;
-    options.observer = &metrics;
-    StatusOr<ChaseResult> run = Status::Internal("not run");
-    if (interrupt) {
-      FaultInjector injector;
-      injector.Arm(FaultSite::kTriggerBoundary, 5, FaultAction::kCancel);
-      FaultInjectorScope scope(&injector);
-      run = RunChase(world.kb(), options);
-    } else {
-      run = RunChase(world.kb(), options);
+// The value of `column` in one JSONL metrics row.
+double RowValue(const std::string& row, const std::string& column) {
+  const std::string key = "\"" + column + "\": ";
+  const size_t pos = row.find(key);
+  EXPECT_NE(pos, std::string::npos) << column << " in " << row;
+  if (pos == std::string::npos) return -1;
+  return std::stod(row.substr(pos + key.size()));
+}
+
+std::string LastLine(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  return last;
+}
+
+// Regression: the chase.match.* and chase.plan.* registry counters are fed
+// by per-round MatchPlanEvent and PlanEvent deltas, so a run stopped between
+// round ends (here: a fault-injected mid-round governor stop) used to leave
+// the last partial round's counts in ChaseStats but NOT in the registry, and
+// every run's per-step rows missed its last round's counts. The engine
+// flushes both tails before OnRunEnd and the observer writes a run-end row:
+// the registry and that row equal ChaseStats exactly, at any stop boundary.
+TEST(MetricsTest, CounterParityBetweenRegistryLastRowAndStats) {
+  for (ChaseVariant variant :
+       {ChaseVariant::kRestricted, ChaseVariant::kCore}) {
+    for (bool interrupt : {false, true}) {
+      StaircaseWorld world;
+      std::ostringstream rows;
+      MetricsRegistry registry;
+      MetricsObserverOptions mo;
+      mo.out = &rows;
+      MetricsObserver metrics(&registry, mo);
+      ChaseOptions options;
+      options.variant = variant;
+      options.limits.max_steps = 12;
+      options.observer = &metrics;
+      StatusOr<ChaseResult> run = Status::Internal("not run");
+      if (interrupt) {
+        FaultInjector injector;
+        injector.Arm(FaultSite::kTriggerBoundary, 5, FaultAction::kCancel);
+        FaultInjectorScope scope(&injector);
+        run = RunChase(world.kb(), options);
+      } else {
+        run = RunChase(world.kb(), options);
+      }
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const std::string context = std::string(ChaseVariantName(variant)) +
+                                  (interrupt ? " interrupted" : "");
+      if (interrupt) {
+        EXPECT_EQ(run->stop_reason, StopReason::kCancelled) << context;
+      }
+      const ChaseStats& stats = run->stats;
+      const std::pair<const char*, uint64_t> counters[] = {
+          {"chase.match.index_probes", stats.match_index_probes},
+          {"chase.match.column_scans", stats.match_column_scans},
+          {"chase.match.join_fallbacks", stats.match_join_fallbacks},
+          {"chase.match.index_builds", stats.match_index_builds},
+          {"chase.match.index_build_bytes", stats.match_index_build_bytes},
+          {"chase.match.search_nodes", stats.match_search_nodes},
+          {"chase.plan.core_proofs", stats.plan_core_proofs},
+          {"chase.plan.core_certified", stats.plan_core_certified},
+          {"chase.plan.guard_nodes", stats.guard_search_nodes},
+      };
+      const std::string last = LastLine(rows.str());
+      EXPECT_EQ(RowValue(last, "step"), static_cast<double>(run->steps))
+          << context;
+      for (const auto& [name, value] : counters) {
+        EXPECT_EQ(registry.GetCounter(name)->value(), value)
+            << name << ", " << context;
+        EXPECT_EQ(RowValue(last, name), static_cast<double>(value))
+            << name << ", " << context;
+      }
+      EXPECT_GT(stats.match_search_nodes, 0u) << context;
+      if (variant == ChaseVariant::kCore) {
+        EXPECT_GT(stats.plan_core_proofs, 0u) << context;
+      }
     }
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    const std::string context = interrupt ? "interrupted" : "uninterrupted";
-    if (interrupt) {
-      EXPECT_EQ(run->stop_reason, StopReason::kCancelled) << context;
-    }
-    const ChaseStats& stats = run->stats;
-    EXPECT_EQ(registry.GetCounter("chase.match.index_probes")->value(),
-              stats.match_index_probes)
-        << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.column_scans")->value(),
-              stats.match_column_scans)
-        << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.join_fallbacks")->value(),
-              stats.match_join_fallbacks)
-        << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.index_builds")->value(),
-              stats.match_index_builds)
-        << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.index_build_bytes")->value(),
-              stats.match_index_build_bytes)
-        << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.search_nodes")->value(),
-              stats.match_search_nodes)
-        << context;
-    EXPECT_GT(stats.match_search_nodes, 0u) << context;
   }
 }
 
@@ -222,6 +249,35 @@ TEST(MetricsTest, GuardNodesReachTheRegistry) {
             stats.guard_search_nodes);
   EXPECT_EQ(registry.GetCounter("chase.match.search_nodes")->value(),
             stats.match_search_nodes);
+}
+
+// What `twchase_cli --variant=core --max-steps=300 --metrics-out=F
+// data/elevator.twc` writes: the last row reports every still-core proof of
+// the run (the last round's used to be missing).
+TEST(MetricsTest, ElevatorCoreLastRowReportsEveryGuardProof) {
+  std::ifstream file(std::string(TWCHASE_DATA_DIR) + "/elevator.twc");
+  ASSERT_TRUE(file.good());
+  std::ostringstream text;
+  text << file.rdbuf();
+  auto program = ParseProgram(text.str());
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::ostringstream rows;
+  MetricsRegistry registry;
+  MetricsObserverOptions mo;
+  mo.out = &rows;
+  MetricsObserver metrics(&registry, mo);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 300;
+  options.observer = &metrics;
+  auto run = RunChase(program->kb, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->steps, 300u);
+  const std::string last = LastLine(rows.str());
+  EXPECT_EQ(RowValue(last, "step"), 300);
+  EXPECT_EQ(run->stats.plan_core_proofs, 300u);
+  EXPECT_EQ(RowValue(last, "chase.plan.core_proofs"),
+            static_cast<double>(run->stats.plan_core_proofs));
 }
 
 // The sharded counters behind MetricsRegistry must not lose increments

@@ -2,7 +2,6 @@
 // (Section 8, Definitions 14–16, Propositions 10–12).
 #include <gtest/gtest.h>
 
-#include "core/aggregation.h"
 #include "core/chase.h"
 #include "core/robust.h"
 #include "hom/isomorphism.h"

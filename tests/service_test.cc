@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -178,14 +179,12 @@ class DaemonClient {
 TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   ChaseOptions options;
   options.variant = ChaseVariant::kFrugal;
-  options.datalog_first = false;
   options.limits.max_steps = 123;
   options.limits.max_instance_size = 456;
   options.limits.deadline_ms = 789;
   options.limits.memory_budget_bytes = 1u << 20;
   options.core.core_every = 3;
   options.core.core_at_round_end = true;
-  options.core.core_initial = false;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -198,7 +197,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   ASSERT_TRUE(status.ok()) << status << " at " << error.path;
 
   EXPECT_EQ(back.variant, options.variant);
-  EXPECT_EQ(back.datalog_first, options.datalog_first);
   EXPECT_EQ(back.limits.max_steps, options.limits.max_steps);
   EXPECT_EQ(back.limits.max_instance_size, options.limits.max_instance_size);
   EXPECT_EQ(back.limits.deadline_ms, options.limits.deadline_ms);
@@ -206,7 +204,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
             options.limits.memory_budget_bytes);
   EXPECT_EQ(back.core.core_every, options.core.core_every);
   EXPECT_EQ(back.core.core_at_round_end, options.core.core_at_round_end);
-  EXPECT_EQ(back.core.core_initial, options.core.core_initial);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -314,6 +311,42 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
   EXPECT_FALSE(wire.Has("plan"));
   EXPECT_FALSE(wire.Get("core").Has("incremental_core"));
   EXPECT_FALSE(wire.Get("core").Has("dirty_radius"));
+}
+
+// datalog_first and core.core_initial name the paper's fixed schedule:
+// datalog rules first, F_0 cored by the core chase. Options objects written
+// while they were settable carry them; true (or a missing key) is what
+// every run does, false is refused on the key's path. The writer omits both.
+TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
+  for (const char* accepted :
+       {R"({"datalog_first": true, "core": {"core_initial": true}})",
+        R"({"core": {"core_every": 2}})"}) {
+    auto json = Json::Parse(accepted);
+    ASSERT_TRUE(json.ok()) << accepted;
+    ChaseOptions options;
+    FieldError error;
+    Status status = ChaseOptionsFromJson(*json, "options", &options, &error);
+    EXPECT_TRUE(status.ok()) << accepted << ": " << status << " at "
+                             << error.path;
+  }
+  const std::pair<const char*, const char*> refused[] = {
+      {R"({"datalog_first": false})", "options.datalog_first"},
+      {R"({"core": {"core_initial": false}})", "options.core.core_initial"},
+      {R"({"datalog_first": 1})", "options.datalog_first"},
+  };
+  for (const auto& [payload, path] : refused) {
+    auto json = Json::Parse(payload);
+    ASSERT_TRUE(json.ok()) << payload;
+    ChaseOptions options;
+    FieldError error;
+    Status status = ChaseOptionsFromJson(*json, "options", &options, &error);
+    EXPECT_FALSE(status.ok()) << payload;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << payload;
+    EXPECT_EQ(error.path, path) << payload;
+  }
+  Json wire = ChaseOptionsToJson(ChaseOptions{});
+  EXPECT_FALSE(wire.Has("datalog_first"));
+  EXPECT_FALSE(wire.Get("core").Has("core_initial"));
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {

@@ -174,8 +174,9 @@ TEST(PinnedRuns, AllVariantsElevator) {
 }
 
 // The coring schedules off the defaults, recorded before the engine's
-// coring sites were folded into one routine: every site (initial, per-step,
-// round-end) must commit exactly as it did.
+// coring sites were folded into one routine: every site (per-step,
+// round-end; the initial one runs in every core case) must commit exactly
+// as it did.
 TEST(PinnedRuns, CoringSchedules) {
   struct Case {
     const char* name;
@@ -187,7 +188,6 @@ TEST(PinnedRuns, CoringSchedules) {
   };
   auto core_every_3 = [](ChaseOptions* o) { o->core.core_every = 3; };
   auto round_end = [](ChaseOptions* o) { o->core.core_at_round_end = true; };
-  auto no_initial = [](ChaseOptions* o) { o->core.core_initial = false; };
   const Case cases[] = {
       {"staircase/core/core-every-3", Family::kStaircase, ChaseVariant::kCore,
        16, core_every_3,
@@ -205,14 +205,6 @@ TEST(PinnedRuns, CoringSchedules) {
        round_end,
        {1, 12, 7, 28, 0x90d4400f55530138ull,
         0xa59707763d2c7bb1ull, 0xf174b82ba911e71dull}},
-      {"staircase/core/no-initial", Family::kStaircase, ChaseVariant::kCore,
-       16, no_initial,
-       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
-        0xf527de40a055dc3eull, 0x225dda686e18ad5ull}},
-      {"elevator/core/no-initial", Family::kElevator, ChaseVariant::kCore, 12,
-       no_initial,
-       {1, 12, 7, 28, 0x90d4400f55530138ull,
-        0xa59707763d2c7bb1ull, 0xcc2896e55743c8dfull}},
   };
   for (const Case& c : cases) {
     RunDigest got =

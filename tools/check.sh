@@ -1,5 +1,8 @@
 #!/usr/bin/env sh
 # Local gate mirroring what CI would run:
+#   0. headers: every src/**/*.h has an includer on a run path (src/,
+#      tools/, bench/, examples/, perfbench/ or fuzz/), so test-only modules
+#      do not accumulate in src/ (tools/check_headers.sh);
 #   1. tier-1: configure + build + full ctest under the default preset;
 #   2. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
@@ -60,6 +63,9 @@ FUZZ_SECONDS="${FUZZ_SECONDS:-30}"
 # Bench smoke ceiling, seconds. Generous: the sweep takes ~1 minute on an
 # unloaded host; hitting the ceiling means a hang or a serious regression.
 BENCH_HARD_TIMEOUT="${BENCH_HARD_TIMEOUT:-900}"
+
+echo "== headers: no src/ header is test-only =="
+sh tools/check_headers.sh
 
 echo "== tier-1: default preset =="
 cmake --preset default

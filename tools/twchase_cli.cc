@@ -200,7 +200,6 @@ int main(int argc, char** argv) {
   std::ofstream metrics_file;
   std::ofstream events_file;
   MetricsRegistry registry;
-  std::optional<JsonlSink> metrics_sink;
   std::optional<MetricsObserver> metrics_observer;
   if (!options.metrics_out.empty()) {
     metrics_file.open(options.metrics_out);
@@ -208,9 +207,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", options.metrics_out.c_str());
       return 1;
     }
-    metrics_sink.emplace(&metrics_file);
     MetricsObserverOptions metrics_options;
-    metrics_options.sink = &*metrics_sink;
+    metrics_options.out = &metrics_file;
     metrics_observer.emplace(&registry, metrics_options);
     observers.Add(&*metrics_observer);
   }
