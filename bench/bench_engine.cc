@@ -623,6 +623,8 @@ int RunEngineSweep(const char* output_path) {
   // Long core runs, where the still-core guard's search dominates.
   workloads.push_back({"elevator-core-300", ChaseVariant::kCore, 300,
                        [] { return ElevatorWorld().kb(); }});
+  workloads.push_back({"elevator-core-600", ChaseVariant::kCore, 600,
+                       [] { return ElevatorWorld().kb(); }});
   workloads.push_back({"staircase-core-1500", ChaseVariant::kCore, 1500,
                        [] { return StaircaseWorld().kb(); }});
 
@@ -634,20 +636,23 @@ int RunEngineSweep(const char* output_path) {
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"workloads\": [\n";
-  std::printf("%-26s %-14s %8s %10s %10s %10s %12s\n", "workload", "variant",
-              "steps", "wall ms", "core full", "certified", "guard nodes");
+  std::printf("%-26s %-14s %8s %10s %10s %10s %12s %10s\n", "workload",
+              "variant", "steps", "wall ms", "core full", "certified",
+              "guard nodes", "guard max");
   for (size_t i = 0; i < workloads.size(); ++i) {
     const SweepWorkload& workload = workloads[i];
     SweepMeasurement m = MeasureChase(
         workload, 3,
         registry.GetHistogram("phase." + workload.name + ".wall_ms"));
     const ChaseStats& stats = m.result.stats;
-    std::printf("%-26s %-14s %8zu %9.2f %10zu %10zu %12llu\n",
+    std::printf("%-26s %-14s %8zu %9.2f %10zu %10zu %12llu %10llu\n",
                 workload.name.c_str(), ChaseVariantName(workload.variant),
                 m.result.steps, m.wall_ms, stats.core_full,
                 stats.plan_core_certified,
-                static_cast<unsigned long long>(stats.guard_search_nodes));
-    // One row per line: tools/check.sh reads the core rows' coring counts.
+                static_cast<unsigned long long>(stats.guard_search_nodes),
+                static_cast<unsigned long long>(stats.guard_max_call_nodes));
+    // One row per line: tools/check.sh reads the core rows' coring counts,
+    // which must stay the last two fields.
     char buffer[768];
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"name\": \"%s\", \"variant\": \"%s\", "
@@ -657,7 +662,7 @@ int RunEngineSweep(const char* output_path) {
                   "\"seed_probes\": %zu, \"matches_invalidated\": %zu, "
                   "\"peak_atoms\": %zu, \"final_atoms\": %zu, "
                   "\"derivation_bytes\": %zu, \"search_nodes\": %llu, "
-                  "\"guard_nodes\": %llu, "
+                  "\"guard_nodes\": %llu, \"guard_max_nodes\": %llu, "
                   "\"core_full\": %zu, \"plan_core_proofs\": %zu, "
                   "\"plan_core_certified\": %zu}",
                   workload.name.c_str(), ChaseVariantName(workload.variant),
@@ -671,6 +676,7 @@ int RunEngineSweep(const char* output_path) {
                   m.result.derivation.ApproxMemoryBytes(),
                   static_cast<unsigned long long>(stats.match_search_nodes),
                   static_cast<unsigned long long>(stats.guard_search_nodes),
+                  static_cast<unsigned long long>(stats.guard_max_call_nodes),
                   stats.core_full,
                   stats.plan_core_proofs, stats.plan_core_certified);
     json += buffer;

@@ -337,11 +337,14 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       const MatchPlanEvent after = match_totals();
       const uint64_t nodes = after.search_nodes - before.search_nodes;
       result.stats.guard_search_nodes += nodes;
+      result.stats.guard_max_call_nodes =
+          std::max(result.stats.guard_max_call_nodes, nodes);
       result.stats.guard_index_probes +=
           after.index_probes - before.index_probes;
       result.stats.guard_column_scans +=
           after.column_scans - before.column_scans;
       round_plan.guard_nodes += nodes;
+      round_plan.guard_max_nodes = std::max(round_plan.guard_max_nodes, nodes);
       if (certified && !governor.stopped()) {
         // Proven still a core without folding anything: ComputeCore would
         // have returned the instance itself with an empty retraction and

@@ -219,6 +219,10 @@ struct ChaseStats {
   uint64_t guard_search_nodes = 0;
   uint64_t guard_index_probes = 0;
   uint64_t guard_column_scans = 0;
+
+  /// The most nodes any one guard call visited: a call whose search blows
+  /// up shows here even when the run's total hides it.
+  uint64_t guard_max_call_nodes = 0;
 };
 
 /// Everything needed to replay a recorded run deterministically: one

@@ -8,12 +8,15 @@
 //   * term-injective and variable-to-variable modes (isomorphism search).
 //
 // Cached estimates. Each search node picks the unassigned pattern atom with
-// the fewest candidates. The search keeps every atom's estimate and, on each
-// bind or unbind, re-scores only the atoms that mention that variable, so a
-// node costs O(pattern size) comparisons plus O(touched atoms) postings
-// lookups instead of re-scoring the whole pattern. The cached values equal a
-// full re-score, so node order, results and MatchCounters are unchanged
-// (pinned by the EstimateCacheParity tests in tests/matcher_test.cc).
+// the fewest candidates. The search keeps every atom's estimate; a bind
+// re-scores only the atoms that mention the variable, from counts cached
+// per bound variable, and an unbind restores the old values. The cached
+// values equal a full re-score, so node order, results and MatchCounters
+// are unchanged (pinned by the EstimateCacheParity tests in
+// tests/matcher_test.cc). Picking the atom scans the pattern, O(pattern
+// size) per node, except in retraction mode (RetractionSearch below),
+// where only atoms with a bound variable can be picked: a node there costs
+// O(touched atoms), the atoms that mention a bound variable.
 //
 // Thread-safety contract: every search here is a pure function of its
 // arguments plus the per-thread ambient governor (util/governor.h, a
@@ -118,9 +121,11 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
 /// retractions are searched: binding X ↦ t, t a variable, also fixes t ↦ t.
 /// The search is bounded by what the retraction moves: it succeeds once
 /// every atom with a variable bound away from itself has an image, since
-/// the identity completes the rest. Each query binds its seed, decides, and
-/// rolls back, so one object answers any number of queries. Not
-/// thread-safe; `instance` must outlive the object unmodified.
+/// the identity completes the rest. Each query binds its seed, runs the
+/// consistency pass, searches only a seed the pass keeps, and rolls back,
+/// so one object answers any number of queries. A search node costs
+/// O(touched atoms), the atoms with a bound variable, not O(instance size).
+/// Not thread-safe; `instance` must outlive the object unmodified.
 class RetractionSearch {
  public:
   explicit RetractionSearch(const AtomSet& instance);
@@ -133,6 +138,12 @@ class RetractionSearch {
   /// `onto` (both atoms of the instance). A search the ambient governor
   /// stopped answers false: check GovernorStopped() before trusting that.
   bool MapsOnto(const Atom& from, const Atom& onto);
+
+  /// True iff the consistency pass alone (plan/core_guard.h) shows that no
+  /// retraction maps `from` onto `onto`. Searches nothing. MapsOnto runs
+  /// the same pass on every seed whose search outlasts a fixed node count;
+  /// exposed so tests can hold the pass to its soundness on every seed.
+  bool RefutedByConsistency(const Atom& from, const Atom& onto);
 
  private:
   class Impl;

@@ -150,6 +150,7 @@ struct PlanEvent {
   size_t core_proofs = 0;      // still-core proofs attempted (this round)
   size_t core_certified = 0;   // ... that certified and skipped a ComputeCore
   uint64_t guard_nodes = 0;    // hom-search nodes those proofs visited
+  uint64_t guard_max_nodes = 0;  // the most nodes one of those proofs visited
 };
 
 /// A scheduler round finished (after round-end coring and match retirement).

@@ -125,6 +125,7 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   plan_strata_ = registry_->GetGauge("chase.plan.strata");
   plan_dormant_rules_ = registry_->GetGauge("chase.plan.dormant_rules");
   plan_active_strata_ = registry_->GetGauge("chase.plan.active_strata");
+  plan_guard_max_nodes_ = registry_->GetGauge("chase.plan.guard_max_nodes");
   if (options_.treewidth_upper) {
     treewidth_upper_ = registry_->GetGauge("chase.treewidth.upper");
   }
@@ -199,6 +200,10 @@ void MetricsObserver::OnPlan(const PlanEvent& event) {
   plan_core_proofs_->Increment(event.core_proofs);
   plan_core_certified_->Increment(event.core_certified);
   plan_guard_nodes_->Increment(event.guard_nodes);
+  const double guard_max = static_cast<double>(event.guard_max_nodes);
+  if (guard_max > plan_guard_max_nodes_->value()) {
+    plan_guard_max_nodes_->Set(guard_max);
+  }
 }
 
 void MetricsObserver::OnPhase(const PhaseEvent& event) {

@@ -154,6 +154,7 @@ class MetricsObserver : public ChaseObserver {
   Gauge* plan_strata_;
   Gauge* plan_dormant_rules_;
   Gauge* plan_active_strata_;
+  Gauge* plan_guard_max_nodes_;  // the run's maximum so far
   Gauge* treewidth_upper_ = nullptr;
   Histogram* round_pending_;
   Histogram* step_added_atoms_;

@@ -3,10 +3,35 @@
 #include <optional>
 #include <unordered_set>
 
-#include "core/trigger.h"
 #include "hom/matcher.h"
 
 namespace twchase {
+
+namespace {
+
+// True iff the one-way positional match a ↦ d exists: same arity, equal
+// constants, and a repeated variable of `a` meets equal terms of `d`. This
+// is UnifyBodyAtomWithFact's test, made in place without building the
+// unifier.
+bool PositionallyUnifiable(const Atom& a, const Atom& d) {
+  if (a.arity() != d.arity()) return false;
+  for (size_t k = 0; k < a.arity(); ++k) {
+    const Term t = a.arg(k);
+    if (t.is_constant()) {
+      if (t != d.arg(k)) return false;
+      continue;
+    }
+    for (size_t j = 0; j < k; ++j) {
+      if (a.arg(j) == t) {
+        if (d.arg(j) != d.arg(k)) return false;
+        break;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 CoreGuardOutcome ProveStillCore(const AtomSet& instance,
                                 const std::vector<Atom>& added,
@@ -52,12 +77,16 @@ CoreGuardOutcome ProveStillCore(const AtomSet& instance,
   // (a ∉ image(ρ)), so again definitive.
   std::optional<RetractionSearch> retractions;
   for (const Atom& d : added) {
-    for (const Atom* a : instance.ByPredicate(d.predicate())) {
-      if (*a == d) continue;
-      if (!UnifyBodyAtomWithFact(*a, d).has_value()) continue;
+    const std::vector<AtomSet::Slot>* posting =
+        instance.PredicatePostingSlots(d.predicate());
+    if (posting == nullptr) continue;
+    for (AtomSet::Slot slot : *posting) {
+      if (!instance.SlotAlive(slot)) continue;
+      const Atom& a = instance.SlotAtom(slot);
+      if (a == d || !PositionallyUnifiable(a, d)) continue;
       ++outcome.onto_checks;
       if (!retractions.has_value()) retractions.emplace(instance);
-      if (retractions->MapsOnto(*a, d)) return outcome;
+      if (retractions->MapsOnto(a, d)) return outcome;
     }
   }
 

@@ -66,6 +66,30 @@
 // staircase core (1,500 steps) visits more nodes than the whole-instance
 // search did.
 //
+// The consistency rule refutes a case-(i) seed before it is searched. Give
+// every variable the seed binds (a's variables, and the variables of d
+// that the seed fixes) its image as a one-term domain, and leave every
+// other variable unconstrained. Revising an atom B of A' keeps, for each
+// variable x of B, only the terms t such that some atom of A' has B's
+// predicate, agrees with B's constants, has equal terms where B repeats a
+// variable, has each of its terms inside the domain of the variable at
+// that position, and has t at x's position. AC-3 revises the atoms of each
+// variable whose domain was set or narrowed, starting from the seed's
+// variables; when a domain empties, the seed is refuted.
+//   Sound: let ρ be a retraction of A' with ρ(a) = d. The seed's bindings
+//   are forced, so ρ(x) lies in each initial domain. If ρ(x) lies in every
+//   domain before a revision of B, then ρ(B), an atom of A' (ρ is an
+//   endomorphism), passes every test above, so ρ(x) survives for each
+//   variable x of B. By induction no domain ever loses ρ's value, so no
+//   domain empties. The pass only rejects seeds, so verdicts and the
+//   search of every seed it keeps are unchanged; it does not use
+//   idempotence, only that ρ maps every atom into A'.
+//   Cost: the pass reads term postings only. On elevator core it refutes
+//   every case-(i) seed in about 11 revisions on average (at most about
+//   2,000), the seeds of guard call 373 (|F| = 662) among them, whose
+//   searches took up to 2.3 s each. Arc consistency decides homomorphism
+//   only in special cases, so the search stays for the seeds it keeps.
+//
 // Either kind of hit is therefore a definitive "not a core"; all checks
 // negative ⟹ no proper retraction exists ⟹ A' is a core, and the caller
 // skips the full ComputeCore. Any hit falls back to ComputeCore, whose

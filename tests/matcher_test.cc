@@ -259,32 +259,45 @@ TEST(EstimateCacheParity, StaircaseCoreChaseOutsideTheGuard) {
 }
 
 // The still-core guard, whose case-(i) search stops once every atom the
-// retraction moves has an image (plan/core_guard.h).
+// retraction moves has an image (plan/core_guard.h). The consistency pass
+// refutes most seeds before their search starts: without it the guard
+// visited 794 nodes with 782 probes and 8 scans.
 TEST(EstimateCacheParity, StaircaseCoreChaseGuard) {
-  ExpectCounts(StaircaseCoreChaseCounts().guard, {794, 782, 8, 0, 0});
+  ExpectCounts(StaircaseCoreChaseCounts().guard, {120, 108, 8, 0, 0});
 }
 
-// RetractionSearch::MapsOnto against the brute-force enumerator of
-// tests/reference_matcher.h, for every d in `ontos` and every other atom a
-// of `instance` with d's predicate. Returns the seeds that have a
-// retraction; `seeds` counts all of them.
-size_t ExpectMapsOntoMatchesReference(const AtomSet& instance,
-                                      const std::vector<Atom>& ontos,
-                                      size_t* seeds) {
+// Seeds a ↦ d of RetractionSearch checked against the brute-force
+// enumerator of tests/reference_matcher.h.
+struct SeedTally {
+  size_t seeds = 0;
+  size_t hits = 0;     // seeds some retraction extends
+  size_t refuted = 0;  // seeds the consistency pass alone refutes
+};
+
+// For every d in `ontos` and every other atom a of `instance` with d's
+// predicate: MapsOnto agrees with the reference, and the consistency pass,
+// called directly, never refutes a seed the reference extends (the
+// soundness rule of plan/core_guard.h).
+void ExpectMapsOntoMatchesReference(const AtomSet& instance,
+                                    const std::vector<Atom>& ontos,
+                                    SeedTally* tally) {
   RetractionSearch search(instance);
-  size_t hits = 0;
   for (const Atom& d : ontos) {
     for (const Atom* a : instance.ByPredicate(d.predicate())) {
       if (*a == d) continue;
       const bool want = reference::ExistsRetractionOnto(instance, *a, d);
+      const bool refuted = search.RefutedByConsistency(*a, d);
       EXPECT_EQ(search.MapsOnto(*a, d), want)
-          << "seed " << *seeds << " of an instance of " << instance.size()
-          << " atoms";
-      ++*seeds;
-      hits += want;
+          << "seed " << tally->seeds << " of an instance of "
+          << instance.size() << " atoms";
+      EXPECT_FALSE(want && refuted)
+          << "the consistency pass refuted seed " << tally->seeds
+          << ", which a retraction extends";
+      ++tally->seeds;
+      tally->hits += want;
+      tally->refuted += refuted;
     }
   }
-  return hits;
 }
 
 TEST_F(MatcherTest, RetractionSearchMatchesReferenceOnRandomInstances) {
@@ -299,8 +312,9 @@ TEST_F(MatcherTest, RetractionSearchMatchesReferenceOnRandomInstances) {
   terms.push_back(a_);
   terms.push_back(b_);
   std::mt19937 rng(20231);
-  size_t seeds = 0;
-  size_t hits = 0;
+  std::mt19937 erase_rng(7);
+  SeedTally tally;
+  SeedTally erased;
   for (int round = 0; round < 400; ++round) {
     AtomSet instance;
     const size_t atoms = 3 + rng() % 8;
@@ -312,48 +326,60 @@ TEST_F(MatcherTest, RetractionSearchMatchesReferenceOnRandomInstances) {
       }
       instance.Insert(Atom(predicate, args));
     }
-    hits += ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &seeds);
+    ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &tally);
+    // Again with one atom erased: its slot stays in the postings as a
+    // tombstone, which neither the search nor the pass may use.
+    const std::vector<Atom> live = instance.Atoms();
+    instance.Erase(live[erase_rng() % live.size()]);
+    ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &erased);
   }
   // Both verdicts occur often enough for the comparison to mean something.
-  EXPECT_GT(hits, seeds / 20);
-  EXPECT_LT(hits, seeds - seeds / 20);
+  EXPECT_GT(tally.hits, tally.seeds / 20);
+  EXPECT_LT(tally.hits, tally.seeds - tally.seeds / 20);
+  // On these instances the pass refutes every seed that has no retraction
+  // (5,192 of 5,664), so a pass that drops a constraint fails here too.
+  EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);
+  EXPECT_EQ(erased.refuted, erased.seeds - erased.hits);
 }
 
 // The guard's inputs, A_i = F_{i-1} ∪ added atoms of a core chase, and the
 // cored F_i, a core (no hits), at every `stride`-th step from `first`, on
-// every seed. Returns the seeds of the A_i that have a retraction.
-size_t ExpectMapsOntoMatchesReferenceOnCoreChase(const KnowledgeBase& kb,
-                                                 size_t steps, size_t first,
-                                                 size_t stride) {
+// every seed. Returns the tally over the A_i.
+SeedTally ExpectMapsOntoMatchesReferenceOnCoreChase(const KnowledgeBase& kb,
+                                                    size_t steps, size_t first,
+                                                    size_t stride) {
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = steps;
   auto run = RunChase(kb, options);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (!run.ok()) return 0;
+  if (!run.ok()) return {};
   const Derivation& derivation = run->derivation;
   EXPECT_EQ(derivation.size(), steps + 1);
-  size_t seeds = 0;
-  size_t hits = 0;
+  SeedTally tally;
   for (size_t i = first; i < derivation.size(); i += stride) {
     const AtomSet pre = derivation.PreSimplification(i);
-    hits += ExpectMapsOntoMatchesReference(pre, pre.Atoms(), &seeds);
+    ExpectMapsOntoMatchesReference(pre, pre.Atoms(), &tally);
     const AtomSet cored = derivation.Instance(i);
-    EXPECT_EQ(ExpectMapsOntoMatchesReference(cored, cored.Atoms(), &seeds),
-              0u);
+    const size_t hits = tally.hits;
+    ExpectMapsOntoMatchesReference(cored, cored.Atoms(), &tally);
+    EXPECT_EQ(tally.hits, hits);
   }
-  EXPECT_GT(seeds, hits);
-  return hits;
+  EXPECT_GT(tally.seeds, tally.hits);
+  return tally;
 }
 
 TEST(RetractionSearchReference, StaircaseCoreChaseElements) {
-  EXPECT_GT(ExpectMapsOntoMatchesReferenceOnCoreChase(StaircaseWorld().kb(),
-                                                      60, 1, 2),
-            0u);
+  const SeedTally tally =
+      ExpectMapsOntoMatchesReferenceOnCoreChase(StaircaseWorld().kb(), 60, 1, 2);
+  EXPECT_GT(tally.hits, 0u);
+  EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);  // 15,471 of 15,510
 }
 
 TEST(RetractionSearchReference, ElevatorCoreChaseElements) {
-  ExpectMapsOntoMatchesReferenceOnCoreChase(ElevatorWorld().kb(), 48, 6, 6);
+  const SeedTally tally =
+      ExpectMapsOntoMatchesReferenceOnCoreChase(ElevatorWorld().kb(), 48, 6, 6);
+  EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);  // all 13,928
 }
 
 }  // namespace

@@ -228,8 +228,9 @@ TEST(MetricsTest, CounterParityBetweenRegistryLastRowAndStats) {
   }
 }
 
-// The still-core guard's node count reaches the registry through the
-// per-round PlanEvent, and is a part of all the nodes searched.
+// The still-core guard's node count and its per-call maximum reach the
+// registry through the per-round PlanEvent, and are a part of all the nodes
+// searched.
 TEST(MetricsTest, GuardNodesReachTheRegistry) {
   StaircaseWorld world;
   MetricsRegistry registry;
@@ -249,6 +250,11 @@ TEST(MetricsTest, GuardNodesReachTheRegistry) {
             stats.guard_search_nodes);
   EXPECT_EQ(registry.GetCounter("chase.match.search_nodes")->value(),
             stats.match_search_nodes);
+  // The per-call maximum reaches the registry as a gauge.
+  EXPECT_GT(stats.guard_max_call_nodes, 0u);
+  EXPECT_LE(stats.guard_max_call_nodes, stats.guard_search_nodes);
+  EXPECT_EQ(registry.GetGauge("chase.plan.guard_max_nodes")->value(),
+            static_cast<double>(stats.guard_max_call_nodes));
 }
 
 // What `twchase_cli --variant=core --max-steps=300 --metrics-out=F

@@ -6,6 +6,7 @@
 // and pinned by tests/storage_equivalence_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <unordered_set>
@@ -16,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "core/trigger.h"
 #include "hom/core.h"
+#include "hom/matcher.h"
 #include "kb/examples.h"
 #include "kb/knowledge_base.h"
 #include "model/atom_set.h"
@@ -463,21 +465,62 @@ TEST(CoreGuardProperty, ResumedRunKeepsTheGuardBase) {
 // search that selects only atoms with a moved variable explodes: one seed
 // took 493,372 nodes where the whole-instance search takes 555, and the
 // call passed 20M. The frontier-bounded search keeps boundary atoms
-// selectable, so the run finishes its 230 steps with fewer guard nodes
-// than the whole-instance search needed (539,088), well before the deadline.
-TEST(CoreGuardProperty, ElevatorCoreReachesStep230BeforeTheDeadline) {
+// selectable; guard call 373 (|F| = 662) then still took 6.1M nodes, and a
+// 450-step run 12.1M guard nodes and 26 s. The consistency pass refutes
+// every case-(i) seed of the run before its search starts, so no guard
+// call gets near that, and the run ends well before the deadline.
+TEST(CoreGuardProperty, ElevatorCoreReachesStep450BeforeTheDeadline) {
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
-  options.limits.max_steps = 230;
+  options.limits.max_steps = 450;
   options.limits.deadline_ms = 120000;
   ElevatorWorld world;
   auto run = RunChase(world.kb(), options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->stop_reason, StopReason::kStepBudget);
-  EXPECT_EQ(run->steps, 230u);
-  EXPECT_EQ(run->stats.plan_core_proofs, 230u);
-  EXPECT_EQ(run->stats.plan_core_certified, 230u);
-  EXPECT_LE(run->stats.guard_search_nodes, 539088u);
+  EXPECT_EQ(run->steps, 450u);
+  EXPECT_EQ(run->stats.plan_core_proofs, 450u);
+  EXPECT_EQ(run->stats.plan_core_certified, 450u);
+  // 4,960 and 135 when pinned; 12.1M and 6.1M before the pass.
+  EXPECT_LE(run->stats.guard_search_nodes, 10000u);
+  EXPECT_LE(run->stats.guard_max_call_nodes, 1000u);
+}
+
+// The seeds behind the cliff: step 373 of the elevator core chase applies
+// Rv6, so every one of guard call 373's 289 case-(i) seeds (|F| = 662)
+// targets the loop it adds, v(X,X) or f(X). Before the consistency pass
+// they took 6.1M nodes, most of them in about 25 UNSAT searches of 1-2.3 s
+// each. The pass refutes every seed before its search visits a node.
+TEST(CoreGuardProperty, ConsistencyRefutesTheLoopSeedsOfGuardCall373) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 373;
+  ElevatorWorld world;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->steps, 373u);
+  const AtomSet pre = run->derivation.PreSimplification(373);
+  ASSERT_EQ(pre.size(), 662u);
+  const std::vector<Atom>& added = run->derivation.step(373).added_atoms;
+  RetractionSearch search(pre);
+  MatchCounters counters;
+  MatchCountersScope scope(&counters);
+  size_t seeds = 0;
+  size_t loop_seeds = 0;
+  for (const Atom& d : added) {
+    const bool loop = std::all_of(d.args().begin(), d.args().end(),
+                                  [&](Term t) { return t == d.arg(0); });
+    for (const Atom* a : pre.ByPredicate(d.predicate())) {
+      if (*a == d || !UnifyBodyAtomWithFact(*a, d).has_value()) continue;
+      ++seeds;
+      loop_seeds += loop;
+      EXPECT_TRUE(search.RefutedByConsistency(*a, d));
+      EXPECT_FALSE(search.MapsOnto(*a, d));
+    }
+  }
+  EXPECT_EQ(seeds, 289u);  // the call's onto_checks
+  EXPECT_EQ(loop_seeds, seeds);
+  EXPECT_EQ(counters.search_nodes.load(), 0u);
 }
 
 }  // namespace
