@@ -162,47 +162,23 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // searches performed.
   MatchCounters match_counters;
   MatchCountersScope match_scope(&match_counters);
-  // One read of the counters, in the shape both consumers below use.
-  auto match_totals = [&]() {
-    MatchPlanEvent totals;
-    totals.index_probes =
+  // Copies the counters into the stats: before every event that carries
+  // the stats, and once at run end. A run without an observer folds only
+  // then (and around guard proofs, which measure their own share).
+  auto fold_match_counters = [&]() {
+    ChaseStats& stats = result.stats;
+    stats.match_index_probes =
         match_counters.index_probes.load(std::memory_order_relaxed);
-    totals.column_scans =
+    stats.match_column_scans =
         match_counters.column_scans.load(std::memory_order_relaxed);
-    totals.join_fallbacks =
+    stats.match_join_fallbacks =
         match_counters.join_fallbacks.load(std::memory_order_relaxed);
-    totals.index_builds =
+    stats.match_index_builds =
         match_counters.index_builds.load(std::memory_order_relaxed);
-    totals.index_build_bytes =
+    stats.match_index_build_bytes =
         match_counters.index_build_bytes.load(std::memory_order_relaxed);
-    totals.search_nodes =
+    stats.match_search_nodes =
         match_counters.search_nodes.load(std::memory_order_relaxed);
-    return totals;
-  };
-  // Counter values already reported through MatchPlanEvent, so each round's
-  // event carries deltas. Besides the round ends, finish_run flushes the
-  // tail a mid-round stop left unreported, so an attached MetricsRegistry
-  // ends exactly at the ChaseStats totals wherever the stop landed.
-  MatchPlanEvent match_reported;
-  auto emit_match_plan_delta = [&](size_t round) {
-    if (obs == nullptr) return;
-    const MatchPlanEvent totals = match_totals();
-    MatchPlanEvent plan;
-    plan.round = round;
-    plan.index_probes = totals.index_probes - match_reported.index_probes;
-    plan.column_scans = totals.column_scans - match_reported.column_scans;
-    plan.join_fallbacks = totals.join_fallbacks - match_reported.join_fallbacks;
-    plan.index_builds = totals.index_builds - match_reported.index_builds;
-    plan.index_build_bytes =
-        totals.index_build_bytes - match_reported.index_build_bytes;
-    plan.search_nodes = totals.search_nodes - match_reported.search_nodes;
-    if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
-            plan.index_builds + plan.index_build_bytes + plan.search_nodes ==
-        0) {
-      return;
-    }
-    obs->OnMatchPlan(plan);
-    match_reported = totals;
   };
 
   // Still-core guard (plan/core_guard.h). The instance is a certified core
@@ -250,47 +226,20 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
   };
 
-  // The plan's static shape (filled once the plan is built) and this
-  // round's planner telemetry on top of it; the coring routine counts its
-  // guard proofs here.
-  PlanEvent plan_shape;
-  PlanEvent round_plan;
-  // Reports the round's planner telemetry once, at round end, or from
-  // finish_run when the run stopped partway through the round. Emitted only
-  // when the round did planner work; the stock event log does not record it.
-  auto emit_round_plan = [&]() {
-    if (obs == nullptr) return;
-    const size_t plan_work =
-        round_plan.active_strata + round_plan.enumerations_skipped +
-        round_plan.probes_skipped + round_plan.core_proofs +
-        round_plan.core_certified + round_plan.guard_nodes;
-    if (plan_work > 0) obs->OnPlan(round_plan);
-    round_plan = plan_shape;
-  };
-
   // Ends the run once `result.stop_reason` is set: folds the match counters
-  // into the stats and reports the fault, the unreported match-plan and
-  // planner tails and the run end to an attached observer, so an attached
-  // MetricsRegistry ends at the ChaseStats totals wherever the stop landed.
+  // into the stats and reports the fault and the run end to an attached
+  // observer.
   auto finish_run = [&]() {
-    const MatchPlanEvent totals = match_totals();
-    result.stats.match_index_probes = totals.index_probes;
-    result.stats.match_column_scans = totals.column_scans;
-    result.stats.match_join_fallbacks = totals.join_fallbacks;
-    result.stats.match_index_builds = totals.index_builds;
-    result.stats.match_index_build_bytes = totals.index_build_bytes;
-    result.stats.match_search_nodes = totals.search_nodes;
+    fold_match_counters();
     if (obs == nullptr) return;
     if (governor.fault_fired()) {
       obs->OnFaultInjected(
           {governor.fault_site(), governor.fault_visit(), governor.reason()});
     }
-    emit_match_plan_delta(result.rounds);
-    emit_round_plan();
     obs->OnRunEnd({result.steps, result.rounds,
                    result.stop_reason == StopReason::kFixpoint,
                    result.stop_reason == StopReason::kInstanceSizeGuard,
-                   current.size(), result.stop_reason});
+                   current.size(), result.stop_reason, &result.stats});
   };
 
   // The run's one coring routine (σ_i of Definition 2), shared by the
@@ -325,33 +274,30 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       return out;
     }
     if (guard_base_established && !governor.stopped()) {
-      ++result.stats.plan_core_proofs;
-      ++round_plan.core_proofs;
+      ChaseStats& stats = result.stats;
+      ++stats.plan_core_proofs;
       // An inner search the governor aborted can miss a refutation, so a
       // stopped run never certifies: it falls through to ComputeCore, whose
       // abort the site handles.
-      const MatchPlanEvent before = match_totals();
+      fold_match_counters();
+      const uint64_t nodes_before = stats.match_search_nodes;
+      const uint64_t probes_before = stats.match_index_probes;
+      const uint64_t scans_before = stats.match_column_scans;
       const bool certified =
           ProveStillCore(current, guard_atoms_since, guard_base_mark)
               .certified;
-      const MatchPlanEvent after = match_totals();
-      const uint64_t nodes = after.search_nodes - before.search_nodes;
-      result.stats.guard_search_nodes += nodes;
-      result.stats.guard_max_call_nodes =
-          std::max(result.stats.guard_max_call_nodes, nodes);
-      result.stats.guard_index_probes +=
-          after.index_probes - before.index_probes;
-      result.stats.guard_column_scans +=
-          after.column_scans - before.column_scans;
-      round_plan.guard_nodes += nodes;
-      round_plan.guard_max_nodes = std::max(round_plan.guard_max_nodes, nodes);
+      fold_match_counters();
+      const uint64_t nodes = stats.match_search_nodes - nodes_before;
+      stats.guard_search_nodes += nodes;
+      stats.guard_max_call_nodes = std::max(stats.guard_max_call_nodes, nodes);
+      stats.guard_index_probes += stats.match_index_probes - probes_before;
+      stats.guard_column_scans += stats.match_column_scans - scans_before;
       if (certified && !governor.stopped()) {
         // Proven still a core without folding anything: ComputeCore would
         // have returned the instance itself with an empty retraction and
         // zero folds, so committing nothing reproduces its records and
         // events bit for bit.
-        ++result.stats.plan_core_certified;
-        ++round_plan.core_certified;
+        ++stats.plan_core_certified;
         note_certified();
         return out;
       }
@@ -403,13 +349,26 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     result.derivation.AddInitial(current, std::move(sigma0));
   }
   result.stats.peak_instance_size = current.size();
+  // Execution plan (src/plan/): positive-reliance graph, SCC strata and
+  // dormant rules. A pure function of the program and the input facts'
+  // predicates, computed once and valid for the whole run: every atom any
+  // chase instance can ever hold has a producible predicate (induction over
+  // applications), so a dormant rule has no match in any reachable
+  // instance, retractions included — see BuildExecutionPlan. Built before
+  // the run begins, so the run-begin event already carries its shape.
+  const ExecutionPlan exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
+  result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
+  result.stats.plan_strata = exec_plan.strata.size();
+  result.stats.plan_dormant_rules = exec_plan.dormant_count;
   if (obs != nullptr) {
+    fold_match_counters();
     RunBeginEvent begin;
     begin.variant = options.variant;
     begin.rule_count = kb.rules.size();
     begin.initial_size = current.size();
     begin.initial_simplification = &result.derivation.step(0).simplification;
     begin.instance = &current;
+    begin.stats = &result.stats;
     obs->OnRunBegin(begin);
   }
   if (budget_stop) {
@@ -436,22 +395,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     });
   }
 
-  // Execution plan (src/plan/): positive-reliance graph, SCC strata and
-  // dormant rules. A pure function of the program and the input facts'
-  // predicates, computed once and valid for the whole run: every atom any
-  // chase instance can ever hold has a producible predicate (induction over
-  // applications), so a dormant rule has no match in any reachable
-  // instance, retractions included — see BuildExecutionPlan.
-  const ExecutionPlan exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
-  result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
-  result.stats.plan_strata = exec_plan.strata.size();
-  result.stats.plan_dormant_rules = exec_plan.dormant_count;
-  plan_shape.rules = kb.rules.size();
-  plan_shape.reliance_edges = exec_plan.graph.edge_count;
-  plan_shape.strata = exec_plan.strata.size();
-  plan_shape.dormant_rules = exec_plan.dormant_count;
-  if (obs != nullptr) obs->OnPlan(plan_shape);
-
   // Every mutation of `current` — applications, frugal folds and corings —
   // lands in its journal; the round-start Absorb below is the only drain.
   DeltaIndex pending_delta;
@@ -473,8 +416,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     ++result.rounds;
     if (rec != nullptr) rec->rounds.emplace_back();
     const size_t steps_at_round_start = result.steps;
-    round_plan = plan_shape;
-    round_plan.round = result.rounds;
 
     // Establish this round's match sets: the first round enumerates every
     // rule's matches; later rounds repair the stored sets from the atoms
@@ -487,7 +428,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         if (exec_plan.dormant[r]) {
           // The enumeration is guaranteed empty for a dormant rule.
           ++result.stats.plan_enumerations_skipped;
-          ++round_plan.enumerations_skipped;
           continue;
         }
         for (Trigger& tr :
@@ -558,7 +498,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           ++repair.seed_probes;
           if (exec_plan.dormant[r]) {
             ++result.stats.plan_probes_skipped;
-            ++round_plan.probes_skipped;
             continue;
           }
           for (Substitution& m :
@@ -572,7 +511,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           }
         }
       }
-      round_plan.active_strata = CountActiveStrata(
+      result.stats.plan_active_strata = CountActiveStrata(
           exec_plan, body_predicates, pending_delta.InsertedPredicates());
       pending_delta.Clear();
       if (obs != nullptr) obs->OnDeltaRepair(repair);
@@ -815,7 +754,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
                                result.derivation.ApproxMemoryBytes());
+      result.stats.peak_instance_size =
+          std::max(result.stats.peak_instance_size, current.size());
       if (obs != nullptr) {
+        fold_match_counters();
         const DerivationStep& last =
             result.derivation.step(result.derivation.size() - 1);
         TriggerAppliedEvent applied;
@@ -828,14 +770,13 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         applied.added_atoms = last.added_atoms.size();
         applied.instance_size = current.size();
         applied.instance = &current;
+        applied.stats = &result.stats;
         obs->OnTriggerApplied(applied);
         if (do_core) {
           core_event.step = result.steps;
           obs->OnCoreRetraction(core_event);
         }
       }
-      result.stats.peak_instance_size =
-          std::max(result.stats.peak_instance_size, current.size());
       if (options.limits.max_instance_size != 0 &&
           current.size() > options.limits.max_instance_size) {
         size_guard_tripped = true;
@@ -892,11 +833,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
     }
     if (obs != nullptr) {
-      // Match-phase telemetry of the whole round (establishment through
-      // application and coring). Emitted only when the round did match
-      // work; the stock event log does not record it.
-      emit_match_plan_delta(result.rounds);
-      emit_round_plan();
       obs->OnRoundEnd({result.rounds, result.steps - steps_at_round_start,
                        current.size(), progressed, &current});
     }

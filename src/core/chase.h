@@ -150,7 +150,9 @@ struct ChaseOptions {
   Status Validate() const;
 };
 
-/// Evaluation counters, for benchmarks and the ablation tables. Not part of
+/// Evaluation counters, for benchmarks, the ablation tables and observers
+/// (the run-begin, trigger-applied and run-end events carry them; the
+/// chase.match.* and chase.plan.* instruments publish them). Not part of
 /// run equivalence: a resumed run reproduces the derivation of the
 /// uninterrupted one but not all of its counter values.
 struct ChaseStats {
@@ -201,6 +203,10 @@ struct ChaseStats {
   size_t plan_reliance_edges = 0;
   size_t plan_strata = 0;
   size_t plan_dormant_rules = 0;
+
+  /// Strata touched by the atoms the last delta repair inserted (0 before
+  /// the first repair).
+  size_t plan_active_strata = 0;
 
   /// Full enumerations skipped because the rule is dormant.
   size_t plan_enumerations_skipped = 0;

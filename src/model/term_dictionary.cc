@@ -1,7 +1,5 @@
 #include "model/term_dictionary.h"
 
-#include <algorithm>
-
 namespace twchase {
 
 TermId TermDictionary::Intern(Term term) {
@@ -10,25 +8,8 @@ TermId TermDictionary::Intern(Term term) {
   if (index >= table.size()) table.resize(index + 1, kNoId);
   TermId& slot = table[index];
   if (slot != kNoId) return slot;
-  if (size_ % kBlockSize == 0) {
-    blocks_.push_back(std::make_unique<Term[]>(kBlockSize));
-  }
-  blocks_[size_ / kBlockSize][size_ % kBlockSize] = term;
   slot = static_cast<TermId>(size_++);
   return slot;
-}
-
-void TermDictionary::CopyFrom(const TermDictionary& other) {
-  consts_ = other.consts_;
-  vars_ = other.vars_;
-  size_ = other.size_;
-  blocks_.clear();
-  blocks_.reserve(other.blocks_.size());
-  for (const auto& block : other.blocks_) {
-    auto copy = std::make_unique<Term[]>(kBlockSize);
-    std::copy(block.get(), block.get() + kBlockSize, copy.get());
-    blocks_.push_back(std::move(copy));
-  }
 }
 
 }  // namespace twchase

@@ -8,21 +8,18 @@
 //
 // Ids are append-only and never recycled: once a term is interned its id is
 // stable for the lifetime of the dictionary (compaction of the owning
-// AtomSet keeps the dictionary, so column rebuilds reuse the same ids). The
-// reverse table is block-allocated in fixed-size chunks, so Term lookups by
-// id never move under an append — following VLog's block-allocated chase
-// rows — and growing the dictionary never invalidates concurrent readers of
-// already-interned entries.
+// AtomSet keeps the dictionary, so column rebuilds reuse the same ids).
+// There is no reverse (id -> term) table: columns are only ever compared
+// with the ids of terms looked up by Find.
 //
 // Thread-safety: Intern is a mutation and follows the owning AtomSet's
-// single-writer discipline; const lookups (Find, term, size) are safe to
-// call concurrently with each other but not with Intern.
+// single-writer discipline; const lookups (Find, size) are safe to call
+// concurrently with each other but not with Intern.
 #ifndef TWCHASE_MODEL_TERM_DICTIONARY_H_
 #define TWCHASE_MODEL_TERM_DICTIONARY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "model/term.h"
@@ -36,16 +33,6 @@ class TermDictionary {
   /// Sentinel for "not interned". Never returned by Intern.
   static constexpr TermId kNoId = 0xFFFFFFFFu;
 
-  TermDictionary() = default;
-
-  TermDictionary(const TermDictionary& other) { CopyFrom(other); }
-  TermDictionary& operator=(const TermDictionary& other) {
-    if (this != &other) CopyFrom(other);
-    return *this;
-  }
-  TermDictionary(TermDictionary&&) = default;
-  TermDictionary& operator=(TermDictionary&&) = default;
-
   /// Returns the id of `term`, interning it first if necessary.
   TermId Intern(Term term);
 
@@ -56,37 +43,23 @@ class TermDictionary {
     return index < table.size() ? table[index] : kNoId;
   }
 
-  /// The term with the given id. Precondition: id < size().
-  Term term(TermId id) const {
-    return blocks_[id / kBlockSize][id % kBlockSize];
-  }
-
   /// Number of interned terms; ids are exactly [0, size()).
   size_t size() const { return size_; }
 
-  /// Estimated resident bytes (forward tables plus reverse blocks). A
-  /// function of content only — sizes, not capacities — so an instance and
-  /// its copies report the same estimate (the governor's memory-accounting
-  /// tests compare the two).
+  /// Estimated resident bytes of the forward tables. A function of content
+  /// only — sizes, not capacities — so an instance and its copies report
+  /// the same estimate (the governor's memory-accounting tests compare the
+  /// two).
   size_t ApproxMemoryBytes() const {
-    return (consts_.size() + vars_.size()) * sizeof(TermId) +
-           blocks_.size() * kBlockSize * sizeof(Term);
+    return (consts_.size() + vars_.size()) * sizeof(TermId);
   }
 
  private:
-  static constexpr size_t kBlockSize = 4096;
-
-  void CopyFrom(const TermDictionary& other);
-
   // Forward maps Term::index() -> TermId, one per term kind. Sized to the
   // largest index seen, which is dense in practice: vocabulary constants are
   // numbered from zero and chase nulls are minted sequentially.
   std::vector<TermId> consts_;
   std::vector<TermId> vars_;
-
-  // Reverse map TermId -> Term in fixed blocks: appends never move
-  // previously interned entries.
-  std::vector<std::unique_ptr<Term[]>> blocks_;
   size_t size_ = 0;
 };
 

@@ -7,13 +7,6 @@
 
 namespace twchase {
 
-size_t Counter::ShardIndex() {
-  static std::atomic<size_t> next_thread{0};
-  thread_local size_t shard =
-      next_thread.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
 void Histogram::Observe(double value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0 || value < min_) min_ = value;

@@ -11,12 +11,12 @@
 //     instrument before emitting (stock observers do this in their
 //     constructors).
 //
-// Instruments are thread-safe, because the daemon's chase workers and HTTP
-// handlers share registries: counters are sharded over cache-line-aligned
-// atomic cells (one relaxed fetch_add on the calling thread's shard per
-// Increment, merge-on-read), gauges are a single atomic, histograms take a
-// mutex (they are observed at phase granularity, never on a hot path).
-// *Registration* is not: GetCounter/GetGauge/GetHistogram and the
+// Instruments are thread-safe: counters and gauges are a single relaxed
+// atomic, histograms take a mutex (they are observed at phase granularity,
+// never on a hot path). No production path writes one instrument from two
+// threads: a run's registry lives on the run's thread, and the daemon
+// writes its fleet registry under a mutex. *Registration* is not
+// thread-safe: GetCounter/GetGauge/GetHistogram and the
 // render/emit paths must stay on one thread — stock observers register
 // everything in their constructors, before any other thread sees the
 // registry. Pointers remain stable for the registry's lifetime.
@@ -36,12 +36,8 @@
 
 namespace twchase {
 
-/// Monotone counter, safe for concurrent Increment from any number of
-/// threads. Sharded: each thread is hashed onto one of kShards cache-line
-/// aligned cells, so concurrent increments from different threads do not
-/// contend (no CAS loop, no shared cache line); value() folds the shards.
-/// value() is safe concurrently with increments but, like any merge-on-read
-/// scheme, yields a momentary snapshot — exact once the writers joined.
+/// Monotone counter: one relaxed atomic, so Increment and value() are safe
+/// from any thread (value() is exact once the writers joined).
 class Counter {
  public:
   Counter() = default;
@@ -49,28 +45,13 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Increment(uint64_t delta = 1) {
-    shards_[ShardIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
 
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  static constexpr size_t kShards = 16;
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> value{0};
-  };
-
-  /// The calling thread's shard: threads are numbered on first use and
-  /// folded mod kShards, so a thread always hits the same cell.
-  static size_t ShardIndex();
-
-  Shard shards_[kShards];
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Last-write-wins gauge; Set and value are single atomic accesses.

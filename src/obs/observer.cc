@@ -41,12 +41,6 @@ void ObserverList::OnTriggerRetired(const TriggerRetiredEvent& event) {
 void ObserverList::OnCoreRetraction(const CoreRetractionEvent& event) {
   for (ChaseObserver* o : observers_) o->OnCoreRetraction(event);
 }
-void ObserverList::OnMatchPlan(const MatchPlanEvent& event) {
-  for (ChaseObserver* o : observers_) o->OnMatchPlan(event);
-}
-void ObserverList::OnPlan(const PlanEvent& event) {
-  for (ChaseObserver* o : observers_) o->OnPlan(event);
-}
 void ObserverList::OnRoundEnd(const RoundEndEvent& event) {
   for (ChaseObserver* o : observers_) o->OnRoundEnd(event);
 }

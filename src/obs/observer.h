@@ -3,7 +3,10 @@
 // attached via ChaseOptions::observer: scheduler round boundaries, the fate
 // of every trigger (considered / applied / retired), core retractions with
 // fold counts, semi-naive delta repairs, robust-aggregation renames and
-// named phases of composite procedures (entailment, benches).
+// named phases of composite procedures (entailment, benches). Engine
+// counters (match work, planner skips, guard proofs) are not events of
+// their own: the run-begin, trigger-applied and run-end events carry a view
+// of the run's ChaseStats, their one record.
 //
 // Contract: observers are strictly read-only taps. All event payloads are
 // const views into engine state that are valid only for the duration of the
@@ -43,6 +46,11 @@ struct RunBeginEvent {
 
   /// F_0.
   const AtomSet* instance = nullptr;
+
+  /// The run's counters so far (the initial coring's match work and the
+  /// execution plan's shape); null when ReplayDerivation synthesises the
+  /// event.
+  const ChaseStats* stats = nullptr;
 };
 
 /// A scheduler round snapshotted and ordered its triggers. Emitted after the
@@ -96,6 +104,10 @@ struct TriggerAppliedEvent {
 
   /// F_step.
   const AtomSet* instance = nullptr;
+
+  /// The run's counters up to and including this step; null when
+  /// ReplayDerivation synthesises the event.
+  const ChaseStats* stats = nullptr;
 };
 
 /// A stored match was retired from the delta-maintained match set.
@@ -116,41 +128,6 @@ struct CoreRetractionEvent {
 
   size_t size_before = 0;
   size_t size_after = 0;
-};
-
-/// Match-phase plan telemetry for one scheduler round: how the homomorphism
-/// searches of the round resolved their candidate enumerations. Counter
-/// fields are deltas since the previous event, summed over every search the
-/// round ran (establishment, delta probes, application, coring). Pure
-/// telemetry: the stock EventLogObserver does not record it.
-struct MatchPlanEvent {
-  size_t round = 0;               // 1-based
-  uint64_t index_probes = 0;      // sorted-column EqualRange lookups
-  uint64_t column_scans = 0;      // full-segment scans (no bound position)
-  uint64_t join_fallbacks = 0;    // always 0 (every search is a join)
-  uint64_t index_builds = 0;      // lazy column-index (re)builds
-  uint64_t index_build_bytes = 0; // bytes of sorted rows written by builds
-  uint64_t search_nodes = 0;      // backtracking nodes of every search
-};
-
-/// Execution-planner telemetry (src/plan/). Emitted once at run begin with
-/// the static plan shape (round == 0) and once per round in which the
-/// planner pruned or proved something. Pure telemetry: the stock
-/// EventLogObserver does not record it, MetricsObserver folds it into the
-/// chase.plan.* instruments.
-struct PlanEvent {
-  size_t round = 0;            // 0 = static summary at run begin
-  size_t rules = 0;            // program size (static fields repeat per event)
-  size_t reliance_edges = 0;   // positive-reliance edges
-  size_t strata = 0;           // SCC-condensation strata
-  size_t dormant_rules = 0;    // rules that can never match
-  size_t active_strata = 0;    // strata touched by this round's insertions
-  size_t enumerations_skipped = 0;  // dormant full enumerations pruned
-  size_t probes_skipped = 0;   // dormant seeded probes pruned (this round)
-  size_t core_proofs = 0;      // still-core proofs attempted (this round)
-  size_t core_certified = 0;   // ... that certified and skipped a ComputeCore
-  uint64_t guard_nodes = 0;    // hom-search nodes those proofs visited
-  uint64_t guard_max_nodes = 0;  // the most nodes one of those proofs visited
 };
 
 /// A scheduler round finished (after round-end coring and match retirement).
@@ -202,6 +179,10 @@ struct RunEndEvent {
   bool size_guard_tripped = false;
   size_t final_size = 0;
   StopReason stop_reason = StopReason::kFixpoint;
+
+  /// The run's final counters (the ChaseResult's stats); null when
+  /// ReplayDerivation synthesises the event.
+  const ChaseStats* stats = nullptr;
 };
 
 /// Event sink interface. Every hook has an empty default so observers
@@ -225,8 +206,6 @@ class ChaseObserver {
   virtual void OnCoreRetraction(const CoreRetractionEvent& event) {
     (void)event;
   }
-  virtual void OnMatchPlan(const MatchPlanEvent& event) { (void)event; }
-  virtual void OnPlan(const PlanEvent& event) { (void)event; }
   virtual void OnRoundEnd(const RoundEndEvent& event) { (void)event; }
   virtual void OnRobustRename(const RobustRenameEvent& event) { (void)event; }
   virtual void OnPhase(const PhaseEvent& event) { (void)event; }
@@ -251,8 +230,6 @@ class ObserverList : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnMatchPlan(const MatchPlanEvent& event) override;
-  void OnPlan(const PlanEvent& event) override;
   void OnRoundEnd(const RoundEndEvent& event) override;
   void OnRobustRename(const RobustRenameEvent& event) override;
   void OnPhase(const PhaseEvent& event) override;

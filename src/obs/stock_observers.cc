@@ -1,5 +1,6 @@
 #include "obs/stock_observers.h"
 
+#include <iterator>
 #include <string>
 
 #include "tw/treewidth.h"
@@ -93,6 +94,55 @@ void MeasuresObserver::OnTriggerApplied(const TriggerAppliedEvent& event) {
 // --------------------------------------------------------------------------
 // MetricsObserver.
 
+namespace {
+
+template <auto Member>
+uint64_t ReadStat(const ChaseStats& stats) {
+  return static_cast<uint64_t>(stats.*Member);
+}
+
+// Every instrument published from ChaseStats, in column order: counters
+// are registered after chase.core.folds, gauges after chase.instance.size.
+struct StatsColumn {
+  const char* name;
+  bool gauge;
+  uint64_t (*read)(const ChaseStats&);
+};
+constexpr StatsColumn kStatsColumns[] = {
+    {"chase.match.index_probes", false,
+     ReadStat<&ChaseStats::match_index_probes>},
+    {"chase.match.column_scans", false,
+     ReadStat<&ChaseStats::match_column_scans>},
+    {"chase.match.join_fallbacks", false,
+     ReadStat<&ChaseStats::match_join_fallbacks>},
+    {"chase.match.index_builds", false,
+     ReadStat<&ChaseStats::match_index_builds>},
+    {"chase.match.index_build_bytes", false,
+     ReadStat<&ChaseStats::match_index_build_bytes>},
+    {"chase.match.search_nodes", false,
+     ReadStat<&ChaseStats::match_search_nodes>},
+    {"chase.plan.enumerations_skipped", false,
+     ReadStat<&ChaseStats::plan_enumerations_skipped>},
+    {"chase.plan.probes_skipped", false,
+     ReadStat<&ChaseStats::plan_probes_skipped>},
+    {"chase.plan.core_proofs", false, ReadStat<&ChaseStats::plan_core_proofs>},
+    {"chase.plan.core_certified", false,
+     ReadStat<&ChaseStats::plan_core_certified>},
+    {"chase.plan.guard_nodes", false,
+     ReadStat<&ChaseStats::guard_search_nodes>},
+    {"chase.plan.reliance_edges", true,
+     ReadStat<&ChaseStats::plan_reliance_edges>},
+    {"chase.plan.strata", true, ReadStat<&ChaseStats::plan_strata>},
+    {"chase.plan.dormant_rules", true,
+     ReadStat<&ChaseStats::plan_dormant_rules>},
+    {"chase.plan.active_strata", true,
+     ReadStat<&ChaseStats::plan_active_strata>},
+    {"chase.plan.guard_max_nodes", true,
+     ReadStat<&ChaseStats::guard_max_call_nodes>},
+};
+
+}  // namespace
+
 MetricsObserver::MetricsObserver(MetricsRegistry* registry,
                                  const MetricsObserverOptions& options)
     : registry_(registry), options_(options) {
@@ -106,31 +156,39 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   delta_seed_probes_ = registry_->GetCounter("chase.delta.seed_probes");
   core_retractions_ = registry_->GetCounter("chase.core.retractions");
   core_folds_ = registry_->GetCounter("chase.core.folds");
-  match_index_probes_ = registry_->GetCounter("chase.match.index_probes");
-  match_column_scans_ = registry_->GetCounter("chase.match.column_scans");
-  match_join_fallbacks_ = registry_->GetCounter("chase.match.join_fallbacks");
-  match_index_builds_ = registry_->GetCounter("chase.match.index_builds");
-  match_index_build_bytes_ =
-      registry_->GetCounter("chase.match.index_build_bytes");
-  match_search_nodes_ = registry_->GetCounter("chase.match.search_nodes");
-  plan_enumerations_skipped_ =
-      registry_->GetCounter("chase.plan.enumerations_skipped");
-  plan_probes_skipped_ = registry_->GetCounter("chase.plan.probes_skipped");
-  plan_core_proofs_ = registry_->GetCounter("chase.plan.core_proofs");
-  plan_core_certified_ = registry_->GetCounter("chase.plan.core_certified");
-  plan_guard_nodes_ = registry_->GetCounter("chase.plan.guard_nodes");
+  stats_instruments_.resize(std::size(kStatsColumns));
+  for (size_t i = 0; i < std::size(kStatsColumns); ++i) {
+    if (!kStatsColumns[i].gauge) {
+      stats_instruments_[i].counter =
+          registry_->GetCounter(kStatsColumns[i].name);
+    }
+  }
   round_ = registry_->GetGauge("chase.round");
   instance_size_ = registry_->GetGauge("chase.instance.size");
-  plan_reliance_edges_ = registry_->GetGauge("chase.plan.reliance_edges");
-  plan_strata_ = registry_->GetGauge("chase.plan.strata");
-  plan_dormant_rules_ = registry_->GetGauge("chase.plan.dormant_rules");
-  plan_active_strata_ = registry_->GetGauge("chase.plan.active_strata");
-  plan_guard_max_nodes_ = registry_->GetGauge("chase.plan.guard_max_nodes");
+  for (size_t i = 0; i < std::size(kStatsColumns); ++i) {
+    if (kStatsColumns[i].gauge) {
+      stats_instruments_[i].gauge = registry_->GetGauge(kStatsColumns[i].name);
+    }
+  }
   if (options_.treewidth_upper) {
     treewidth_upper_ = registry_->GetGauge("chase.treewidth.upper");
   }
   round_pending_ = registry_->GetHistogram("chase.round.pending");
   step_added_atoms_ = registry_->GetHistogram("chase.step.added_atoms");
+}
+
+void MetricsObserver::PublishStats(const ChaseStats* stats) {
+  if (stats == nullptr) return;
+  for (size_t i = 0; i < std::size(kStatsColumns); ++i) {
+    StatsInstrument& instrument = stats_instruments_[i];
+    const uint64_t value = kStatsColumns[i].read(*stats);
+    if (instrument.counter != nullptr) {
+      instrument.counter->Increment(value - instrument.published);
+    } else {
+      instrument.gauge->Set(static_cast<double>(value));
+    }
+    instrument.published = value;
+  }
 }
 
 void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
@@ -146,6 +204,11 @@ void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
 }
 
 void MetricsObserver::OnRunBegin(const RunBeginEvent& event) {
+  // A registry may outlive one run: counters keep adding up across runs.
+  for (StatsInstrument& instrument : stats_instruments_) {
+    instrument.published = 0;
+  }
+  PublishStats(event.stats);
   UpdatePerStepGauges(0, event.initial_size, event.instance);
 }
 
@@ -169,6 +232,7 @@ void MetricsObserver::OnTriggerConsidered(const TriggerConsideredEvent&) {
 void MetricsObserver::OnTriggerApplied(const TriggerAppliedEvent& event) {
   applied_->Increment();
   step_added_atoms_->Observe(static_cast<double>(event.added_atoms));
+  PublishStats(event.stats);
   UpdatePerStepGauges(event.step, event.instance_size, event.instance);
 }
 
@@ -181,40 +245,15 @@ void MetricsObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
   core_folds_->Increment(event.folds);
 }
 
-void MetricsObserver::OnMatchPlan(const MatchPlanEvent& event) {
-  match_index_probes_->Increment(event.index_probes);
-  match_column_scans_->Increment(event.column_scans);
-  match_join_fallbacks_->Increment(event.join_fallbacks);
-  match_index_builds_->Increment(event.index_builds);
-  match_index_build_bytes_->Increment(event.index_build_bytes);
-  match_search_nodes_->Increment(event.search_nodes);
-}
-
-void MetricsObserver::OnPlan(const PlanEvent& event) {
-  plan_reliance_edges_->Set(static_cast<double>(event.reliance_edges));
-  plan_strata_->Set(static_cast<double>(event.strata));
-  plan_dormant_rules_->Set(static_cast<double>(event.dormant_rules));
-  plan_active_strata_->Set(static_cast<double>(event.active_strata));
-  plan_enumerations_skipped_->Increment(event.enumerations_skipped);
-  plan_probes_skipped_->Increment(event.probes_skipped);
-  plan_core_proofs_->Increment(event.core_proofs);
-  plan_core_certified_->Increment(event.core_certified);
-  plan_guard_nodes_->Increment(event.guard_nodes);
-  const double guard_max = static_cast<double>(event.guard_max_nodes);
-  if (guard_max > plan_guard_max_nodes_->value()) {
-    plan_guard_max_nodes_->Set(guard_max);
-  }
-}
-
 void MetricsObserver::OnPhase(const PhaseEvent& event) {
   registry_->GetHistogram(std::string("phase.") + event.name + ".wall_ms")
       ->Observe(event.wall_ms);
 }
 
-// The engine reports a round's match and planner counters at its end (or,
-// for a run stopped partway through a round, just before the run end), after
-// the round's last per-step row; this row carries them.
+// Repeats the last step with the run's final values: the counters of the
+// work after that step (the rest of its round, a round-end coring).
 void MetricsObserver::OnRunEnd(const RunEndEvent& event) {
+  PublishStats(event.stats);
   registry_->EmitRow(options_.out, event.steps);
 }
 

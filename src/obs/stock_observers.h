@@ -16,6 +16,7 @@
 #ifndef TWCHASE_OBS_STOCK_OBSERVERS_H_
 #define TWCHASE_OBS_STOCK_OBSERVERS_H_
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -82,8 +83,7 @@ struct MetricsObserverOptions {
 
   /// When set, one JSON row per derivation step (step 0 = F_0) is written
   /// with the current value of every instrument, plus a final row at run
-  /// end (its step is the run's step count) that carries the counters of
-  /// the run's last round.
+  /// end (its step is the run's step count) with the run's final values.
   std::ostream* out = nullptr;
 };
 
@@ -94,16 +94,19 @@ struct MetricsObserverOptions {
 ///              chase.delta.{repairs,inserted,erased,invalidated,seed_probes}
 ///              chase.core.{retractions,folds}
 ///              chase.match.{index_probes,column_scans,join_fallbacks}
-///              chase.match.{index_builds,index_build_bytes}
+///              chase.match.{index_builds,index_build_bytes,search_nodes}
 ///              chase.plan.{enumerations_skipped,probes_skipped}
-///              chase.plan.{core_proofs,core_certified}
+///              chase.plan.{core_proofs,core_certified,guard_nodes}
 ///   gauges     chase.round, chase.instance.size
 ///              chase.plan.{reliance_edges,strata,dormant_rules}
-///              chase.plan.active_strata
+///              chase.plan.{active_strata,guard_max_nodes}
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
-/// The chase.plan.* instruments are always registered, so the column set
-/// does not depend on whether the planner pruned or proved anything.
+/// The chase.match.* and chase.plan.* instruments publish the ChaseStats
+/// the run-begin, trigger-applied and run-end events carry (one table in
+/// stock_observers.cc names them all): counters advance to the run's
+/// totals, gauges take its values, so every row holds the totals at its own
+/// step. Events without stats (ReplayDerivation) leave them untouched.
 class MetricsObserver : public ChaseObserver {
  public:
   MetricsObserver(MetricsRegistry* registry,
@@ -116,12 +119,19 @@ class MetricsObserver : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnMatchPlan(const MatchPlanEvent& event) override;
-  void OnPlan(const PlanEvent& event) override;
   void OnPhase(const PhaseEvent& event) override;
   void OnRunEnd(const RunEndEvent& event) override;
 
  private:
+  /// One chase.match.* or chase.plan.* instrument (exactly one of counter
+  /// and gauge is set) and the value of the current run it last published.
+  struct StatsInstrument {
+    Counter* counter = nullptr;
+    Gauge* gauge = nullptr;
+    uint64_t published = 0;
+  };
+
+  void PublishStats(const ChaseStats* stats);
   void UpdatePerStepGauges(size_t step, size_t instance_size,
                            const AtomSet* instance);
 
@@ -137,24 +147,9 @@ class MetricsObserver : public ChaseObserver {
   Counter* delta_seed_probes_;
   Counter* core_retractions_;
   Counter* core_folds_;
-  Counter* match_index_probes_;
-  Counter* match_column_scans_;
-  Counter* match_join_fallbacks_;
-  Counter* match_index_builds_;
-  Counter* match_index_build_bytes_;
-  Counter* match_search_nodes_;
-  Counter* plan_enumerations_skipped_;
-  Counter* plan_probes_skipped_;
-  Counter* plan_core_proofs_;
-  Counter* plan_core_certified_;
-  Counter* plan_guard_nodes_;
+  std::vector<StatsInstrument> stats_instruments_;
   Gauge* round_;
   Gauge* instance_size_;
-  Gauge* plan_reliance_edges_;
-  Gauge* plan_strata_;
-  Gauge* plan_dormant_rules_;
-  Gauge* plan_active_strata_;
-  Gauge* plan_guard_max_nodes_;  // the run's maximum so far
   Gauge* treewidth_upper_ = nullptr;
   Histogram* round_pending_;
   Histogram* step_added_atoms_;
@@ -164,10 +159,10 @@ class MetricsObserver : public ChaseObserver {
 ///   {"event": "round_begin", "round": 1, "pending": 5, "size": 4}
 /// The stream is append-only and flush-free; callers own the ostream.
 ///
-/// MatchPlanEvent and PlanEvent are never logged: their counters are
-/// telemetry, which MetricsObserver folds into the chase.match.* and
-/// chase.plan.* instruments. Keeping them out keeps every event log stable
-/// across planner improvements that only change how much work was saved.
+/// The ChaseStats some events carry are never logged: they are telemetry,
+/// which MetricsObserver publishes as the chase.match.* and chase.plan.*
+/// instruments. Keeping them out keeps every event log stable across
+/// planner improvements that only change how much work was saved.
 class EventLogObserver : public ChaseObserver {
  public:
   explicit EventLogObserver(std::ostream* out) : out_(out) {}

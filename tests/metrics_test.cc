@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -163,13 +164,13 @@ std::string LastLine(const std::string& text) {
   return last;
 }
 
-// Regression: the chase.match.* and chase.plan.* registry counters are fed
-// by per-round MatchPlanEvent and PlanEvent deltas, so a run stopped between
-// round ends (here: a fault-injected mid-round governor stop) used to leave
-// the last partial round's counts in ChaseStats but NOT in the registry, and
-// every run's per-step rows missed its last round's counts. The engine
-// flushes both tails before OnRunEnd and the observer writes a run-end row:
-// the registry and that row equal ChaseStats exactly, at any stop boundary.
+// Regression: the chase.match.* and chase.plan.* registry counters were once
+// fed by per-round deltas, so a run stopped between round ends (here: a
+// fault-injected mid-round governor stop) left the last partial round's
+// counts in ChaseStats but not in the registry. They now publish the
+// ChaseStats the run-end event carries, and the observer writes a run-end
+// row: the registry and that row equal ChaseStats exactly, at any stop
+// boundary.
 TEST(MetricsTest, CounterParityBetweenRegistryLastRowAndStats) {
   for (ChaseVariant variant :
        {ChaseVariant::kRestricted, ChaseVariant::kCore}) {
@@ -229,8 +230,8 @@ TEST(MetricsTest, CounterParityBetweenRegistryLastRowAndStats) {
 }
 
 // The still-core guard's node count and its per-call maximum reach the
-// registry through the per-round PlanEvent, and are a part of all the nodes
-// searched.
+// registry from the ChaseStats the events carry, and are a part of all the
+// nodes searched.
 TEST(MetricsTest, GuardNodesReachTheRegistry) {
   StaircaseWorld world;
   MetricsRegistry registry;
@@ -286,8 +287,73 @@ TEST(MetricsTest, ElevatorCoreLastRowReportsEveryGuardProof) {
             static_cast<double>(run->stats.plan_core_proofs));
 }
 
-// The sharded counters behind MetricsRegistry must not lose increments
-// under contention: daemon workers and HTTP handlers share one registry.
+// The chase.match.* and chase.plan.* columns of one metrics row, as text.
+std::map<std::string, std::string> StatsColumns(const std::string& row) {
+  std::map<std::string, std::string> columns;
+  size_t pos = 0;
+  while ((pos = row.find('"', pos)) != std::string::npos) {
+    const size_t name_end = row.find('"', pos + 1);
+    const std::string name = row.substr(pos + 1, name_end - pos - 1);
+    const size_t value_begin = name_end + 3;  // past `": `
+    const size_t value_end = row.find_first_of(",}", value_begin);
+    if (name.starts_with("chase.match.") || name.starts_with("chase.plan.")) {
+      columns[name] = row.substr(value_begin, value_end - value_begin);
+    }
+    pos = value_end;
+  }
+  return columns;
+}
+
+// The --metrics-out rows of a core run of `max_steps` steps on a fresh
+// World (a fresh vocabulary, so every run numbers its nulls alike).
+template <typename World>
+std::vector<std::string> CoreRunRows(size_t max_steps) {
+  World world;
+  std::ostringstream rows;
+  MetricsRegistry registry;
+  MetricsObserverOptions mo;
+  mo.out = &rows;
+  MetricsObserver metrics(&registry, mo);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = max_steps;
+  options.observer = &metrics;
+  auto run = RunChase(world.kb(), options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  std::vector<std::string> lines;
+  std::istringstream in(rows.str());
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+template <typename World>
+void ExpectEveryRowCarriesTheTotalsAtItsStep(const char* name) {
+  constexpr size_t kSteps = 30;
+  const std::vector<std::string> rows = CoreRunRows<World>(kSteps);
+  // One row per step 0..kSteps, then the run-end row.
+  ASSERT_EQ(rows.size(), kSteps + 2) << name;
+  for (size_t k = 0; k <= kSteps; ++k) {
+    EXPECT_EQ(RowValue(rows[k], "step"), static_cast<double>(k)) << name;
+    const std::map<std::string, std::string> at_k = StatsColumns(rows[k]);
+    EXPECT_EQ(at_k.size(), 16u) << name;  // 11 counters, 5 gauges
+    const std::vector<std::string> shorter = CoreRunRows<World>(k);
+    ASSERT_FALSE(shorter.empty()) << name << ", k = " << k;
+    EXPECT_EQ(at_k, StatsColumns(shorter.back())) << name << ", k = " << k;
+  }
+}
+
+// Row k of a run holds the counters at step k: exactly what a run stopped
+// after k steps reports in its last row. Per-round counter deltas made rows
+// lag by up to a round.
+TEST(MetricsTest, EveryRowCarriesTheTotalsAtItsStep) {
+  ExpectEveryRowCarriesTheTotalsAtItsStep<StaircaseWorld>("staircase core");
+  ExpectEveryRowCarriesTheTotalsAtItsStep<ElevatorWorld>("elevator core");
+}
+
+// The instruments behind MetricsRegistry are thread-safe: concurrent
+// increments are never lost, even though no production path writes one
+// instrument from two threads.
 TEST(MetricsConcurrency, CounterSumsExactlyUnderContention) {
   MetricsRegistry registry;
   Counter* counter = registry.GetCounter("test.contended");

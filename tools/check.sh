@@ -16,11 +16,11 @@
 #      layer, the planner's still-core guard, the torn-write/replay recovery
 #      paths and the preflight's sandboxed dynamic probes are exactly the
 #      code that must be memory-clean);
-#   4. TSan: ThreadSanitizer build, then the robustness, columnar, plan,
-#      service and analysis labelled suites under it to race-check
-#      cross-thread cancellation, the sharded metrics and lazy column-index
-#      builds that daemon workers and HTTP handlers share, and the daemon's
-#      HTTP handler pool + job scheduler + preemption monitor;
+#   4. TSan: ThreadSanitizer build, then the obs, robustness, columnar,
+#      plan, service and analysis labelled suites under it to race-check
+#      the metrics instruments under concurrent writers, cross-thread
+#      cancellation, lazy column-index builds, and the daemon's HTTP
+#      handler pool + job scheduler + preemption monitor;
 #   5. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
@@ -83,11 +83,11 @@ cmake --build --preset asan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-asan \
   --output-on-failure -L 'delta|obs|robustness|columnar|plan|durability|analysis'
 
-echo "== tsan: thread preset, robustness+columnar+plan+service+analysis labels =="
+echo "== tsan: thread preset, obs+robustness+columnar+plan+service+analysis labels =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-tsan \
-  --output-on-failure -L 'robustness|columnar|plan|service|analysis'
+  --output-on-failure -L 'obs|robustness|columnar|plan|service|analysis'
 
 echo "== daemon smoke: twchased round-trip vs the CLI on bundled programs =="
 ./build/tools/twchased --port=0 > /tmp/twchased_smoke.log 2>&1 &
