@@ -9,7 +9,10 @@
 // staircase-core and elevator-core coring counters back the planner
 // baseline gate in tools/check.sh. The host's hardware_concurrency is
 // recorded next to them: the engine is sequential, so the figure only
-// qualifies the service and wall-time numbers.
+// qualifies the service and wall-time numbers. So is the measured source
+// tree's git commit (`git describe --always --dirty` at start, "none"
+// outside a git checkout), so every row can be traced to the code it
+// measured.
 //
 // A second section runs trigger-heavy random workloads, where homomorphism
 // matching dominates, and records their wall times and the chase.match.*
@@ -600,7 +603,26 @@ std::string RunPreflightSweep(MetricsRegistry* registry) {
   return json;
 }
 
+// The commit of the source tree this binary was built from, "-dirty" when
+// the tree has uncommitted changes; "none" when git cannot tell.
+std::string SourceCommit() {
+  const std::string command = std::string("git -C '") + TWCHASE_SOURCE_DIR +
+                              "' describe --always --dirty --abbrev=40 "
+                              "2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return "none";
+  std::string out;
+  char buffer[128];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
+  const int status = pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return status == 0 && !out.empty() ? out : "none";
+}
+
 int RunEngineSweep(const char* output_path) {
+  const std::string commit = SourceCommit();
   std::vector<SweepWorkload> workloads;
   workloads.push_back({"transitive-closure-12", ChaseVariant::kRestricted,
                        2000, [] { return MakeTransitiveClosure(12); }});
@@ -633,6 +655,7 @@ int RunEngineSweep(const char* output_path) {
   // under "metrics". The measured runs themselves carry no observer.
   MetricsRegistry registry;
   std::string json = "{\n  \"benchmark\": \"engine_sweep\",\n";
+  json += "  \"git_sha\": \"" + commit + "\",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"workloads\": [\n";

@@ -1,6 +1,7 @@
 #include "core/chase.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -208,6 +209,9 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // state does not match the checkpointed one.
   Status replay_error = Status::OK();
   AtomSet current = kb.facts;
+  // The guard's case-(i) search over `current`, compiled once for the run
+  // and caught up with each guard call (RetractionSearch, hom/matcher.h).
+  std::optional<RetractionSearch> guard_view;
   // Deactivates the cursor (all further decisions are live) and, when the
   // log carries landing-verification data, cross-checks the reconstructed
   // state against the checkpointed one. Every deactivation site is a full
@@ -283,9 +287,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       const uint64_t nodes_before = stats.match_search_nodes;
       const uint64_t probes_before = stats.match_index_probes;
       const uint64_t scans_before = stats.match_column_scans;
-      const bool certified =
-          ProveStillCore(current, guard_atoms_since, guard_base_mark)
-              .certified;
+      if (!guard_view.has_value()) guard_view.emplace(current);
+      const bool certified = ProveStillCore(current, guard_atoms_since,
+                                            guard_base_mark, *guard_view)
+                                 .certified;
       fold_match_counters();
       const uint64_t nodes = stats.match_search_nodes - nodes_before;
       stats.guard_search_nodes += nodes;

@@ -4,7 +4,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
 
 #include "util/fault.h"
@@ -33,16 +33,27 @@ MatchCounters* CurrentMatchCounters() { return g_match_counters; }
 
 namespace {
 
-constexpr uint32_t kUnbound = 0xFFFFFFFFu;
-
-// One backtracking search instance with dynamic most-constrained-first atom
+// One backtracking search with dynamic most-constrained-first atom
 // selection: at every node the next pattern atom is the one with the fewest
 // candidate target atoms under the current partial binding. Pattern
 // variables are renumbered into a dense local index so that the hot path
-// (estimates, unification, rollback) is array access, not hashing.
-// Run() is called at most once; only retraction mode reuses a search, one
-// ExistsRetractionOnto query after another. Every search folds its node
-// count into the ambient MatchCounters.
+// (estimates, unification, rollback) is array access, not hashing. Every
+// search folds its node count into the ambient MatchCounters.
+//
+// Compiled pattern. The pattern is compiled once into flat arrays: one
+// PatAtom per pattern atom, in the pattern's slot order, and all atoms'
+// arguments in one array. A variable's local index is found through a table
+// indexed by its vocabulary index, so compiling hashes nothing. Every
+// buffer (bindings, trails, candidate lists, the consistency pass's
+// domains) is kept across searches. A HomSearch serves one search after
+// another in one of two modes:
+//   * transient (Compile, then Run): the free functions below borrow the
+//     thread's HomSearch, so after warm-up a search allocates only the
+//     substitutions it returns;
+//   * retraction (RetractionSearch): pattern and target are one instance,
+//     compiled once for the object's lifetime. Before each query, Sync
+//     compiles the slots appended since the last query; a new slot-layout
+//     stamp (an erase, or the instance replaced) recompiles it from scratch.
 //
 // Candidates come from JoinCandidates, which probes the target's
 // ColumnSegment for the pattern atom's (predicate, arity): it picks the
@@ -61,102 +72,63 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // DESIGN.md §8 states the contract in full.
 class HomSearch {
  public:
-  HomSearch(const AtomSet& pattern, const AtomSet& target,
-            const HomOptions& options, bool retractions_only = false)
-      : target_(target),
-        options_(options),
-        retractions_only_(retractions_only) {
-    counters_ = CurrentMatchCounters();
-    // Collect pattern atoms and build the local variable table.
-    for (const Atom& atom : pattern.Atoms()) {
-      PatAtom pat;
-      pat.predicate = atom.predicate();
-      pat.segment = target_.SegmentFor(pat.predicate, atom.arity());
-      pat.static_best = target_.CountByPredicate(atom.predicate());
-      for (Term t : atom.args()) {
-        if (t.is_variable()) {
-          pat.args.push_back(Arg{LocalIndex(t), Term()});
-        } else {
-          pat.args.push_back(Arg{kNotVar, t});
-          pat.static_best = std::min(pat.static_best, target_.CountByTerm(t));
-        }
-        if (options_.forbidden_image_term.has_value() &&
-            t == *options_.forbidden_image_term) {
-          pat.focus = true;
-        }
+  // Transient mode: compiles `pattern` for one Run into `target`, with the
+  // pattern variables of `seed` pre-bound. `options.seed` is not read;
+  // `options` and `seed` must outlive the Run. With `collect` off, Run
+  // builds no substitution and only reports whether one exists.
+  void Compile(const AtomSet& pattern, const AtomSet& target,
+               const HomOptions& options, const Substitution& seed,
+               size_t limit, bool collect) {
+    Clear();
+    target_ = &target;
+    options_ = &options;
+    seed_ = &seed;
+    limit_ = limit;
+    collect_ = collect;
+    pattern.ForEach([&](const Atom& atom) { AppendAtom(atom); });
+    FinishCompile();
+    for (const auto& [var, term] : seed.map()) {
+      const uint32_t v = LocalOf(var);
+      if (v != kNotVar) {
+        binding_[v] = term;
+        bound_[v] = true;
+        image_count_[v] = target.CountByTerm(term);
       }
-      if (pat.focus) ++remaining_focus_;
-      pattern_atoms_.push_back(std::move(pat));
+      if (options.injective) used_targets_.insert(term);
     }
-    binding_.assign(var_terms_.size(), Term::Variable(kUnbound & 0x7FFFFFFF));
-    bound_.assign(var_terms_.size(), false);
-    image_count_.assign(var_terms_.size(), 0);
-    assigned_.assign(pattern_atoms_.size(), false);
-    // Seed bindings for pattern variables; seed entries for other variables
-    // ride along and are re-attached at emit time.
-    for (const auto& [var, term] : options_.seed.map()) {
-      auto it = var_index_.find(var);
-      if (it != var_index_.end()) {
-        binding_[it->second] = term;
-        bound_[it->second] = true;
-        image_count_[it->second] = target_.CountByTerm(term);
-      }
-      if (options_.injective) used_targets_.insert(term);
-    }
-    // Variable occurrence lists (CSR): the atoms to re-score when a
-    // variable is bound or unbound.
-    occurrence_begin_.assign(var_terms_.size() + 1, 0);
-    for (const PatAtom& pat : pattern_atoms_) {
-      ForEachDistinctVar(pat, [&](uint32_t v) { ++occurrence_begin_[v + 1]; });
-    }
-    for (size_t v = 0; v < var_terms_.size(); ++v) {
-      occurrence_begin_[v + 1] += occurrence_begin_[v];
-    }
-    occurrences_.resize(occurrence_begin_.back());
-    std::vector<uint32_t> fill(occurrence_begin_.begin(),
-                               occurrence_begin_.end() - 1);
-    for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
-      ForEachDistinctVar(pattern_atoms_[i], [&](uint32_t v) {
-        occurrences_[fill[v]++] = static_cast<uint32_t>(i);
-      });
-    }
-    estimates_.resize(pattern_atoms_.size());
-    for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
-      estimates_[i] = EstimateCandidates(pattern_atoms_[i]);
-    }
-    candidate_buffers_.resize(pattern_atoms_.size() + 1);
-    if (retractions_only_) {
-      var_count_.assign(pattern_atoms_.size(), 0);
-      bound_count_.assign(pattern_atoms_.size(), 0);
-      moved_.assign(pattern_atoms_.size(), 0);
-      for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
-        ForEachDistinctVar(pattern_atoms_[i],
-                           [&](uint32_t) { ++var_count_[i]; });
-      }
-      // Pattern and target are the same instance, so every image variable
-      // is a pattern variable; index them by vocabulary index.
-      for (size_t v = 0; v < var_terms_.size(); ++v) {
-        uint32_t index = var_terms_[v].index();
-        if (index >= local_of_image_.size()) {
-          local_of_image_.resize(index + 1, kNotVar);
-        }
-        local_of_image_[index] = static_cast<uint32_t>(v);
-      }
-    }
+    ScoreAll();
   }
 
+  // Runs the compiled search. Collecting, returns the homomorphisms found;
+  // otherwise returns nothing and found() says whether one exists.
   std::vector<Substitution> Run() {
+    counters_ = CurrentMatchCounters();
     // An empty pattern has exactly one homomorphism: the seed itself.
     Search(pattern_atoms_.size());
     FlushNodes();
     return std::move(results_);
   }
 
-  // Retraction mode (pattern == target): true iff some retraction maps
-  // `from` onto `onto`. Binds the seed, searches, and rolls back, so the
-  // compiled pattern serves any number of calls.
+  bool found() const { return found_ > 0; }
+
+  // Retraction mode over `instance` (pattern == target), which must
+  // outlive the object. Compiled by the first query.
+  void BindRetractions(const AtomSet& instance) {
+    retractions_only_ = true;
+    target_ = &instance;
+    options_ = &retraction_options_;
+    seed_ = &retraction_options_.seed;
+    limit_ = 1;
+    collect_ = false;
+  }
+
+  // Retraction mode: true iff some retraction maps `from` onto `onto`.
+  // Binds the seed, searches, and rolls back, so the compiled instance
+  // serves any number of calls.
   bool ExistsRetractionOnto(const Atom& from, const Atom& onto) {
     TWCHASE_CHECK(retractions_only_);
+    Sync();
+    counters_ = CurrentMatchCounters();
     const Mark mark = CurrentMark();
     if (!BindSeed(from, onto) || SeedInconsistent(mark)) {
       RollbackTo(mark);
@@ -166,9 +138,9 @@ class HomSearch {
     Search(pattern_atoms_.size());
     RollbackTo(mark);
     FlushNodes();
-    const bool found = !results_.empty();
-    results_.clear();
-    return found;
+    const bool hit = found_ > 0;
+    found_ = 0;
+    return hit;
   }
 
   // Retraction mode: true iff the consistency pass alone refutes the seed
@@ -176,6 +148,7 @@ class HomSearch {
   // seed, propagates, and rolls back; searches nothing.
   bool RefutesRetractionOnto(const Atom& from, const Atom& onto) {
     TWCHASE_CHECK(retractions_only_);
+    Sync();
     const Mark mark = CurrentMark();
     const bool refuted = !BindSeed(from, onto) || SeedInconsistent(mark);
     RollbackTo(mark);
@@ -193,8 +166,9 @@ class HomSearch {
 
   struct PatAtom {
     PredicateId predicate = 0;
+    uint32_t first_arg = 0;  // into args_
+    uint32_t arity = 0;
     const ColumnSegment* segment = nullptr;  // null: no target atom fits
-    std::vector<Arg> args;
     size_t static_best = 0;  // min over predicate / constant-arg postings
     bool focus = false;      // contains the forbidden image term (fold crux)
   };
@@ -207,35 +181,167 @@ class HomSearch {
 
   Mark CurrentMark() const { return {trail_.size(), estimate_trail_.size()}; }
 
+  std::span<const Arg> ArgsOf(const PatAtom& pat) const {
+    return {args_.data() + pat.first_arg, pat.arity};
+  }
+
+  // Forgets the compiled pattern; keeps every buffer's capacity.
+  void Clear() {
+    for (Term var : var_terms_) local_of_var_[var.index()] = kNotVar;
+    var_terms_.clear();
+    pattern_atoms_.clear();
+    args_.clear();
+    trail_.clear();
+    estimate_trail_.clear();
+    touched_.clear();
+    used_targets_.clear();
+    results_.clear();
+    found_ = 0;
+    remaining_focus_ = 0;
+    frontier_left_ = 0;
+  }
+
+  // Appends one pattern atom. Its target-dependent fields are set by
+  // ScoreAll.
+  void AppendAtom(const Atom& atom) {
+    PatAtom pat;
+    pat.predicate = atom.predicate();
+    pat.first_arg = static_cast<uint32_t>(args_.size());
+    pat.arity = atom.arity();
+    for (Term t : atom.args()) {
+      args_.push_back(t.is_variable() ? Arg{LocalIndex(t), Term()}
+                                      : Arg{kNotVar, t});
+      if (options_->forbidden_image_term.has_value() &&
+          t == *options_->forbidden_image_term) {
+        pat.focus = true;
+      }
+    }
+    pattern_atoms_.push_back(pat);
+  }
+
+  // Sizes the per-variable and per-atom state for the compiled pattern,
+  // everything unbound and unassigned, and builds the variable occurrence
+  // lists (CSR): the atoms to re-score when a variable is bound or unbound.
+  void FinishCompile() {
+    const size_t vars = var_terms_.size();
+    const size_t atoms = pattern_atoms_.size();
+    binding_.resize(vars);
+    bound_.assign(vars, 0);
+    image_count_.assign(vars, 0);
+    assigned_.assign(atoms, 0);
+    estimates_.resize(atoms);
+    if (candidate_buffers_.size() < atoms + 1) {
+      candidate_buffers_.resize(atoms + 1);
+    }
+    occurrence_begin_.assign(vars + 1, 0);
+    for (const PatAtom& pat : pattern_atoms_) {
+      ForEachDistinctVar(pat, [&](uint32_t v) { ++occurrence_begin_[v + 1]; });
+    }
+    for (size_t v = 0; v < vars; ++v) {
+      occurrence_begin_[v + 1] += occurrence_begin_[v];
+    }
+    occurrences_.resize(occurrence_begin_.back());
+    fill_.assign(occurrence_begin_.begin(), occurrence_begin_.end() - 1);
+    for (size_t i = 0; i < atoms; ++i) {
+      ForEachDistinctVar(pattern_atoms_[i], [&](uint32_t v) {
+        occurrences_[fill_[v]++] = static_cast<uint32_t>(i);
+      });
+    }
+    if (!retractions_only_) return;
+    var_count_.assign(atoms, 0);
+    bound_count_.assign(atoms, 0);
+    moved_.assign(atoms, 0);
+    for (size_t i = 0; i < atoms; ++i) {
+      ForEachDistinctVar(pattern_atoms_[i], [&](uint32_t) { ++var_count_[i]; });
+    }
+    if (domains_.size() < vars) domains_.resize(vars);
+    has_domain_.assign(vars, 0);
+    queued_.assign(vars, 0);
+  }
+
+  // Reads the target's segments and posting counts into every pattern atom
+  // and scores it under the current binding.
+  void ScoreAll() {
+    remaining_focus_ = 0;
+    for (size_t i = 0; i < pattern_atoms_.size(); ++i) {
+      PatAtom& pat = pattern_atoms_[i];
+      pat.segment = target_->SegmentFor(pat.predicate, pat.arity);
+      pat.static_best = target_->CountByPredicate(pat.predicate);
+      for (const Arg& arg : ArgsOf(pat)) {
+        if (arg.var == kNotVar) {
+          pat.static_best =
+              std::min(pat.static_best, target_->CountByTerm(arg.constant));
+        }
+      }
+      if (pat.focus) ++remaining_focus_;
+      estimates_[i] = EstimateCandidates(pat);
+    }
+  }
+
+  // Retraction mode: brings the compiled instance up to date. Slots
+  // appended under the same layout stamp are compiled onto the end, which
+  // is where a fresh compile in slot order would put them; a new stamp
+  // recompiles everything.
+  void Sync() {
+    const AtomSet& instance = *target_;
+    if (instance.layout_stamp() != synced_stamp_) {
+      Clear();
+      synced_slots_ = 0;
+      synced_stamp_ = instance.layout_stamp();
+    } else if (instance.generation() == synced_generation_ &&
+               !pattern_atoms_.empty()) {
+      return;
+    }
+    for (AtomSet::Slot s = synced_slots_; s < instance.slot_count(); ++s) {
+      if (instance.SlotAlive(s)) AppendAtom(instance.SlotAtom(s));
+    }
+    synced_slots_ = instance.slot_count();
+    synced_generation_ = instance.generation();
+    FinishCompile();
+    ScoreAll();
+  }
+
   // Retraction mode: binds the positional seed `from` ↦ `onto` (with the
   // fixing of every variable image) and reports whether it unified. The
   // seed atom is compiled into a reused buffer, so a seed allocates
   // nothing.
   bool BindSeed(const Atom& from, const Atom& onto) {
-    seed_.predicate = from.predicate();
-    seed_.args.clear();
+    seed_args_.clear();
     for (Term t : from.args()) {
-      seed_.args.push_back(t.is_variable()
-                               ? Arg{local_of_image_[t.index()], Term()}
-                               : Arg{kNotVar, t});
+      seed_args_.push_back(t.is_variable() ? Arg{LocalOf(t), Term()}
+                                           : Arg{kNotVar, t});
     }
-    return TryUnify(seed_, onto);
+    return TryUnify(seed_args_, onto);
   }
 
+  // The local index of pattern variable `var`, assigned on first sight.
   uint32_t LocalIndex(Term var) {
-    auto [it, inserted] =
-        var_index_.emplace(var, static_cast<uint32_t>(var_terms_.size()));
-    if (inserted) var_terms_.push_back(var);
-    return it->second;
+    const uint32_t index = var.index();
+    if (index >= local_of_var_.size()) {
+      local_of_var_.resize(index + 1, kNotVar);
+    }
+    uint32_t& local = local_of_var_[index];
+    if (local == kNotVar) {
+      local = static_cast<uint32_t>(var_terms_.size());
+      var_terms_.push_back(var);
+    }
+    return local;
+  }
+
+  // The local index of `var`, or kNotVar when the pattern lacks it.
+  uint32_t LocalOf(Term var) const {
+    const uint32_t index = var.index();
+    return index < local_of_var_.size() ? local_of_var_[index] : kNotVar;
   }
 
   template <typename Fn>
-  static void ForEachDistinctVar(const PatAtom& pat, Fn fn) {
-    for (size_t i = 0; i < pat.args.size(); ++i) {
-      uint32_t v = pat.args[i].var;
+  void ForEachDistinctVar(const PatAtom& pat, Fn fn) const {
+    const std::span<const Arg> args = ArgsOf(pat);
+    for (size_t i = 0; i < args.size(); ++i) {
+      uint32_t v = args[i].var;
       if (v == kNotVar) continue;
       bool repeated = false;
-      for (size_t j = 0; j < i; ++j) repeated |= pat.args[j].var == v;
+      for (size_t j = 0; j < i; ++j) repeated |= args[j].var == v;
       if (!repeated) fn(v);
     }
   }
@@ -251,7 +357,7 @@ class HomSearch {
   size_t EstimateCandidates(const PatAtom& pat) const {
     size_t best = pat.static_best;
     size_t bound_args = 0;
-    for (const Arg& arg : pat.args) {
+    for (const Arg& arg : ArgsOf(pat)) {
       if (arg.var == kNotVar) {
         ++bound_args;
       } else if (bound_[arg.var]) {
@@ -273,9 +379,11 @@ class HomSearch {
   void JoinCandidates(const PatAtom& pat, std::vector<const Atom*>& out) {
     out.clear();
     if (pat.segment == nullptr) return;
+    const AtomSet& target = *target_;
     const ColumnSegment& seg = *pat.segment;
-    const TermDictionary& dict = target_.dictionary();
-    const size_t arity = pat.args.size();
+    const TermDictionary& dict = target.dictionary();
+    const std::span<const Arg> args = ArgsOf(pat);
+    const size_t arity = args.size();
     col_bound_.assign(arity, 0);
     col_ids_.assign(arity, TermDictionary::kNoId);
     col_vars_.assign(arity, kNotVar);
@@ -286,7 +394,7 @@ class HomSearch {
     uint32_t probe_col = 0;
     bool dead = false;
     for (size_t i = 0; i < arity; ++i) {
-      const Arg& arg = pat.args[i];
+      const Arg& arg = args[i];
       Term image;
       if (arg.var == kNotVar) {
         image = arg.constant;
@@ -300,7 +408,7 @@ class HomSearch {
       col_ids_[i] = dict.Find(image);
       // An image the target never stored cannot appear in any row.
       if (col_ids_[i] == TermDictionary::kNoId) dead = true;
-      size_t count = arg.var == kNotVar ? target_.CountByTerm(image)
+      size_t count = arg.var == kNotVar ? target.CountByTerm(image)
                                         : image_count_[arg.var];
       if (count < best_count) {
         best_count = count;
@@ -312,12 +420,12 @@ class HomSearch {
     // Cells hold real ids, so comparing against kNoId (forbidden term not
     // in the dictionary) can never match — no extra guard needed.
     TermId forbidden_id = TermDictionary::kNoId;
-    if (options_.forbidden_image_term.has_value()) {
-      forbidden_id = dict.Find(*options_.forbidden_image_term);
+    if (options_->forbidden_image_term.has_value()) {
+      forbidden_id = dict.Find(*options_->forbidden_image_term);
     }
     auto verify_and_admit = [&](uint32_t row) {
       uint32_t slot = seg.slot(row);
-      if (!target_.SlotAlive(slot)) return;
+      if (!target.SlotAlive(slot)) return;
       for (size_t c = 0; c < arity; ++c) {
         TermId cell = seg.cell(row, static_cast<uint32_t>(c));
         if (cell == forbidden_id) return;
@@ -333,7 +441,7 @@ class HomSearch {
           }
         }
       }
-      out.push_back(&target_.SlotAtom(slot));
+      out.push_back(&target.SlotAtom(slot));
     };
     if (best_term.has_value()) {
       IndexBuildStats build;
@@ -371,7 +479,7 @@ class HomSearch {
     // a swap when that head unifies, and a rotate of the identity to the
     // front when it does not. With fewer than two unifying candidates any
     // reorder is the identity permutation.
-    if (!options_.identity_first || out.size() < 2) return;
+    if (!options_->identity_first || out.size() < 2) return;
     size_t identity_pos = out.size();
     for (size_t j = 0; j < out.size(); ++j) {
       if (IsIdentityCandidate(pat, *out[j])) {
@@ -381,7 +489,7 @@ class HomSearch {
     }
     if (identity_pos == out.size() || identity_pos == 0) return;
     const Atom* posting_first = PostingFirstCandidate(
-        pat, best_term, best_count <= target_.CountByPredicate(pat.predicate));
+        pat, best_term, best_count <= target.CountByPredicate(pat.predicate));
     if (posting_first == out[0]) {
       std::swap(out[0], out[identity_pos]);
     } else {
@@ -399,36 +507,38 @@ class HomSearch {
   const Atom* PostingFirstCandidate(const PatAtom& pat,
                                     const std::optional<Term>& best_term,
                                     bool term_beats_predicate) const {
+    const AtomSet& target = *target_;
     auto admit = [&](const Atom& cand) {
-      return !options_.forbidden_image_term.has_value() ||
-             !AtomContains(cand, *options_.forbidden_image_term);
+      return !options_->forbidden_image_term.has_value() ||
+             !AtomContains(cand, *options_->forbidden_image_term);
     };
     if (best_term.has_value() && term_beats_predicate) {
       const std::vector<AtomSet::Slot>* posting =
-          target_.TermPostingSlots(*best_term);
+          target.TermPostingSlots(*best_term);
       if (posting == nullptr) return nullptr;
       for (AtomSet::Slot s : *posting) {
-        if (!target_.SlotAlive(s)) continue;
-        const Atom& cand = target_.SlotAtom(s);
+        if (!target.SlotAlive(s)) continue;
+        const Atom& cand = target.SlotAtom(s);
         if (cand.predicate() == pat.predicate && admit(cand)) return &cand;
       }
       return nullptr;
     }
     const std::vector<AtomSet::Slot>* posting =
-        target_.PredicatePostingSlots(pat.predicate);
+        target.PredicatePostingSlots(pat.predicate);
     if (posting == nullptr) return nullptr;
     for (AtomSet::Slot s : *posting) {
-      if (!target_.SlotAlive(s)) continue;
-      const Atom& cand = target_.SlotAtom(s);
+      if (!target.SlotAlive(s)) continue;
+      const Atom& cand = target.SlotAtom(s);
       if (admit(cand)) return &cand;
     }
     return nullptr;
   }
 
   bool IsIdentityCandidate(const PatAtom& pat, const Atom& cand) const {
-    if (cand.args().size() != pat.args.size()) return false;
-    for (size_t i = 0; i < pat.args.size(); ++i) {
-      const Arg& arg = pat.args[i];
+    const std::span<const Arg> args = ArgsOf(pat);
+    if (cand.args().size() != args.size()) return false;
+    for (size_t i = 0; i < args.size(); ++i) {
+      const Arg& arg = args[i];
       Term expected = arg.var == kNotVar
                           ? arg.constant
                           : (bound_[arg.var] ? binding_[arg.var]
@@ -441,10 +551,10 @@ class HomSearch {
   // Bindings made by TryUnify go onto the shared trail_; RollbackTo(mark)
   // undoes everything pushed after the mark. One growing vector instead of a
   // fresh vector per search node.
-  bool TryUnify(const PatAtom& pat, const Atom& cand) {
-    if (cand.args().size() != pat.args.size()) return false;
-    for (size_t i = 0; i < pat.args.size(); ++i) {
-      const Arg& arg = pat.args[i];
+  bool TryUnify(std::span<const Arg> args, const Atom& cand) {
+    if (cand.args().size() != args.size()) return false;
+    for (size_t i = 0; i < args.size(); ++i) {
+      const Arg& arg = args[i];
       Term image = cand.arg(i);
       if (arg.var == kNotVar) {
         if (arg.constant != image) return false;
@@ -454,15 +564,15 @@ class HomSearch {
         if (binding_[arg.var] != image) return false;
         continue;
       }
-      if (options_.vars_to_vars && image.is_constant()) return false;
-      if (options_.injective) {
+      if (options_->vars_to_vars && image.is_constant()) return false;
+      if (options_->injective) {
         if (used_targets_.contains(image)) return false;
         used_targets_.insert(image);
       }
       Bind(arg.var, image);
       // A retraction fixes its image: X ↦ t forces t ↦ t.
       if (retractions_only_ && image.is_variable()) {
-        uint32_t fixed = local_of_image_[image.index()];
+        uint32_t fixed = local_of_var_[image.index()];
         if (bound_[fixed]) {
           if (binding_[fixed] != image) return false;
         } else {
@@ -476,7 +586,7 @@ class HomSearch {
   void Bind(uint32_t var, Term image) {
     binding_[var] = image;
     bound_[var] = true;
-    image_count_[var] = target_.CountByTerm(image);
+    image_count_[var] = target_->CountByTerm(image);
     trail_.push_back(var);
     if (retractions_only_) CountBinding(var, true);
   }
@@ -535,7 +645,7 @@ class HomSearch {
   void RollbackTo(const Mark& mark) {
     for (size_t i = trail_.size(); i > mark.bindings; --i) {
       uint32_t var = trail_[i - 1];
-      if (options_.injective) used_targets_.erase(binding_[var]);
+      if (options_->injective) used_targets_.erase(binding_[var]);
       if (retractions_only_) CountBinding(var, false);
       bound_[var] = false;
     }
@@ -566,12 +676,18 @@ class HomSearch {
     }
   }
 
-  void Emit() {
-    Substitution result = options_.seed;
-    for (size_t v = 0; v < var_terms_.size(); ++v) {
-      if (bound_[v]) result.Bind(var_terms_[v], binding_[v]);
+  // Records one homomorphism: the seed, extended by every bound variable,
+  // when collecting. Returns true once the limit is reached.
+  bool Emit() {
+    ++found_;
+    if (collect_) {
+      Substitution result = *seed_;
+      for (size_t v = 0; v < var_terms_.size(); ++v) {
+        if (bound_[v]) result.Bind(var_terms_[v], binding_[v]);
+      }
+      results_.push_back(std::move(result));
     }
-    results_.push_back(std::move(result));
+    return limit_ != 0 && found_ >= limit_;
   }
 
   // Retraction mode: the consistency pass of plan/core_guard.h, run on the
@@ -586,11 +702,6 @@ class HomSearch {
   // core no faster at 50 steps (best of 300 runs: 3.1 ms from the first
   // node, 3.3-3.6 ms for the others) and no faster at 300 steps.
   bool SeedInconsistent(const Mark& mark) {
-    if (domains_.empty()) {
-      domains_.resize(var_terms_.size());
-      has_domain_.assign(var_terms_.size(), 0);
-      queued_.assign(var_terms_.size(), 0);
-    }
     for (size_t i = mark.bindings; i < trail_.size(); ++i) {
       const uint32_t var = trail_[i];
       SetDomain(var);
@@ -634,11 +745,12 @@ class HomSearch {
   // its variable's domain. The candidates come from the term postings of
   // the position with the smallest domain. False iff a domain empties.
   bool Revise(const PatAtom& pat) {
-    const size_t arity = pat.args.size();
+    const std::span<const Arg> args = ArgsOf(pat);
+    const size_t arity = args.size();
     size_t driver = arity;
     size_t driver_size = kInfinity;
     for (size_t k = 0; k < arity; ++k) {
-      const uint32_t var = pat.args[k].var;
+      const uint32_t var = args[k].var;
       const size_t size = var == kNotVar ? 1
                           : has_domain_[var] ? domains_[var].size()
                                              : kInfinity;
@@ -649,17 +761,17 @@ class HomSearch {
     }
     TWCHASE_CHECK(driver < arity);  // the atom has a variable with a domain
     if (supports_.size() < arity) supports_.resize(arity);
-    // first_[k]: the first position holding pat.args[k]'s variable.
+    // first_[k]: the first position holding args[k]'s variable.
     first_.resize(arity);
     for (size_t k = 0; k < arity; ++k) {
       supports_[k].clear();
       size_t j = 0;
-      while (pat.args[j].var != pat.args[k].var) ++j;
+      while (args[j].var != args[k].var) ++j;
       first_[k] = j;
     }
     auto admit = [&](const Atom& cand) {
       for (size_t k = 0; k < arity; ++k) {
-        const Arg& arg = pat.args[k];
+        const Arg& arg = args[k];
         const Term t = cand.arg(k);
         if (arg.var == kNotVar) {
           if (t != arg.constant) return;
@@ -672,31 +784,32 @@ class HomSearch {
         }
       }
       for (size_t k = 0; k < arity; ++k) {
-        if (pat.args[k].var != kNotVar && first_[k] == k) {
+        if (args[k].var != kNotVar && first_[k] == k) {
           supports_[k].push_back(cand.arg(k));
         }
       }
     };
+    const AtomSet& target = *target_;
     auto scan_posting = [&](Term t) {
-      const std::vector<AtomSet::Slot>* posting = target_.TermPostingSlots(t);
+      const std::vector<AtomSet::Slot>* posting = target.TermPostingSlots(t);
       if (posting == nullptr) return;
       for (AtomSet::Slot slot : *posting) {
-        if (!target_.SlotAlive(slot)) continue;
-        const Atom& cand = target_.SlotAtom(slot);
+        if (!target.SlotAlive(slot)) continue;
+        const Atom& cand = target.SlotAtom(slot);
         if (cand.predicate() == pat.predicate && cand.arity() == arity &&
             cand.arg(driver) == t) {
           admit(cand);
         }
       }
     };
-    const Arg& driver_arg = pat.args[driver];
+    const Arg& driver_arg = args[driver];
     if (driver_arg.var == kNotVar) {
       scan_posting(driver_arg.constant);
     } else {
       for (Term t : domains_[driver_arg.var]) scan_posting(t);
     }
     for (size_t k = 0; k < arity; ++k) {
-      const uint32_t var = pat.args[k].var;
+      const uint32_t var = args[k].var;
       if (var == kNotVar || first_[k] != k) continue;
       std::vector<Term>& support = supports_[k];
       std::sort(support.begin(), support.end());
@@ -770,12 +883,12 @@ class HomSearch {
     ++nodes_;
     if (GovernorPoll(FaultSite::kHomNode)) return true;
     if (retractions_only_ ? frontier_left_ == 0 : remaining == 0) {
-      Emit();
-      return options_.limit != 0 && results_.size() >= options_.limit;
+      return Emit();
     }
     const size_t chosen = retractions_only_ ? ChooseTouched() : ChooseAny();
     TWCHASE_CHECK(chosen < pattern_atoms_.size());
     const PatAtom& pat = pattern_atoms_[chosen];
+    const std::span<const Arg> args = ArgsOf(pat);
     assigned_[chosen] = true;
     CountAssignment(chosen, true);
     if (pat.focus) --remaining_focus_;
@@ -784,7 +897,7 @@ class HomSearch {
     JoinCandidates(pat, candidates);
     for (const Atom* cand : candidates) {
       const Mark mark = CurrentMark();
-      if (!TryUnify(pat, *cand)) {
+      if (!TryUnify(args, *cand)) {
         RollbackTo(mark);
         continue;
       }
@@ -799,11 +912,28 @@ class HomSearch {
     return stop;
   }
 
-  const AtomSet& target_;
-  const HomOptions& options_;
+  // What is searched. Transient mode points these at the caller's pattern,
+  // target and options for one Run; retraction mode at its instance and
+  // retraction_options_ (limit 1, identity first).
+  const AtomSet* target_ = nullptr;
+  const HomOptions* options_ = nullptr;
+  const Substitution* seed_ = nullptr;
+  size_t limit_ = 1;
+  bool collect_ = true;
+  HomOptions retraction_options_;
+
+  // The compiled pattern: atoms in slot order, their arguments in one
+  // array, and the local variable table. local_of_var_ maps a variable's
+  // vocabulary index to its local index (kNotVar when it is not in the
+  // pattern); Clear resets exactly the entries of var_terms_.
   std::vector<PatAtom> pattern_atoms_;
-  std::unordered_map<Term, uint32_t, TermHash> var_index_;
+  std::vector<Arg> args_;
   std::vector<Term> var_terms_;
+  std::vector<uint32_t> local_of_var_;
+  std::vector<uint32_t> occurrence_begin_;  // per variable, into occurrences_
+  std::vector<uint32_t> occurrences_;       // atoms mentioning each variable
+  std::vector<uint32_t> fill_;              // FinishCompile's CSR cursor
+
   std::vector<Term> binding_;  // indexed by local variable
   std::vector<char> bound_;
   // CountByTerm(binding_[v]) for every bound v, cached when v is bound.
@@ -815,31 +945,32 @@ class HomSearch {
   std::vector<size_t> estimates_;
   // (atom, estimate before a Rescore), undone by RollbackTo.
   std::vector<std::pair<uint32_t, size_t>> estimate_trail_;
-  std::vector<uint32_t> occurrence_begin_;  // per variable, into occurrences_
-  std::vector<uint32_t> occurrences_;       // atoms mentioning each variable
   std::vector<std::vector<const Atom*>> candidate_buffers_;  // per depth
   size_t remaining_focus_ = 0;
   std::vector<uint32_t> trail_;
   std::unordered_set<Term, TermHash> used_targets_;
   std::vector<Substitution> results_;
-  // Retraction mode: only idempotent maps; local_of_image_ maps a
-  // variable's vocabulary index to its local index. Per atom: its distinct
+  size_t found_ = 0;  // homomorphisms found by the current Run or query
+
+  // Retraction mode: only idempotent maps. Per atom: its distinct
   // variables, how many are bound, and how many are bound to a term other
   // than themselves (moved). frontier_left_ counts the unassigned atoms
-  // with a moved variable.
+  // with a moved variable. The synced_* fields record what Sync compiled.
   bool retractions_only_ = false;
-  std::vector<uint32_t> local_of_image_;
   std::vector<uint32_t> var_count_;
   std::vector<uint32_t> bound_count_;
   std::vector<uint32_t> moved_;
   size_t frontier_left_ = 0;
   // The atoms with bound_count_ > 0, in the order their count left 0.
   std::vector<uint32_t> touched_;
-  PatAtom seed_;  // BindSeed's compiled seed atom, reused
-  // SeedInconsistent's state, sized on first use and emptied after each
-  // pass: per variable a sorted domain (meaningful iff has_domain_), the
-  // AC-3 queue, and Revise's per-position scratch (supported terms, first
-  // occurrence of the position's variable).
+  std::vector<Arg> seed_args_;  // BindSeed's compiled seed atom, reused
+  uint64_t synced_stamp_ = 0;
+  uint64_t synced_generation_ = 0;
+  AtomSet::Slot synced_slots_ = 0;
+  // SeedInconsistent's state, emptied after each pass: per variable a
+  // sorted domain (meaningful iff has_domain_), the AC-3 queue, and
+  // Revise's per-position scratch (supported terms, first occurrence of
+  // the position's variable).
   std::vector<std::vector<Term>> domains_;
   std::vector<char> has_domain_;
   std::vector<uint32_t> domain_vars_;
@@ -857,13 +988,49 @@ class HomSearch {
   std::vector<uint32_t> col_vars_;
 };
 
+// Runs one transient search on the thread's spare HomSearch, so that its
+// buffers outlive the search. A search started while the spare is out
+// (none does today) gets a fresh one.
+template <typename Fn>
+auto WithSpareSearch(Fn fn) {
+  thread_local std::unique_ptr<HomSearch> spare;
+  std::unique_ptr<HomSearch> search =
+      spare != nullptr ? std::move(spare) : std::make_unique<HomSearch>();
+  auto out = fn(*search);
+  spare = std::move(search);
+  return out;
+}
+
+// First homomorphism or existence only (`collect` off), never more than
+// `limit`.
+std::vector<Substitution> RunSearch(const AtomSet& pattern,
+                                    const AtomSet& target,
+                                    const HomOptions& options,
+                                    const Substitution& seed, size_t limit,
+                                    bool collect, bool* found = nullptr) {
+  return WithSpareSearch([&](HomSearch& search) {
+    search.Compile(pattern, target, options, seed, limit, collect);
+    std::vector<Substitution> results = search.Run();
+    if (found != nullptr) *found = search.found();
+    return results;
+  });
+}
+
+bool ExistsHomomorphismSeeded(const AtomSet& pattern, const AtomSet& target,
+                              const Substitution& seed) {
+  static const HomOptions kDefaults;
+  bool found = false;
+  RunSearch(pattern, target, kDefaults, seed, 1, /*collect=*/false, &found);
+  return found;
+}
+
 }  // namespace
 
 std::vector<Substitution> FindAllHomomorphisms(const AtomSet& pattern,
                                                const AtomSet& target,
                                                const HomOptions& options) {
-  HomSearch search(pattern, target, options);
-  return search.Run();
+  return RunSearch(pattern, target, options, options.seed, options.limit,
+                   /*collect=*/true);
 }
 
 std::optional<Substitution> FindHomomorphism(const AtomSet& pattern,
@@ -874,29 +1041,24 @@ std::optional<Substitution> FindHomomorphism(const AtomSet& pattern,
 std::optional<Substitution> FindHomomorphism(const AtomSet& pattern,
                                              const AtomSet& target,
                                              const HomOptions& options) {
-  HomOptions opts = options;
-  opts.limit = 1;
-  auto results = FindAllHomomorphisms(pattern, target, opts);
+  auto results = RunSearch(pattern, target, options, options.seed, 1,
+                           /*collect=*/true);
   if (results.empty()) return std::nullopt;
   return std::move(results.front());
 }
 
 bool ExistsHomomorphism(const AtomSet& pattern, const AtomSet& target) {
-  return FindHomomorphism(pattern, target).has_value();
+  return ExistsHomomorphismSeeded(pattern, target, Substitution());
 }
 
 bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
                                  const Substitution& seed) {
-  HomOptions options;
-  options.seed = seed;
-  options.limit = 1;
-  return FindHomomorphism(pattern, target, options).has_value();
+  return ExistsHomomorphismSeeded(pattern, target, seed);
 }
 
 class RetractionSearch::Impl {
  public:
-  explicit Impl(const AtomSet& instance)
-      : search_(instance, instance, options_, /*retractions_only=*/true) {}
+  explicit Impl(const AtomSet& instance) { search_.BindRetractions(instance); }
 
   bool MapsOnto(const Atom& from, const Atom& onto) {
     return search_.ExistsRetractionOnto(from, onto);
@@ -907,7 +1069,6 @@ class RetractionSearch::Impl {
   }
 
  private:
-  HomOptions options_;  // limit 1, identity first; outlives search_
   HomSearch search_;
 };
 

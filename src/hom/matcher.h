@@ -18,10 +18,15 @@
 // where only atoms with a bound variable can be picked: a node there costs
 // O(touched atoms), the atoms that mention a bound variable.
 //
+// Compiled once, allocation-free after warm-up. A search compiles its
+// pattern into flat arrays (matcher.cc) on buffers the thread keeps for its
+// next search, so a transient search allocates only the substitutions it
+// returns; the existence checks (ExistsHomomorphism*) build none.
+//
 // Thread-safety contract: every search here is a pure function of its
 // arguments plus the per-thread ambient governor (util/governor.h, a
-// thread_local) — no static mutable state, no writes to the pattern or
-// target. Concurrent searches over a shared const AtomSet are safe as long
+// thread_local) — no shared mutable state (each thread's reused search
+// buffers are its own), no writes to the pattern or target. Concurrent searches over a shared const AtomSet are safe as long
 // as no thread mutates it. Search order, and hence the result vector, is
 // deterministic.
 #ifndef TWCHASE_HOM_MATCHER_H_
@@ -117,15 +122,23 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
                                  const Substitution& seed);
 
 /// The still-core guard's case-(i) search (plan/core_guard.h). The whole
-/// instance is compiled once as both pattern and target, and only
-/// retractions are searched: binding X ↦ t, t a variable, also fixes t ↦ t.
-/// The search is bounded by what the retraction moves: it succeeds once
-/// every atom with a variable bound away from itself has an image, since
-/// the identity completes the rest. Each query binds its seed, runs the
-/// consistency pass, searches only a seed the pass keeps, and rolls back,
-/// so one object answers any number of queries. A search node costs
-/// O(touched atoms), the atoms with a bound variable, not O(instance size).
-/// Not thread-safe; `instance` must outlive the object unmodified.
+/// instance is compiled as both pattern and target, and only retractions
+/// are searched: binding X ↦ t, t a variable, also fixes t ↦ t. The search
+/// is bounded by what the retraction moves: it succeeds once every atom
+/// with a variable bound away from itself has an image, since the identity
+/// completes the rest. Each query binds its seed, runs the consistency
+/// pass, searches only a seed the pass keeps, and rolls back, so one object
+/// answers any number of queries. A search node costs O(touched atoms), the
+/// atoms with a bound variable, not O(instance size).
+///
+/// The compiled instance lives as long as the object. A query first takes
+/// in what changed since the last one: the atoms appended since (same
+/// AtomSet::layout_stamp) are compiled onto the end; after an erase or a
+/// replacement of the instance's contents it is compiled afresh. Either way
+/// every query sees exactly what a fresh compile of the instance would, so
+/// one object can follow an instance through a whole chase run.
+/// Not thread-safe; `instance` must outlive the object and must not change
+/// during a query.
 class RetractionSearch {
  public:
   explicit RetractionSearch(const AtomSet& instance);

@@ -1,6 +1,7 @@
 #include "model/atom_set.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
 #include "util/status.h"
@@ -27,6 +28,11 @@ AtomSet::AtomSet(const AtomSet& other)
   for (const auto& [key, segment] : other.segments_) {
     segments_.emplace(key, std::make_unique<ColumnSegment>(*segment));
   }
+}
+
+uint64_t AtomSet::LayoutStamp::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 AtomSet& AtomSet::operator=(const AtomSet& other) {
@@ -91,6 +97,7 @@ bool AtomSet::Erase(const Atom& atom) {
   --live_count_;
   ++dead_count_;
   ++generation_;
+  layout_stamp_.Renew();
   MaybeCompact();
   return true;
 }

@@ -108,6 +108,18 @@ class AtomSet {
   /// assert they have not missed a change.
   uint64_t generation() const { return generation_; }
 
+  /// Slots ever used, tombstones included: every live atom sits at a slot
+  /// below this.
+  Slot slot_count() const { return static_cast<Slot>(slots_.size()); }
+
+  /// Slot-layout stamp. While a set keeps its stamp, its slots below any
+  /// earlier slot_count() hold the same live atoms as then: only Insert
+  /// happened since, and it appends. Erase, compaction, and copying or
+  /// moving into or out of a set draw a new stamp, unique in the process.
+  /// Lets a compiled view of the set (hom/matcher.h) catch up by compiling
+  /// the appended slots only.
+  uint64_t layout_stamp() const { return layout_stamp_.value; }
+
   /// Atoms inserted into / erased from the set since the last drain.
   struct Delta {
     std::vector<Atom> inserted;
@@ -173,6 +185,25 @@ class AtomSet {
   void CompactPostings();
   void IndexNewAtom(const Atom& atom, Slot slot);
 
+  // A process-unique stamp that every copy and move renews on both ends.
+  struct LayoutStamp {
+    static uint64_t Next();
+    LayoutStamp() = default;
+    LayoutStamp(const LayoutStamp&) {}
+    LayoutStamp(LayoutStamp&& other) noexcept { other.Renew(); }
+    LayoutStamp& operator=(const LayoutStamp&) {
+      Renew();
+      return *this;
+    }
+    LayoutStamp& operator=(LayoutStamp&& other) noexcept {
+      Renew();
+      other.Renew();
+      return *this;
+    }
+    void Renew() { value = Next(); }
+    uint64_t value = Next();
+  };
+
   static uint64_t SegmentKey(PredicateId predicate, uint32_t arity) {
     return (static_cast<uint64_t>(predicate) << 32) | arity;
   }
@@ -196,6 +227,7 @@ class AtomSet {
   size_t slot_args_ = 0;  // total argument count over all slots, dead included
   bool journal_enabled_ = false;
   Delta journal_;
+  LayoutStamp layout_stamp_;
 };
 
 }  // namespace twchase

@@ -1,6 +1,5 @@
 #include "plan/core_guard.h"
 
-#include <optional>
 #include <unordered_set>
 
 #include "hom/matcher.h"
@@ -36,6 +35,14 @@ bool PositionallyUnifiable(const Atom& a, const Atom& d) {
 CoreGuardOutcome ProveStillCore(const AtomSet& instance,
                                 const std::vector<Atom>& added,
                                 uint32_t base_variable_mark) {
+  RetractionSearch retractions(instance);
+  return ProveStillCore(instance, added, base_variable_mark, retractions);
+}
+
+CoreGuardOutcome ProveStillCore(const AtomSet& instance,
+                                const std::vector<Atom>& added,
+                                uint32_t base_variable_mark,
+                                RetractionSearch& retractions) {
   CoreGuardOutcome outcome;
   auto fresh = [&](Term t) {
     return t.is_variable() && t.index() >= base_variable_mark;
@@ -75,7 +82,6 @@ CoreGuardOutcome ProveStillCore(const AtomSet& instance,
   // to vars(a) is forced positionally and it fixes terms(d). One compiled
   // whole-instance search answers every seed; a hit is a proper retraction
   // (a ∉ image(ρ)), so again definitive.
-  std::optional<RetractionSearch> retractions;
   for (const Atom& d : added) {
     const std::vector<AtomSet::Slot>* posting =
         instance.PredicatePostingSlots(d.predicate());
@@ -85,8 +91,7 @@ CoreGuardOutcome ProveStillCore(const AtomSet& instance,
       const Atom& a = instance.SlotAtom(slot);
       if (a == d || !PositionallyUnifiable(a, d)) continue;
       ++outcome.onto_checks;
-      if (!retractions.has_value()) retractions.emplace(instance);
-      if (retractions->MapsOnto(a, d)) return outcome;
+      if (retractions.MapsOnto(a, d)) return outcome;
     }
   }
 

@@ -34,8 +34,9 @@
 //        Exact: ρ(a) = d puts terms(d) in image(ρ), and a retraction fixes
 //        its image. Sound: a hit is a retraction with ρ(a) = d ≠ a, so it is
 //        not the identity and omits a from its image — A' is not a core.
-//        The whole-instance pattern is compiled once per call and every
-//        seed binds, decides and rolls back (RetractionSearch, hom/matcher.h).
+//        The whole instance is compiled once per run and every seed binds,
+//        decides and rolls back (RetractionSearch, hom/matcher.h); between
+//        guard calls the compiled instance takes in the atoms appended.
 //
 // The frontier rule bounds the case-(i) search by what ρ moves. Under a
 // partial binding β, a variable is moved when β maps it to a term other
@@ -102,6 +103,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hom/matcher.h"
 #include "model/atom_set.h"
 
 namespace twchase {
@@ -123,6 +125,14 @@ struct CoreGuardOutcome {
 CoreGuardOutcome ProveStillCore(const AtomSet& instance,
                                 const std::vector<Atom>& added,
                                 uint32_t base_variable_mark);
+
+/// The same proof, with the case-(i) searches run on `retractions`, a
+/// RetractionSearch over `instance` that the caller keeps across calls so
+/// the instance is compiled once per run, not once per call.
+CoreGuardOutcome ProveStillCore(const AtomSet& instance,
+                                const std::vector<Atom>& added,
+                                uint32_t base_variable_mark,
+                                RetractionSearch& retractions);
 
 }  // namespace twchase
 

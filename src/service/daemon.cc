@@ -90,7 +90,7 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
       job->error_ = Status(StatusCodeFromName(record.error_code),
                            record.error_message);
     } else {
-      job->result_ = record.result;
+      job->result_body_ = record.result.Dump();
       job->has_result_ = true;
     }
     return job;
@@ -239,16 +239,15 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
       // Checkpoint unavailable: fall through to the cancelled terminal.
     }
 
-    RenderResultLocked(**session, *program, events.str());
     state_ = (*session)->stop_reason() == StopReason::kCancelled
                  ? "cancelled"
                  : "done";
-    // A terminal job never resumes: its last preemption checkpoint has no
-    // reader left.
-    std::string().swap(saved_checkpoint_);
-    result_.Set("state", Json::String(state_));
-    FoldMetricsLocked();
-    daemon_->PersistTerminal(id_, state_, result_);
+    RenderResultLocked(**session, *program, events.str());
+    // A terminal job never resumes: its checkpoints and its program text
+    // have no reader left.
+    ReleaseRunInputsLocked();
+    FoldMetricsLocked((*session)->Result());
+    daemon_->PersistTerminal(id_, state_, result_body_);
     return Outcome::kCompleted;
   }
 
@@ -284,18 +283,20 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
     return json;
   }
 
-  /// FailedPrecondition while the job is still in flight.
-  StatusOr<Json> ResultJson() const {
+  /// The result body as served (compact JSON, no trailing newline): the
+  /// terminal result, or a failed job's error payload. FailedPrecondition
+  /// while the job is still in flight.
+  StatusOr<std::string> ResultBody() const {
     std::lock_guard<std::mutex> lock(mu_);
     if (state_ == "failed") {
-      return ErrorJson(error_);
+      return ErrorJson(error_).Dump();
     }
     if (!has_result_) {
       return Status::FailedPrecondition("job " + id_ + " is " + state_ +
                                         "; the result exists once it is "
                                         "done or cancelled");
     }
-    return result_;
+    return result_body_;
   }
 
   bool failed() const {
@@ -304,6 +305,14 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   }
 
  private:
+  /// Drops what only a further segment would read: the last preemption
+  /// checkpoint, the caller's resume checkpoint and the program text.
+  void ReleaseRunInputsLocked() {
+    std::string().swap(saved_checkpoint_);
+    std::string().swap(request_.resume_checkpoint);
+    std::string().swap(request_.program);
+  }
+
   /// Marks the job failed; both overloads return kFailed for RunSegment.
   Outcome Terminal(const Status& status) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -312,18 +321,19 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   Outcome TerminalLocked(const Status& status) {
     error_ = status;
     state_ = "failed";
-    std::string().swap(saved_checkpoint_);
+    ReleaseRunInputsLocked();
     daemon_->PersistFailed(id_, status);
     return Outcome::kFailed;
   }
 
-  /// Renders the terminal payload. Holds mu_; the program (and its
-  /// vocabulary, which the printed atoms reference) is alive only for this
-  /// call, so everything is rendered to strings now. `events` is the
-  /// segment's event capture (empty unless requested).
+  /// Renders the terminal payload, with the terminal state_ already set,
+  /// into result_body_. Holds mu_; the program (and its vocabulary, which
+  /// the printed atoms reference) is alive only for this call, so
+  /// everything is rendered now. `events` is the segment's event capture
+  /// (empty unless requested).
   void RenderResultLocked(ChaseSession& session, const ParsedProgram& program,
                           std::string_view events);
-  void FoldMetricsLocked();
+  void FoldMetricsLocked(const ChaseResult& run);
 
   /// The --variant=auto provenance payload for status and result bodies.
   Json PreflightJsonLocked() const {
@@ -357,7 +367,10 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   ChaseSession* live_session_ = nullptr;
 
   Status error_;
-  Json result_;
+  // The terminal result exactly as GET .../result serves it and the
+  // manifest's terminal record embeds it: one compact JSON string, not a
+  // tree, so a retained job costs one block.
+  std::string result_body_;
   bool has_result_ = false;
 };
 
@@ -410,61 +423,60 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
     queries.Append(std::move(entry));
   }
 
-  result_ = Json::Object();
-  result_.Set("schema_version", Json::Number(uint64_t{kWireSchemaVersion}));
-  result_.Set("id", Json::String(id_));
-  result_.Set("tenant", Json::String(request_.tenant));
-  result_.Set("state", Json::String("done"));  // overwritten by the caller
-  result_.Set("stop_reason",
+  Json result = Json::Object();
+  result.Set("schema_version", Json::Number(uint64_t{kWireSchemaVersion}));
+  result.Set("id", Json::String(id_));
+  result.Set("tenant", Json::String(request_.tenant));
+  result.Set("state", Json::String(state_));
+  result.Set("stop_reason",
               Json::String(StopReasonName(run.stop_reason)));
-  result_.Set("terminated", Json::Bool(terminated));
-  result_.Set("steps", Json::Number(uint64_t{run.steps}));
-  result_.Set("rounds", Json::Number(uint64_t{run.rounds}));
-  result_.Set("segments", Json::Number(segments_));
-  result_.Set("elapsed_seconds", Json::Number(elapsed_seconds_));
+  result.Set("terminated", Json::Bool(terminated));
+  result.Set("steps", Json::Number(uint64_t{run.steps}));
+  result.Set("rounds", Json::Number(uint64_t{run.rounds}));
+  result.Set("segments", Json::Number(segments_));
+  result.Set("elapsed_seconds", Json::Number(elapsed_seconds_));
   Json program_info = Json::Object();
   program_info.Set("facts", Json::Number(uint64_t{kb.facts.size()}));
   program_info.Set("rules", Json::Number(uint64_t{kb.rules.size()}));
   program_info.Set("queries", Json::Number(uint64_t{program.queries.size()}));
-  result_.Set("program", std::move(program_info));
-  result_.Set("instance_size", Json::Number(uint64_t{instance.size()}));
+  result.Set("program", std::move(program_info));
+  result.Set("instance_size", Json::Number(uint64_t{instance.size()}));
   // Hex string: ContentHash spans all 64 bits, which double cannot carry.
-  result_.Set("instance_hash",
+  result.Set("instance_hash",
               Json::String(Sprintf("%016" PRIx64, instance.ContentHash())));
-  result_.Set("queries", std::move(queries));
+  result.Set("queries", std::move(queries));
   if (request_.options.preflight.auto_variant) {
-    result_.Set("preflight", PreflightJsonLocked());
+    result.Set("preflight", PreflightJsonLocked());
   }
-  result_.Set("text", Json::String(text));
+  result.Set("text", Json::String(text));
   if (request_.capture_events) {
     // (Filled by RunSegment's capture; a resumed segment re-emits the full
     // stream, so the last segment's capture is the complete one.)
-    result_.Set("events", Json::String(events));
+    result.Set("events", Json::String(events));
   }
   if (request_.return_checkpoint) {
     // Submission rejected return_checkpoint on unrecordable jobs, so the
     // run was executed with the resume log on — mirror that here.
     ChaseOptions recorded = request_.options;
     recorded.resume.record_log = true;
-    result_.Set("checkpoint", Json::String(SerializeCheckpoint(
+    result.Set("checkpoint", Json::String(SerializeCheckpoint(
                                   MakeCheckpoint(kb, recorded, run))));
   }
+  result_body_ = result.Dump();
   has_result_ = true;
 }
 
-void ChaseDaemon::ChaseJob::FoldMetricsLocked() {
+void ChaseDaemon::ChaseJob::FoldMetricsLocked(const ChaseResult& run) {
   MetricsRegistry job_metrics;
-  job_metrics.GetCounter("service.jobs.steps")
-      ->Increment(static_cast<uint64_t>(result_.Get("steps").number_value()));
-  job_metrics.GetCounter("service.jobs.rounds")
-      ->Increment(static_cast<uint64_t>(result_.Get("rounds").number_value()));
+  job_metrics.GetCounter("service.jobs.steps")->Increment(run.steps);
+  job_metrics.GetCounter("service.jobs.rounds")->Increment(run.rounds);
   job_metrics.GetCounter("service.jobs.segments")->Increment(segments_);
   job_metrics.GetHistogram("service.job.steps")
-      ->Observe(result_.Get("steps").number_value());
+      ->Observe(static_cast<double>(run.steps));
   job_metrics.GetHistogram("service.job.elapsed_seconds")
       ->Observe(elapsed_seconds_);
   job_metrics.GetHistogram("service.job.instance_size")
-      ->Observe(result_.Get("instance_size").number_value());
+      ->Observe(static_cast<double>(run.derivation.Last().size()));
   daemon_->FoldJobMetrics(job_metrics);
 }
 
@@ -531,8 +543,8 @@ void ChaseDaemon::PersistSnapshot(const std::string& id,
 
 void ChaseDaemon::PersistTerminal(const std::string& id,
                                   const std::string& state,
-                                  const Json& result) {
-  if (store_ != nullptr) (void)store_->AppendTerminal(id, state, result);
+                                  std::string_view result_body) {
+  if (store_ != nullptr) (void)store_->AppendTerminal(id, state, result_body);
 }
 
 void ChaseDaemon::PersistFailed(const std::string& id, const Status& error) {
@@ -893,13 +905,14 @@ HttpResponse ChaseDaemon::HandleJobResult(const std::string& id) {
   if (job == nullptr) {
     return StatusResponse(Status::NotFound("no such job: " + id));
   }
-  auto result = job->ResultJson();
-  if (!result.ok()) return StatusResponse(result.status());
+  auto body = job->ResultBody();
+  if (!body.ok()) return StatusResponse(body.status());
+  HttpResponse response;
   // A failed job's "result" is its error payload with the error's own code.
-  if (job->failed()) {
-    return JsonResponse(500, *result);
-  }
-  return JsonResponse(200, *result);
+  response.status = job->failed() ? 500 : 200;
+  response.body = std::move(*body);
+  response.body += '\n';
+  return response;
 }
 
 HttpResponse ChaseDaemon::HandleJobCancel(const std::string& id) {

@@ -49,6 +49,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -80,10 +81,11 @@ struct DaemonOptions {
   size_t http_threads = 4;
 
   /// Terminal (done/cancelled/failed) jobs retained for status/result
-  /// queries. Once more than this many have finished, the oldest-finished
-  /// are evicted (their id answers 404) so a long-lived daemon's job table
-  /// — result JSON, rendered text, event streams, checkpoints — stays
-  /// bounded. 0 = retain forever.
+  /// queries. A retained job keeps its result as one rendered string (the
+  /// body GET .../result serves, text, events and checkpoint included)
+  /// and drops its program and checkpoints. Once more than this many have
+  /// finished, the oldest-finished are evicted (their id answers 404), so
+  /// a long-lived daemon's job table stays bounded. 0 = retain forever.
   size_t finished_job_retention = 256;
 
   /// Durable state directory (--state-dir). When set, admitted jobs, their
@@ -155,7 +157,7 @@ class ChaseDaemon {
   /// failures degrade the store, never the chase result).
   void PersistSnapshot(const std::string& id, const std::string& sealed);
   void PersistTerminal(const std::string& id, const std::string& state,
-                       const Json& result);
+                       std::string_view result_body);
   void PersistFailed(const std::string& id, const Status& error);
 
   /// True while Stop() is draining AND snapshots can still be persisted —

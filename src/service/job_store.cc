@@ -36,11 +36,15 @@ bool ParseFingerprintHex(const std::string& hex, uint64_t* out) {
 }
 
 // Frames one payload as a manifest line: "M1 <crc-hex> <len> <payload>\n".
-std::string FrameRecord(const std::string& payload) {
+std::string FrameRecord(std::string_view payload) {
   char header[32];
   std::snprintf(header, sizeof header, "M1 %08x %zu ", Crc32(payload),
                 payload.size());
-  return header + payload + "\n";
+  std::string line = header;
+  line.reserve(line.size() + payload.size() + 1);
+  line += payload;
+  line += '\n';
+  return line;
 }
 
 // Parses "j-<N>" into N; 0 for anything else.
@@ -53,9 +57,11 @@ uint64_t JobNumber(const std::string& id) {
   return n;
 }
 
+using RecordSpan = JobStore::RecordSpan;
+
 struct ReplayState {
   std::vector<RecoveredJob>* jobs;
-  std::map<std::string, std::vector<std::string>>* lines;
+  std::map<std::string, std::vector<RecordSpan>>* lines;
   std::vector<std::string>* order;
   size_t* dead;
   uint64_t* max_number;
@@ -76,7 +82,7 @@ void CountDead(const ReplayState& state, size_t n) {
 
 // Applies one CRC-valid payload. Returns false when the record's schema is
 // unintelligible — replay then stops as if the tail were torn.
-bool ApplyRecord(const Json& payload, const std::string& framed_line,
+bool ApplyRecord(const Json& payload, RecordSpan framed_line,
                  const ReplayState& state) {
   if (!payload.is_object() || !payload.Get("type").is_string() ||
       !payload.Get("id").is_string()) {
@@ -222,8 +228,7 @@ JobStore::ReplayStats ReplayInternal(std::string_view manifest,
     if (Crc32(payload) != crc) break;
     auto json = Json::Parse(payload);
     if (!json.ok()) break;
-    std::string framed_line(manifest.substr(record_start,
-                                            pos + len + 1 - record_start));
+    const RecordSpan framed_line{record_start, pos + len + 1 - record_start};
     if (!ApplyRecord(*json, framed_line, state)) break;
     pos += len + 1;
     ++stats.records;
@@ -264,9 +269,11 @@ StatusOr<std::unique_ptr<JobStore>> JobStore::Open(
   Status read = ReadFileToString(store->ManifestPath(), &manifest);
   if (!read.ok() && read.code() != StatusCode::kNotFound) return read;
 
-  ReplayState state{&store->recovered_, &store->live_lines_, &store->order_,
-                    &store->dead_records_, &store->max_job_number_};
+  ReplayState state{&store->recovered_, &store->live_records_,
+                    &store->order_, &store->dead_records_,
+                    &store->max_job_number_};
   ReplayStats stats = ReplayInternal(manifest, state);
+  store->manifest_bytes_ = stats.valid_bytes;
 
   int fd = ::open(store->ManifestPath().c_str(),
                   O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -301,19 +308,21 @@ void JobStore::LatchDegradedLocked(const Status& status) {
 }
 
 Status JobStore::AppendRecordLocked(const std::string& id,
-                                    const Json& payload, bool tombstone) {
+                                    std::string_view payload, bool tombstone) {
   if (degraded_) return degraded_status_;
-  std::string line = FrameRecord(payload.Dump());
+  const std::string line = FrameRecord(payload);
   Status written = FsWriteAll(manifest_fd_, line, kManifestName);
   if (written.ok()) written = FsFsync(manifest_fd_, kManifestName);
   if (!written.ok()) {
     LatchDegradedLocked(written);
     return written;
   }
+  const RecordSpan span{manifest_bytes_, line.size()};
+  manifest_bytes_ += line.size();
   if (tombstone) {
-    auto it = live_lines_.find(id);
-    size_t killed = it == live_lines_.end() ? 0 : it->second.size();
-    if (it != live_lines_.end()) live_lines_.erase(it);
+    auto it = live_records_.find(id);
+    size_t killed = it == live_records_.end() ? 0 : it->second.size();
+    if (it != live_records_.end()) live_records_.erase(it);
     for (size_t i = 0; i < order_.size(); ++i) {
       if (order_[i] == id) {
         order_.erase(order_.begin() + i);
@@ -322,8 +331,8 @@ Status JobStore::AppendRecordLocked(const std::string& id,
     }
     dead_records_ += killed + 1;
   } else {
-    if (live_lines_.find(id) == live_lines_.end()) order_.push_back(id);
-    live_lines_[id].push_back(line);
+    if (live_records_.find(id) == live_records_.end()) order_.push_back(id);
+    live_records_[id].push_back(span);
   }
   return Status::OK();
 }
@@ -337,16 +346,20 @@ Status JobStore::AppendAdmit(const std::string& id, const JobRequest& request,
   payload.Set("job", JobRequestToJson(request));
   std::lock_guard<std::mutex> lock(mu_);
   max_job_number_ = std::max(max_job_number_, JobNumber(id));
-  return AppendRecordLocked(id, payload, /*tombstone=*/false);
+  return AppendRecordLocked(id, payload.Dump(), /*tombstone=*/false);
 }
 
 Status JobStore::AppendTerminal(const std::string& id, const std::string& state,
-                                const Json& result) {
-  Json payload = Json::Object();
-  payload.Set("type", Json::String("terminal"));
-  payload.Set("id", Json::String(id));
-  payload.Set("state", Json::String(state));
-  payload.Set("result", result);
+                                std::string_view result_body) {
+  // The bytes Json::Dump writes for this object, with the already dumped
+  // result spliced in instead of re-rendered from a tree.
+  std::string payload = "{\"type\":\"terminal\",\"id\":\"";
+  payload += JsonEscape(id);
+  payload += "\",\"state\":\"";
+  payload += JsonEscape(state);
+  payload += "\",\"result\":";
+  payload += result_body;
+  payload += '}';
   std::lock_guard<std::mutex> lock(mu_);
   return AppendRecordLocked(id, payload, /*tombstone=*/false);
 }
@@ -360,7 +373,7 @@ Status JobStore::AppendFailed(const std::string& id,
   payload.Set("error_code", Json::String(error_code));
   payload.Set("error_message", Json::String(error_message));
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendRecordLocked(id, payload, /*tombstone=*/false);
+  return AppendRecordLocked(id, payload.Dump(), /*tombstone=*/false);
 }
 
 Status JobStore::AppendTombstone(const std::string& id) {
@@ -368,7 +381,7 @@ Status JobStore::AppendTombstone(const std::string& id) {
   payload.Set("type", Json::String("tombstone"));
   payload.Set("id", Json::String(id));
   std::lock_guard<std::mutex> lock(mu_);
-  Status appended = AppendRecordLocked(id, payload, /*tombstone=*/true);
+  Status appended = AppendRecordLocked(id, payload.Dump(), /*tombstone=*/true);
   if (!appended.ok()) return appended;
   // The snapshot is dead weight once the job is tombstoned; removal
   // failures degrade quietly (the manifest, the source of truth, is fine).
@@ -380,27 +393,71 @@ Status JobStore::AppendTombstone(const std::string& id) {
 }
 
 Status JobStore::CompactLocked() {
-  std::string content;
-  for (const std::string& id : order_) {
-    auto it = live_lines_.find(id);
-    if (it == live_lines_.end()) continue;
-    for (const std::string& line : it->second) content += line;
+  // Streams every live record from the manifest into a replacement, job by
+  // job in admit order, under WriteFileDurable's temp → fsync → rename →
+  // dir-fsync discipline; one record is in memory at a time.
+  const std::string path = ManifestPath();
+  const std::string temp = path + ".tmp";
+  Status status = Status::OK();
+  const int in = ::open(path.c_str(), O_RDONLY);
+  const int out = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (in < 0 || out < 0) {
+    status = Status::Internal("open for compaction " + path + ": " +
+                              std::strerror(errno));
   }
-  Status written = WriteFileDurable(ManifestPath(), content);
-  if (!written.ok()) {
-    LatchDegradedLocked(written);
-    return written;
+  std::string record;
+  for (size_t i = 0; i < order_.size() && status.ok(); ++i) {
+    auto it = live_records_.find(order_[i]);
+    if (it == live_records_.end()) continue;
+    for (const RecordSpan& span : it->second) {
+      record.resize(span.length);
+      size_t done = 0;
+      while (done < record.size()) {
+        const ssize_t n = ::pread(in, record.data() + done,
+                                  record.size() - done,
+                                  static_cast<off_t>(span.offset + done));
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        done += static_cast<size_t>(n);
+      }
+      if (done < record.size()) {
+        status = Status::Internal("read " + path + ": short record");
+        break;
+      }
+      status = FsWriteAll(out, record, temp);
+      if (!status.ok()) break;
+    }
+  }
+  if (status.ok()) status = FsFsync(out, temp);
+  if (in >= 0) ::close(in);
+  if (out >= 0) ::close(out);
+  if (status.ok()) status = FsRename(temp, path);
+  if (status.ok()) status = FsSyncDir(options_.state_dir);
+  if (!status.ok()) {
+    ::unlink(temp.c_str());
+    LatchDegradedLocked(status);
+    return status;
   }
   // The old fd points at the unlinked inode; reopen the fresh manifest.
-  int fd = ::open(ManifestPath().c_str(), O_WRONLY | O_APPEND, 0644);
+  int fd = ::open(path.c_str(), O_WRONLY | O_APPEND, 0644);
   if (fd < 0) {
-    Status failed = Status::Internal(std::string("reopen ") + ManifestPath() +
-                                     ": " + std::strerror(errno));
+    Status failed = Status::Internal(std::string("reopen ") + path + ": " +
+                                     std::strerror(errno));
     LatchDegradedLocked(failed);
     return failed;
   }
   ::close(manifest_fd_);
   manifest_fd_ = fd;
+  // The records now lie back to back in the order they were copied.
+  manifest_bytes_ = 0;
+  for (const std::string& id : order_) {
+    auto it = live_records_.find(id);
+    if (it == live_records_.end()) continue;
+    for (RecordSpan& span : it->second) {
+      span.offset = manifest_bytes_;
+      manifest_bytes_ += span.length;
+    }
+  }
   dead_records_ = 0;
   return Status::OK();
 }
@@ -431,7 +488,7 @@ std::string JobStore::degraded_reason() const {
 
 JobStore::ReplayStats JobStore::ReplayManifest(std::string_view manifest,
                                                std::vector<RecoveredJob>* jobs) {
-  std::map<std::string, std::vector<std::string>> lines;
+  std::map<std::string, std::vector<RecordSpan>> lines;
   std::vector<std::string> order;
   size_t dead = 0;
   uint64_t max_number = 0;

@@ -24,7 +24,10 @@
 // build no longer accepts is not a torn tail: it replays as a job that
 // recovery fails (RecoveredJob::request_error). Tombstones (DELETE, retention eviction)
 // mark records dead; when dead records outnumber compact_min_garbage the
-// manifest is rewritten atomically from the live set.
+// manifest is rewritten atomically from the live set. The store keeps no
+// copy of a live record, only where it lies in the manifest: compaction
+// streams each live record from the old file into the new one, job by job
+// in admit order (admit record first).
 //
 // Checkpoint snapshots are sealed checkpoint text (CRC/length footer,
 // core/checkpoint.h) written with the write-temp → fsync → rename
@@ -107,8 +110,10 @@ class JobStore {
   /// without touching the disk.
   Status AppendAdmit(const std::string& id, const JobRequest& request,
                      uint64_t program_fingerprint);
+  /// `result_body` is the result object as compact JSON (Json::Dump); the
+  /// record embeds it verbatim.
   Status AppendTerminal(const std::string& id, const std::string& state,
-                        const Json& result);
+                        std::string_view result_body);
   Status AppendFailed(const std::string& id, const std::string& error_code,
                       const std::string& error_message);
   /// Tombstones `id`, removes its snapshot, and compacts the manifest when
@@ -133,6 +138,13 @@ class JobStore {
     size_t live_jobs = 0;    // jobs alive (admitted, not tombstoned)
   };
 
+  /// Where one framed record (its line, newline included) lies in the
+  /// manifest.
+  struct RecordSpan {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
   /// Pure replay of manifest bytes: parses records up to the first torn or
   /// malformed one, applies admits/terminals/tombstones, and (when `jobs`
   /// is non-null) returns the live set in admit order. Never crashes on
@@ -145,7 +157,7 @@ class JobStore {
 
   std::string ManifestPath() const;
   std::string SnapshotPath(const std::string& id) const;
-  Status AppendRecordLocked(const std::string& id, const Json& payload,
+  Status AppendRecordLocked(const std::string& id, std::string_view payload,
                             bool tombstone);
   Status CompactLocked();
   void LatchDegradedLocked(const Status& status);
@@ -157,10 +169,13 @@ class JobStore {
   std::vector<RecoveredJob> recovered_;
   uint64_t max_job_number_ = 0;
 
-  // Live framed lines per job id (admit line, then terminal line if any),
-  // kept for compaction; `order_` preserves admit order.
-  std::map<std::string, std::vector<std::string>> live_lines_;
+  // Where each live job's framed lines lie in the manifest (admit line,
+  // then terminal line if any), for compaction; `order_` preserves admit
+  // order. `manifest_bytes_` is the manifest's length, where the next
+  // append lands.
+  std::map<std::string, std::vector<RecordSpan>> live_records_;
   std::vector<std::string> order_;
+  uint64_t manifest_bytes_ = 0;
   size_t dead_records_ = 0;
 
   bool degraded_ = false;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <new>
@@ -21,7 +22,127 @@ const Json& NullJson() {
   return *kNull;
 }
 
+// The common-key table: each entry a 32-bit length and the bytes, padded to
+// 4, all in one block that lives as long as the process. The empty key
+// comes first.
+struct CommonKeys {
+  CommonKeys() {
+    static constexpr const char* kKeys[] = {
+        "", "admitted", "answers", "auto_variant", "cancel_requested",
+        "capture_events", "certain", "checkpoint", "code", "completed",
+        "core", "core_at_round_end", "core_every", "deadline_ms", "deleted",
+        "elapsed_seconds", "entailed", "error", "error_code",
+        "error_message", "events", "facts", "failed", "fields",
+        "fingerprint", "fleet", "id", "instance_hash", "instance_size",
+        "job", "jobs", "jobs_in_flight", "limits", "max_instance_size",
+        "max_steps", "memory_budget_bytes", "message", "options", "path",
+        "persistence", "preemptions", "preflight", "program", "queries",
+        "query", "queued_now", "record_log", "rejected", "resolved",
+        "result", "resume", "resume_checkpoint", "return_checkpoint",
+        "rounds", "rules", "running_now", "scheduler", "schema_version",
+        "segments", "state", "status", "steps", "stop_reason", "summary",
+        "tenant", "terminated", "text", "type", "uptime_seconds", "variant",
+        "verdict"};
+    size_t words = 0;
+    for (const char* key : kKeys) words += 1 + (std::strlen(key) + 3) / 4;
+    storage.assign(words, 0);
+    size_t at = 0;
+    for (const char* key : kKeys) {
+      const uint32_t length = static_cast<uint32_t>(std::strlen(key));
+      offsets.push_back(at);
+      storage[at] = length;
+      std::memcpy(&storage[at + 1], key, length);
+      at += 1 + (length + 3) / 4;
+    }
+  }
+
+  // The entry holding `text`, or null.
+  const char* Find(std::string_view text) const {
+    for (size_t offset : offsets) {
+      const uint32_t length = storage[offset];
+      if (length == text.size() &&
+          std::memcmp(&storage[offset + 1], text.data(), length) == 0) {
+        return reinterpret_cast<const char*>(&storage[offset]);
+      }
+    }
+    return nullptr;
+  }
+
+  bool Holds(const char* bytes) const {
+    const char* begin = reinterpret_cast<const char*>(storage.data());
+    return bytes >= begin &&
+           bytes < begin + storage.size() * sizeof(uint32_t);
+  }
+
+  std::vector<uint32_t> storage;
+  std::vector<size_t> offsets;
+};
+
+const CommonKeys& Common() {
+  static const CommonKeys* keys = new CommonKeys();
+  return *keys;
+}
+
+// Bytes a stored key takes: its length word and its bytes, padded to 4.
+size_t StoredKeyBytes(size_t length) {
+  return sizeof(uint32_t) + (length + 3) / 4 * 4;
+}
+
+// Writes `text` as a stored key at `at`.
+void StoreKey(std::string_view text, char* at) {
+  const uint32_t length = static_cast<uint32_t>(text.size());
+  std::memcpy(at, &length, sizeof length);
+  std::memcpy(at + sizeof length, text.data(), text.size());
+}
+
 }  // namespace
+
+uintptr_t Json::Key::Make(std::string_view text) {
+  if (const char* common = Common().Find(text)) {
+    return reinterpret_cast<uintptr_t>(common);
+  }
+  TWCHASE_CHECK_MSG(text.size() <= std::numeric_limits<uint32_t>::max(),
+                    "Json key too large");
+  char* block = static_cast<char*>(::operator new(StoredKeyBytes(text.size())));
+  StoreKey(text, block);
+  return reinterpret_cast<uintptr_t>(block) | kOwned;
+}
+
+Json::Key::Key(std::string_view text) : rep_(Make(text)) {}
+
+Json::Key::Key(const Key& other)
+    : rep_(other.IsCommon() ? other.rep_ : Make(other.string_value())) {}
+
+Json::Key& Json::Key::operator=(const Key& other) {
+  if (this != &other) *this = Key(other);
+  return *this;
+}
+
+Json::Key& Json::Key::operator=(Key&& other) noexcept {
+  if (this != &other) {
+    Release();
+    rep_ = other.rep_;
+    other.rep_ = Empty();
+  }
+  return *this;
+}
+
+std::string_view Json::Key::string_value() const {
+  uint32_t length = 0;
+  std::memcpy(&length, Bytes(), sizeof length);
+  return {Bytes() + sizeof length, length};
+}
+
+uintptr_t Json::Key::Empty() {
+  return reinterpret_cast<uintptr_t>(Common().storage.data());
+}
+
+bool Json::Key::IsCommon() const { return Common().Holds(Bytes()); }
+
+void Json::Key::Release() {
+  if ((rep_ & kOwned) != 0) ::operator delete(const_cast<char*>(Bytes()));
+  rep_ = Empty();
+}
 
 struct JsonParser {
   std::string_view text;
@@ -209,7 +330,7 @@ struct JsonParser {
         SkipSpace();
         scratch.clear();
         TWCHASE_RETURN_IF_ERROR(ParseStringBody(&scratch));
-        Json key = Json::String(scratch);
+        Json::Key key(scratch);
         SkipSpace();
         if (!Consume(':')) return Error("expected ':'");
         Json value;
@@ -231,7 +352,8 @@ struct JsonParser {
       }
     }
     *out = Json::ObjectOf(members.data() + base, members.size() - base);
-    members.resize(base);
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(base),
+                  members.end());
     return Status::OK();
   }
 };
@@ -299,6 +421,7 @@ Json::Json(const Json& other) : rep_(other.rep_) {
   Heap& heap = rep_.heap;
   if (other.is_long_string()) {
     heap.text = CopyBlock(other.rep_.heap.text, heap.size);
+    heap.tag = kLong;
   } else if (other.is_array()) {
     heap.items = CopyBlock(other.rep_.heap.items, heap.size);
     heap.tag = 0;
@@ -325,13 +448,104 @@ Json& Json::operator=(Json&& other) noexcept {
 void Json::Release() {
   Heap& heap = rep_.heap;
   if (is_long_string()) {
-    ::operator delete(heap.text);
+    if (heap.tag == kLong) ::operator delete(heap.text);
   } else if (is_array()) {
-    if (heap.items != nullptr) FreeBlock(heap.items, heap.size);
+    if (heap.items != nullptr && (heap.tag & kBorrowed) == 0) {
+      FreeBlock(heap.items, heap.size);
+    }
   } else if (is_object()) {
-    if (heap.members != nullptr) FreeBlock(heap.members, heap.size);
+    if (heap.members != nullptr && (heap.tag & kBorrowed) == 0) {
+      FreeBlock(heap.members, heap.size);
+    }
   }
   rep_ = Rep();
+}
+
+void Json::MeasureNested(const Json& value, size_t* nodes, size_t* keys,
+                         size_t* text) {
+  if (value.is_long_string()) {
+    *text += value.rep_.heap.size;
+  } else if (value.is_array()) {
+    *nodes += value.items().size() * sizeof(Json);
+    for (const Json& item : value.items()) {
+      MeasureNested(item, nodes, keys, text);
+    }
+  } else if (value.is_object()) {
+    *nodes += value.members().size() * sizeof(Member);
+    for (const Member& member : value.members()) {
+      if (!member.key.IsCommon()) {
+        *keys += StoredKeyBytes(member.key.string_value().size());
+      }
+      MeasureNested(member.value, nodes, keys, text);
+    }
+  }
+}
+
+void Json::PlaceBorrowed(const Json& src, Json* dst, char** nodes,
+                         char** keys, char** text) {
+  new (dst) Json();
+  Heap& heap = dst->rep_.heap;
+  if (src.is_long_string()) {
+    heap = src.rep_.heap;
+    heap.tag = kBorrowedLong;
+    heap.text = *text;
+    std::copy_n(src.rep_.heap.text, heap.size, *text);
+    *text += heap.size;
+  } else if (src.is_array() && src.rep_.heap.size > 0) {
+    heap = src.rep_.heap;
+    heap.tag = kBorrowed;
+    heap.items = reinterpret_cast<Json*>(*nodes);
+    *nodes += heap.size * sizeof(Json);
+    for (uint32_t i = 0; i < heap.size; ++i) {
+      PlaceBorrowed(src.rep_.heap.items[i], heap.items + i, nodes, keys,
+                    text);
+    }
+  } else if (src.is_object() && src.rep_.heap.size > 0) {
+    heap = src.rep_.heap;
+    heap.tag = kBorrowed;
+    heap.members = reinterpret_cast<Member*>(*nodes);
+    *nodes += heap.size * sizeof(Member);
+    for (uint32_t i = 0; i < heap.size; ++i) {
+      const Member& from = src.rep_.heap.members[i];
+      Member* to = heap.members + i;
+      // The key is borrowed too: common, or stored in the block.
+      uintptr_t key = from.key.rep_;
+      if (!from.key.IsCommon()) {
+        const std::string_view bytes = from.key.string_value();
+        StoreKey(bytes, *keys);
+        key = reinterpret_cast<uintptr_t>(*keys);
+        *keys += StoredKeyBytes(bytes.size());
+      }
+      new (&to->key) Key(Key::Borrowed(key));
+      PlaceBorrowed(from.value, &to->value, nodes, keys, text);
+    }
+  } else {
+    dst->rep_ = src.rep_;  // inline: a scalar, a short string, empty
+    if (src.is_array() || src.is_object()) heap.tag = 0;
+  }
+}
+
+Json Json::InOneBlock(Json tree) {
+  if (!(tree.is_array() || tree.is_object()) || tree.rep_.heap.size == 0) {
+    return tree;
+  }
+  size_t nodes = 0;
+  size_t keys = 0;
+  size_t text = 0;
+  MeasureNested(tree, &nodes, &keys, &text);
+  char* block = static_cast<char*>(::operator new(nodes + keys + text));
+  char* node_cursor = block;
+  char* key_cursor = block + nodes;
+  char* text_cursor = key_cursor + keys;
+  Json document;
+  PlaceBorrowed(tree, &document, &node_cursor, &key_cursor, &text_cursor);
+  // The root's values open the block, so the root owns it.
+  document.rep_.heap.tag = kDocument;
+  return document;
+}
+
+void Json::DetachDocument() {
+  if ((rep_.heap.tag & kDocument) != 0) *this = Json(*this);
 }
 
 Json Json::Bool(bool value) {
@@ -404,7 +618,7 @@ StatusOr<Json> Json::Parse(std::string_view text) {
   if (parser.pos != text.size()) {
     return parser.Error("trailing characters after document");
   }
-  return value;
+  return InOneBlock(std::move(value));
 }
 
 bool Json::bool_value() const { return is_bool() && rep_.heap.boolean; }
@@ -415,7 +629,7 @@ double Json::number_value() const {
 
 std::string_view Json::string_value() const {
   if (!is_string()) return {};
-  if (rep_.heap.tag == kLong) return {rep_.heap.text, rep_.heap.size};
+  if (is_long_string()) return {rep_.heap.text, rep_.heap.size};
   return {rep_.in.chars, rep_.in.size};
 }
 
@@ -431,6 +645,7 @@ std::span<const Json::Member> Json::members() const {
 
 void Json::Append(Json value) {
   TWCHASE_CHECK_MSG(is_array(), "Append on non-array Json");
+  DetachDocument();
   Heap& heap = rep_.heap;
   heap.items = GrowBlock(heap.items, heap.size, &heap.tag, kGrown);
   new (heap.items + heap.size) Json(std::move(value));
@@ -453,6 +668,7 @@ const Json& Json::Get(std::string_view key) const {
 
 void Json::Set(std::string_view key, Json value) {
   TWCHASE_CHECK_MSG(is_object(), "Set on non-object Json");
+  DetachDocument();
   Heap& heap = rep_.heap;
   for (uint32_t i = 0; i < heap.size; ++i) {
     if (heap.members[i].key.string_value() == key) {
@@ -461,7 +677,7 @@ void Json::Set(std::string_view key, Json value) {
     }
   }
   heap.members = GrowBlock(heap.members, heap.size, &heap.tag, kGrown);
-  new (heap.members + heap.size) Member{String(key), std::move(value)};
+  new (heap.members + heap.size) Member{Key(key), std::move(value)};
   ++heap.size;
 }
 

@@ -11,12 +11,20 @@
 // rounds, sizes) is far below 2^53, so round-tripping through double is
 // exact; the writer prints integral doubles without a fraction.
 //
-// Compact nodes: daemons retain terminal results and clients keep fetched
-// ones, so the per-node footprint is what a busy service's memory grows by.
-// A node is 16 bytes. A string of up to 14 bytes lives inside the node;
-// a longer string, an array or an object is one heap block. Parsed
-// containers and strings are allocated at their exact size; a container
-// grown by Append or Set doubles its block as it fills.
+// Compact nodes: clients keep fetched results, so the per-node footprint is
+// what a busy service's memory grows by. A node is 16 bytes. A string of up
+// to 14 bytes lives inside the node. A built longer string, array or object
+// is one heap block; a container grown by Append or Set doubles its block
+// as it fills. A parsed document is one heap block in all: the root
+// container's values come first, then every nested container's, then the
+// keys and the bytes of every long string, each at its exact size. Nested
+// values borrow their storage from that block; Append or Set on a parsed
+// root first copies the document out into blocks of its own.
+//
+// Object keys are 8 bytes, so a member is 24. The keys of the service's
+// payloads (wire.h, the daemon's bodies) sit once in a process-wide table
+// that every object shares; any other key's bytes are stored with the
+// object that holds it.
 //
 // Parsing untrusted bytes never aborts: malformed input, depth bombs and
 // truncated documents come back as Status (the HTTP layer maps them to 400).
@@ -36,7 +44,8 @@ class Json {
  public:
   enum class Type : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  /// One object member: `key` is always a string value.
+  /// One object member and its key.
+  class Key;
   struct Member;
 
   Json() = default;  // null
@@ -97,10 +106,16 @@ class Json {
   static constexpr size_t kInlineChars = 14;
   // The second byte of a string: its length when it is inline, or kLong.
   static constexpr uint8_t kLong = 0xFF;
-  // The second byte of an array or object: kGrown once Append or Set has
-  // resized its block, whose capacity is then bit_ceil(size); otherwise the
-  // block holds exactly size elements.
+  // A long string inside a parsed document's block (it frees nothing).
+  static constexpr uint8_t kBorrowedLong = 0xFE;
+  // Bits of the second byte of an array or object. kGrown once Append or
+  // Set has resized its block, whose capacity is then bit_ceil(size);
+  // otherwise the block holds exactly size elements. kBorrowed: the block
+  // lies inside a parsed document's block (it frees nothing). kDocument:
+  // the root of a parsed document, whose block holds every nested value.
   static constexpr uint8_t kGrown = 1;
+  static constexpr uint8_t kBorrowed = 2;
+  static constexpr uint8_t kDocument = 4;
 
   // Both layouts start with the type and one tag byte, so either may be
   // read through the other (a union's common initial sequence).
@@ -132,21 +147,76 @@ class Json {
   static Json ArrayOf(Json* first, size_t count);
   static Json ObjectOf(Member* first, size_t count);
 
+  // `tree` as one document block (see above), or itself when it has no
+  // nested storage to gather.
+  static Json InOneBlock(Json tree);
+  // Adds the bytes of `value`'s nested blocks in one document block:
+  // container values to `*nodes`, stored keys (4-aligned) to `*keys`,
+  // long-string bytes to `*text`.
+  static void MeasureNested(const Json& value, size_t* nodes, size_t* keys,
+                            size_t* text);
+  // Copies `src` into `*dst` with every nested block carved from the
+  // cursors: container values from `nodes`, keys other than the common
+  // ones from `keys`, long-string bytes from `text`.
+  static void PlaceBorrowed(const Json& src, Json* dst, char** nodes,
+                            char** keys, char** text);
+
   bool is_long_string() const {
-    return is_string() && rep_.heap.tag == kLong;
+    return is_string() && rep_.in.size > kInlineChars;
   }
+  // Set and Append call this first: a parsed root copies its document out.
+  void DetachDocument();
   void Release();
   void DumpTo(std::string* out, int indent, int depth) const;
 
   Rep rep_;
 };
 
+/// An object member's key: a pointer to a 32-bit length and the bytes.
+/// The bytes are an entry of the common-key table (shared), a block the key
+/// owns, or part of a parsed document's block (borrowed). Copying shares a
+/// common key and copies any other into a block of its own.
+class Json::Key {
+ public:
+  explicit Key(std::string_view text);
+  Key(const Key& other);
+  Key(Key&& other) noexcept : rep_(other.rep_) { other.rep_ = Empty(); }
+  Key& operator=(const Key& other);
+  Key& operator=(Key&& other) noexcept;
+  ~Key() { Release(); }
+
+  std::string_view string_value() const;
+
+ private:
+  friend class Json;
+  static constexpr uintptr_t kOwned = 1;  // bit 0: rep_ owns its block
+
+  // The rep of `text`: its common-table entry, else a new owned block.
+  static uintptr_t Make(std::string_view text);
+  // A key over `rep`, which it does not own.
+  static Key Borrowed(uintptr_t rep) {
+    Key key("");
+    key.rep_ = rep;
+    return key;
+  }
+  // The rep of the empty common key, which a moved-from key holds.
+  static uintptr_t Empty();
+  const char* Bytes() const {
+    return reinterpret_cast<const char*>(rep_ & ~kOwned);
+  }
+  bool IsCommon() const;
+  void Release();
+
+  uintptr_t rep_;
+};
+
 struct Json::Member {
-  Json key;
+  Key key;
   Json value;
 };
 
 static_assert(sizeof(Json) == 16);
+static_assert(sizeof(Json::Member) == 24);
 
 /// Escapes `text` as the body of a JSON string literal (no quotes added).
 std::string JsonEscape(std::string_view text);

@@ -1,43 +1,10 @@
 #include "util/job_scheduler.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
 namespace twchase {
-
-namespace {
-
-// Hands the heap pages that finished segments freed back to the OS, at most
-// ten times a second. A segment's transient allocations (a core-bts
-// preflight probe peaks near 2 MB) leave free pages in the worker's malloc
-// arena, which stay resident without a trim: at the end of a 55 s
-// daemon-mixed window (perfbench) each of the two worker arenas held
-// 3.6 MB free. Fitted against the jobs each run completed, the trim lowers
-// that workload's peak RSS by about 2 MB (three runs each way, 4-CPU
-// host); trimming after every segment lowered it no further.
-void ReleaseFreedMemory() {
-#if defined(__GLIBC__)
-  static std::atomic<int64_t> last_trim_ms{0};
-  const int64_t now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now().time_since_epoch())
-                             .count();
-  int64_t last = last_trim_ms.load(std::memory_order_relaxed);
-  if (now_ms - last < 100 ||
-      !last_trim_ms.compare_exchange_strong(last, now_ms,
-                                            std::memory_order_relaxed)) {
-    return;
-  }
-  malloc_trim(0);
-#endif
-}
-
-}  // namespace
 
 JobScheduler::JobScheduler(const Options& options) : options_(options) {}
 
@@ -144,7 +111,6 @@ void JobScheduler::WorkerLoop() {
     }
 
     PreemptibleJob::Outcome outcome = entry->job->RunSegment();
-    ReleaseFreedMemory();
 
     bool terminal = outcome != PreemptibleJob::Outcome::kPaused;
     FinishCallback done;

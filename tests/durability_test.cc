@@ -288,7 +288,7 @@ TEST(JobStoreTest, AdmitAndTerminalRoundTripAcrossReopen) {
     EXPECT_TRUE((*store)->TakeRecovered().empty());
     ASSERT_TRUE((*store)->AppendAdmit("j-3", request, 0x1234).ok());
     ASSERT_TRUE((*store)->AppendAdmit("j-4", request, 0x5678).ok());
-    ASSERT_TRUE((*store)->AppendTerminal("j-3", "done", result).ok());
+    ASSERT_TRUE((*store)->AppendTerminal("j-3", "done", result.Dump()).ok());
     ASSERT_TRUE((*store)
                     ->WriteSnapshot("j-4", "opaque snapshot bytes")
                     .ok());
@@ -469,6 +469,61 @@ TEST(JobStoreTest, TombstonesEvictAndCrossingThresholdCompacts) {
   EXPECT_EQ(after.size(), 2u);
 }
 
+// Compaction streams each live record from the manifest file into the
+// new one, job by job in admit order. The manifests below are the bytes
+// the store wrote when it cached every live line in memory, for this
+// sequence of admits, terminals and tombstones.
+constexpr const char* kAdmit1 =
+    R"pin(M1 d68237f3 428 {"type":"admit","id":"j-1","fingerprint":"0000000000000001","job":{"schema_version":1,"tenant":"t","program":"\ne(a, b), e(b, c), e(c, d).\n[t] e(X, Z) :- e(X, Y), e(Y, Z).\n?(X, Y) :- e(X, Y).\n","options":{"variant":"core","limits":{"max_steps":10,"max_instance_size":0,"memory_budget_bytes":0},"core":{"core_every":1,"core_at_round_end":false},"resume":{"record_log":false}},"capture_events":false,"return_checkpoint":false}})pin" "\n";
+constexpr const char* kTerminal1 =
+    R"pin(M1 87b1f78e 115 {"type":"terminal","id":"j-1","state":"cancelled","result":{"state":"cancelled","steps":1,"text":"line \"one\"\n"}})pin" "\n";
+constexpr const char* kAdmit2 =
+    R"pin(M1 a6509b85 428 {"type":"admit","id":"j-2","fingerprint":"0000000000000002","job":{"schema_version":1,"tenant":"t","program":"\ne(a, b), e(b, c), e(c, d).\n[t] e(X, Z) :- e(X, Y), e(Y, Z).\n?(X, Y) :- e(X, Y).\n","options":{"variant":"core","limits":{"max_steps":10,"max_instance_size":0,"memory_budget_bytes":0},"core":{"core_every":1,"core_at_round_end":false},"resume":{"record_log":false}},"capture_events":false,"return_checkpoint":false}})pin" "\n";
+constexpr const char* kTerminal2 =
+    R"pin(M1 696e94a2 105 {"type":"terminal","id":"j-2","state":"done","result":{"state":"done","steps":2,"text":"line \"one\"\n"}})pin" "\n";
+constexpr const char* kAdmit4 =
+    R"pin(M1 47f5c369 428 {"type":"admit","id":"j-4","fingerprint":"0000000000000004","job":{"schema_version":1,"tenant":"t","program":"\ne(a, b), e(b, c), e(c, d).\n[t] e(X, Z) :- e(X, Y), e(Y, Z).\n?(X, Y) :- e(X, Y).\n","options":{"variant":"core","limits":{"max_steps":10,"max_instance_size":0,"memory_budget_bytes":0},"core":{"core_every":1,"core_at_round_end":false},"resume":{"record_log":false}},"capture_events":false,"return_checkpoint":false}})pin" "\n";
+constexpr const char* kTerminal4 =
+    R"pin(M1 b56eb778 105 {"type":"terminal","id":"j-4","state":"done","result":{"state":"done","steps":4,"text":"line \"one\"\n"}})pin" "\n";
+
+TEST(JobStoreTest, CompactionStreamsLiveRecordsJobByJobInAdmitOrder) {
+  std::string dir = FreshStateDir();
+  JobStoreOptions options;
+  options.state_dir = dir;
+  options.compact_min_garbage = 2;
+  auto store = JobStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const JobRequest request = MakeRequest("t", kClosure, CoreOptions(10));
+  auto result = [](const char* state, int steps) {
+    Json json = Json::Object();
+    json.Set("state", Json::String(state));
+    json.Set("steps", Json::Number(uint64_t(steps)));
+    json.Set("text", Json::String("line \"one\"\n"));
+    return json.Dump();
+  };
+  ASSERT_TRUE((*store)->AppendAdmit("j-1", request, 1).ok());
+  ASSERT_TRUE((*store)->AppendAdmit("j-2", request, 2).ok());
+  ASSERT_TRUE((*store)->AppendAdmit("j-3", request, 3).ok());
+  ASSERT_TRUE((*store)->AppendTerminal("j-2", "done", result("done", 2)).ok());
+  ASSERT_TRUE(
+      (*store)->AppendTerminal("j-1", "cancelled", result("cancelled", 1))
+          .ok());
+  ASSERT_TRUE((*store)->AppendAdmit("j-4", request, 4).ok());
+  // Two dead records (j-3's admit and its tombstone) compact.
+  ASSERT_TRUE((*store)->AppendTombstone("j-3").ok());
+  const std::string manifest_path = dir + "/manifest.wal";
+  EXPECT_EQ(ReadFileOrDie(manifest_path), std::string(kAdmit1) + kTerminal1 +
+                                              kAdmit2 + kTerminal2 + kAdmit4);
+  // Appends land after the compacted records, and a second compaction
+  // streams from the compacted file.
+  ASSERT_TRUE((*store)->AppendTerminal("j-4", "done", result("done", 4)).ok());
+  ASSERT_TRUE((*store)->AppendTombstone("j-1").ok());
+  EXPECT_EQ(ReadFileOrDie(manifest_path),
+            std::string(kAdmit2) + kTerminal2 + kAdmit4 + kTerminal4);
+  EXPECT_TRUE((*store)->healthy());
+  EXPECT_FALSE(FileExists(manifest_path + ".tmp"));
+}
+
 TEST(JobStoreTest, FirstFsFailureLatchesDegradedWithoutFurtherDiskIo) {
   std::string dir = FreshStateDir();
   JobStoreOptions options;
@@ -487,7 +542,7 @@ TEST(JobStoreTest, FirstFsFailureLatchesDegradedWithoutFurtherDiskIo) {
   injector.Arm(FaultSite::kFsWrite, 1, FaultAction::kIoError);
   {
     FaultInjectorScope scope(&injector);
-    Status failed = (*store)->AppendTerminal("j-1", "done", Json::Object());
+    Status failed = (*store)->AppendTerminal("j-1", "done", "{}");
     EXPECT_FALSE(failed.ok());
   }
   EXPECT_FALSE((*store)->healthy());
@@ -798,6 +853,116 @@ std::string LegacyAdmitLine(const std::string& id, const std::string& program,
       R"("parallel":{"threads":4},"resume":{"record_log":true}},)"
       R"("capture_events":false,"return_checkpoint":false}})";
   return FramedLine(payload);
+}
+
+// Result bodies as the daemon served them before it kept each terminal
+// result as one rendered string: an elevator core job and a
+// --variant=auto job, submitted as j-1 and j-2 to a fresh daemon, and the
+// manifest that daemon wrote for them.
+constexpr const char* kParentElevatorBody =
+    R"pin({"schema_version":1,"id":"j-1","tenant":"t","state":"done","stop_reason":"step-budget","terminated":false,"steps":12,"rounds":7,"segments":1,"elapsed_seconds":0.000691749,"program":{"facts":4,"rules":7,"queries":2},"instance_size":28,"instance_hash":"c497380f72958f2c","queries":[{"query":"? :- c(V1), d(V1), f(V1)","entailed":true,"certain":true},{"query":"? :- h(V1, V2), v(V1, V1), v(V2, V2)","entailed":false,"certain":false}],"text":"program: 4 facts, 7 rules, 2 queries\ncore chase: 12 steps in 7 rounds, 0.001s, stop: step-budget; |result| = 28\nquery 1: ? :- c(V1), d(V1), f(V1)                 -> entailed\nquery 2: ? :- h(V1, V2), v(V1, V1), v(V2, V2)     -> not entailed (within budget)\n"})pin";
+constexpr const char* kParentAutoBody =
+    R"pin({"schema_version":1,"id":"j-2","tenant":"t","state":"done","stop_reason":"fixpoint","terminated":true,"steps":2,"rounds":2,"segments":1,"elapsed_seconds":0.00030831,"program":{"facts":3,"rules":5,"queries":1},"instance_size":6,"instance_hash":"a7c4b5c0f9518480","queries":[{"query":"?(V1) :- p3(V1, V2, V3)","answers":[]}],"preflight":{"resolved":true,"variant":"semi-oblivious","verdict":"fes","summary":"fes (weakly acyclic); variant=semi-oblivious"},"text":"program: 3 facts, 5 rules, 1 queries\npreflight: fes (weakly acyclic); variant=semi-oblivious\nsemi-oblivious chase: 2 steps in 2 rounds, 0.000s, stop: fixpoint; |result| = 6\nquery 1: ?(V1) :- p3(V1, V2, V3)                  -> 0 certain answer(s)\n"})pin";
+constexpr const char* kParentManifest =
+    R"pin(M1 977d0eb8 797 {"type":"admit","id":"j-1","fingerprint":"fda42c54eb80a108","job":{"schema_version":1,"tenant":"t","program":"% The inflating elevator KB (Definition 9 of the paper).\nc(X00), d(X00), h(X00, X10), f(X10).\n[Rv1] v(Y, Yp), v(Yp, Ypp), c(Ypp) :- c(X), h(X, Y).\n[Rv2] h(Xp, Yp), f(Yp) :- d(X), f(X), v(X, Xp).\n[Rv3] v(Y, Yp), h(Xp, Yp) :- v(X, Xp), h(X, Y).\n[Rv4] d(X) :- c(X).\n[Rv5] d(X) :- v(X, Xp), d(Xp).\n[Rv6] f(X), v(X, X) :- h(X, Y), d(Y), f(Y).\n[Rv7] h(X, Yp) :- c(X), h(X, Y), v(Y, Yp), f(Yp).\n? :- c(X), d(X), f(X).\n? :- v(X, X), h(X, Y), v(Y, Y).\n","options":{"variant":"core","limits":{"max_steps":12,"max_instance_size":0,"memory_budget_bytes":0},"core":{"core_every":1,"core_at_round_end":false},"resume":{"record_log":false}},"capture_events":false,"return_checkpoint":false}})pin" "\n"
+    R"pin(M1 d533c1c6 756 {"type":"terminal","id":"j-1","state":"done","result":{"schema_version":1,"id":"j-1","tenant":"t","state":"done","stop_reason":"step-budget","terminated":false,"steps":12,"rounds":7,"segments":1,"elapsed_seconds":0.000691749,"program":{"facts":4,"rules":7,"queries":2},"instance_size":28,"instance_hash":"c497380f72958f2c","queries":[{"query":"? :- c(V1), d(V1), f(V1)","entailed":true,"certain":true},{"query":"? :- h(V1, V2), v(V1, V1), v(V2, V2)","entailed":false,"certain":false}],"text":"program: 4 facts, 7 rules, 2 queries\ncore chase: 12 steps in 7 rounds, 0.001s, stop: step-budget; |result| = 28\nquery 1: ? :- c(V1), d(V1), f(V1)                 -> entailed\nquery 2: ? :- h(V1, V2), v(V1, V1), v(V2, V2)     -> not entailed (within budget)\n"}})pin" "\n"
+    R"pin(M1 f181f838 759 {"type":"admit","id":"j-2","fingerprint":"d23727aaf8f1021f","job":{"schema_version":1,"tenant":"t","program":"% twgen class=fes seed=1\np0(c1, c4, c1), p0(c1, c4, c3), p1(c2).\n[fes_r0] p3(V1, V2, c4) :- p0(V1, c4, V1), p2(V1, V2, V2).\n[fes_r1] p4(V1, V2, V3) :- p2(V4, V1, V1), p2(V1, V4, c4).\n[fes_r2] p4(V1, V1, V2) :- p1(V2).\n[fes_r3] p4(V1, c2, V2) :- p2(V2, c1, V3).\n[fes_r4] p2(V1, V2, V3), p2(V3, V4, V1) :- p1(V2), p1(V1).\n?(V1) :- p3(V1, V2, V3).\n","options":{"variant":"auto","limits":{"max_steps":40,"max_instance_size":0,"memory_budget_bytes":0},"core":{"core_every":1,"core_at_round_end":false},"resume":{"record_log":false},"preflight":{"auto_variant":true,"resolved":false,"verdict":0}},"capture_events":false,"return_checkpoint":false}})pin" "\n"
+    R"pin(M1 fde902f7 768 {"type":"terminal","id":"j-2","state":"done","result":{"schema_version":1,"id":"j-2","tenant":"t","state":"done","stop_reason":"fixpoint","terminated":true,"steps":2,"rounds":2,"segments":1,"elapsed_seconds":0.00030831,"program":{"facts":3,"rules":5,"queries":1},"instance_size":6,"instance_hash":"a7c4b5c0f9518480","queries":[{"query":"?(V1) :- p3(V1, V2, V3)","answers":[]}],"preflight":{"resolved":true,"variant":"semi-oblivious","verdict":"fes","summary":"fes (weakly acyclic); variant=semi-oblivious"},"text":"program: 3 facts, 5 rules, 1 queries\npreflight: fes (weakly acyclic); variant=semi-oblivious\nsemi-oblivious chase: 2 steps in 2 rounds, 0.000s, stop: fixpoint; |result| = 6\nquery 1: ?(V1) :- p3(V1, V2, V3)                  -> 0 certain answer(s)\n"}})pin" "\n";
+
+// Zeroes the wall-clock fields of a result body: "elapsed_seconds" and the
+// seconds in the text's chase line.
+std::string WithoutTimings(std::string body) {
+  auto zero = [&](std::string_view before, std::string_view after) {
+    size_t at = body.find(before);
+    if (at == std::string::npos) return;
+    at += before.size();
+    body.replace(at, body.find(after, at) - at, "0");
+  };
+  zero("\"elapsed_seconds\":", ",");
+  zero(" rounds, ", "s, stop");
+  return body;
+}
+
+ChaseOptions AutoOptions(size_t max_steps) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  options.preflight.auto_variant = true;
+  options.limits.max_steps = max_steps;
+  return options;
+}
+
+std::string DataFile(const std::string& name) {
+  return ReadFileOrDie(std::string(TWCHASE_DATA_DIR) + "/" + name);
+}
+
+TEST(DurableDaemonTest, FreshResultBodiesMatchThePinnedBytes) {
+  DaemonOptions options;
+  options.workers = 1;
+  options.preempt_after_ms.reset();
+  options.state_dir = FreshStateDir();
+  ChaseDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  DaemonClient client(daemon.port());
+  const std::string elevator =
+      client.Submit("t", DataFile("elevator.twc"), CoreOptions(12));
+  ASSERT_EQ(client.AwaitTerminal(elevator), "done");
+  const std::string automatic =
+      client.Submit("t", DataFile("corpus/fes_1.twc"), AutoOptions(40));
+  ASSERT_EQ(client.AwaitTerminal(automatic), "done");
+  ASSERT_EQ(elevator, "j-1");
+  ASSERT_EQ(automatic, "j-2");
+  HttpResponse got = client.Fetch("GET", "/v1/jobs/j-1/result");
+  EXPECT_EQ(got.status, 200);
+  EXPECT_EQ(WithoutTimings(got.body),
+            WithoutTimings(std::string(kParentElevatorBody) + "\n"));
+  got = client.Fetch("GET", "/v1/jobs/j-2/result");
+  EXPECT_EQ(got.status, 200);
+  EXPECT_EQ(WithoutTimings(got.body),
+            WithoutTimings(std::string(kParentAutoBody) + "\n"));
+  daemon.Stop();
+}
+
+TEST(DurableDaemonTest, RecoveredResultBodiesAreThePinnedBytes) {
+  std::string dir = FreshStateDir();
+  WriteFileOrDie(dir + "/manifest.wal", kParentManifest);
+  DaemonOptions options;
+  options.workers = 1;
+  options.preempt_after_ms.reset();
+  options.state_dir = dir;
+  {
+    ChaseDaemon daemon(options);
+    ASSERT_TRUE(daemon.Start().ok());
+    DaemonClient client(daemon.port());
+    HttpResponse got = client.Fetch("GET", "/v1/jobs/j-1/result");
+    EXPECT_EQ(got.status, 200);
+    EXPECT_EQ(got.body, std::string(kParentElevatorBody) + "\n");
+    got = client.Fetch("GET", "/v1/jobs/j-2/result");
+    EXPECT_EQ(got.status, 200);
+    EXPECT_EQ(got.body, std::string(kParentAutoBody) + "\n");
+    // DELETE evicts a finished job: its id answers 404 from then on.
+    EXPECT_EQ(client.Fetch("DELETE", "/v1/jobs/j-2").status, 200);
+    EXPECT_EQ(client.Fetch("GET", "/v1/jobs/j-2").status, 404);
+    EXPECT_EQ(client.Fetch("GET", "/v1/jobs/j-2/result").status, 404);
+    daemon.Stop();
+  }
+  // The tombstone holds across a restart, and a retention cap of one
+  // evicts the older of two finished jobs.
+  options.finished_job_retention = 1;
+  ChaseDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  DaemonClient client(daemon.port());
+  EXPECT_EQ(client.Fetch("GET", "/v1/jobs/j-2/result").status, 404);
+  const std::string fresh = client.Submit("t", kClosure, CoreOptions(10));
+  ASSERT_EQ(client.AwaitTerminal(fresh), "done");
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (client.Fetch("GET", "/v1/jobs/j-1").status != 404 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(client.Fetch("GET", "/v1/jobs/j-1").status, 404);
+  EXPECT_EQ(client.Fetch("GET", "/v1/jobs/j-1/result").status, 404);
+  EXPECT_EQ(client.Fetch("GET", "/v1/jobs/" + fresh + "/result").status, 200);
+  daemon.Stop();
 }
 
 TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,8 +16,56 @@
 #include "util/governor.h"
 #include "reference_matcher.h"
 
+// Counting allocator for the allocation pins below: every operator new of
+// this test binary counts while the calling thread's flag is up. All the
+// unaligned forms are replaced, so that each pair allocates with malloc and
+// frees with free.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local size_t g_allocations = 0;
+
+void* CountedAllocation(std::size_t size) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  void* p = CountedAllocation(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocation(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocation(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
+
 namespace twchase {
 namespace {
+
+// The operator new calls `fn` makes on this thread.
+template <typename Fn>
+size_t AllocationsOf(Fn fn) {
+  g_allocations = 0;
+  g_count_allocations = true;
+  fn();
+  g_count_allocations = false;
+  return g_allocations;
+}
 
 class MatcherTest : public ::testing::Test {
  protected:
@@ -380,6 +430,130 @@ TEST(RetractionSearchReference, ElevatorCoreChaseElements) {
   const SeedTally tally =
       ExpectMapsOntoMatchesReferenceOnCoreChase(ElevatorWorld().kb(), 48, 6, 6);
   EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);  // all 13,928
+}
+
+// Allocation pins. A search compiles its pattern on buffers the thread
+// keeps, so once warm it allocates only what it returns. Before the compiled
+// patterns, the rule-body searches below made 45-51 allocations each and a
+// RetractionSearch over |F| = 93 made 432 per guard call.
+class SearchAllocationTest : public ::testing::Test {
+ protected:
+  static const AtomSet& ElevatorF() {
+    static const AtomSet* f = [] {
+      ElevatorWorld world;
+      ChaseOptions options;
+      options.variant = ChaseVariant::kCore;
+      options.limits.max_steps = 50;
+      auto run = RunChase(world.kb(), options);
+      EXPECT_TRUE(run.ok()) << run.status().ToString();
+      return new AtomSet(run->derivation.Last());
+    }();
+    return *f;
+  }
+};
+
+TEST_F(SearchAllocationTest, RuleBodySearchAllocatesOnlyItsResult) {
+  ElevatorWorld world;
+  const AtomSet& f = ElevatorF();
+  size_t matched = 0;
+  for (const Rule& rule : world.kb().rules) {
+    SCOPED_TRACE(rule.label());
+    // Warm-up: the thread's search buffers and the instance's lazily built
+    // column indexes.
+    const bool exists = ExistsHomomorphism(rule.body(), f);
+    EXPECT_EQ(FindHomomorphism(rule.body(), f).has_value(), exists);
+    // An existence check returns nothing, so it allocates nothing.
+    EXPECT_EQ(AllocationsOf([&] { ExistsHomomorphism(rule.body(), f); }), 0u);
+    if (!exists) continue;
+    ++matched;
+    // A first match allocates the result vector and the substitution only:
+    // its hash map's buckets and one node per body variable.
+    const size_t vars = rule.body().Variables().size();
+    EXPECT_LE(AllocationsOf([&] { FindHomomorphism(rule.body(), f); }),
+              vars + 3);
+  }
+  EXPECT_GT(matched, 0u);
+}
+
+TEST_F(SearchAllocationTest, RetractionSearchQueriesAfterTheFirstAllocateNothing) {
+  const AtomSet& f = ElevatorF();
+  ASSERT_EQ(f.size(), 93u);
+  std::vector<std::pair<Atom, Atom>> seeds;  // a ↦ d, a ≠ d
+  f.ForEach([&](const Atom& d) {
+    for (const Atom* a : f.ByPredicate(d.predicate())) {
+      if (*a != d) seeds.emplace_back(*a, d);
+    }
+  });
+  RetractionSearch search(f);
+  auto hits = [&] {
+    size_t n = 0;
+    for (const auto& [a, d] : seeds) n += search.MapsOnto(a, d);
+    return n;
+  };
+  // The first pass compiles F and grows the buffers to the deepest search;
+  // the second, over the same seeds, allocates nothing.
+  EXPECT_EQ(hits(), 0u);  // F is a core
+  size_t second = 1;
+  EXPECT_EQ(AllocationsOf([&] { second = hits(); }), 0u);
+  EXPECT_EQ(second, 0u);
+}
+
+// A RetractionSearch that follows its instance through inserts and an
+// erase answers every seed as a fresh one over the same instance does,
+// with the same search nodes: the atoms appended under one layout stamp are
+// compiled onto the end, and a new stamp recompiles.
+TEST(RetractionSearchSync, FollowsTheInstanceLikeAFreshCompile) {
+  ElevatorWorld world;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 30;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const Derivation& derivation = run->derivation;
+  auto expect_same = [](RetractionSearch& kept, const AtomSet& instance) {
+    RetractionSearch fresh(instance);
+    size_t seeds = 0;
+    for (const Atom& d : instance.Atoms()) {
+      for (const Atom* a : instance.ByPredicate(d.predicate())) {
+        if (*a == d) continue;
+        MatchCounters kept_counters;
+        MatchCounters fresh_counters;
+        bool kept_hit = false;
+        bool fresh_hit = false;
+        {
+          MatchCountersScope scope(&kept_counters);
+          kept_hit = kept.MapsOnto(*a, d);
+        }
+        {
+          MatchCountersScope scope(&fresh_counters);
+          fresh_hit = fresh.MapsOnto(*a, d);
+        }
+        EXPECT_EQ(kept_hit, fresh_hit) << "seed " << seeds;
+        EXPECT_EQ(kept_counters.search_nodes.load(),
+                  fresh_counters.search_nodes.load())
+            << "seed " << seeds;
+        EXPECT_EQ(kept.RefutedByConsistency(*a, d),
+                  fresh.RefutedByConsistency(*a, d))
+            << "seed " << seeds;
+        ++seeds;
+      }
+    }
+    EXPECT_GT(seeds, 0u);
+  };
+  AtomSet instance = derivation.Instance(10);
+  RetractionSearch kept(instance);
+  for (size_t i = 11; i <= 20; ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    // F_{i-1} plus the atoms step i added: appends only.
+    derivation.PreSimplification(i).ForEach(
+        [&](const Atom& atom) { instance.Insert(atom); });
+    expect_same(kept, instance);
+  }
+  // An erase renews the stamp; so does replacing the contents.
+  instance.Erase(instance.Atoms().front());
+  expect_same(kept, instance);
+  instance = derivation.Instance(25);
+  expect_same(kept, instance);
 }
 
 }  // namespace

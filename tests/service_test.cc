@@ -450,6 +450,42 @@ TEST(JsonTest, CompactNodesKeepValuesAndOrder) {
   EXPECT_EQ(repeated->Dump(), R"({"k":"longer than 14 bytes","j":2})");
 }
 
+// A parsed document is one block: nested values and keys borrow from it.
+// Copies taken out of it own their storage and outlive it, moving it keeps
+// the block, and Set on its root copies it out first. Keys of the service's
+// payloads are shared; any other key is stored with its object.
+TEST(JsonTest, ParsedDocumentsCopyOutOfTheirBlock) {
+  const std::string text =
+      R"({"state":"done","a key longer than fourteen":{"nested \"q\"":)"
+      R"(["a string longer than 14 bytes",1,{"text":"x"}]},"queries":[]})";
+  Json nested;
+  std::string dumped;
+  {
+    auto parsed = Json::Parse(text);
+    ASSERT_TRUE(parsed.ok());
+    Json document = std::move(*parsed);
+    dumped = document.Dump();
+    EXPECT_EQ(dumped, text);
+    EXPECT_EQ(document.members()[1].key.string_value(),
+              "a key longer than fourteen");
+    nested = document.Get("a key longer than fourteen");
+    Json moved = std::move(document);
+    EXPECT_EQ(moved.Dump(), text);
+    moved.Set("state", Json::String("cancelled"));
+    moved.Set("another key not in the table", Json::Bool(true));
+    EXPECT_EQ(moved.Get("a key longer than fourteen").Dump(), nested.Dump());
+    EXPECT_TRUE(moved.Get("another key not in the table").bool_value());
+  }
+  // The copy survives the document it came from.
+  EXPECT_EQ(nested.members()[0].key.string_value(), "nested \"q\"");
+  EXPECT_EQ(nested.Get("nested \"q\"").items()[0].string_value(),
+            "a string longer than 14 bytes");
+  EXPECT_EQ(nested.Get("nested \"q\"").items()[2].Get("text").string_value(),
+            "x");
+  nested.Set("nested \"q\"", Json::Number(uint64_t{2}));
+  EXPECT_EQ(nested.Dump(), R"({"nested \"q\"":2})");
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler unit tests (no HTTP)
 
