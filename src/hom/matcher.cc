@@ -51,9 +51,8 @@ namespace {
 //     thread's HomSearch, so after warm-up a search allocates only the
 //     substitutions it returns;
 //   * retraction (RetractionSearch): pattern and target are one instance,
-//     compiled once for the object's lifetime. Before each query, Sync
-//     compiles the slots appended since the last query; a new slot-layout
-//     stamp (an erase, or the instance replaced) recompiles it from scratch.
+//     kept compiled for the object's lifetime. Before each query, Sync
+//     recompiles it if its generation has changed since the last query.
 //
 // Candidates come from JoinCandidates, which probes the target's
 // ColumnSegment for the pattern atom's (predicate, arity): it picks the
@@ -111,6 +110,22 @@ class HomSearch {
 
   bool found() const { return found_ > 0; }
 
+  // Heap bytes the transient-mode buffers hold between searches: their
+  // capacities, which grow with the largest pattern, candidate list and
+  // vocabulary index seen.
+  size_t RetainedBytes() const {
+    size_t bytes = Bytes(pattern_atoms_) + Bytes(args_) + Bytes(var_terms_) +
+                   Bytes(local_of_var_) + Bytes(occurrence_begin_) +
+                   Bytes(occurrences_) + Bytes(fill_) + Bytes(binding_) +
+                   Bytes(bound_) + Bytes(image_count_) + Bytes(assigned_) +
+                   Bytes(estimates_) + Bytes(estimate_trail_) +
+                   Bytes(candidate_buffers_) + Bytes(trail_) +
+                   Bytes(col_bound_) + Bytes(col_ids_) + Bytes(col_vars_) +
+                   used_targets_.bucket_count() * sizeof(void*);
+    for (const auto& buffer : candidate_buffers_) bytes += Bytes(buffer);
+    return bytes;
+  }
+
   // Retraction mode over `instance` (pattern == target), which must
   // outlive the object. Compiled by the first query.
   void BindRetractions(const AtomSet& instance) {
@@ -158,6 +173,11 @@ class HomSearch {
  private:
   static constexpr uint32_t kNotVar = 0xFFFFFFFFu;
   static constexpr size_t kInfinity = std::numeric_limits<size_t>::max();
+
+  template <typename T>
+  static size_t Bytes(const std::vector<T>& buffer) {
+    return buffer.capacity() * sizeof(T);
+  }
 
   struct Arg {
     uint32_t var = kNotVar;  // local variable index, or kNotVar
@@ -278,25 +298,18 @@ class HomSearch {
     }
   }
 
-  // Retraction mode: brings the compiled instance up to date. Slots
-  // appended under the same layout stamp are compiled onto the end, which
-  // is where a fresh compile in slot order would put them; a new stamp
-  // recompiles everything.
+  // Retraction mode: compiles the instance afresh when it has changed
+  // since the last query (a new AtomSet::generation()), on the kept
+  // buffers, so every query sees exactly what a fresh compile would.
   void Sync() {
     const AtomSet& instance = *target_;
-    if (instance.layout_stamp() != synced_stamp_) {
-      Clear();
-      synced_slots_ = 0;
-      synced_stamp_ = instance.layout_stamp();
-    } else if (instance.generation() == synced_generation_ &&
-               !pattern_atoms_.empty()) {
+    if (instance.generation() == compiled_generation_ &&
+        !pattern_atoms_.empty()) {
       return;
     }
-    for (AtomSet::Slot s = synced_slots_; s < instance.slot_count(); ++s) {
-      if (instance.SlotAlive(s)) AppendAtom(instance.SlotAtom(s));
-    }
-    synced_slots_ = instance.slot_count();
-    synced_generation_ = instance.generation();
+    Clear();
+    instance.ForEach([&](const Atom& atom) { AppendAtom(atom); });
+    compiled_generation_ = instance.generation();
     FinishCompile();
     ScoreAll();
   }
@@ -955,7 +968,7 @@ class HomSearch {
   // Retraction mode: only idempotent maps. Per atom: its distinct
   // variables, how many are bound, and how many are bound to a term other
   // than themselves (moved). frontier_left_ counts the unassigned atoms
-  // with a moved variable. The synced_* fields record what Sync compiled.
+  // with a moved variable.
   bool retractions_only_ = false;
   std::vector<uint32_t> var_count_;
   std::vector<uint32_t> bound_count_;
@@ -964,9 +977,7 @@ class HomSearch {
   // The atoms with bound_count_ > 0, in the order their count left 0.
   std::vector<uint32_t> touched_;
   std::vector<Arg> seed_args_;  // BindSeed's compiled seed atom, reused
-  uint64_t synced_stamp_ = 0;
-  uint64_t synced_generation_ = 0;
-  AtomSet::Slot synced_slots_ = 0;
+  uint64_t compiled_generation_ = 0;  // the instance's, at the last Sync
   // SeedInconsistent's state, emptied after each pass: per variable a
   // sorted domain (meaningful iff has_domain_), the AC-3 queue, and
   // Revise's per-position scratch (supported terms, first occurrence of
@@ -988,16 +999,24 @@ class HomSearch {
   std::vector<uint32_t> col_vars_;
 };
 
+// The most a thread's spare HomSearch keeps between searches. Searches of
+// rule bodies, queries and the cores of chase-sized instances fit; a search
+// over a larger pattern or target gives its buffers back when it ends, so
+// one large job does not pin its peak search memory in every thread that
+// ran it.
+constexpr size_t kSpareSearchBytes = size_t{256} << 10;
+
 // Runs one transient search on the thread's spare HomSearch, so that its
-// buffers outlive the search. A search started while the spare is out
-// (none does today) gets a fresh one.
+// buffers outlive the search unless they have grown past
+// kSpareSearchBytes. A search started while the spare is out (none does
+// today) gets a fresh one.
 template <typename Fn>
 auto WithSpareSearch(Fn fn) {
   thread_local std::unique_ptr<HomSearch> spare;
   std::unique_ptr<HomSearch> search =
       spare != nullptr ? std::move(spare) : std::make_unique<HomSearch>();
   auto out = fn(*search);
-  spare = std::move(search);
+  if (search->RetainedBytes() <= kSpareSearchBytes) spare = std::move(search);
   return out;
 }
 

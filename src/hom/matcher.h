@@ -26,9 +26,9 @@
 // Thread-safety contract: every search here is a pure function of its
 // arguments plus the per-thread ambient governor (util/governor.h, a
 // thread_local) — no shared mutable state (each thread's reused search
-// buffers are its own), no writes to the pattern or target. Concurrent searches over a shared const AtomSet are safe as long
-// as no thread mutates it. Search order, and hence the result vector, is
-// deterministic.
+// buffers are its own), no writes to the pattern or target. Concurrent
+// searches over a shared const AtomSet are safe as long as no thread
+// mutates it. Search order, and hence the result vector, is deterministic.
 #ifndef TWCHASE_HOM_MATCHER_H_
 #define TWCHASE_HOM_MATCHER_H_
 
@@ -131,12 +131,11 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
 /// answers any number of queries. A search node costs O(touched atoms), the
 /// atoms with a bound variable, not O(instance size).
 ///
-/// The compiled instance lives as long as the object. A query first takes
-/// in what changed since the last one: the atoms appended since (same
-/// AtomSet::layout_stamp) are compiled onto the end; after an erase or a
-/// replacement of the instance's contents it is compiled afresh. Either way
-/// every query sees exactly what a fresh compile of the instance would, so
-/// one object can follow an instance through a whole chase run.
+/// The compiled instance and the search buffers live as long as the object.
+/// A query first recompiles the instance, on those buffers, if its
+/// AtomSet::generation() has changed since the last query, so every query
+/// sees exactly what a fresh object would, and one object can follow an
+/// instance through a whole chase run.
 /// Not thread-safe; `instance` must outlive the object and must not change
 /// during a query.
 class RetractionSearch {

@@ -1,7 +1,6 @@
 #include "model/atom_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "util/status.h"
@@ -28,11 +27,6 @@ AtomSet::AtomSet(const AtomSet& other)
   for (const auto& [key, segment] : other.segments_) {
     segments_.emplace(key, std::make_unique<ColumnSegment>(*segment));
   }
-}
-
-uint64_t AtomSet::LayoutStamp::Next() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 AtomSet& AtomSet::operator=(const AtomSet& other) {
@@ -78,7 +72,7 @@ bool AtomSet::Insert(Atom&& atom) {
   slots_.push_back(std::move(atom));
   alive_.push_back(1);
   ++live_count_;
-  ++generation_;
+  ++generation_.value;
   return true;
 }
 
@@ -96,8 +90,7 @@ bool AtomSet::Erase(const Atom& atom) {
   if (journal_enabled_) journal_.erased.push_back(slots_[slot]);
   --live_count_;
   ++dead_count_;
-  ++generation_;
-  layout_stamp_.Renew();
+  ++generation_.value;
   MaybeCompact();
   return true;
 }

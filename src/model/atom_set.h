@@ -22,6 +22,7 @@
 #ifndef TWCHASE_MODEL_ATOM_SET_H_
 #define TWCHASE_MODEL_ATOM_SET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,21 +105,13 @@ class AtomSet {
   static AtomSet FromAtoms(const std::vector<Atom>& atoms);
 
   /// Mutation stamp: incremented on every successful Insert and Erase (not
-  /// on compaction, which preserves contents). Lets incremental consumers
-  /// assert they have not missed a change.
-  uint64_t generation() const { return generation_; }
-
-  /// Slots ever used, tombstones included: every live atom sits at a slot
-  /// below this.
-  Slot slot_count() const { return static_cast<Slot>(slots_.size()); }
-
-  /// Slot-layout stamp. While a set keeps its stamp, its slots below any
-  /// earlier slot_count() hold the same live atoms as then: only Insert
-  /// happened since, and it appends. Erase, compaction, and copying or
-  /// moving into or out of a set draw a new stamp, unique in the process.
-  /// Lets a compiled view of the set (hom/matcher.h) catch up by compiling
-  /// the appended slots only.
-  uint64_t layout_stamp() const { return layout_stamp_.value; }
+  /// on compaction, which preserves contents). Assigning to a set, or
+  /// moving out of it, counts as a mutation too: an assigned set's stamp
+  /// moves past both its own and the source's. So a set's stamp grows with
+  /// every change of its contents and never returns to an earlier value: a
+  /// consumer that remembers it (the compiled instance of a
+  /// RetractionSearch, hom/matcher.h) knows when to look again.
+  uint64_t generation() const { return generation_.value; }
 
   /// Atoms inserted into / erased from the set since the last drain.
   struct Delta {
@@ -185,25 +178,6 @@ class AtomSet {
   void CompactPostings();
   void IndexNewAtom(const Atom& atom, Slot slot);
 
-  // A process-unique stamp that every copy and move renews on both ends.
-  struct LayoutStamp {
-    static uint64_t Next();
-    LayoutStamp() = default;
-    LayoutStamp(const LayoutStamp&) {}
-    LayoutStamp(LayoutStamp&& other) noexcept { other.Renew(); }
-    LayoutStamp& operator=(const LayoutStamp&) {
-      Renew();
-      return *this;
-    }
-    LayoutStamp& operator=(LayoutStamp&& other) noexcept {
-      Renew();
-      other.Renew();
-      return *this;
-    }
-    void Renew() { value = Next(); }
-    uint64_t value = Next();
-  };
-
   static uint64_t SegmentKey(PredicateId predicate, uint32_t arity) {
     return (static_cast<uint64_t>(predicate) << 32) | arity;
   }
@@ -222,12 +196,30 @@ class AtomSet {
   std::vector<TermId> scratch_ids_;  // Insert's per-row id buffer
   size_t live_count_ = 0;
   size_t dead_count_ = 0;
-  uint64_t generation_ = 0;
+  // A copy starts from the source's stamp; an assigned set's stamp moves
+  // past both sides', and a moved-from set's moves on.
+  struct Generation {
+    Generation() = default;
+    Generation(const Generation&) = default;
+    Generation(Generation&& other) noexcept : value(other.value) {
+      ++other.value;
+    }
+    Generation& operator=(const Generation& other) {
+      value = std::max(value, other.value) + 1;
+      return *this;
+    }
+    Generation& operator=(Generation&& other) noexcept {
+      *this = other;
+      ++other.value;
+      return *this;
+    }
+    uint64_t value = 0;
+  };
+  Generation generation_;
   size_t compactions_ = 0;
   size_t slot_args_ = 0;  // total argument count over all slots, dead included
   bool journal_enabled_ = false;
   Delta journal_;
-  LayoutStamp layout_stamp_;
 };
 
 }  // namespace twchase

@@ -34,9 +34,9 @@
 //        Exact: ρ(a) = d puts terms(d) in image(ρ), and a retraction fixes
 //        its image. Sound: a hit is a retraction with ρ(a) = d ≠ a, so it is
 //        not the identity and omits a from its image — A' is not a core.
-//        The whole instance is compiled once per run and every seed binds,
-//        decides and rolls back (RetractionSearch, hom/matcher.h); between
-//        guard calls the compiled instance takes in the atoms appended.
+//        The whole instance is compiled on buffers kept for the run, again
+//        only when it has changed, and every seed binds, decides and rolls
+//        back (RetractionSearch, hom/matcher.h).
 //
 // The frontier rule bounds the case-(i) search by what ρ moves. Under a
 // partial binding β, a variable is moved when β maps it to a term other
@@ -122,6 +122,9 @@ struct CoreGuardOutcome {
 /// Attempts to prove that `instance` (= certified core ∪ `added`) is still a
 /// core. `base_variable_mark` is the vocabulary's num_variables() at the last
 /// certification: every variable of the certified core has index below it.
+/// Compiles `instance` afresh for the one call; its callers are the guard
+/// replay in perfbench/twbench.cc and the plan tests. The chase calls the
+/// overload below.
 CoreGuardOutcome ProveStillCore(const AtomSet& instance,
                                 const std::vector<Atom>& added,
                                 uint32_t base_variable_mark);

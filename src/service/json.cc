@@ -9,7 +9,10 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace twchase {
@@ -20,67 +23,6 @@ constexpr int kMaxDepth = 64;
 const Json& NullJson() {
   static const Json* kNull = new Json();
   return *kNull;
-}
-
-// The common-key table: each entry a 32-bit length and the bytes, padded to
-// 4, all in one block that lives as long as the process. The empty key
-// comes first.
-struct CommonKeys {
-  CommonKeys() {
-    static constexpr const char* kKeys[] = {
-        "", "admitted", "answers", "auto_variant", "cancel_requested",
-        "capture_events", "certain", "checkpoint", "code", "completed",
-        "core", "core_at_round_end", "core_every", "deadline_ms", "deleted",
-        "elapsed_seconds", "entailed", "error", "error_code",
-        "error_message", "events", "facts", "failed", "fields",
-        "fingerprint", "fleet", "id", "instance_hash", "instance_size",
-        "job", "jobs", "jobs_in_flight", "limits", "max_instance_size",
-        "max_steps", "memory_budget_bytes", "message", "options", "path",
-        "persistence", "preemptions", "preflight", "program", "queries",
-        "query", "queued_now", "record_log", "rejected", "resolved",
-        "result", "resume", "resume_checkpoint", "return_checkpoint",
-        "rounds", "rules", "running_now", "scheduler", "schema_version",
-        "segments", "state", "status", "steps", "stop_reason", "summary",
-        "tenant", "terminated", "text", "type", "uptime_seconds", "variant",
-        "verdict"};
-    size_t words = 0;
-    for (const char* key : kKeys) words += 1 + (std::strlen(key) + 3) / 4;
-    storage.assign(words, 0);
-    size_t at = 0;
-    for (const char* key : kKeys) {
-      const uint32_t length = static_cast<uint32_t>(std::strlen(key));
-      offsets.push_back(at);
-      storage[at] = length;
-      std::memcpy(&storage[at + 1], key, length);
-      at += 1 + (length + 3) / 4;
-    }
-  }
-
-  // The entry holding `text`, or null.
-  const char* Find(std::string_view text) const {
-    for (size_t offset : offsets) {
-      const uint32_t length = storage[offset];
-      if (length == text.size() &&
-          std::memcmp(&storage[offset + 1], text.data(), length) == 0) {
-        return reinterpret_cast<const char*>(&storage[offset]);
-      }
-    }
-    return nullptr;
-  }
-
-  bool Holds(const char* bytes) const {
-    const char* begin = reinterpret_cast<const char*>(storage.data());
-    return bytes >= begin &&
-           bytes < begin + storage.size() * sizeof(uint32_t);
-  }
-
-  std::vector<uint32_t> storage;
-  std::vector<size_t> offsets;
-};
-
-const CommonKeys& Common() {
-  static const CommonKeys* keys = new CommonKeys();
-  return *keys;
 }
 
 // Bytes a stored key takes: its length word and its bytes, padded to 4.
@@ -95,11 +37,51 @@ void StoreKey(std::string_view text, char* at) {
   std::memcpy(at + sizeof length, text.data(), text.size());
 }
 
+// Shared keys. Object keys repeat from document to document (a service's
+// payloads use a few dozen), so the first kMaxSharedKeys distinct keys of
+// at most kMaxSharedKeyBytes bytes are stored once for the process, and
+// every key equal to one of them points there. Entries are never freed.
+// Any other key is stored with its object, so a flood of distinct keys
+// costs the pool a bounded amount and then nothing.
+class SharedKeys {
+ public:
+  static constexpr size_t kMaxSharedKeys = 1024;
+  static constexpr size_t kMaxSharedKeyBytes = 64;
+
+  // The stored key equal to `text`, added if there is room; else null.
+  const char* Find(std::string_view text) {
+    if (text.size() > kMaxSharedKeyBytes) return nullptr;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(text);
+    if (it != entries_.end()) return it->second;
+    if (entries_.size() == kMaxSharedKeys) return nullptr;
+    char* entry =
+        static_cast<char*>(::operator new(StoredKeyBytes(text.size())));
+    StoreKey(text, entry);
+    entries_.emplace(std::string_view(entry + sizeof(uint32_t), text.size()),
+                     entry);
+    return entry;
+  }
+
+ private:
+  std::mutex mu_;
+  // Keyed by views of the entries' own bytes.
+  std::unordered_map<std::string_view, const char*> entries_;
+};
+
+SharedKeys& Shared() {
+  static SharedKeys* keys = new SharedKeys();
+  return *keys;
+}
+
+// The stored empty key, which a moved-from key holds.
+alignas(4) constexpr char kEmptyKey[sizeof(uint32_t)] = {};
+
 }  // namespace
 
 uintptr_t Json::Key::Make(std::string_view text) {
-  if (const char* common = Common().Find(text)) {
-    return reinterpret_cast<uintptr_t>(common);
+  if (const char* shared = Shared().Find(text)) {
+    return reinterpret_cast<uintptr_t>(shared) | kShared;
   }
   TWCHASE_CHECK_MSG(text.size() <= std::numeric_limits<uint32_t>::max(),
                     "Json key too large");
@@ -111,7 +93,7 @@ uintptr_t Json::Key::Make(std::string_view text) {
 Json::Key::Key(std::string_view text) : rep_(Make(text)) {}
 
 Json::Key::Key(const Key& other)
-    : rep_(other.IsCommon() ? other.rep_ : Make(other.string_value())) {}
+    : rep_(other.IsShared() ? other.rep_ : Make(other.string_value())) {}
 
 Json::Key& Json::Key::operator=(const Key& other) {
   if (this != &other) *this = Key(other);
@@ -134,10 +116,8 @@ std::string_view Json::Key::string_value() const {
 }
 
 uintptr_t Json::Key::Empty() {
-  return reinterpret_cast<uintptr_t>(Common().storage.data());
+  return reinterpret_cast<uintptr_t>(kEmptyKey) | kShared;
 }
-
-bool Json::Key::IsCommon() const { return Common().Holds(Bytes()); }
 
 void Json::Key::Release() {
   if ((rep_ & kOwned) != 0) ::operator delete(const_cast<char*>(Bytes()));
@@ -473,7 +453,7 @@ void Json::MeasureNested(const Json& value, size_t* nodes, size_t* keys,
   } else if (value.is_object()) {
     *nodes += value.members().size() * sizeof(Member);
     for (const Member& member : value.members()) {
-      if (!member.key.IsCommon()) {
+      if (!member.key.IsShared()) {
         *keys += StoredKeyBytes(member.key.string_value().size());
       }
       MeasureNested(member.value, nodes, keys, text);
@@ -508,9 +488,9 @@ void Json::PlaceBorrowed(const Json& src, Json* dst, char** nodes,
     for (uint32_t i = 0; i < heap.size; ++i) {
       const Member& from = src.rep_.heap.members[i];
       Member* to = heap.members + i;
-      // The key is borrowed too: common, or stored in the block.
+      // The key is borrowed too: shared, or stored in the block.
       uintptr_t key = from.key.rep_;
-      if (!from.key.IsCommon()) {
+      if (!from.key.IsShared()) {
         const std::string_view bytes = from.key.string_value();
         StoreKey(bytes, *keys);
         key = reinterpret_cast<uintptr_t>(*keys);

@@ -21,10 +21,10 @@
 // values borrow their storage from that block; Append or Set on a parsed
 // root first copies the document out into blocks of its own.
 //
-// Object keys are 8 bytes, so a member is 24. The keys of the service's
-// payloads (wire.h, the daemon's bodies) sit once in a process-wide table
-// that every object shares; any other key's bytes are stored with the
-// object that holds it.
+// Object keys are 8 bytes, so a member is 24, and keys are shared: the
+// first 1,024 distinct keys of up to 64 bytes (json.cc) are stored once for
+// the process, so the keys a service's payloads repeat cost each document
+// 8 bytes a member. Any other key's bytes are stored with its object.
 //
 // Parsing untrusted bytes never aborts: malformed input, depth bombs and
 // truncated documents come back as Status (the HTTP layer maps them to 400).
@@ -156,7 +156,7 @@ class Json {
   static void MeasureNested(const Json& value, size_t* nodes, size_t* keys,
                             size_t* text);
   // Copies `src` into `*dst` with every nested block carved from the
-  // cursors: container values from `nodes`, keys other than the common
+  // cursors: container values from `nodes`, keys other than the shared
   // ones from `keys`, long-string bytes from `text`.
   static void PlaceBorrowed(const Json& src, Json* dst, char** nodes,
                             char** keys, char** text);
@@ -173,9 +173,9 @@ class Json {
 };
 
 /// An object member's key: a pointer to a 32-bit length and the bytes.
-/// The bytes are an entry of the common-key table (shared), a block the key
-/// owns, or part of a parsed document's block (borrowed). Copying shares a
-/// common key and copies any other into a block of its own.
+/// The bytes are a shared entry (see above), a block the key owns, or part
+/// of a parsed document's block (borrowed). Copying shares a shared key
+/// and copies any other into a block of its own.
 class Json::Key {
  public:
   explicit Key(std::string_view text);
@@ -189,22 +189,23 @@ class Json::Key {
 
  private:
   friend class Json;
-  static constexpr uintptr_t kOwned = 1;  // bit 0: rep_ owns its block
+  // Tag bits of rep_: it owns its block, or it points at a shared entry.
+  // Neither: it borrows from a parsed document's block.
+  static constexpr uintptr_t kOwned = 1;
+  static constexpr uintptr_t kShared = 2;
 
-  // The rep of `text`: its common-table entry, else a new owned block.
+  // The rep of `text`: its shared entry, else a new owned block.
   static uintptr_t Make(std::string_view text);
   // A key over `rep`, which it does not own.
-  static Key Borrowed(uintptr_t rep) {
-    Key key("");
-    key.rep_ = rep;
-    return key;
-  }
-  // The rep of the empty common key, which a moved-from key holds.
+  struct BorrowTag {};
+  Key(BorrowTag, uintptr_t rep) : rep_(rep) {}
+  static Key Borrowed(uintptr_t rep) { return Key(BorrowTag{}, rep); }
+  // The rep of the empty key, which a moved-from key holds.
   static uintptr_t Empty();
   const char* Bytes() const {
-    return reinterpret_cast<const char*>(rep_ & ~kOwned);
+    return reinterpret_cast<const char*>(rep_ & ~(kOwned | kShared));
   }
-  bool IsCommon() const;
+  bool IsShared() const { return (rep_ & kShared) != 0; }
   void Release();
 
   uintptr_t rep_;

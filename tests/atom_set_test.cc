@@ -149,6 +149,28 @@ TEST_F(AtomSetTest, GenerationCountsOnlySuccessfulMutations) {
   EXPECT_EQ(s.generation(), 2u);
 }
 
+TEST_F(AtomSetTest, AssignmentAndMovingOutAdvanceTheGeneration) {
+  // A set's generation never returns to an earlier value, so a consumer
+  // that remembers it sees every change of contents, replacements too.
+  AtomSet s;
+  s.Insert(Atom(q_, {a_}));
+  AtomSet other;
+  other.Insert(Atom(q_, {b_}));
+  ASSERT_EQ(s.generation(), other.generation());
+  AtomSet copy(other);
+  EXPECT_EQ(copy.generation(), 1u);  // a copy starts from the source's
+  s = other;
+  EXPECT_EQ(s.generation(), 2u);  // past both sides'
+  s = AtomSet();
+  EXPECT_EQ(s.generation(), 3u);
+  AtomSet moved(std::move(other));
+  EXPECT_EQ(moved.generation(), 1u);
+  EXPECT_EQ(other.generation(), 2u);
+  s = std::move(moved);
+  EXPECT_EQ(s.generation(), 4u);
+  EXPECT_EQ(moved.generation(), 2u);
+}
+
 TEST_F(AtomSetTest, DeltaJournalRecordsNetMutations) {
   AtomSet s;
   s.Insert(Atom(q_, {a_}));  // before enabling: not journaled

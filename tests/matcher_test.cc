@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <random>
@@ -17,16 +21,29 @@
 #include "reference_matcher.h"
 
 // Counting allocator for the allocation pins below: every operator new of
-// this test binary counts while the calling thread's flag is up. All the
+// this test binary counts while the calling thread's flag is up, and
+// g_live_bytes follows the heap bytes held by all threads. All the
 // unaligned forms are replaced, so that each pair allocates with malloc and
 // frees with free.
 namespace {
 thread_local bool g_count_allocations = false;
 thread_local size_t g_allocations = 0;
+std::atomic<int64_t> g_live_bytes{0};
 
 void* CountedAllocation(std::size_t size) noexcept {
   if (g_count_allocations) ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) {
+    g_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
+  }
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
 }
 }  // namespace
 
@@ -44,13 +61,15 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return CountedAllocation(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  CountedFree(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 #pragma GCC diagnostic pop
 
@@ -498,10 +517,36 @@ TEST_F(SearchAllocationTest, RetractionSearchQueriesAfterTheFirstAllocateNothing
   EXPECT_EQ(second, 0u);
 }
 
+// A search over a large pattern gives its buffers back when it ends, so a
+// thread that once ran one keeps no more than a small search's worth. The
+// path below is 1,000 atoms over variables numbered past 100,000: its
+// compiled atoms and the variable table, which is indexed by vocabulary
+// index, come to about 0.9 MB. (The search recurses once per pattern atom,
+// so the path is kept short enough for a sanitizer build's stack.)
+TEST_F(SearchAllocationTest, LargeSearchGivesItsBuffersBack) {
+  const AtomSet& f = ElevatorF();
+  ASSERT_TRUE(ExistsHomomorphism(f, f));  // a chase-sized search
+  const int64_t before = g_live_bytes.load();
+  {
+    Vocabulary vocab;
+    const PredicateId e = vocab.MustPredicate("e", 2);
+    for (int i = 0; i < 100000; ++i) vocab.FreshVariable();
+    AtomSet path;
+    Term from = vocab.FreshVariable();
+    for (int i = 0; i < 1000; ++i) {
+      const Term to = vocab.FreshVariable();
+      path.Insert(Atom(e, {from, to}));
+      from = to;
+    }
+    ASSERT_TRUE(ExistsHomomorphism(path, path));
+  }
+  EXPECT_LT(g_live_bytes.load() - before, int64_t{64} << 10);
+}
+
 // A RetractionSearch that follows its instance through inserts and an
 // erase answers every seed as a fresh one over the same instance does,
-// with the same search nodes: the atoms appended under one layout stamp are
-// compiled onto the end, and a new stamp recompiles.
+// with the same search nodes: each change of the instance's generation
+// recompiles it.
 TEST(RetractionSearchSync, FollowsTheInstanceLikeAFreshCompile) {
   ElevatorWorld world;
   ChaseOptions options;
@@ -549,10 +594,28 @@ TEST(RetractionSearchSync, FollowsTheInstanceLikeAFreshCompile) {
         [&](const Atom& atom) { instance.Insert(atom); });
     expect_same(kept, instance);
   }
-  // An erase renews the stamp; so does replacing the contents.
+  // An erase moves the generation on; so does replacing the contents.
   instance.Erase(instance.Atoms().front());
   expect_same(kept, instance);
   instance = derivation.Instance(25);
+  expect_same(kept, instance);
+  // Even by a set whose own generation equals the kept one's: erasing and
+  // re-inserting one atom adds 2 to a generation, erasing one adds 1.
+  auto pad = [](AtomSet& set, uint64_t to) {
+    const Atom atom = set.Atoms().front();
+    while (set.generation() + 2 <= to) {
+      set.Erase(atom);
+      set.Insert(atom);
+    }
+    if (set.generation() < to) set.Erase(set.Atoms().back());
+  };
+  AtomSet replacement = derivation.Instance(28);
+  pad(instance, replacement.generation());
+  expect_same(kept, instance);
+  pad(replacement, instance.generation());
+  ASSERT_EQ(replacement.generation(), instance.generation());
+  ASSERT_FALSE(replacement == instance);
+  instance = replacement;
   expect_same(kept, instance);
 }
 

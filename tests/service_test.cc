@@ -452,8 +452,7 @@ TEST(JsonTest, CompactNodesKeepValuesAndOrder) {
 
 // A parsed document is one block: nested values and keys borrow from it.
 // Copies taken out of it own their storage and outlive it, moving it keeps
-// the block, and Set on its root copies it out first. Keys of the service's
-// payloads are shared; any other key is stored with its object.
+// the block, and Set on its root copies it out first.
 TEST(JsonTest, ParsedDocumentsCopyOutOfTheirBlock) {
   const std::string text =
       R"({"state":"done","a key longer than fourteen":{"nested \"q\"":)"
@@ -472,9 +471,9 @@ TEST(JsonTest, ParsedDocumentsCopyOutOfTheirBlock) {
     Json moved = std::move(document);
     EXPECT_EQ(moved.Dump(), text);
     moved.Set("state", Json::String("cancelled"));
-    moved.Set("another key not in the table", Json::Bool(true));
+    moved.Set("another key longer than fourteen", Json::Bool(true));
     EXPECT_EQ(moved.Get("a key longer than fourteen").Dump(), nested.Dump());
-    EXPECT_TRUE(moved.Get("another key not in the table").bool_value());
+    EXPECT_TRUE(moved.Get("another key longer than fourteen").bool_value());
   }
   // The copy survives the document it came from.
   EXPECT_EQ(nested.members()[0].key.string_value(), "nested \"q\"");
@@ -484,6 +483,30 @@ TEST(JsonTest, ParsedDocumentsCopyOutOfTheirBlock) {
             "x");
   nested.Set("nested \"q\"", Json::Number(uint64_t{2}));
   EXPECT_EQ(nested.Dump(), R"({"nested \"q\"":2})");
+}
+
+// Keys are shared up to a bound: a flood of distinct keys, and keys too
+// long to share, are stored with their objects and read back the same.
+TEST(JsonTest, KeysPastTheSharedBoundsStayWithTheirObjects) {
+  std::string text = "{";
+  for (int i = 0; i < 3000; ++i) {
+    text += "\"flood key " + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  }
+  const std::string long_key(100, 'k');
+  text += "\"" + long_key + "\":true}";
+  Json copy;
+  {
+    auto parsed = Json::Parse(text);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->Dump(), text);
+    EXPECT_EQ(parsed->Get("flood key 2999").number_value(), 2999);
+    EXPECT_TRUE(parsed->Get(long_key).bool_value());
+    copy = *parsed;
+  }
+  EXPECT_EQ(copy.Dump(), text);
+  copy.Set("flood key 0", Json::Number(uint64_t{7}));
+  EXPECT_EQ(copy.members()[0].key.string_value(), "flood key 0");
+  EXPECT_EQ(copy.Get("flood key 0").number_value(), 7);
 }
 
 // ---------------------------------------------------------------------------
