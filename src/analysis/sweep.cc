@@ -160,10 +160,9 @@ std::optional<std::string> CheckResume(const std::string& text,
 
 // Runs every check on `text` under `variants` (in ChaseVariant order): per
 // variant the first of run, journal, resume, model and core that fails, then
-// the cross-variant checks. The core variant's journal check also covers a
-// run coring at round end, whose retractions amend a recorded step. Each
-// checkpoint boundary is drawn from the program's fingerprint, so a
-// reproducer replays on its text alone. `runs` counts the chase runs made.
+// the cross-variant checks. Each checkpoint boundary is drawn from the
+// program's fingerprint, so a reproducer replays on its text alone. `runs`
+// counts the chase runs made.
 std::vector<Failure> CheckProgram(const std::string& text,
                                   const std::vector<ChaseVariant>& variants,
                                   size_t max_steps, size_t* runs) {
@@ -185,17 +184,8 @@ std::vector<Failure> CheckProgram(const std::string& text,
     const uint64_t boundary_seed =
         Rng(ProgramFingerprint(ref.kb) + static_cast<uint64_t>(variant))
             .engine()();
-    std::optional<std::string> journal = CheckJournal(ref.result.derivation);
-    if (!journal && variant == ChaseVariant::kCore) {
-      ChaseOptions round_end = OptionsFor(variant, max_steps);
-      round_end.core.core_at_round_end = true;
-      RunOutput run = Run(text, round_end);
-      ++*runs;
-      journal = run.ok() ? CheckJournal(run.result.derivation)
-                         : std::optional<std::string>(run.error);
-      if (journal) journal = "coring at round end: " + *journal;
-    }
-    if (journal) {
+    if (std::optional<std::string> journal =
+            CheckJournal(ref.result.derivation)) {
       fail("journal", *journal);
     } else if (auto diff = CheckResume(text, variant, max_steps, ref,
                                        boundary_seed)) {

@@ -2,10 +2,9 @@
 // each run against the paper's definitions, never one schedule against
 // another (restricted-chase results depend on the trigger order, Carral et
 // al.). Per variant: every F_i rebuilt from the derivation journal has its
-// recorded size and the last one is the live result ("journal"; the core
-// variant checks a run coring at round end as well); the run, stopped at a
-// trigger boundary drawn from the program, checkpointed through the text
-// format and resumed on a fresh parse, is bit-identical to the
+// recorded size and the last one is the live result ("journal"); the run,
+// stopped at a trigger boundary drawn from the program, checkpointed through
+// the text format and resumed on a fresh parse, is bit-identical to the
 // uninterrupted one ("resume"); a terminated restricted, frugal or core
 // result is a model ("model"); a core result is a core ("core"). Across
 // variants: terminated results are homomorphically equivalent

@@ -209,8 +209,11 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // state does not match the checkpointed one.
   Status replay_error = Status::OK();
   AtomSet current = kb.facts;
-  // The guard's case-(i) search over `current`, compiled once for the run
-  // and caught up with each guard call (RetractionSearch, hom/matcher.h).
+  // The guard's case-(i) search over `current` (RetractionSearch,
+  // hom/matcher.h). Its buffers live for the run; it compiles F afresh
+  // whenever AtomSet::generation() has moved since its last query, and
+  // reuses that compile for every seed of one guard call (DESIGN.md "One
+  // compiled F per run").
   std::optional<RetractionSearch> guard_view;
   // Deactivates the cursor (all further decisions are live) and, when the
   // log carries landing-verification data, cross-checks the reconstructed
@@ -247,28 +250,24 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   };
 
   // The run's one coring routine (σ_i of Definition 2), shared by the
-  // initial, per-step and round-end sites, live and replayed. Replay
-  // (`recorded` non-null) commits the recorded retraction; a live coring
-  // first tries the still-core guard, then falls back to ComputeCore. Every
-  // commit goes through ApplyRetractionRebuild, so the AtomSet journal is
-  // the only delta channel (the round-start drain picks it up). A round-end
-  // coring commits only a proper retraction; the initial one counts in no
-  // core_full stat. An aborted coring mutated nothing: each site decides
-  // what of its own to roll back.
-  enum class CoringSite { kInitial, kStep, kRoundEnd };
+  // initial and per-step sites, live and replayed. Replay (`recorded`
+  // non-null) commits the recorded retraction; a live coring first tries
+  // the still-core guard, then falls back to ComputeCore. Every commit goes
+  // through ApplyRetractionRebuild, so the AtomSet journal is the only delta
+  // channel (the round-start drain picks it up). The initial coring counts
+  // in no core_full stat. An aborted coring mutated nothing: each site
+  // decides what of its own to roll back.
   struct Coring {
     Substitution sigma;
     size_t folds = 0;
     bool aborted = false;
   };
-  auto run_coring = [&](CoringSite site, const Substitution* recorded,
+  auto run_coring = [&](bool initial, const Substitution* recorded,
                         size_t recorded_folds) {
     Coring out;
     auto commit = [&](AtomSet* image) {
-      if (site != CoringSite::kRoundEnd || !out.sigma.IsIdentity()) {
-        ApplyRetractionRebuild(&current, out.sigma, image);
-      }
-      if (site != CoringSite::kInitial) ++result.stats.core_full;
+      ApplyRetractionRebuild(&current, out.sigma, image);
+      if (!initial) ++result.stats.core_full;
     };
     if (recorded != nullptr) {
       out.sigma = *recorded;
@@ -330,10 +329,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   if (!budget_stop && is_core) {
     // An aborted initial coring leaves F untouched.
     Coring cored =
-        cursor.active ? run_coring(CoringSite::kInitial,
+        cursor.active ? run_coring(/*initial=*/true,
                                    &cursor.log->initial_sigma,
                                    cursor.log->initial_folds)
-                      : run_coring(CoringSite::kInitial, nullptr, 0);
+                      : run_coring(/*initial=*/true, nullptr, 0);
     budget_stop = cored.aborted;
     sigma0 = std::move(cored.sigma);
     initial_folds = cored.folds;
@@ -579,10 +578,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         if (cursor.bit_index < rr.decisions.size()) {
           replaying_this = true;
           replay_bit = rr.decisions[cursor.bit_index++] != 0;
-        } else if (rr.have_round_end) {
-          // The recorded run left its trigger loop early (step budget or
-          // size guard) and then cored at round end — follow it there.
-          break;
         } else {
           go_live();
           if (!replay_error.ok()) break;
@@ -680,8 +675,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       Substitution sigma;
       std::vector<Substitution> fold_sigmas;
       CoreRetractionEvent core_event;
-      const bool do_core = is_core && !options.core.core_at_round_end &&
-                           ++since_last_core >= options.core.core_every;
+      const bool do_core =
+          is_core && ++since_last_core >= options.core.core_every;
       if (do_core) since_last_core = 0;
       const ResumeLog::StepRecord* step_record = nullptr;
       if (replaying_this) {
@@ -695,9 +690,9 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         core_event.size_before = current.size();
         Coring cored =
             step_record != nullptr
-                ? run_coring(CoringSite::kStep, &step_record->sigma,
+                ? run_coring(/*initial=*/false, &step_record->sigma,
                              step_record->folds)
-                : run_coring(CoringSite::kStep, nullptr, 0);
+                : run_coring(/*initial=*/false, nullptr, 0);
         if (cored.aborted) {
           // Roll the application back to the last committed step (its added
           // atoms are exactly what it inserted; everything else is
@@ -786,48 +781,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           current.size() > options.limits.max_instance_size) {
         size_guard_tripped = true;
         break;
-      }
-    }
-    if (budget_stop || !replay_error.ok()) break;
-    if (is_core && options.core.core_at_round_end && progressed) {
-      // Replay follows the round's recorded round-end coring; a round record
-      // without one is where the recorded run stopped, so resume runs the
-      // coring live.
-      const ResumeLog::RoundRecord* recorded = nullptr;
-      if (cursor.active) {
-        const ResumeLog::RoundRecord& rr =
-            cursor.log->rounds[cursor.round_index];
-        if (rr.have_round_end) {
-          recorded = &rr;
-        } else {
-          go_live();
-        }
-      }
-      if (replay_error.ok()) {
-        const size_t size_before = current.size();
-        Coring cored =
-            recorded != nullptr
-                ? run_coring(CoringSite::kRoundEnd, &recorded->round_end_sigma,
-                             recorded->round_end_folds)
-                : run_coring(CoringSite::kRoundEnd, nullptr, 0);
-        if (cored.aborted) {
-          // The round's committed applications stand; the amendment simply
-          // has not happened yet (resume re-runs it).
-          budget_stop = true;
-        } else {
-          if (!cored.sigma.IsIdentity()) {
-            result.derivation.AmendLastSimplification(cored.sigma, current);
-          }
-          if (rec != nullptr) {
-            rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = cored.sigma;
-            rec->rounds.back().round_end_folds = cored.folds;
-          }
-          if (obs != nullptr) {
-            obs->OnCoreRetraction(
-                {result.steps, cored.folds, size_before, current.size()});
-          }
-        }
       }
     }
     if (budget_stop || !replay_error.ok()) break;

@@ -89,14 +89,6 @@ struct ChaseOptions {
     /// Retract to a core after every k-th application (the paper allows any
     /// finite spacing; 1 = after every application).
     size_t core_every = 1;
-
-    /// Instead of per-application coring, core once at the end of each
-    /// scheduler round — the Deutsch–Nash–Remmel presentation (apply all
-    /// active triggers "in parallel", then take the core). The retraction
-    /// is recorded as the simplification of the round's last application,
-    /// which keeps the run a valid derivation (Definition 1) and a core
-    /// chase sequence (finitely many applications between corings).
-    bool core_at_round_end = false;
   };
 
   /// Termination-analysis preflight provenance (filled by
@@ -249,9 +241,9 @@ struct ResumeLog {
     /// Frugal chase: the per-fold retractions, in fold order.
     std::vector<Substitution> fold_sigmas;
 
-    /// True when this application was followed by a per-application coring
-    /// (so replay knows whether sigma came from a core event or is a
-    /// trivial identity).
+    /// True when the coring schedule (core.core_every) cored after this
+    /// application (so replay knows whether sigma came from a core event or
+    /// is a trivial identity).
     bool cored = false;
 
     /// Fold count of the coring (CoreRetractionEvent::folds is not
@@ -260,19 +252,14 @@ struct ResumeLog {
     size_t folds = 0;
   };
 
+  /// A round holds no coring of its own: every coring belongs to a step.
+  /// (The checkpoint's `round` line still ends in a fixed "0 0 0"; see
+  /// SerializeCheckpoint.)
   struct RoundRecord {
     /// One bit per committed trigger consideration this round, in pending
     /// order after the canonical sort: 1 = applied, 0 = skipped (inactive
     /// or satisfied).
     std::vector<uint8_t> decisions;
-
-    /// Round-end coring (core.core_at_round_end): true iff the round's
-    /// ComputeCore committed (the sigma may still be the identity). False
-    /// on the final record when the run stopped at the round-end coring
-    /// boundary — replay resumes live exactly there.
-    bool have_round_end = false;
-    Substitution round_end_sigma;
-    size_t round_end_folds = 0;
   };
 
   /// True once the initial element F_0 was committed. A log with

@@ -150,7 +150,6 @@ ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,
   ChaseCheckpoint cp;
   cp.variant = options.variant;
   cp.core_every = options.core.core_every;
-  cp.core_at_round_end = options.core.core_at_round_end;
   cp.program_fingerprint = CheckpointFingerprint(kb, options);
   cp.stop_reason = result.stop_reason;
   cp.steps = result.steps;
@@ -195,9 +194,9 @@ std::string SerializeCheckpoint(const ChaseCheckpoint& cp) {
     } else {
       for (uint8_t bit : round.decisions) out << (bit != 0 ? '1' : '0');
     }
-    out << ' ' << round.have_round_end << ' ' << round.round_end_folds;
-    WriteSigma(out, round.round_end_sigma);
-    out << '\n';
+    // The round-end coring's flag, fold count and σ, which the removed
+    // schedule filled; kept so the v1 format is unchanged.
+    out << " 0 0 0\n";
   }
   out << "end\n";
   return out.str();
@@ -335,9 +334,18 @@ StatusOr<ChaseCheckpoint> ParseCheckpoint(const std::string& text) {
         round.decisions.push_back(c == '1' ? 1 : 0);
       }
     }
-    if (!(f >> round.have_round_end >> round.round_end_folds) ||
-        !ReadSigma(f, &round.round_end_sigma)) {
+    size_t round_end_flag = 0;
+    size_t round_end_folds = 0;
+    size_t round_end_sigma_size = 0;
+    if (!(f >> round_end_flag >> round_end_folds >> round_end_sigma_size)) {
       return Malformed("round record");
+    }
+    if (round_end_flag != 0 || round_end_folds != 0 ||
+        round_end_sigma_size != 0) {
+      return Status::InvalidArgument(
+          "checkpoint: round " + std::to_string(i + 1) + " at byte " +
+          std::to_string(line_start) +
+          " records a round-end coring, which is no longer supported");
     }
     cp.log.rounds.push_back(std::move(round));
   }

@@ -64,10 +64,11 @@ struct ChaseCheckpoint {
   /// meaningless against a different schedule).
   ///
   /// datalog_first, delta_enabled and core_initial are always written as
-  /// true: datalog rules always come first, trigger generation is always
-  /// delta-driven and the core chase always cores F_0. A checkpoint
-  /// recorded with any of them off (by a build that still had the switch)
-  /// parses with false and is rejected at resume.
+  /// true, and core_at_round_end as false: datalog rules always come first,
+  /// trigger generation is always delta-driven, the core chase always cores
+  /// F_0 and cores only on the core_every schedule. A checkpoint recorded
+  /// with any of them the other way (by a build that still had the switch)
+  /// parses with that value and is rejected at resume.
   bool datalog_first = true;
   bool delta_enabled = true;
   size_t core_every = 1;
@@ -102,7 +103,9 @@ ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,
 std::string SerializeCheckpoint(const ChaseCheckpoint& checkpoint);
 
 /// Parses a serialized checkpoint. InvalidArgument on malformed input or an
-/// unsupported version; never aborts on untrusted bytes. Strict: trailing
+/// unsupported version; never aborts on untrusted bytes. A `round` line must
+/// carry the fixed "0 0 0" tail: one that records a round-end coring is
+/// refused, not read as a round without it. Strict: trailing
 /// bytes after the "end" terminator and a final line without its newline
 /// are rejected with a byte-offset-annotated error, so a torn tail can
 /// never parse as a shorter-but-valid log.

@@ -12,8 +12,7 @@ void Derivation::AddInitial(const AtomSet& f0, Substitution sigma0) {
   step.simplification = std::move(sigma0);
   step.instance_size = f0.size();
   initial_ = f0;
-  last_step_bytes_ = StepBytes(step);
-  approx_bytes_ = initial_.ApproxMemoryBytes() + last_step_bytes_;
+  approx_bytes_ = initial_.ApproxMemoryBytes() + StepBytes(step);
   steps_.push_back(std::move(step));
   last_ = f0;
 }
@@ -30,8 +29,7 @@ void Derivation::AddStep(int rule_index, std::string rule_label,
   step.simplification = std::move(sigma);
   step.added_atoms = std::move(added_atoms);
   step.instance_size = instance.size();
-  last_step_bytes_ = StepBytes(step);
-  approx_bytes_ += last_step_bytes_;
+  approx_bytes_ += StepBytes(step);
   // Maintain the running F_i without an O(|F_i|) copy per step: when the
   // simplification is the identity, the step only inserted `added_atoms`
   // into F_{i-1}, so mirroring those inserts reproduces F_i's content
@@ -47,18 +45,6 @@ void Derivation::AddStep(int rule_index, std::string rule_label,
     last_ = instance;
   }
   steps_.push_back(std::move(step));
-}
-
-void Derivation::AmendLastSimplification(const Substitution& sigma,
-                                         const AtomSet& instance) {
-  TWCHASE_CHECK(!steps_.empty());
-  DerivationStep& last = steps_.back();
-  last.simplification = Substitution::Compose(sigma, last.simplification);
-  last.instance_size = instance.size();
-  approx_bytes_ -= last_step_bytes_;
-  last_step_bytes_ = StepBytes(last);
-  approx_bytes_ += last_step_bytes_;
-  last_ = instance;
 }
 
 size_t Derivation::StepBytes(const DerivationStep& step) {

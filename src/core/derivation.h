@@ -33,8 +33,8 @@ struct DerivationStep {
   Substitution match;
 
   /// Simplification σ_i: a retraction of α(F_{i-1}, tr_i) onto F_i
-  /// (σ_0 retracts the initial fact set). A round-end coring or a frugal
-  /// fold sequence is recorded as its composed retraction.
+  /// (σ_0 retracts the initial fact set). A frugal fold sequence is
+  /// recorded as its composed retraction.
   Substitution simplification;
 
   /// Atoms inserted by α before simplification, in insertion order.
@@ -54,14 +54,6 @@ class Derivation {
   void AddStep(int rule_index, std::string rule_label, Substitution match,
                Substitution sigma, std::vector<Atom> added_atoms,
                const AtomSet& instance);
-
-  /// Composes an additional simplification into the most recent step and
-  /// makes `instance` (σ applied to the step's F_i) its element (used by
-  /// round-end coring, where the retraction conceptually belongs to the
-  /// round's last rule application — the Deutsch–Nash–Remmel presentation
-  /// of the core chase).
-  void AmendLastSimplification(const Substitution& sigma,
-                               const AtomSet& instance);
 
   /// Number of recorded elements F_0 .. F_{size()-1}.
   size_t size() const { return steps_.size(); }
@@ -110,7 +102,6 @@ class Derivation {
   AtomSet initial_;
   AtomSet last_;
   size_t approx_bytes_ = 0;
-  size_t last_step_bytes_ = 0;
 };
 
 /// A forward cursor over a derivation's elements: starts at F_0 and rebuilds

@@ -117,7 +117,7 @@ struct TriggerRetiredEvent {
   TriggerRetireReason reason = TriggerRetireReason::kApplied;
 };
 
-/// A core retraction ran (initial coring, per-application, or round-end).
+/// A core retraction ran (the initial coring or a per-application one).
 struct CoreRetractionEvent {
   /// Derivation step the retraction belongs to (0 = initial coring).
   size_t step = 0;
@@ -130,15 +130,14 @@ struct CoreRetractionEvent {
   size_t size_after = 0;
 };
 
-/// A scheduler round finished (after round-end coring and match retirement).
+/// A scheduler round finished (after match retirement).
 struct RoundEndEvent {
   size_t round = 0;
   size_t steps_in_round = 0;
   size_t instance_size = 0;
   bool progressed = false;
 
-  /// The live instance: the round's last element, after any round-end
-  /// coring amended it.
+  /// The live instance: the round's last element.
   const AtomSet* instance = nullptr;
 };
 

@@ -251,7 +251,7 @@ void MetricsObserver::OnPhase(const PhaseEvent& event) {
 }
 
 // Repeats the last step with the run's final values: the counters of the
-// work after that step (the rest of its round, a round-end coring).
+// work after that step (the rest of its round).
 void MetricsObserver::OnRunEnd(const RunEndEvent& event) {
   PublishStats(event.stats);
   registry_->EmitRow(options_.out, event.steps);

@@ -28,10 +28,7 @@
 
 namespace twchase {
 
-/// Builds the trace text incrementally from run events. When attached to a
-/// live core chase with round-end coring, the per-step simplifications are
-/// rendered as emitted (before any round-end amendment); the post-hoc
-/// DerivationTrace replay shows the amended derivation.
+/// Builds the trace text incrementally from run events.
 class TraceObserver : public ChaseObserver {
  public:
   explicit TraceObserver(const Vocabulary* vocab,

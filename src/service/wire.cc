@@ -163,8 +163,9 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   // exact, because runs were bit-identical at any thread count and with the
   // delta and planner switches either way. The radius only tuned the
   // incremental mode. A request for the removed incremental mode itself
-  // cannot be honoured, nor can core.core_initial false: the core chase
-  // always cores F_0.
+  // cannot be honoured, nor can core.core_initial false (the core chase
+  // always cores F_0) or core.core_at_round_end true (it cores only on the
+  // core_every schedule).
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
@@ -173,8 +174,15 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
                  "incremental_core", "dirty_radius"}));
     TWCHASE_RETURN_IF_ERROR(
         r.ReadCount(*group, "core_every", &options->core.core_every));
-    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "core_at_round_end",
-                                       &options->core.core_at_round_end));
+    bool core_at_round_end = false;
+    TWCHASE_RETURN_IF_ERROR(
+        r.ReadBool(*group, "core_at_round_end", &core_at_round_end));
+    if (core_at_round_end) {
+      return r.Fail(r.Join("core_at_round_end"),
+                    "is no longer supported: round-end coring was removed, "
+                    "the core chase cores after every core_every-th "
+                    "application");
+    }
     TWCHASE_RETURN_IF_ERROR(r.ReadFixedTrue(
         *group, "core_initial",
         "is no longer supported as false: the core chase always cores the "
@@ -295,7 +303,8 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
 
   Json core = Json::Object();
   core.Set("core_every", Json::Number(uint64_t{options.core.core_every}));
-  core.Set("core_at_round_end", Json::Bool(options.core.core_at_round_end));
+  // Fixed false: kept so admit records stay byte-identical.
+  core.Set("core_at_round_end", Json::Bool(false));
   root.Set("core", std::move(core));
 
   Json resume = Json::Object();

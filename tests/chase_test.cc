@@ -4,9 +4,7 @@
 #include "core/entailment.h"
 #include "fair_prefix.h"
 #include "hom/core.h"
-#include "hom/isomorphism.h"
 #include "hom/matcher.h"
-#include "tw/treewidth.h"
 #include "kb/examples.h"
 #include "parser/parser.h"
 
@@ -202,52 +200,6 @@ TEST(ChaseTest, ChaseVariantsAgreeOnEntailedQueries) {
     EXPECT_FALSE(ExistsHomomorphism(q_no->queries[0].atoms, result))
         << ChaseVariantName(variant);
   }
-}
-
-TEST(ChaseTest, RoundEndCoringMatchesDnrPresentation) {
-  // The Deutsch–Nash–Remmel core chase applies all active triggers per
-  // round, then cores once. On a terminating KB it must reach the same
-  // (isomorphic) finite universal model as per-application coring.
-  auto kb1 = MakeFesNotBts();
-  ChaseOptions per_application;
-  per_application.variant = ChaseVariant::kCore;
-  per_application.limits.max_steps = 2000;
-  auto r1 = RunChase(kb1, per_application);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_EQ(r1->stop_reason, StopReason::kFixpoint);
-
-  auto kb2 = MakeFesNotBts();
-  ChaseOptions round_end = per_application;
-  round_end.core.core_at_round_end = true;
-  auto r2 = RunChase(kb2, round_end);
-  ASSERT_TRUE(r2.ok());
-  ASSERT_EQ(r2->stop_reason, StopReason::kFixpoint);
-  EXPECT_TRUE(AreIsomorphic(r1->derivation.Last(), r2->derivation.Last()));
-
-  // Simplifications recorded by amendment are still valid retractions.
-  DerivationCursor c(r2->derivation);
-  for (c.Next(); !c.done(); c.Next()) {
-    EXPECT_TRUE(c.step().simplification.IsRetractionOf(c.pre_simplification()))
-        << "step " << c.index();
-  }
-}
-
-TEST(ChaseTest, RoundEndCoringOnStaircaseStaysBounded) {
-  StaircaseWorld world;
-  ChaseOptions options;
-  options.variant = ChaseVariant::kCore;
-  options.core.core_at_round_end = true;
-  options.limits.max_steps = 40;
-  auto run = RunChase(world.kb(), options);
-  ASSERT_TRUE(run.ok());
-  // Round-cored elements are cores; mid-round growth is absorbed before the
-  // next round, so the recorded sequence still witnesses core-bts.
-  int max_final_tw = -1;
-  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
-    max_final_tw =
-        std::max(max_final_tw, ComputeTreewidth(c.instance()).upper_bound);
-  }
-  EXPECT_LE(max_final_tw, 3);
 }
 
 TEST(ChaseTest, DeterministicAcrossRuns) {

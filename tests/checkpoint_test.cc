@@ -91,9 +91,6 @@ TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
   for (size_t i = 0; i < cp.log.rounds.size(); ++i) {
     EXPECT_EQ(parsed->log.rounds[i].decisions, cp.log.rounds[i].decisions)
         << i;
-    EXPECT_EQ(parsed->log.rounds[i].have_round_end,
-              cp.log.rounds[i].have_round_end)
-        << i;
   }
   // Serialization is canonical: parse(serialize(x)) serializes identically.
   EXPECT_EQ(SerializeCheckpoint(*parsed), text);
@@ -107,6 +104,9 @@ TEST(CheckpointFormatTest, MalformedInputsAreRejectedNotFatal) {
   StaircaseWorld fresh;
   std::string good =
       SerializeCheckpoint(MakeCheckpoint(fresh.kb(), options, *run));
+  // The last round line without its fixed round-end tail "0 0 0" (flag,
+  // fold count, empty σ): a tail that records a round-end coring is refused.
+  const std::string last_round = good.substr(0, good.rfind(" 0 0 0\nend\n"));
 
   const std::string cases[] = {
       "",
@@ -116,6 +116,9 @@ TEST(CheckpointFormatTest, MalformedInputsAreRejectedNotFatal) {
       good.substr(0, good.find("end")),      // missing terminator
       "twchase-checkpoint 1\nvariant bogus\n",
       "twchase-checkpoint 1\nvariant core\nschedule x y z\n",
+      last_round + " 1 0 0\nend\n",
+      last_round + " 0 2 0\nend\n",
+      last_round + " 1 1 1 2147483652 2147483653\nend\n",
   };
   for (const std::string& text : cases) {
     auto parsed = ParseCheckpoint(text);
@@ -289,8 +292,11 @@ std::string ReplaceOnce(std::string text, const std::string& from,
 TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
   const std::string text = RecordStaircaseCheckpoint();
   // The schedule line echoes datalog_first, delta_enabled, core_every,
-  // core_at_round_end and core_initial.
+  // core_at_round_end and core_initial. Round-end coring was a schedule of
+  // its own, removed since.
   ExpectResumeRefused(ReplaceOnce(text, "\nschedule 1 1 ", "\nschedule 1 0 "));
+  ExpectResumeRefused(
+      ReplaceOnce(text, "\nschedule 1 1 1 0 1\n", "\nschedule 1 1 1 1 1\n"));
   // The unmodified checkpoint still resumes.
   auto cp = ParseCheckpoint(text);
   ASSERT_TRUE(cp.ok());
@@ -298,6 +304,45 @@ TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
   auto resumed = ResumeChase(
       target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
   EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+}
+
+// The v1 text of a default-schedule core run (staircase, 6 steps), as
+// written before round-end coring was removed: the `schedule` line keeps
+// its round-end 0 and every `round` line its "0 0 0" tail, byte for byte.
+TEST(CheckpointFormatTest, DefaultScheduleCoreRunWritesThePinnedText) {
+  const std::string pinned =
+      "twchase-checkpoint 1\n"
+      "variant core\n"
+      "schedule 1 1 1 0 1\n"
+      "program 2975195307304529993\n"
+      "stop step-budget\n"
+      "progress 6 6\n"
+      "instance 15 15118844151877931807\n"
+      "variables 5 12\n"
+      "initial 1 0 0\n"
+      "steps 6\n"
+      "step 1 0 0 0\n"
+      "step 1 0 0 0\n"
+      "step 1 1 4 2147483652 2147483653 2147483653 2147483653 2147483654 "
+      "2147483655 2147483655 2147483655 0\n"
+      "step 1 0 0 0\n"
+      "step 1 0 0 0\n"
+      "step 1 0 0 0\n"
+      "rounds 6\n"
+      "round 2 01 0 0 0\n"
+      "round 3 010 0 0 0\n"
+      "round 6 000100 0 0 0\n"
+      "round 5 00010 0 0 0\n"
+      "round 6 000001 0 0 0\n"
+      "round 2 01 0 0 0\n"
+      "end\n";
+  StaircaseWorld world;
+  const ChaseOptions options = RecordingOptions(ChaseVariant::kCore, 6);
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  StaircaseWorld fresh;
+  EXPECT_EQ(SerializeCheckpoint(MakeCheckpoint(fresh.kb(), options, *run)),
+            pinned);
 }
 
 // A checkpoint as written before datalog_first and core.core_initial became

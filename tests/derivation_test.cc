@@ -141,8 +141,7 @@ TEST(DerivationTest, CursorCopiesWalkIndependently) {
 }
 
 // The live run's elements: F_0 at run begin, F_i at each applied step, and
-// the last step's element again at round end, where a round-end coring
-// amends it.
+// the last step's element again at round end.
 class LiveElements : public ChaseObserver {
  public:
   struct Element {
@@ -183,7 +182,7 @@ std::vector<std::filesystem::path> DataPrograms() {
 // Every F_i rebuilt from the journal is the live run's F_i: same content
 // hash, same size, and the same atoms in the same order (the order trace
 // and measure output print in). Covers every bundled program, variant and
-// coring schedule, including round-end corings that amend a recorded step.
+// coring schedule (after every step, and after every third).
 TEST(DerivationJournalTest, JournalMatchesTheLiveRun) {
   const std::vector<std::filesystem::path> programs = DataPrograms();
   ASSERT_GE(programs.size(), 3u);
@@ -195,7 +194,7 @@ TEST(DerivationJournalTest, JournalMatchesTheLiveRun) {
     std::stringstream text;
     text << in.rdbuf();
     for (ChaseVariant variant : variants) {
-      for (int schedule = 0; schedule < 3; ++schedule) {
+      for (int schedule = 0; schedule < 2; ++schedule) {
         auto parsed = ParseProgram(text.str());
         ASSERT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
         LiveElements live;
@@ -203,7 +202,6 @@ TEST(DerivationJournalTest, JournalMatchesTheLiveRun) {
         options.variant = variant;
         options.limits.max_steps = 60;
         options.core.core_every = schedule == 1 ? 3 : 1;
-        options.core.core_at_round_end = schedule == 2;
         options.observer = &live;
         auto run = RunChase(parsed->kb, options);
         ASSERT_TRUE(run.ok()) << run.status().ToString();

@@ -7,7 +7,6 @@
 // families.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -40,18 +39,15 @@ KnowledgeBase FreshKb(Family family) {
 
 // A coring schedule layered over the default options. The default schedule
 // cores after every step; the others exercise the replay of per-step
-// corings skipped by the schedule and round-end corings (and stops inside
-// them).
+// corings skipped by the schedule.
 struct Schedule {
   const char* name = "default";
   size_t core_every = 1;
-  bool core_at_round_end = false;
 };
 
 const Schedule kDefaultSchedule;
 const Schedule kOffDefaultSchedules[] = {
-    {"core-every-3", 3, false},
-    {"round-end", 1, true},
+    {"core-every-3", 3},
 };
 
 ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
@@ -60,7 +56,6 @@ ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.core.core_every = schedule.core_every;
-  options.core.core_at_round_end = schedule.core_at_round_end;
   return options;
 }
 
@@ -141,16 +136,12 @@ void ExpectBitIdentical(const RunOutput& resumed, const RunOutput& golden,
 // Interrupts a recording run with `injector`, checkpoints it through the
 // serialized text format, resumes, and demands bit-identity with the
 // uninterrupted golden run. Returns false when the fault never fired (the
-// run finished first), so sweeps know to stop probing deeper visits. When
-// `landed_in_round_end` is non-null it is set when the stop fell inside a
-// round-end coring: the last round applied triggers but committed no
-// round-end retraction, so resume must run that coring live.
+// run finished first), so sweeps know to stop probing deeper visits.
 bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
                                    size_t max_steps, FaultInjector injector,
                                    const RunOutput& golden,
                                    const std::string& context,
-                                   const Schedule& schedule = kDefaultSchedule,
-                                   bool* landed_in_round_end = nullptr) {
+                                   const Schedule& schedule = kDefaultSchedule) {
   RunOutput interrupted = RunVariant(family, variant, max_steps,
                                      /*record_log=*/true, &injector, schedule);
   if (injector.fired_count() == 0) {
@@ -167,16 +158,6 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
   EXPECT_NE(interrupted.events.find("\"event\": \"fault_injected\""),
             std::string::npos)
       << context;
-
-  if (landed_in_round_end != nullptr) {
-    const std::vector<ResumeLog::RoundRecord>& rounds =
-        interrupted.result.resume_log.rounds;
-    *landed_in_round_end =
-        !rounds.empty() && !rounds.back().have_round_end &&
-        std::find(rounds.back().decisions.begin(),
-                  rounds.back().decisions.end(),
-                  1) != rounds.back().decisions.end();
-  }
 
   ChaseOptions recorded_options = OptionsFor(variant, max_steps, schedule);
   recorded_options.resume.record_log = true;
@@ -245,8 +226,8 @@ TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnElevator) {
   }
 }
 
-// The retracting variants under the schedules the default sweep never
-// replays: a coring every third step and corings only at round end.
+// The retracting variants under the schedule the default sweep never
+// replays: a coring every third step.
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableUnderCoringSchedules) {
   for (const Schedule& schedule : kOffDefaultSchedules) {
     for (Family family : {Family::kStaircase, Family::kElevator}) {
@@ -278,35 +259,6 @@ TEST(FaultInjectionTest, RoundBoundaryStopsAreResumable) {
       }
     }
   }
-}
-
-// Sweeps every coring fold boundary of a round-end schedule. Some stops fall
-// inside the initial coring, some inside a round-end coring after the round
-// applied its triggers: the checkpoint then holds a round with no round-end
-// record, and resume must land there and run that coring live.
-TEST(FaultInjectionTest, StopsInsideRoundEndCoringsAreResumable) {
-  const Schedule& round_end = kOffDefaultSchedules[1];
-  int round_end_landings = 0;
-  for (Family family : {Family::kStaircase, Family::kElevator}) {
-    const size_t max_steps = 8;
-    RunOutput golden = RunVariant(family, ChaseVariant::kCore, max_steps,
-                                  /*record_log=*/false, nullptr, round_end);
-    for (uint64_t visit = 1;; ++visit) {
-      FaultInjector injector;
-      injector.Arm(FaultSite::kCoreFold, visit, FaultAction::kCancel);
-      bool landed_in_round_end = false;
-      if (!CheckInterruptResumeRoundTrip(
-              family, ChaseVariant::kCore, max_steps, injector, golden,
-              Context(family, ChaseVariant::kCore,
-                      "core-fold-visit-" + std::to_string(visit), round_end),
-              round_end, &landed_in_round_end)) {
-        break;
-      }
-      if (landed_in_round_end) ++round_end_landings;
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-  EXPECT_GE(round_end_landings, 1);
 }
 
 TEST(FaultInjectionTest, SeededSchedulesAreResumable) {

@@ -16,18 +16,33 @@
 //     and σ_i fixes every term of F_i. The elements F_i are rebuilt from the
 //     derivation journal (for i ≥ 1 as σ_i(A_i), so there the check is on
 //     the fixed terms and the recorded |F_i|); derivation_test's
-//     JournalMatchesTheLiveRun checks that they are the live run's.
+//     JournalMatchesTheLiveRun checks that they are the live run's;
+//   * the robust renaming of every frugal and core run keeps Lemma 1's
+//     invariants at every step: the forwarded union U_i lies inside G_i,
+//     and ρ_i renames F_i onto G_i;
+//   * the queries of every bundled program under data/ get the verdicts
+//     and answers the reference matcher finds on each run's last element,
+//     terminated runs agree on them, and whatever holds on any run's last
+//     element holds on every terminated result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <set>
+#include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/chase.h"
+#include "core/robust.h"
 #include "kb/examples.h"
 #include "kb/knowledge_base.h"
+#include "parser/parser.h"
+#include "parser/printer.h"
 #include "reference_matcher.h"
 
 namespace twchase {
@@ -156,6 +171,39 @@ void ExpectSampledCores(const Derivation& derivation,
   }
 }
 
+// ρ witnesses F ≅ G: it fixes every constant of F, maps F's variables
+// injectively to variables, and ρ(F) = G.
+bool IsRenamingOnto(const Substitution& rho, const AtomSet& f,
+                    const AtomSet& g) {
+  std::unordered_set<Term, TermHash> images;
+  for (Term t : f.Terms()) {
+    const Term image = rho.Apply(t);
+    if (t.is_constant() ? !(image == t) : !image.is_variable()) return false;
+    if (!images.insert(image).second) return false;
+  }
+  return rho.Apply(f) == g;
+}
+
+// Lemma 1 along the whole derivation, walked once through the robust
+// aggregation (Definition 15): U_i ⊆ G_i, and ρ_i renames F_i onto G_i.
+void ExpectRobustInvariants(const Derivation& derivation,
+                            const std::string& context) {
+  DerivationCursor c(derivation);
+  RobustAggregator agg;
+  agg.Begin(c.instance(), c.step().simplification);
+  while (true) {
+    const size_t i = c.index();
+    EXPECT_TRUE(agg.Aggregate().IsSubsetOf(agg.CurrentG()))
+        << context << ": U_" << i << " is not a subset of G_" << i;
+    EXPECT_TRUE(IsRenamingOnto(agg.CurrentRho(), c.instance(), agg.CurrentG()))
+        << context << ": ρ_" << i << " does not rename F_" << i
+        << " onto G_" << i;
+    c.Next();
+    if (c.done()) break;
+    agg.Step(c.pre_simplification(), c.step().simplification);
+  }
+}
+
 class SemanticOracleTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SemanticOracleTest, RunsSatisfyThePapersDefinitions) {
@@ -174,6 +222,9 @@ TEST_P(SemanticOracleTest, RunsSatisfyThePapersDefinitions) {
     ExpectRetractions(run.kb, run.result.derivation, context);
     if (variant == ChaseVariant::kCore) {
       ExpectSampledCores(run.result.derivation, context);
+    }
+    if (variant == ChaseVariant::kFrugal || variant == ChaseVariant::kCore) {
+      ExpectRobustInvariants(run.result.derivation, context);
     }
     if (!Terminated(run)) continue;
     terminated.push_back(v);
@@ -208,6 +259,123 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// A query's outcome on one run's last element: whether it is entailed
+// (Boolean queries) and its ground answer tuples (the others).
+struct QueryOutcome {
+  bool entailed = false;
+  std::set<std::vector<Term>> answers;
+};
+
+QueryOutcome ReferenceOutcome(const ParsedQuery& query,
+                              const AtomSet& instance) {
+  QueryOutcome out;
+  reference::ForEachHomomorphism(
+      query.atoms, instance, {}, [&](const Substitution& h) {
+        out.entailed = true;
+        std::vector<Term> tuple;
+        for (Term v : query.answer_vars) tuple.push_back(h.Apply(v));
+        if (std::all_of(tuple.begin(), tuple.end(),
+                        [](Term t) { return t.is_constant(); })) {
+          out.answers.insert(std::move(tuple));
+        }
+        return !query.answer_vars.empty();
+      });
+  return out;
+}
+
+std::vector<std::filesystem::path> BundledPrograms() {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(TWCHASE_DATA_DIR)) {
+    if (entry.path().extension() == ".twc") out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The verdict path the CLI and the daemon print (EvaluateQueries) on every
+// bundled program under every variant, at one step budget. Each run is
+// parsed afresh, and parsing the same text assigns the same constant ids,
+// so answer tuples compare across runs.
+TEST(SemanticOracleQueryTest, BundledQueriesAgreeWithTheReference) {
+  constexpr size_t kMaxSteps = 60;
+  const std::vector<std::filesystem::path> programs = BundledPrograms();
+  ASSERT_GE(programs.size(), 15u);
+  size_t queries_checked = 0;
+  for (const std::filesystem::path& path : programs) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    struct Evaluated {
+      ChaseVariant variant;
+      bool terminated;
+      std::vector<QueryOutcome> outcomes;
+    };
+    std::vector<Evaluated> runs;
+    for (ChaseVariant variant : kAllVariants) {
+      const std::string context =
+          path.filename().string() + "/" + ChaseVariantName(variant);
+      auto program = ParseProgram(text.str());
+      ASSERT_TRUE(program.ok()) << context << ": " << program.status();
+      ChaseOptions options;
+      options.variant = variant;
+      options.limits.max_steps = kMaxSteps;
+      auto run = RunChase(program->kb, options);
+      ASSERT_TRUE(run.ok()) << context << ": " << run.status();
+      const AtomSet& last = run->derivation.Last();
+      const bool terminated = run->stop_reason == StopReason::kFixpoint;
+      const QueryVerdicts verdicts = EvaluateQueries(
+          program->queries, last, terminated, *program->kb.vocab);
+      ASSERT_EQ(verdicts.verdicts.size(), program->queries.size()) << context;
+      Evaluated evaluated{variant, terminated, {}};
+      for (size_t q = 0; q < program->queries.size(); ++q) {
+        const ParsedQuery& query = program->queries[q];
+        const QueryVerdict& verdict = verdicts.verdicts[q];
+        QueryOutcome want = ReferenceOutcome(query, last);
+        const std::string at = context + ", query " + std::to_string(q + 1);
+        if (query.answer_vars.empty()) {
+          EXPECT_EQ(verdict.entailed, want.entailed) << at;
+          EXPECT_EQ(verdict.certain, terminated || want.entailed) << at;
+        } else {
+          EXPECT_EQ(std::set<std::vector<Term>>(verdict.answers.begin(),
+                                                verdict.answers.end()),
+                    want.answers)
+              << at;
+        }
+        evaluated.outcomes.push_back(std::move(want));
+        ++queries_checked;
+      }
+      runs.push_back(std::move(evaluated));
+    }
+    // Every element of a derivation maps into every model of the KB, so
+    // what holds on any last element holds on each terminated result, and
+    // terminated results agree.
+    for (const Evaluated& any : runs) {
+      for (const Evaluated& done : runs) {
+        if (!done.terminated) continue;
+        const std::string pair = path.filename().string() + "/" +
+                                 ChaseVariantName(any.variant) + " vs " +
+                                 ChaseVariantName(done.variant);
+        for (size_t q = 0; q < any.outcomes.size(); ++q) {
+          const QueryOutcome& got = any.outcomes[q];
+          const QueryOutcome& result = done.outcomes[q];
+          const std::string at = pair + ", query " + std::to_string(q + 1);
+          EXPECT_TRUE(!got.entailed || result.entailed) << at;
+          EXPECT_TRUE(std::includes(result.answers.begin(),
+                                    result.answers.end(), got.answers.begin(),
+                                    got.answers.end()))
+              << at;
+          if (any.terminated) {
+            EXPECT_EQ(got.entailed, result.entailed) << at;
+            EXPECT_EQ(got.answers, result.answers) << at;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(queries_checked, 5 * 18u);
+}
 
 // The oracle is not vacuous: it rejects a non-model, a non-core and a
 // simplification that is not a retraction.

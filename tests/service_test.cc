@@ -184,7 +184,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.limits.deadline_ms = 789;
   options.limits.memory_budget_bytes = 1u << 20;
   options.core.core_every = 3;
-  options.core.core_at_round_end = true;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -203,7 +202,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.limits.memory_budget_bytes,
             options.limits.memory_budget_bytes);
   EXPECT_EQ(back.core.core_every, options.core.core_every);
-  EXPECT_EQ(back.core.core_at_round_end, options.core.core_at_round_end);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -317,10 +315,14 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
 // datalog rules first, F_0 cored by the core chase. Options objects written
 // while they were settable carry them; true (or a missing key) is what
 // every run does, false is refused on the key's path. The writer omits both.
+// core.core_at_round_end named the removed round-end coring schedule, the
+// other way round: false is what every run does, true is refused, and the
+// writer keeps emitting false so admit records keep their bytes.
 TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
   for (const char* accepted :
        {R"({"datalog_first": true, "core": {"core_initial": true}})",
-        R"({"core": {"core_every": 2}})"}) {
+        R"({"core": {"core_every": 2}})",
+        R"({"core": {"core_at_round_end": false}})"}) {
     auto json = Json::Parse(accepted);
     ASSERT_TRUE(json.ok()) << accepted;
     ChaseOptions options;
@@ -333,6 +335,8 @@ TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
       {R"({"datalog_first": false})", "options.datalog_first"},
       {R"({"core": {"core_initial": false}})", "options.core.core_initial"},
       {R"({"datalog_first": 1})", "options.datalog_first"},
+      {R"({"core": {"core_at_round_end": true}})",
+       "options.core.core_at_round_end"},
   };
   for (const auto& [payload, path] : refused) {
     auto json = Json::Parse(payload);
@@ -347,6 +351,8 @@ TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
   Json wire = ChaseOptionsToJson(ChaseOptions{});
   EXPECT_FALSE(wire.Has("datalog_first"));
   EXPECT_FALSE(wire.Get("core").Has("core_initial"));
+  ASSERT_TRUE(wire.Get("core").Has("core_at_round_end"));
+  EXPECT_FALSE(wire.Get("core").Get("core_at_round_end").bool_value());
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {
@@ -922,6 +928,22 @@ TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
                 .Get("path")
                 .string_value(),
             "options.core.core_every");
+
+  // The removed round-end coring schedule → 400 on its key.
+  body = MakeJobBody("t", "p(a).", ChaseOptions{});
+  auto round_end = Json::Parse(R"({"core": {"core_at_round_end": true}})");
+  ASSERT_TRUE(round_end.ok());
+  body.Set("options", *round_end);
+  HttpResponse bad_schedule = client.Fetch("POST", "/v1/jobs", body.Dump());
+  EXPECT_EQ(bad_schedule.status, 400);
+  parsed = Json::Parse(bad_schedule.body);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Get("error")
+                .Get("fields")
+                .items()[0]
+                .Get("path")
+                .string_value(),
+            "options.core.core_at_round_end");
 
   // Unparseable program → 400 pointing at "program".
   HttpResponse bad_program = client.Fetch(

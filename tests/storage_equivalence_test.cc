@@ -173,10 +173,9 @@ TEST(PinnedRuns, AllVariantsElevator) {
   ExpectPinned(Family::kElevator, /*max_steps=*/12, pinned);
 }
 
-// The coring schedules off the defaults, recorded before the engine's
-// coring sites were folded into one routine: every site (per-step,
-// round-end; the initial one runs in every core case) must commit exactly
-// as it did.
+// The coring schedule off the default, recorded before the engine's coring
+// sites were folded into one routine: every site (per-step; the initial one
+// runs in every core case) must commit exactly as it did.
 TEST(PinnedRuns, CoringSchedules) {
   struct Case {
     const char* name;
@@ -187,7 +186,6 @@ TEST(PinnedRuns, CoringSchedules) {
     RunDigest pinned;
   };
   auto core_every_3 = [](ChaseOptions* o) { o->core.core_every = 3; };
-  auto round_end = [](ChaseOptions* o) { o->core.core_at_round_end = true; };
   const Case cases[] = {
       {"staircase/core/core-every-3", Family::kStaircase, ChaseVariant::kCore,
        16, core_every_3,
@@ -197,14 +195,6 @@ TEST(PinnedRuns, CoringSchedules) {
        12, core_every_3,
        {1, 12, 7, 28, 0x90d4400f55530138ull,
         0xa59707763d2c7bb1ull, 0x67e2fc28701fa3f7ull}},
-      {"staircase/core/round-end", Family::kStaircase, ChaseVariant::kCore,
-       16, round_end,
-       {1, 16, 16, 16, 0x60dd20645ad39b38ull,
-        0xf527de40a055dc3eull, 0x4675b9fcea8d145dull}},
-      {"elevator/core/round-end", Family::kElevator, ChaseVariant::kCore, 12,
-       round_end,
-       {1, 12, 7, 28, 0x90d4400f55530138ull,
-        0xa59707763d2c7bb1ull, 0xf174b82ba911e71dull}},
   };
   for (const Case& c : cases) {
     RunDigest got =
