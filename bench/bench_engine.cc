@@ -647,6 +647,8 @@ int RunEngineSweep(const char* output_path) {
                        [] { return ElevatorWorld().kb(); }});
   workloads.push_back({"elevator-core-600", ChaseVariant::kCore, 600,
                        [] { return ElevatorWorld().kb(); }});
+  workloads.push_back({"elevator-core-1000", ChaseVariant::kCore, 1000,
+                       [] { return ElevatorWorld().kb(); }});
   workloads.push_back({"staircase-core-1500", ChaseVariant::kCore, 1500,
                        [] { return StaircaseWorld().kb(); }});
 

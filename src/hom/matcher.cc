@@ -1,7 +1,6 @@
 #include "hom/matcher.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -51,8 +50,9 @@ namespace {
 //     thread's HomSearch, so after warm-up a search allocates only the
 //     substitutions it returns;
 //   * retraction (RetractionSearch): pattern and target are one instance,
-//     kept compiled for the object's lifetime. Before each query, Sync
-//     recompiles it if its generation has changed since the last query.
+//     kept compiled for the object's lifetime. Before each query that the
+//     term signatures do not refute, Sync recompiles it if its generation
+//     has changed since the last compile.
 //
 // Candidates come from JoinCandidates, which probes the target's
 // ColumnSegment for the pattern atom's (predicate, arity): it picks the
@@ -138,10 +138,11 @@ class HomSearch {
   }
 
   // Retraction mode: true iff some retraction maps `from` onto `onto`.
-  // Binds the seed, searches, and rolls back, so the compiled instance
-  // serves any number of calls.
+  // Tests the seed's signatures, then binds the seed, searches, and rolls
+  // back, so the compiled instance serves any number of calls.
   bool ExistsRetractionOnto(const Atom& from, const Atom& onto) {
     TWCHASE_CHECK(retractions_only_);
+    if (SignatureRefutes(from, onto)) return false;
     Sync();
     counters_ = CurrentMatchCounters();
     const Mark mark = CurrentMark();
@@ -158,9 +159,30 @@ class HomSearch {
     return hit;
   }
 
+  // Retraction mode: true iff the signature rule of plan/core_guard.h
+  // refutes the seed `from` ↦ `onto`: some variable X = from.arg(k) occurs
+  // at a (predicate, position) pair where onto.arg(k) does not, so
+  // sig(X) ⊄ sig(onto.arg(k)). A seed of another arity is refuted too. It
+  // reads term postings only, so ExistsRetractionOnto runs it before Sync,
+  // and a guard call whose seeds it refutes all compiles nothing.
+  bool SignatureRefutes(const Atom& from, const Atom& onto) {
+    TWCHASE_CHECK(retractions_only_);
+    if (from.arity() != onto.arity()) return true;
+    for (size_t k = 0; k < from.arity(); ++k) {
+      const Term t = from.arg(k);
+      if (t.is_variable() &&
+          (SignatureOf(t) & ~SignatureOf(onto.arg(k))) != 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   // Retraction mode: true iff the consistency pass alone refutes the seed
   // `from` ↦ `onto` (a seed that does not unify is refuted too). Binds the
-  // seed, propagates, and rolls back; searches nothing.
+  // seed, propagates, and rolls back; searches nothing. The signature test
+  // is left out, so that tests can check that each seed it refutes, the
+  // pass refutes too.
   bool RefutesRetractionOnto(const Atom& from, const Atom& onto) {
     TWCHASE_CHECK(retractions_only_);
     Sync();
@@ -708,12 +730,13 @@ class HomSearch {
   // the seed bound gets its image as a one-term domain, and AC-3 runs
   // outward from them along occurrences_: revising an atom keeps, for each
   // of its variables, only the terms that some same-predicate atom of the
-  // instance supports. True iff a domain empties, which refutes the seed.
+  // instance supports (and, for a variable's first domain, whose
+  // signature contains the variable's). True iff a domain empties, which
+  // refutes the seed.
   //
-  // It runs on every seed, before the first node. Started instead after a
-  // seed's search had passed 2, 4, 16 or 1,024 nodes, it made elevator
-  // core no faster at 50 steps (best of 300 runs: 3.1 ms from the first
-  // node, 3.3-3.6 ms for the others) and no faster at 300 steps.
+  // It runs on every seed the signature test keeps, before the first node.
+  // Started instead only after a seed's search had passed 2, 4, 16 or
+  // 1,024 nodes, it made elevator core no faster at 50 or 300 steps.
   bool SeedInconsistent(const Mark& mark) {
     for (size_t i = mark.bindings; i < trail_.size(); ++i) {
       const uint32_t var = trail_[i];
@@ -737,6 +760,41 @@ class HomSearch {
     }
     domain_vars_.clear();
     return refuted;
+  }
+
+  // Retraction mode: sig(t), the mask with bit SignatureBit(P, k) set for
+  // every live instance atom with predicate P and t at position k. Computed
+  // from t's term posting on first use, then kept, by dictionary id, until
+  // the instance's generation moves: a stale mask may hold pairs t has
+  // lost, and a superset sig(X) would refute a seed that a retraction
+  // extends.
+  uint64_t SignatureOf(Term t) {
+    const AtomSet& instance = *target_;
+    const TermId id = instance.dictionary().Find(t);
+    if (id == TermDictionary::kNoId) return 0;
+    if (id >= signatures_.size()) {
+      signatures_.resize(instance.dictionary().size());
+    }
+    Signature& sig = signatures_[id];
+    if (sig.generation == instance.generation()) return sig.mask;
+    sig = {0, instance.generation()};
+    const std::vector<AtomSet::Slot>* posting = instance.TermPostingSlots(t);
+    if (posting == nullptr) return 0;
+    for (AtomSet::Slot slot : *posting) {
+      if (!instance.SlotAlive(slot)) continue;
+      const Atom& atom = instance.SlotAtom(slot);
+      for (size_t k = 0; k < atom.arity(); ++k) {
+        if (atom.arg(k) == t) sig.mask |= SignatureBit(atom.predicate(), k);
+      }
+    }
+    return sig.mask;
+  }
+
+  // The bit of the pair (predicate, position). Pairs of predicates
+  // numbered below 8, at positions below 8, never share a bit; a shared bit
+  // only weakens the test.
+  static uint64_t SignatureBit(PredicateId predicate, size_t position) {
+    return uint64_t{1} << ((uint64_t{predicate} * 8 + position) % 64);
   }
 
   // Gives `var` an (empty) domain and queues it.
@@ -829,15 +887,24 @@ class HomSearch {
       support.erase(std::unique(support.begin(), support.end()),
                     support.end());
       std::vector<Term>& domain = domains_[var];
+      // Both branches write into the domain's own buffer, so buffers keep
+      // their capacity across seeds and a warm search allocates nothing.
       if (!has_domain_[var]) {
         SetDomain(var);
-        domain.swap(support);
+        // Unary consistency: a retraction ρ has sig(var) ⊆ sig(ρ(var)).
+        const uint64_t need = SignatureOf(var_terms_[var]);
+        for (Term t : support) {
+          if ((need & ~SignatureOf(t)) == 0) domain.push_back(t);
+        }
       } else {
-        narrowed_.clear();
-        std::set_intersection(domain.begin(), domain.end(), support.begin(),
-                              support.end(), std::back_inserter(narrowed_));
-        if (narrowed_.size() == domain.size()) continue;
-        domain.swap(narrowed_);
+        size_t kept = 0;
+        auto next = support.begin();
+        for (const Term t : domain) {
+          next = std::lower_bound(next, support.end(), t);
+          if (next != support.end() && *next == t) domain[kept++] = t;
+        }
+        if (kept == domain.size()) continue;
+        domain.resize(kept);
         Enqueue(var);
       }
       if (domain.empty()) return false;
@@ -978,6 +1045,13 @@ class HomSearch {
   std::vector<uint32_t> touched_;
   std::vector<Arg> seed_args_;  // BindSeed's compiled seed atom, reused
   uint64_t compiled_generation_ = 0;  // the instance's, at the last Sync
+  // SignatureOf's cache, by dictionary id: an entry is valid iff its
+  // generation is the instance's.
+  struct Signature {
+    uint64_t mask = 0;
+    uint64_t generation = std::numeric_limits<uint64_t>::max();
+  };
+  std::vector<Signature> signatures_;
   // SeedInconsistent's state, emptied after each pass: per variable a
   // sorted domain (meaningful iff has_domain_), the AC-3 queue, and
   // Revise's per-position scratch (supported terms, first occurrence of
@@ -989,7 +1063,6 @@ class HomSearch {
   std::vector<uint32_t> queue_;
   std::vector<std::vector<Term>> supports_;
   std::vector<size_t> first_;
-  std::vector<Term> narrowed_;
   uint64_t nodes_ = 0;  // search nodes not yet folded into counters_
   MatchCounters* counters_ = nullptr;
   // JoinCandidates per-position plan, reused across nodes so the hot path
@@ -1087,6 +1160,10 @@ class RetractionSearch::Impl {
     return search_.RefutesRetractionOnto(from, onto);
   }
 
+  bool RefutedBySignature(const Atom& from, const Atom& onto) {
+    return search_.SignatureRefutes(from, onto);
+  }
+
  private:
   HomSearch search_;
 };
@@ -1103,6 +1180,10 @@ bool RetractionSearch::MapsOnto(const Atom& from, const Atom& onto) {
 bool RetractionSearch::RefutedByConsistency(const Atom& from,
                                             const Atom& onto) {
   return impl_->RefutedByConsistency(from, onto);
+}
+
+bool RetractionSearch::RefutedBySignature(const Atom& from, const Atom& onto) {
+  return impl_->RefutedBySignature(from, onto);
 }
 
 }  // namespace twchase

@@ -126,14 +126,17 @@ bool ExistsHomomorphismExtending(const AtomSet& pattern, const AtomSet& target,
 /// are searched: binding X ↦ t, t a variable, also fixes t ↦ t. The search
 /// is bounded by what the retraction moves: it succeeds once every atom
 /// with a variable bound away from itself has an image, since the identity
-/// completes the rest. Each query binds its seed, runs the consistency
-/// pass, searches only a seed the pass keeps, and rolls back, so one object
-/// answers any number of queries. A search node costs O(touched atoms), the
-/// atoms with a bound variable, not O(instance size).
+/// completes the rest. MapsOnto first tests the seed against the term
+/// signatures; a seed that passes is bound, the consistency pass runs, a
+/// seed the pass keeps is searched, and everything is rolled back, so one
+/// object answers any number of queries. A search node costs O(touched
+/// atoms), the atoms with a bound variable, not O(instance size).
 ///
-/// The compiled instance and the search buffers live as long as the object.
-/// A query first recompiles the instance, on those buffers, if its
-/// AtomSet::generation() has changed since the last query, so every query
+/// The compiled instance, the signatures and the search buffers live as
+/// long as the object. A query that needs the compiled instance first
+/// recompiles it, on those buffers, if its AtomSet::generation() has
+/// changed since the last compile, and a signature is recomputed once the
+/// generation has moved past the one it was computed at, so every query
 /// sees exactly what a fresh object would, and one object can follow an
 /// instance through a whole chase run.
 /// Not thread-safe; `instance` must outlive the object and must not change
@@ -153,9 +156,17 @@ class RetractionSearch {
 
   /// True iff the consistency pass alone (plan/core_guard.h) shows that no
   /// retraction maps `from` onto `onto`. Searches nothing. MapsOnto runs
-  /// the same pass on every seed whose search outlasts a fixed node count;
-  /// exposed so tests can hold the pass to its soundness on every seed.
+  /// the same pass on every seed that passes the signature test, before
+  /// its first search node; exposed so tests can hold the pass to its
+  /// soundness on every seed.
   bool RefutedByConsistency(const Atom& from, const Atom& onto);
+
+  /// True iff the signature rule alone (plan/core_guard.h) refutes the seed
+  /// `from` ↦ `onto`. Reads term postings only and compiles nothing. MapsOnto
+  /// runs it first on every seed; exposed so tests can hold it to its
+  /// soundness and check that the consistency pass refutes every seed it
+  /// refutes.
+  bool RefutedBySignature(const Atom& from, const Atom& onto);
 
  private:
   class Impl;

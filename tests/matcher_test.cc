@@ -2,11 +2,13 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -341,12 +343,44 @@ struct SeedTally {
   size_t seeds = 0;
   size_t hits = 0;     // seeds some retraction extends
   size_t refuted = 0;  // seeds the consistency pass alone refutes
+  size_t by_signature = 0;  // seeds the signature rule alone refutes
+  size_t by_pairs = 0;  // seeds the rule refutes on exact pair sets
 };
 
+// sig(t) by definition: the (predicate, position) pairs at which t occurs
+// in a live atom of `instance`.
+std::set<std::pair<PredicateId, size_t>> PairsOf(const AtomSet& instance,
+                                                  Term t) {
+  std::set<std::pair<PredicateId, size_t>> pairs;
+  for (const Atom* atom : instance.ByTerm(t)) {
+    for (size_t k = 0; k < atom->arity(); ++k) {
+      if (atom->arg(k) == t) pairs.emplace(atom->predicate(), k);
+    }
+  }
+  return pairs;
+}
+
+// The signature rule on exact pair sets, where no two pairs share a bit.
+bool RefutedByPairs(const AtomSet& instance, const Atom& from,
+                    const Atom& onto) {
+  for (size_t k = 0; k < from.arity(); ++k) {
+    if (!from.arg(k).is_variable()) continue;
+    const auto need = PairsOf(instance, from.arg(k));
+    const auto have = PairsOf(instance, onto.arg(k));
+    if (!std::includes(have.begin(), have.end(), need.begin(), need.end())) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // For every d in `ontos` and every other atom a of `instance` with d's
-// predicate: MapsOnto agrees with the reference, and the consistency pass,
-// called directly, never refutes a seed the reference extends (the
-// soundness rule of plan/core_guard.h).
+// predicate: MapsOnto agrees with the reference; the consistency pass and
+// the signature rule, called directly, never refute a seed the reference
+// extends (the soundness rules of plan/core_guard.h); and every seed the
+// signature rule refutes, the pass refutes too, so the rule saves the pass
+// and the compile but never a search node. The rule's masks refute no seed
+// that the exact pair sets keep.
 void ExpectMapsOntoMatchesReference(const AtomSet& instance,
                                     const std::vector<Atom>& ontos,
                                     SeedTally* tally) {
@@ -355,6 +389,7 @@ void ExpectMapsOntoMatchesReference(const AtomSet& instance,
     for (const Atom* a : instance.ByPredicate(d.predicate())) {
       if (*a == d) continue;
       const bool want = reference::ExistsRetractionOnto(instance, *a, d);
+      const bool by_signature = search.RefutedBySignature(*a, d);
       const bool refuted = search.RefutedByConsistency(*a, d);
       EXPECT_EQ(search.MapsOnto(*a, d), want)
           << "seed " << tally->seeds << " of an instance of "
@@ -362,9 +397,21 @@ void ExpectMapsOntoMatchesReference(const AtomSet& instance,
       EXPECT_FALSE(want && refuted)
           << "the consistency pass refuted seed " << tally->seeds
           << ", which a retraction extends";
+      EXPECT_FALSE(want && by_signature)
+          << "the signature rule refuted seed " << tally->seeds
+          << ", which a retraction extends";
+      EXPECT_TRUE(refuted || !by_signature)
+          << "the signature rule refuted seed " << tally->seeds
+          << ", which the consistency pass keeps";
+      const bool by_pairs = RefutedByPairs(instance, *a, d);
+      EXPECT_TRUE(by_pairs || !by_signature)
+          << "the signature masks refuted seed " << tally->seeds
+          << ", which the exact pair sets keep";
       ++tally->seeds;
       tally->hits += want;
       tally->refuted += refuted;
+      tally->by_signature += by_signature;
+      tally->by_pairs += by_pairs;
     }
   }
 }
@@ -411,6 +458,96 @@ TEST_F(MatcherTest, RetractionSearchMatchesReferenceOnRandomInstances) {
   EXPECT_EQ(erased.refuted, erased.seeds - erased.hits);
 }
 
+// Random instances over 11 predicates of arity 6: 66 (predicate, position)
+// pairs, more than a signature has bits, so some pairs share a bit. A shared
+// bit only weakens the signature rule, which must stay sound. Each instance
+// uses two of the predicates, and the rounds go through every pair of them.
+TEST_F(MatcherTest, SignaturesStaySoundWithMoreThan64PredicatePositions) {
+  std::vector<PredicateId> predicates;
+  for (int i = 0; i < 11; ++i) {
+    predicates.push_back(vocab_.MustPredicate("w" + std::to_string(i), 6));
+  }
+  std::vector<Term> terms;
+  for (int i = 0; i < 5; ++i) {
+    terms.push_back(vocab_.NamedVariable("W" + std::to_string(i)));
+  }
+  terms.push_back(a_);
+  std::mt19937 rng(64);
+  SeedTally tally;
+  for (int round = 0; round < 300; ++round) {
+    AtomSet instance;
+    const size_t atoms = 3 + rng() % 6;
+    for (size_t i = 0; i < atoms; ++i) {
+      const size_t offset = rng() % 2 == 0 ? 0 : 1 + (round / 11) % 10;
+      const PredicateId predicate =
+          predicates[(round + offset) % predicates.size()];
+      std::vector<Term> args;
+      for (size_t k = 0; k < 6; ++k) {
+        args.push_back(terms[rng() % terms.size()]);
+      }
+      instance.Insert(Atom(predicate, args));
+      // Now and then a copy with one argument replaced by a variable of its
+      // own, which a retraction may fold back onto the original.
+      if (rng() % 3 == 0) {
+        args[rng() % 6] = vocab_.FreshVariable();
+        instance.Insert(Atom(predicate, args));
+      }
+    }
+    ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &tally);
+  }
+  EXPECT_GT(tally.hits, 0u);
+  EXPECT_GT(tally.by_signature, 0u);
+  // Some seeds are kept only because two pairs share a bit (3 of 8,792;
+  // the masks refute 8,114, the exact pair sets 8,117).
+  EXPECT_LT(tally.by_signature, tally.by_pairs);
+  EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);
+}
+
+// The signature rule around constants and repeated variables: a constant
+// of the seed atom is never tested (the unifier checks it), a variable may
+// map onto a constant, and a repeated variable is tested at each of its
+// positions.
+TEST_F(MatcherTest, SignaturesWithConstantsAndRepeatedVariables) {
+  const PredicateId p = vocab_.MustPredicate("p", 3);
+  const PredicateId u = vocab_.MustPredicate("u", 1);
+  const Term v = vocab_.NamedVariable("V");
+  const Term t = vocab_.NamedVariable("T");
+  const Term w = vocab_.NamedVariable("W");
+  const Atom loop(p, {x_, x_, a_});  // p(X, X, a)
+  const Atom open(p, {y_, z_, a_});  // p(Y, Z, a)
+  const Atom to_b(p, {v, b_, a_});   // p(V, b, a)
+  const Atom free(p, {v, t, a_});    // p(V, T, a)
+  const Atom other(p, {w, w, b_});   // p(W, W, b)
+  AtomSet instance;
+  for (const Atom& atom : {loop, open, to_b, free, other}) {
+    instance.Insert(atom);
+  }
+  instance.Insert(Atom(u, {x_}));
+  instance.Insert(Atom(u, {y_}));
+  SeedTally tally;
+  ExpectMapsOntoMatchesReference(instance, instance.Atoms(), &tally);
+  EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);
+  RetractionSearch search(instance);
+  // Y, Z ↦ X: sig(Y) = {(p,0), (u,0)} and sig(Z) = {(p,1)} both lie in
+  // sig(X), and the retraction exists.
+  EXPECT_FALSE(search.RefutedBySignature(open, loop));
+  EXPECT_TRUE(search.MapsOnto(open, loop));
+  // X ↦ Y at positions 0 and 1: Y never occurs at (p,1).
+  EXPECT_TRUE(search.RefutedBySignature(loop, open));
+  EXPECT_FALSE(search.MapsOnto(loop, open));
+  // T ↦ b: the constant b occurs at (p,1), and the map exists.
+  EXPECT_FALSE(search.RefutedBySignature(free, to_b));
+  EXPECT_TRUE(search.MapsOnto(free, to_b));
+  // Y ↦ V: V does not occur at (u,0).
+  EXPECT_TRUE(search.RefutedBySignature(open, to_b));
+  EXPECT_FALSE(search.MapsOnto(open, to_b));
+  // W ↦ X passes the signatures, but the constants b and a differ, which
+  // only the unifier sees.
+  EXPECT_FALSE(search.RefutedBySignature(other, loop));
+  EXPECT_FALSE(search.MapsOnto(other, loop));
+  EXPECT_TRUE(search.RefutedBySignature(loop, other));  // (u,0) again
+}
+
 // The guard's inputs, A_i = F_{i-1} ∪ added atoms of a core chase, and the
 // cored F_i, a core (no hits), at every `stride`-th step from `first`, on
 // every seed. Returns the tally over the A_i.
@@ -443,12 +580,16 @@ TEST(RetractionSearchReference, StaircaseCoreChaseElements) {
       ExpectMapsOntoMatchesReferenceOnCoreChase(StaircaseWorld().kb(), 60, 1, 2);
   EXPECT_GT(tally.hits, 0u);
   EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);  // 15,471 of 15,510
+  EXPECT_EQ(tally.by_signature, 7082u);  // 46% of the seeds
+  EXPECT_EQ(tally.by_pairs, tally.by_signature);
 }
 
 TEST(RetractionSearchReference, ElevatorCoreChaseElements) {
   const SeedTally tally =
       ExpectMapsOntoMatchesReferenceOnCoreChase(ElevatorWorld().kb(), 48, 6, 6);
   EXPECT_EQ(tally.refuted, tally.seeds - tally.hits);  // all 13,928
+  EXPECT_EQ(tally.by_signature, 11258u);  // 81% of the seeds
+  EXPECT_EQ(tally.by_pairs, tally.by_signature);
 }
 
 // Allocation pins. A search compiles its pattern on buffers the thread
@@ -580,6 +721,9 @@ TEST(RetractionSearchSync, FollowsTheInstanceLikeAFreshCompile) {
         EXPECT_EQ(kept.RefutedByConsistency(*a, d),
                   fresh.RefutedByConsistency(*a, d))
             << "seed " << seeds;
+        EXPECT_EQ(kept.RefutedBySignature(*a, d),
+                  fresh.RefutedBySignature(*a, d))
+            << "seed " << seeds;
         ++seeds;
       }
     }
@@ -617,6 +761,32 @@ TEST(RetractionSearchSync, FollowsTheInstanceLikeAFreshCompile) {
   ASSERT_FALSE(replacement == instance);
   instance = replacement;
   expect_same(kept, instance);
+}
+
+// An erase can take a (predicate, position) pair away from a term, and a
+// kept signature must then shrink: a stale sig(X) is a superset, which
+// refutes seeds that a retraction extends.
+TEST_F(MatcherTest, RetractionSearchSignaturesFollowErases) {
+  const PredicateId u = vocab_.MustPredicate("u", 1);
+  const Atom from(e_, {x_, z_});  // e(X, Z)
+  const Atom onto(e_, {y_, z_});  // e(Y, Z)
+  const Atom marks_x(u, {x_});    // u(X): puts (u,0) into sig(X) only
+  AtomSet instance;
+  for (const Atom& atom : {from, onto, marks_x}) instance.Insert(atom);
+  RetractionSearch kept(instance);
+  ASSERT_TRUE(kept.RefutedBySignature(from, onto));
+  EXPECT_FALSE(kept.MapsOnto(from, onto));  // u(Y) is missing
+  instance.Erase(marks_x);
+  RetractionSearch fresh(instance);
+  ASSERT_FALSE(fresh.RefutedBySignature(from, onto));
+  ASSERT_TRUE(fresh.MapsOnto(from, onto));  // X ↦ Y
+  EXPECT_FALSE(kept.RefutedBySignature(from, onto));
+  EXPECT_TRUE(kept.MapsOnto(from, onto));
+  EXPECT_FALSE(kept.RefutedByConsistency(from, onto));
+  // Inserting it again gives (u,0) back to X.
+  instance.Insert(marks_x);
+  EXPECT_TRUE(kept.RefutedBySignature(from, onto));
+  EXPECT_FALSE(kept.MapsOnto(from, onto));
 }
 
 }  // namespace
