@@ -15,7 +15,6 @@
 #include "hom/matcher.h"
 #include "obs/observer.h"
 #include "plan/core_guard.h"
-#include "plan/execution_plan.h"
 #include "util/fault.h"
 #include "util/governor.h"
 #include "util/logging.h"
@@ -353,17 +352,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     result.derivation.AddInitial(current, std::move(sigma0));
   }
   result.stats.peak_instance_size = current.size();
-  // Execution plan (src/plan/): positive-reliance graph, SCC strata and
-  // dormant rules. A pure function of the program and the input facts'
-  // predicates, computed once and valid for the whole run: every atom any
-  // chase instance can ever hold has a producible predicate (induction over
-  // applications), so a dormant rule has no match in any reachable
-  // instance, retractions included — see BuildExecutionPlan. Built before
-  // the run begins, so the run-begin event already carries its shape.
-  const ExecutionPlan exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
-  result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
-  result.stats.plan_strata = exec_plan.strata.size();
-  result.stats.plan_dormant_rules = exec_plan.dormant_count;
   if (obs != nullptr) {
     fold_match_counters();
     RunBeginEvent begin;
@@ -388,8 +376,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   }
 
   std::vector<RuleState> rule_states(kb.rules.size());
-  // Predicates occurring in each rule body: the probe filter for inserted
-  // atoms, and the planner's input for counting active strata.
+  // Predicates occurring in each rule body: the probe filter for inserted atoms.
   std::vector<std::unordered_set<PredicateId>> body_predicates(
       kb.rules.size());
   for (size_t r = 0; r < kb.rules.size(); ++r) {
@@ -429,11 +416,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (result.rounds == 1) {
       for (size_t r = 0; r < kb.rules.size(); ++r) {
         RuleState& state = rule_states[r];
-        if (exec_plan.dormant[r]) {
-          // The enumeration is guaranteed empty for a dormant rule.
-          ++result.stats.plan_enumerations_skipped;
-          continue;
-        }
         for (Trigger& tr :
              FindTriggers(kb.rules[r], static_cast<int>(r), current)) {
           PackedBindings key = PackedBindings::FromMatch(tr.match);
@@ -495,15 +477,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         for (size_t r = 0; r < kb.rules.size(); ++r) {
           RuleState& state = rule_states[r];
           if (!body_predicates[r].contains(fact.predicate())) continue;
-          // Skipped probes stay accounted: the DeltaRepairEvent payload
-          // (and the seed_probes counters) count what the delta calls for,
-          // pruned or not.
           ++result.stats.seed_probes;
           ++repair.seed_probes;
-          if (exec_plan.dormant[r]) {
-            ++result.stats.plan_probes_skipped;
-            continue;
-          }
           for (Substitution& m :
                FindSeededMatches(kb.rules[r], fact, current)) {
             PackedBindings key = PackedBindings::FromMatch(m);
@@ -515,8 +490,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           }
         }
       }
-      result.stats.plan_active_strata = CountActiveStrata(
-          exec_plan, body_predicates, pending_delta.InsertedPredicates());
       pending_delta.Clear();
       if (obs != nullptr) obs->OnDeltaRepair(repair);
     }

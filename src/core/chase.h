@@ -154,8 +154,8 @@ struct ChaseStats {
   /// Activeness checks performed (pending entries actually examined).
   size_t triggers_considered = 0;
 
-  /// Whole-instance trigger enumerations (one per live rule, priming the
-  /// stored match sets in the first round).
+  /// Whole-instance trigger enumerations (one per rule, priming the stored
+  /// match sets in the first round).
   size_t full_enumerations = 0;
 
   /// Delta-seeded match probes (one per inserted atom per rule whose body
@@ -190,22 +190,6 @@ struct ChaseStats {
 
   /// Backtracking nodes of every hom search of the run.
   uint64_t match_search_nodes = 0;
-
-  /// Execution-planner telemetry (src/plan/). Static plan shape:
-  size_t plan_reliance_edges = 0;
-  size_t plan_strata = 0;
-  size_t plan_dormant_rules = 0;
-
-  /// Strata touched by the atoms the last delta repair inserted (0 before
-  /// the first repair).
-  size_t plan_active_strata = 0;
-
-  /// Full enumerations skipped because the rule is dormant.
-  size_t plan_enumerations_skipped = 0;
-
-  /// Delta-seeded probes skipped because the rule is dormant (seed_probes
-  /// still counts them — the probe is accounted, just not executed).
-  size_t plan_probes_skipped = 0;
 
   /// Still-core proofs attempted, and the subset that certified (each
   /// certification skips one full ComputeCore).

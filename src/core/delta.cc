@@ -4,7 +4,6 @@ namespace twchase {
 
 void DeltaIndex::RecordInsert(const Atom& atom) {
   if (!inserted_seen_.insert(atom).second) return;
-  inserted_predicates_.insert(atom.predicate());
   inserted_.push_back(atom);
 }
 
@@ -24,7 +23,6 @@ void DeltaIndex::Clear() {
   erased_.clear();
   inserted_seen_.clear();
   erased_seen_.clear();
-  inserted_predicates_.clear();
   erased_predicates_.clear();
 }
 

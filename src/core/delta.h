@@ -38,13 +38,6 @@ class DeltaIndex {
   /// Erased atoms, deduplicated, in first-record order.
   const std::vector<Atom>& erased() const { return erased_; }
 
-  /// Predicates with at least one inserted atom. The execution planner
-  /// intersects this with per-stratum body predicates to count the strata
-  /// the next round will actually touch (chase.plan.active_strata).
-  const std::unordered_set<PredicateId>& InsertedPredicates() const {
-    return inserted_predicates_;
-  }
-
   /// O(1) membership probes into the erased segment, read directly by the
   /// chase's revalidation fast path: a stored match whose body image touches
   /// no erased atom is still a trigger (insertions never falsify a Contains
@@ -64,7 +57,6 @@ class DeltaIndex {
   std::vector<Atom> erased_;
   std::unordered_set<Atom, AtomHash> inserted_seen_;
   std::unordered_set<Atom, AtomHash> erased_seen_;
-  std::unordered_set<PredicateId> inserted_predicates_;
   std::unordered_set<PredicateId> erased_predicates_;
 };
 

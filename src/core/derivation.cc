@@ -97,19 +97,6 @@ AtomSet Derivation::NaturalAggregation() const {
   return out;
 }
 
-std::unordered_map<Atom, size_t, AtomHash> Derivation::ProvenanceIndex()
-    const {
-  std::unordered_map<Atom, size_t, AtomHash> out;
-  if (steps_.empty()) return out;
-  initial_.ForEach([&](const Atom& atom) { out.emplace(atom, 0); });
-  for (size_t i = 1; i < steps_.size(); ++i) {
-    for (const Atom& atom : steps_[i].added_atoms) {
-      out.emplace(atom, i);
-    }
-  }
-  return out;
-}
-
 DerivationCursor::DerivationCursor(const Derivation& derivation)
     : derivation_(&derivation) {
   if (!derivation.empty()) current_ = derivation.Initial();

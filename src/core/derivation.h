@@ -16,7 +16,6 @@
 #define TWCHASE_CORE_DERIVATION_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/atom_set.h"
@@ -84,10 +83,6 @@ class Derivation {
 
   /// Natural aggregation D* = ∪_i F_i.
   AtomSet NaturalAggregation() const;
-
-  /// Provenance: for every atom ever produced, the first step that created
-  /// it (0 for initial atoms). Keys cover the natural aggregation.
-  std::unordered_map<Atom, size_t, AtomHash> ProvenanceIndex() const;
 
   /// Rough estimate of resident bytes of the journal: F_0 plus the per-step
   /// records. Last() is not counted: it mirrors the live instance, which

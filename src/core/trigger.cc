@@ -1,8 +1,5 @@
 #include "core/trigger.h"
 
-#include <functional>
-#include <unordered_map>
-
 #include "hom/matcher.h"
 #include "util/status.h"
 
@@ -97,41 +94,6 @@ std::optional<Substitution> UnifyBodyAtomWithFact(const Atom& body_atom,
     }
   }
   return unifier;
-}
-
-bool AtomsUnifiableDisjoint(const Atom& a, const Atom& b) {
-  if (a.predicate() != b.predicate()) return false;
-  if (a.args().size() != b.args().size()) return false;
-  // Union-find over the positions' terms. Variables are tagged by side so
-  // equal ids on opposite sides stay distinct unknowns; constants share one
-  // namespace. A class may contain at most one constant (no occurs-check is
-  // needed: atoms are flat, so no term contains another).
-  std::unordered_map<uint64_t, uint64_t> parent;
-  auto key = [](int side, Term t) -> uint64_t {
-    const uint64_t tag = t.is_constant() ? 2u : static_cast<uint64_t>(side);
-    return (tag << 32) | t.raw();
-  };
-  std::function<uint64_t(uint64_t)> find = [&](uint64_t x) -> uint64_t {
-    auto it = parent.find(x);
-    if (it == parent.end() || it->second == x) return x;
-    uint64_t root = find(it->second);
-    it->second = root;
-    return root;
-  };
-  auto is_constant_key = [](uint64_t x) { return (x >> 32) == 2u; };
-  for (size_t i = 0; i < a.args().size(); ++i) {
-    uint64_t ra = find(key(0, a.arg(i)));
-    uint64_t rb = find(key(1, b.arg(i)));
-    if (ra == rb) continue;
-    if (is_constant_key(ra) && is_constant_key(rb)) return false;
-    // Point the variable root at the other root so constants stay roots.
-    if (is_constant_key(ra)) {
-      parent[rb] = ra;
-    } else {
-      parent[ra] = rb;
-    }
-  }
-  return true;
 }
 
 std::vector<Substitution> FindSeededMatches(const Rule& rule, const Atom& fact,

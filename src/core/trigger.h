@@ -59,16 +59,6 @@ std::vector<Trigger> FindTriggers(const Rule& rule, int rule_index,
 std::optional<Substitution> UnifyBodyAtomWithFact(const Atom& body_atom,
                                                   const Atom& fact);
 
-/// True iff the two atoms are unifiable with their variable namespaces kept
-/// disjoint (standardise-apart): a variable of `a` never denotes the same
-/// unknown as an equally-named variable of `b`. This is proper two-sided
-/// unification — both atoms may contain variables — unlike
-/// UnifyBodyAtomWithFact, whose one-way matching would miss pairs such as
-/// p(c, X) against p(Y, d) that do have a most general unifier. The rule
-/// reliance analysis (src/plan/reliance.h) uses it to decide whether a head
-/// atom of one rule can ever produce a body match of another.
-bool AtomsUnifiableDisjoint(const Atom& a, const Atom& b);
-
 /// Semi-naive probe: all matches of body(rule) into `instance` that map at
 /// least one body atom onto `fact`. For each compatible body atom the
 /// homomorphism search is seeded with the unifier, which pins that atom's

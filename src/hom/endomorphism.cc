@@ -39,16 +39,6 @@ Substitution RetractionFromEndomorphism(const AtomSet& atoms,
   return current;
 }
 
-std::optional<Substitution> FindProperRetraction(const AtomSet& atoms) {
-  for (Term var : atoms.Variables()) {
-    auto endo = FindFoldingEndomorphism(atoms, var);
-    if (endo.has_value()) {
-      return RetractionFromEndomorphism(atoms, *endo);
-    }
-  }
-  return std::nullopt;
-}
-
 Substitution FoldVariablesKeepingRestFixed(
     AtomSet* atoms, const std::vector<Term>& candidates,
     std::vector<Substitution>* fold_steps) {

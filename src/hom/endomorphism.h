@@ -27,10 +27,6 @@ std::optional<Substitution> FindFoldingEndomorphism(const AtomSet& atoms,
 Substitution RetractionFromEndomorphism(const AtomSet& atoms,
                                         const Substitution& endo);
 
-/// Searches for a *proper* retraction of `atoms` (one that eliminates at
-/// least one term). Returns nullopt iff `atoms` is a core.
-std::optional<Substitution> FindProperRetraction(const AtomSet& atoms);
-
 /// Folds away as many of the given variables as possible while keeping every
 /// *other* term fixed (the simplification of the frugal chase: only the
 /// nulls freshly introduced by a rule application may be recognised as

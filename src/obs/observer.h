@@ -4,7 +4,7 @@
 // of every trigger (considered / applied / retired), core retractions with
 // fold counts, semi-naive delta repairs, robust-aggregation renames and
 // named phases of composite procedures (entailment, benches). Engine
-// counters (match work, planner skips, guard proofs) are not events of
+// counters (match work, still-core guard proofs) are not events of
 // their own: the run-begin, trigger-applied and run-end events carry a view
 // of the run's ChaseStats, their one record.
 //

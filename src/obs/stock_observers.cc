@@ -121,22 +121,11 @@ constexpr StatsColumn kStatsColumns[] = {
      ReadStat<&ChaseStats::match_index_build_bytes>},
     {"chase.match.search_nodes", false,
      ReadStat<&ChaseStats::match_search_nodes>},
-    {"chase.plan.enumerations_skipped", false,
-     ReadStat<&ChaseStats::plan_enumerations_skipped>},
-    {"chase.plan.probes_skipped", false,
-     ReadStat<&ChaseStats::plan_probes_skipped>},
     {"chase.plan.core_proofs", false, ReadStat<&ChaseStats::plan_core_proofs>},
     {"chase.plan.core_certified", false,
      ReadStat<&ChaseStats::plan_core_certified>},
     {"chase.plan.guard_nodes", false,
      ReadStat<&ChaseStats::guard_search_nodes>},
-    {"chase.plan.reliance_edges", true,
-     ReadStat<&ChaseStats::plan_reliance_edges>},
-    {"chase.plan.strata", true, ReadStat<&ChaseStats::plan_strata>},
-    {"chase.plan.dormant_rules", true,
-     ReadStat<&ChaseStats::plan_dormant_rules>},
-    {"chase.plan.active_strata", true,
-     ReadStat<&ChaseStats::plan_active_strata>},
     {"chase.plan.guard_max_nodes", true,
      ReadStat<&ChaseStats::guard_max_call_nodes>},
 };

@@ -92,11 +92,9 @@ struct MetricsObserverOptions {
 ///              chase.core.{retractions,folds}
 ///              chase.match.{index_probes,column_scans,join_fallbacks}
 ///              chase.match.{index_builds,index_build_bytes,search_nodes}
-///              chase.plan.{enumerations_skipped,probes_skipped}
 ///              chase.plan.{core_proofs,core_certified,guard_nodes}
 ///   gauges     chase.round, chase.instance.size
-///              chase.plan.{reliance_edges,strata,dormant_rules}
-///              chase.plan.{active_strata,guard_max_nodes}
+///              chase.plan.guard_max_nodes
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
 /// The chase.match.* and chase.plan.* instruments publish the ChaseStats
@@ -159,7 +157,7 @@ class MetricsObserver : public ChaseObserver {
 /// The ChaseStats some events carry are never logged: they are telemetry,
 /// which MetricsObserver publishes as the chase.match.* and chase.plan.*
 /// instruments. Keeping them out keeps every event log stable across
-/// planner improvements that only change how much work was saved.
+/// changes that only move how much work a run did.
 class EventLogObserver : public ChaseObserver {
  public:
   explicit EventLogObserver(std::ostream* out) : out_(out) {}

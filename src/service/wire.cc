@@ -161,7 +161,9 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   // core.dirty_radius, parallel.threads and every key of the delta and plan
   // groups are still read (and type-checked) but ignored. Ignoring them is
   // exact, because runs were bit-identical at any thread count and with the
-  // delta and planner switches either way. The radius only tuned the
+  // delta and planner switches either way. The plan group's dormant-rule
+  // skipping and its execution planner are gone too, and neither changed a
+  // run's matches or decisions. The radius only tuned the
   // incremental mode. A request for the removed incremental mode itself
   // cannot be honoured, nor can core.core_initial false (the core chase
   // always cores F_0) or core.core_at_round_end true (it cores only on the

@@ -109,12 +109,6 @@ TEST_F(CoreComputationTest, CoreIsUniqueUpToIsomorphismAcrossFoldOrders) {
   EXPECT_TRUE(AreIsomorphic(core1, core2));
 }
 
-TEST_F(CoreComputationTest, FindProperRetractionOnCoreFails) {
-  Vocabulary vocab;
-  AtomSet c3 = MakeCycleInstance(&vocab, "e", 3);
-  EXPECT_FALSE(FindProperRetraction(c3).has_value());
-}
-
 TEST_F(CoreComputationTest, RetractionFromRotationEndomorphism) {
   // On a 2-cycle, the rotation endomorphism is not a retraction, but
   // iterating it must produce one (here: the identity, since the rotation is

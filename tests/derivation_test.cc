@@ -90,26 +90,6 @@ TEST(DerivationTest, PreSimplificationReconstructsAlpha) {
   }
 }
 
-TEST(DerivationTest, ProvenanceCoversNaturalAggregation) {
-  StaircaseWorld world;
-  ChaseOptions options;
-  options.variant = ChaseVariant::kCore;
-  options.limits.max_steps = 20;
-  auto run = RunChase(world.kb(), options);
-  ASSERT_TRUE(run.ok());
-  auto provenance = run->derivation.ProvenanceIndex();
-  AtomSet natural = run->derivation.NaturalAggregation();
-  natural.ForEach([&](const Atom& atom) {
-    auto it = provenance.find(atom);
-    ASSERT_NE(it, provenance.end());
-    EXPECT_LT(it->second, run->derivation.size());
-  });
-  // Initial atoms carry provenance 0.
-  run->derivation.Initial().ForEach([&](const Atom& atom) {
-    EXPECT_EQ(provenance.at(atom), 0u);
-  });
-}
-
 TEST(DerivationTest, InstanceSizesRecorded) {
   auto kb = MakeTransitiveClosure(3);
   auto run = RunChase(kb, ChaseOptions());

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -71,15 +72,31 @@ ChaseOptions CoreOptions(size_t max_steps) {
   return options;
 }
 
-// A fresh unique state directory under TMPDIR, removed by the OS's tmp
-// reaper — tests never reuse each other's state.
-std::string FreshStateDir() {
-  std::string tmpl = ::testing::TempDir() + "twchase_durability_XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  EXPECT_NE(::mkdtemp(buf.data()), nullptr) << std::strerror(errno);
-  return std::string(buf.data());
-}
+// A fresh unique state directory under TMPDIR, removed with everything in
+// it when the holder goes out of scope — tests never reuse each other's
+// state, and a test run leaves none behind. Declare it before any daemon
+// that writes into it, so the daemon stops first.
+class StateDir {
+ public:
+  StateDir() {
+    std::string tmpl = ::testing::TempDir() + "twchase_durability_XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    EXPECT_NE(::mkdtemp(buf.data()), nullptr) << std::strerror(errno);
+    path_ = buf.data();
+  }
+  ~StateDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  StateDir(const StateDir&) = delete;
+  StateDir& operator=(const StateDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string ReadFileOrDie(const std::string& path) {
   std::string content;
@@ -211,7 +228,8 @@ TEST(FsTest, Crc32MatchesKnownVectors) {
 }
 
 TEST(FsTest, WriteFileDurableReplacesAtomicallyAndCleansUp) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   std::string path = dir + "/data";
   ASSERT_TRUE(WriteFileDurable(path, "first").ok());
   EXPECT_EQ(ReadFileOrDie(path), "first");
@@ -225,7 +243,8 @@ TEST(FsTest, WriteFileDurableReplacesAtomicallyAndCleansUp) {
 }
 
 TEST(FsTest, InjectedShortWritePersistsATornPrefix) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   std::string path = dir + "/torn";
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
   ASSERT_GE(fd, 0);
@@ -244,7 +263,8 @@ TEST(FsTest, InjectedShortWritePersistsATornPrefix) {
 }
 
 TEST(FsTest, InjectedRenameFaultLeavesTheOldFileIntact) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   std::string path = dir + "/config";
   ASSERT_TRUE(WriteFileDurable(path, "old").ok());
   FaultInjector injector;
@@ -260,7 +280,8 @@ TEST(FsTest, InjectedRenameFaultLeavesTheOldFileIntact) {
 }
 
 TEST(FsTest, InjectedNoSpaceMapsToResourceExhausted) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   FaultInjector injector;
   injector.Arm(FaultSite::kFsWrite, 1, FaultAction::kNoSpace);
   FaultInjectorScope scope(&injector);
@@ -272,7 +293,8 @@ TEST(FsTest, InjectedNoSpaceMapsToResourceExhausted) {
 // Job store
 
 TEST(JobStoreTest, AdmitAndTerminalRoundTripAcrossReopen) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
 
@@ -319,7 +341,8 @@ TEST(JobStoreTest, AdmitAndTerminalRoundTripAcrossReopen) {
 }
 
 TEST(JobStoreTest, FailedRecordRoundTripsStructuredError) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   {
@@ -346,7 +369,8 @@ TEST(JobStoreTest, FailedRecordRoundTripsStructuredError) {
 }
 
 TEST(JobStoreTest, TornTailIsDiscardedAndTruncatedOnOpen) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   {
@@ -383,7 +407,8 @@ TEST(JobStoreTest, TornTailIsDiscardedAndTruncatedOnOpen) {
 }
 
 TEST(JobStoreTest, BitFlippedRecordStopsReplayAtTheValidPrefix) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   {
@@ -423,7 +448,8 @@ TEST(JobStoreTest, BitFlippedRecordStopsReplayAtTheValidPrefix) {
 }
 
 TEST(JobStoreTest, TombstonesEvictAndCrossingThresholdCompacts) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   options.compact_min_garbage = 4;
@@ -487,7 +513,8 @@ constexpr const char* kTerminal4 =
     R"pin(M1 b56eb778 105 {"type":"terminal","id":"j-4","state":"done","result":{"state":"done","steps":4,"text":"line \"one\"\n"}})pin" "\n";
 
 TEST(JobStoreTest, CompactionStreamsLiveRecordsJobByJobInAdmitOrder) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   options.compact_min_garbage = 2;
@@ -525,7 +552,8 @@ TEST(JobStoreTest, CompactionStreamsLiveRecordsJobByJobInAdmitOrder) {
 }
 
 TEST(JobStoreTest, FirstFsFailureLatchesDegradedWithoutFurtherDiskIo) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   JobStoreOptions options;
   options.state_dir = dir;
   auto store = JobStore::Open(options);
@@ -587,7 +615,8 @@ TEST(JobStoreTest, ReplayNeverCrashesOnHostileBytes) {
 // Daemon: restart recovery
 
 TEST(DurableDaemonTest, HealthzReportsDurableAndCountsJobs) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   DaemonOptions options;
   options.workers = 1;
   options.preempt_after_ms.reset();
@@ -613,7 +642,8 @@ TEST(DurableDaemonTest, HealthzReportsDurableAndCountsJobs) {
 
 TEST(DurableDaemonTest, UnusableStateDirDegradesButStillServes) {
   // The state dir path points at a regular file: the store cannot open.
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   std::string not_a_dir = dir + "/occupied";
   WriteFileOrDie(not_a_dir, "in the way");
   DaemonOptions options;
@@ -636,7 +666,8 @@ TEST(DurableDaemonTest, UnusableStateDirDegradesButStillServes) {
 }
 
 TEST(DurableDaemonTest, TerminalResultsAreServedAgainAfterRestart) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   DaemonOptions options;
   options.workers = 1;
   options.preempt_after_ms.reset();
@@ -670,7 +701,8 @@ TEST(DurableDaemonTest, TerminalResultsAreServedAgainAfterRestart) {
 }
 
 TEST(DurableDaemonTest, InterruptedJobResumesBitIdenticallyAfterRestart) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   DaemonOptions options;
   options.workers = 1;
   options.per_tenant_quota = 8;
@@ -728,7 +760,8 @@ TEST(DurableDaemonTest, InterruptedJobResumesBitIdenticallyAfterRestart) {
 }
 
 TEST(DurableDaemonTest, CorruptSnapshotFailsStructurallyAndDurably) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   DaemonOptions options;
   options.workers = 1;
   options.preempt_after_ms = 25;
@@ -782,7 +815,8 @@ TEST(DurableDaemonTest, CorruptSnapshotFailsStructurallyAndDurably) {
 }
 
 TEST(DurableDaemonTest, FingerprintMismatchIsUnrecoverable) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   {
     JobStoreOptions store_options;
     store_options.state_dir = dir;
@@ -896,10 +930,11 @@ std::string DataFile(const std::string& name) {
 }
 
 TEST(DurableDaemonTest, FreshResultBodiesMatchThePinnedBytes) {
+  const StateDir state_dir;
   DaemonOptions options;
   options.workers = 1;
   options.preempt_after_ms.reset();
-  options.state_dir = FreshStateDir();
+  options.state_dir = state_dir.path();
   ChaseDaemon daemon(options);
   ASSERT_TRUE(daemon.Start().ok());
   DaemonClient client(daemon.port());
@@ -923,7 +958,8 @@ TEST(DurableDaemonTest, FreshResultBodiesMatchThePinnedBytes) {
 }
 
 TEST(DurableDaemonTest, RecoveredResultBodiesAreThePinnedBytes) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   WriteFileOrDie(dir + "/manifest.wal", kParentManifest);
   DaemonOptions options;
   options.workers = 1;
@@ -966,7 +1002,8 @@ TEST(DurableDaemonTest, RecoveredResultBodiesAreThePinnedBytes) {
 }
 
 TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
-  std::string dir = FreshStateDir();
+  const StateDir state_dir;
+  const std::string& dir = state_dir.path();
   const std::string retained = R"({"state":"done","steps":5})";
   // j-1 finished before the restart, j-2 was admitted but never ran, j-3
   // asked for the removed incremental core, j-4 was queued behind it, j-5
@@ -1115,7 +1152,8 @@ TEST(DurabilityFaultSweepTest, AnySingleFsFaultDegradesGracefully) {
       SCOPED_TRACE(std::string(FaultSiteName(combo.site)) + "/" +
                    FaultActionName(combo.action) + " visit " +
                    std::to_string(visit));
-      std::string dir = FreshStateDir();
+      const StateDir state_dir;
+      const std::string& dir = state_dir.path();
       DaemonOptions options;
       options.workers = 1;  // the short job queues → the long one preempts
       options.per_tenant_quota = 8;
