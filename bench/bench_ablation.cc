@@ -1,13 +1,13 @@
 // ABL — ablation benches for the design choices DESIGN.md calls out:
-//   (a) singular-fold pre-pass in core computation (on/off);
-//   (b) identity-first candidate ordering in the homomorphism search
-//       (on/off), measured on the fold searches that dominate the chase;
-//   (c) coring spacing (core_every 1/3/6) on the elevator: cost versus the
-//       treewidth the budget reaches;
+//   (a) core computation with its singular-fold pre-pass (the general fold
+//       search alone takes three orders of magnitude longer on the
+//       redundant cycle; EXPERIMENTS.md);
 //   (d) chase-variant cost ladder on one KB (oblivious → core);
 //   (e) trigger keys: packed binding words versus the decimal-string keys
 //       the engine used before (identity + deterministic order for the
 //       scheduler).
+// The letters match EXPERIMENTS.md, which keeps the last numbers of (b)
+// and (c).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -15,15 +15,11 @@
 #include <vector>
 
 #include "core/chase.h"
-#include "core/measures.h"
 #include "core/trigger.h"
 #include "core/trigger_key.h"
 #include "hom/core.h"
-#include "hom/endomorphism.h"
-#include "hom/matcher.h"
 #include "kb/examples.h"
 #include "kb/generators.h"
-#include "tw/treewidth.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -52,8 +48,8 @@ int main() {
   using namespace twchase;
   setvbuf(stdout, nullptr, _IOLBF, 0);
 
-  std::printf("ABL (a): core computation with/without singular-fold pre-pass\n");
-  std::printf("%-28s %14s %14s\n", "instance", "prepass on", "prepass off");
+  std::printf("ABL (a): core computation with the singular-fold pre-pass\n");
+  std::printf("%-28s %14s %8s\n", "instance", "time", "|core|");
   {
     struct Case {
       const char* name;
@@ -62,76 +58,15 @@ int main() {
     Vocabulary vocab;
     StaircaseWorld staircase;
     std::vector<Case> cases;
-    // Kept small: without the pre-pass the general fold search must prove
-    // redundancy by exhaustive backtracking, which blows up quickly — that
-    // blow-up is the finding.
     cases.push_back({"redundant cycle (r=3)",
                      MakeRedundantInstance(&vocab, "e", 4, 3)});
     cases.push_back({"staircase step S_6", staircase.Step(6)});
     cases.push_back({"grid 3x3", MakeGridInstance(&vocab, "h", "v", 3, 3)});
     for (auto& c : cases) {
-      CoreOptions on, off;
-      off.singular_prepass = false;
-      Stopwatch w1;
-      size_t size_on = ComputeCore(c.atoms, on).core.size();
-      double t1 = w1.ElapsedMillis();
-      Stopwatch w2;
-      size_t size_off = ComputeCore(c.atoms, off).core.size();
-      double t2 = w2.ElapsedMillis();
-      std::printf("%-28s %11.2fms %11.2fms  (cores: %zu/%zu)\n", c.name, t1, t2,
-                  size_on, size_off);
+      Stopwatch w;
+      size_t size = ComputeCore(c.atoms).core.size();
+      std::printf("%-28s %12.2fms %8zu\n", c.name, w.ElapsedMillis(), size);
     }
-  }
-
-  std::printf(
-      "\nABL (b): fold search with/without identity-first ordering\n"
-      "(all-variables fold verification on an elevator chase element)\n");
-  {
-    ElevatorWorld world;
-    ChaseOptions chase_options;
-    chase_options.variant = ChaseVariant::kCore;
-    chase_options.limits.max_steps = 35;
-    auto run = RunChase(world.kb(), chase_options);
-    if (run.ok()) {
-      const AtomSet& instance = run->derivation.Last();
-      std::printf("  instance: %zu atoms, %zu variables\n", instance.size(),
-                  instance.Variables().size());
-      for (bool identity_first : {true, false}) {
-        Stopwatch w;
-        int folds = 0;
-        for (Term var : instance.Variables()) {
-          HomOptions options;
-          options.limit = 1;
-          options.forbidden_image_term = var;
-          options.identity_first = identity_first;
-          if (FindHomomorphism(instance, instance, options).has_value()) {
-            ++folds;
-          }
-        }
-        std::printf("  identity-first=%d: %7.2fms (%d foldable vars)\n",
-                    identity_first, w.ElapsedMillis(), folds);
-      }
-    }
-  }
-
-  std::printf("\nABL (c): elevator core chase, coring spacing vs cost/reach\n");
-  std::printf("%12s %10s %8s %10s\n", "core_every", "steps", "time", "tw reach");
-  for (size_t spacing : {1u, 3u, 6u}) {
-    ElevatorWorld world;
-    ChaseOptions options;
-    options.variant = ChaseVariant::kCore;
-    options.core.core_every = spacing;
-    options.limits.max_steps = 60;
-    Stopwatch w;
-    auto run = RunChase(world.kb(), options);
-    if (!run.ok()) continue;
-    int max_tw = -1;
-    for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
-      if (c.index() % 5 != 0) continue;
-      max_tw = std::max(max_tw, ComputeTreewidth(c.instance()).upper_bound);
-    }
-    std::printf("%12zu %10zu %7.2fs %10d\n", spacing, run->steps,
-                w.ElapsedSeconds(), max_tw);
   }
 
   std::printf("\nABL (d): chase-variant cost ladder (fes-not-bts KB)\n");

@@ -3,7 +3,7 @@
 // yet every core-chase sequence's treewidth grows beyond any bound
 // (Proposition 8, Corollary 1). Series reported:
 //   (a) per-step |F_i| and certified treewidth interval of the core chase
-//       (coring every 3 applications — the paper allows any finite spacing);
+//       (coring after every application, Definition 2);
 //   (b) the closed-form growing cores I^v_n (Definition 12): size, core-ness
 //       and the ⌊n/3⌋+1 grid witness of Proposition 8(2);
 //   (c) the ceiling model I^v*: treewidth 1, receives every chase element.
@@ -23,7 +23,6 @@ int main() {
 
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
-  options.core.core_every = 3;
   options.limits.max_steps = 100;
   Stopwatch sw;
   auto run = RunChase(world.kb(), options);
@@ -34,7 +33,7 @@ int main() {
   const Derivation& d = run->derivation;
   std::printf(
       "FIG3/4 (a): inflating elevator, core chase (%zu steps, %.1fs, coring "
-      "every 3)\n",
+      "every step)\n",
       run->steps, sw.ElapsedSeconds());
   std::printf("%5s %8s %8s %8s\n", "step", "|F_i|", "tw_lb", "tw_ub");
   for (DerivationCursor c(d); !c.done(); c.Next()) {

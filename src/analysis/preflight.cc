@@ -14,6 +14,22 @@
 namespace twchase {
 namespace {
 
+// Budgets of the critical-instance chases (tier 2).
+constexpr size_t kCriticalMaxSteps = 400;
+constexpr size_t kCriticalMaxInstance = 4000;
+
+// Budgets of the dynamic core-chase probe (tier 3).
+constexpr size_t kProbeMaxSteps = 160;
+constexpr size_t kProbeMaxInstance = 4000;
+
+// Wall-clock ceiling, in milliseconds, of each dynamic run (on top of any
+// ambient governor).
+constexpr uint64_t kDynamicDeadlineMs = 2000;
+
+// Treewidth-series tail window of the core-bts probe (see
+// SummarizeBoundedness).
+constexpr size_t kTwTailWindow = 8;
+
 // A dynamic-tier run that stopped for one of these reasons was cut short by
 // wall clock, memory pressure or cancellation (ambient or our own): the run
 // is inconclusive, never negative evidence. Step and instance-size budgets
@@ -103,13 +119,12 @@ struct DynamicRun {
 // Whatever a dynamic run must measure per step, `observer` measures live.
 DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
                        size_t max_steps, size_t max_instance,
-                       std::optional<uint64_t> deadline_ms,
                        ChaseObserver* observer = nullptr) {
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.limits.max_instance_size = max_instance;
-  options.limits.deadline_ms = deadline_ms;
+  options.limits.deadline_ms = kDynamicDeadlineMs;
   options.observer = observer;
   DynamicRun run;
   StatusOr<ChaseResult> result = RunChase(kb, options);
@@ -202,7 +217,7 @@ std::string PreflightReport::Summary() const {
 }
 
 PreflightReport RunPreflight(const KnowledgeBase& kb,
-                             const PreflightOptions& options) {
+                             const PreflightOptions& /*options*/) {
   PreflightReport report;
   report.rules = AnalyzeRuleset(kb.rules);
 
@@ -215,41 +230,38 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
 
   // Tier 2: the MSA-style critical-instance check, only when statics left
   // termination open.
-  if (report.fes_evidence == FesEvidence::kNone &&
-      options.run_critical_instance) {
+  if (report.fes_evidence == FesEvidence::kNone) {
     std::optional<KnowledgeBase> sandbox = MakeSandbox(kb);
     if (sandbox.has_value()) {
       AtomSet critical_facts;
       const size_t atoms = BuildCriticalInstance(
-          *sandbox, options.critical_max_instance, &critical_facts);
+          *sandbox, kCriticalMaxInstance, &critical_facts);
       report.critical_instance_atoms = atoms;
-      if (atoms > options.critical_max_instance) {
+      if (atoms > kCriticalMaxInstance) {
         report.critical_skipped_too_large = true;
       } else {
         KnowledgeBase crit{sandbox->vocab, std::move(critical_facts),
                            sandbox->rules};
         DynamicRun semi = RunBudgeted(
-            crit, ChaseVariant::kSemiOblivious, options.critical_max_steps,
-            options.critical_max_instance * 4, options.deadline_ms);
+            crit, ChaseVariant::kSemiOblivious, kCriticalMaxSteps,
+            kCriticalMaxInstance * 4);
         report.critical_ran = semi.ok;
         report.critical_terminated = semi.terminated;
         report.critical_interrupted = semi.interrupted;
         report.critical_steps = semi.steps;
         if (semi.terminated) {
           report.fes_evidence = FesEvidence::kCriticalInstance;
-          if (options.run_critical_oblivious) {
-            std::optional<KnowledgeBase> sandbox2 = MakeSandbox(kb);
-            if (sandbox2.has_value()) {
-              AtomSet crit2_facts;
-              BuildCriticalInstance(*sandbox2, options.critical_max_instance,
-                                    &crit2_facts);
-              KnowledgeBase crit2{sandbox2->vocab, std::move(crit2_facts),
-                                  sandbox2->rules};
-              DynamicRun obl = RunBudgeted(
-                  crit2, ChaseVariant::kOblivious, options.critical_max_steps,
-                  options.critical_max_instance * 4, options.deadline_ms);
-              report.critical_oblivious_terminated = obl.terminated;
-            }
+          std::optional<KnowledgeBase> sandbox2 = MakeSandbox(kb);
+          if (sandbox2.has_value()) {
+            AtomSet crit2_facts;
+            BuildCriticalInstance(*sandbox2, kCriticalMaxInstance,
+                                  &crit2_facts);
+            KnowledgeBase crit2{sandbox2->vocab, std::move(crit2_facts),
+                                sandbox2->rules};
+            DynamicRun obl = RunBudgeted(
+                crit2, ChaseVariant::kOblivious, kCriticalMaxSteps,
+                kCriticalMaxInstance * 4);
+            report.critical_oblivious_terminated = obl.terminated;
           }
         }
       }
@@ -259,13 +271,13 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
   // Tier 3: budgeted core-chase probe on the actual instance — fixpoint
   // certifies fes for this knowledge base; a non-terminating prefix feeds
   // the core-bts treewidth test.
-  if (report.fes_evidence == FesEvidence::kNone && options.run_dynamic_probe) {
+  if (report.fes_evidence == FesEvidence::kNone) {
     std::optional<KnowledgeBase> sandbox = MakeSandbox(kb);
     if (sandbox.has_value()) {
       MeasuresObserver treewidth(Measure::kTreewidthUpper);
       DynamicRun probe = RunBudgeted(
-          *sandbox, ChaseVariant::kCore, options.probe_max_steps,
-          options.probe_max_instance, options.deadline_ms, &treewidth);
+          *sandbox, ChaseVariant::kCore, kProbeMaxSteps, kProbeMaxInstance,
+          &treewidth);
       report.probe_ran = probe.ok;
       report.probe_core_terminated = probe.terminated;
       report.probe_interrupted = probe.interrupted;
@@ -276,11 +288,11 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
       } else if (probe.ok && !probe.interrupted) {
         const std::vector<int>& series = treewidth.series();
         const BoundednessSummary tw =
-            SummarizeBoundedness(series, options.tw_tail_window);
+            SummarizeBoundedness(series, kTwTailWindow);
         report.probe_tw_uniform = tw.uniform_bound;
         report.probe_tw_recurring = tw.recurring_estimate;
         report.probe_tw_bounded =
-            SeriesStoppedGrowing(series, options.tw_tail_window);
+            SeriesStoppedGrowing(series, kTwTailWindow);
       }
     }
   }

@@ -28,7 +28,6 @@
 #define TWCHASE_ANALYSIS_PREFLIGHT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "core/chase.h"
@@ -59,36 +58,10 @@ enum class FesEvidence : uint32_t {
   kCoreRun = 4,            // core chase of this instance terminated: core only
 };
 
-struct PreflightOptions {
-  /// Run the MSA-style critical-instance check (tier 2). Skipped
-  /// automatically when the critical instance would exceed
-  /// critical_max_instance atoms (high-arity predicates with many
-  /// constants).
-  bool run_critical_instance = true;
-
-  /// Also chase the critical instance obliviously, to upgrade
-  /// critical-instance evidence to the all-variants tier when it holds.
-  bool run_critical_oblivious = true;
-
-  /// Run the budgeted core-chase probe on the actual instance (tier 3).
-  bool run_dynamic_probe = true;
-
-  /// Budgets for the critical-instance chase.
-  size_t critical_max_steps = 400;
-  size_t critical_max_instance = 4000;
-
-  /// Budgets for the dynamic core-chase probe.
-  size_t probe_max_steps = 160;
-  size_t probe_max_instance = 4000;
-
-  /// Wall-clock ceiling for each dynamic run (on top of any ambient
-  /// governor). nullopt = no own deadline.
-  std::optional<uint64_t> deadline_ms = 2000;
-
-  /// Treewidth-series tail window for the core-bts probe (see
-  /// SummarizeBoundedness).
-  size_t tw_tail_window = 8;
-};
+/// Has no fields: the tiers and their budgets are fixed (named constants
+/// in preflight.cc). Kept because the benchmark runner
+/// (perfbench/twbench.cc) still passes PreflightOptions{}.
+struct PreflightOptions {};
 
 struct PreflightReport {
   /// Tier 1: the static classifier bits (always computed; pure syntax).

@@ -38,14 +38,11 @@ const char* ChaseVariantName(ChaseVariant variant) {
   return "unknown";
 }
 
-// Error messages lead with the full nested field path (limits. / core. /
-// resume. / preflight.), so CLI users see which flag to fix and the
+// Error messages lead with the full nested field path (limits. / resume. /
+// preflight.), so CLI users see which flag to fix and the
 // HTTP surface (src/service/wire.cc) can lift the path into its structured
 // 400 payload without guessing.
 Status ChaseOptions::Validate() const {
-  if (core.core_every == 0) {
-    return Status::InvalidArgument("core.core_every must be positive");
-  }
   if (preflight.auto_variant && !preflight.resolved) {
     return Status::InvalidArgument(
         "preflight.auto_variant requires resolution: run "
@@ -391,7 +388,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   DeltaIndex pending_delta;
   current.EnableDeltaJournal();
 
-  size_t since_last_core = 0;
   bool fixpoint = false;
   bool size_guard_tripped = false;
 
@@ -648,18 +644,15 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       Substitution sigma;
       std::vector<Substitution> fold_sigmas;
       CoreRetractionEvent core_event;
-      const bool do_core =
-          is_core && ++since_last_core >= options.core.core_every;
-      if (do_core) since_last_core = 0;
       const ResumeLog::StepRecord* step_record = nullptr;
       if (replaying_this) {
         TWCHASE_CHECK_MSG(cursor.step_index < cursor.log->steps.size(),
                           "resume log diverged: missing step record");
         step_record = &cursor.log->steps[cursor.step_index++];
-        TWCHASE_CHECK_MSG(step_record->cored == do_core,
+        TWCHASE_CHECK_MSG(step_record->cored == is_core,
                           "resume log diverged from the coring schedule");
       }
-      if (do_core) {
+      if (is_core) {
         core_event.size_before = current.size();
         Coring cored =
             step_record != nullptr
@@ -720,7 +713,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         ResumeLog::StepRecord step_rec;
         step_rec.sigma = sigma;
         step_rec.fold_sigmas = std::move(fold_sigmas);
-        step_rec.cored = do_core;
+        step_rec.cored = is_core;
         step_rec.folds = core_event.folds;
         rec->steps.push_back(std::move(step_rec));
         rec->committed_num_variables = vocab->num_variables();
@@ -745,7 +738,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         applied.instance = &current;
         applied.stats = &result.stats;
         obs->OnTriggerApplied(applied);
-        if (do_core) {
+        if (is_core) {
           core_event.step = result.steps;
           obs->OnCoreRetraction(core_event);
         }

@@ -41,13 +41,13 @@ const char* ChaseVariantName(ChaseVariant variant);
 
 class ChaseObserver;  // obs/observer.h
 
-/// Chase configuration, grouped by concern: `limits` (budgets), `core`
-/// (coring schedule of the core chase), `resume` (checkpoint recording) and
-/// `preflight` (--variant=auto provenance). Trigger generation is always
-/// delta-driven and always planned (DESIGN.md §5 and §9); neither is an
-/// option. The paper's schedule is fixed too: datalog rules come first in
-/// every round (Proposition 6) and the core chase always cores F_0 (σ_0 of
-/// Definition 1). Invariants across groups are checked by Validate(), which
+/// Chase configuration, grouped by concern: `limits` (budgets), `resume`
+/// (checkpoint recording) and `preflight` (--variant=auto provenance).
+/// Trigger generation is always delta-driven and always planned (DESIGN.md
+/// §5 and §9); neither is an option. The paper's schedule is fixed too:
+/// datalog rules come first in every round (Proposition 6) and the core
+/// chase cores F_0 (σ_0 of Definition 1) and then after every application
+/// (Definition 2). Invariants across groups are checked by Validate(), which
 /// RunChase calls first — inconsistent combinations are rejected, never
 /// silently patched.
 struct ChaseOptions {
@@ -83,14 +83,6 @@ struct ChaseOptions {
     CancelToken cancel;
   };
 
-  /// Coring schedule of the core chase after F_0, which it always cores
-  /// (ignored by the other variants).
-  struct CoreOptions {
-    /// Retract to a core after every k-th application (the paper allows any
-    /// finite spacing; 1 = after every application).
-    size_t core_every = 1;
-  };
-
   /// Termination-analysis preflight provenance (filled by
   /// analysis/preflight.h's ResolveAutoVariant; plain ints so core stays
   /// decoupled from the analysis layer). When a run was requested as
@@ -121,7 +113,6 @@ struct ChaseOptions {
   };
 
   LimitOptions limits;
-  CoreOptions core;
   ResumeOptions resume;
   PreflightProvenance preflight;
 
@@ -136,8 +127,8 @@ struct ChaseOptions {
   /// without observers are bit-identical.
   ChaseObserver* observer = nullptr;
 
-  /// Rejects inconsistent option combinations (core_every == 0, an
-  /// unresolved --variant=auto). RunChase validates first and surfaces the
+  /// Rejects inconsistent option combinations (an unresolved
+  /// --variant=auto). RunChase validates first and surfaces the
   /// same Status.
   Status Validate() const;
 };
@@ -225,9 +216,9 @@ struct ResumeLog {
     /// Frugal chase: the per-fold retractions, in fold order.
     std::vector<Substitution> fold_sigmas;
 
-    /// True when the coring schedule (core.core_every) cored after this
-    /// application (so replay knows whether sigma came from a core event or
-    /// is a trivial identity).
+    /// True when the run cored after this application, which the core
+    /// chase does after every one (so replay knows whether sigma came from a
+    /// core event or is a trivial identity).
     bool cored = false;
 
     /// Fold count of the coring (CoreRetractionEvent::folds is not

@@ -149,7 +149,6 @@ ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,
                     "resume.record_log = true");
   ChaseCheckpoint cp;
   cp.variant = options.variant;
-  cp.core_every = options.core.core_every;
   cp.program_fingerprint = CheckpointFingerprint(kb, options);
   cp.stop_reason = result.stop_reason;
   cp.steps = result.steps;

@@ -60,15 +60,15 @@ struct ChaseCheckpoint {
   ChaseVariant variant = ChaseVariant::kRestricted;
 
   /// Echo of the schedule that shapes the decision-bit stream; ResumeChase
-  /// rejects a resume whose options disagree (the bits would be
-  /// meaningless against a different schedule).
+  /// rejects a checkpoint whose schedule is not the one schedule this build
+  /// runs (the bits would be meaningless against a different schedule).
   ///
   /// datalog_first, delta_enabled and core_initial are always written as
-  /// true, and core_at_round_end as false: datalog rules always come first,
-  /// trigger generation is always delta-driven, the core chase always cores
-  /// F_0 and cores only on the core_every schedule. A checkpoint recorded
-  /// with any of them the other way (by a build that still had the switch)
-  /// parses with that value and is rejected at resume.
+  /// true, core_every as 1 and core_at_round_end as false: datalog rules
+  /// always come first, trigger generation is always delta-driven, and the
+  /// core chase always cores F_0 and then after every application. A
+  /// checkpoint recorded with any of them otherwise (by a build that still
+  /// had the option) parses with that value and is rejected at resume.
   bool datalog_first = true;
   bool delta_enabled = true;
   size_t core_every = 1;

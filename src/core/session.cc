@@ -77,11 +77,11 @@ Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
   // Trigger generation is always delta-driven; a checkpoint recorded with
   // the removed naive evaluation holds a different decision-bit stream.
   // Likewise, datalog rules always come first and the core chase always
-  // cores F_0 and never at round end: a checkpoint recorded otherwise holds
-  // a different schedule.
+  // cores F_0 and then after every application, never at round end: a
+  // checkpoint recorded otherwise holds a different schedule.
   if (!checkpoint.datalog_first || !checkpoint.delta_enabled ||
-      options_.core.core_every != checkpoint.core_every ||
-      checkpoint.core_at_round_end || !checkpoint.core_initial) {
+      checkpoint.core_every != 1 || checkpoint.core_at_round_end ||
+      !checkpoint.core_initial) {
     return Status::FailedPrecondition(
         "resume: schedule-shaping options (datalog_first, delta "
         "evaluation, coring schedule) differ from the recorded run; the "

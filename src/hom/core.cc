@@ -78,12 +78,10 @@ size_t ApplySingularFolds(AtomSet* atoms, Substitution* accumulated) {
 
 }  // namespace
 
-CoreResult ComputeCore(const AtomSet& atoms, const CoreOptions& options) {
+CoreResult ComputeCore(const AtomSet& atoms) {
   CoreResult result;
   result.core = atoms;
-  if (options.singular_prepass) {
-    result.folds += ApplySingularFolds(&result.core, &result.retraction);
-  }
+  result.folds += ApplySingularFolds(&result.core, &result.retraction);
   // Folding one variable can unlock folds of previously unfoldable variables
   // (removing atoms only makes the pattern side easier and never blocks a
   // fold whose image avoided the removed atoms — but blocked folds can become
@@ -104,9 +102,7 @@ CoreResult ComputeCore(const AtomSet& atoms, const CoreOptions& options) {
       result.core = retraction.Apply(result.core);
       result.retraction = Substitution::Compose(retraction, result.retraction);
       ++result.folds;
-      if (options.singular_prepass) {
-        result.folds += ApplySingularFolds(&result.core, &result.retraction);
-      }
+      result.folds += ApplySingularFolds(&result.core, &result.retraction);
       changed = true;
     }
   }

@@ -23,19 +23,14 @@ struct CoreResult {
   size_t folds = 0;
 };
 
-struct CoreOptions {
-  /// Run the cheap singular-fold pre-pass (one variable moved, positional
-  /// candidate generation) before the general search. Off only for the
-  /// ablation benchmarks.
-  bool singular_prepass = true;
-};
-
 /// Computes the core of `atoms` by repeated variable folding: while some
 /// variable X admits an endomorphism whose image avoids X, retract along it.
+/// A cheap singular-fold pre-pass (one variable moved, positional candidate
+/// generation) runs first and after every general fold.
 /// A finite atomset is a core iff no variable can be folded away (constants
 /// are always in the image of any endomorphism, so only variables can
 /// disappear).
-CoreResult ComputeCore(const AtomSet& atoms, const CoreOptions& options = {});
+CoreResult ComputeCore(const AtomSet& atoms);
 
 /// True iff `atoms` admits no proper retraction.
 bool IsCore(const AtomSet& atoms);

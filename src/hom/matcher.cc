@@ -514,7 +514,7 @@ class HomSearch {
     // a swap when that head unifies, and a rotate of the identity to the
     // front when it does not. With fewer than two unifying candidates any
     // reorder is the identity permutation.
-    if (!options_->identity_first || out.size() < 2) return;
+    if (out.size() < 2) return;
     size_t identity_pos = out.size();
     for (size_t j = 0; j < out.size(); ++j) {
       if (IsIdentityCandidate(pat, *out[j])) {

@@ -92,11 +92,6 @@ struct HomOptions {
 
   /// Require variables to map to variables (not constants).
   bool vars_to_vars = false;
-
-  /// Value-ordering heuristic: try the identity candidate first in
-  /// endomorphism-style searches (pattern ⊆ target). On by default; exposed
-  /// for the ablation benchmarks.
-  bool identity_first = true;
 };
 
 /// All homomorphisms from `pattern` to `target` satisfying `options`, up to

@@ -159,9 +159,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
       stats_instruments_[i].gauge = registry_->GetGauge(kStatsColumns[i].name);
     }
   }
-  if (options_.treewidth_upper) {
-    treewidth_upper_ = registry_->GetGauge("chase.treewidth.upper");
-  }
   round_pending_ = registry_->GetHistogram("chase.round.pending");
   step_added_atoms_ = registry_->GetHistogram("chase.step.added_atoms");
 }
@@ -180,15 +177,8 @@ void MetricsObserver::PublishStats(const ChaseStats* stats) {
   }
 }
 
-void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
-                                          const AtomSet* instance) {
+void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size) {
   instance_size_->Set(static_cast<double>(instance_size));
-  if (treewidth_upper_ != nullptr) {
-    TWCHASE_CHECK_MSG(instance != nullptr,
-                      "treewidth gauge needs instance payloads");
-    treewidth_upper_->Set(static_cast<double>(
-        ComputeTreewidth(*instance, options_.tw).upper_bound));
-  }
   registry_->EmitRow(options_.out, step);
 }
 
@@ -198,7 +188,7 @@ void MetricsObserver::OnRunBegin(const RunBeginEvent& event) {
     instrument.published = 0;
   }
   PublishStats(event.stats);
-  UpdatePerStepGauges(0, event.initial_size, event.instance);
+  UpdatePerStepGauges(0, event.initial_size);
 }
 
 void MetricsObserver::OnRoundBegin(const RoundBeginEvent& event) {
@@ -222,7 +212,7 @@ void MetricsObserver::OnTriggerApplied(const TriggerAppliedEvent& event) {
   applied_->Increment();
   step_added_atoms_->Observe(static_cast<double>(event.added_atoms));
   PublishStats(event.stats);
-  UpdatePerStepGauges(event.step, event.instance_size, event.instance);
+  UpdatePerStepGauges(event.step, event.instance_size);
 }
 
 void MetricsObserver::OnTriggerRetired(const TriggerRetiredEvent&) {

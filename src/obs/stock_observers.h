@@ -73,11 +73,6 @@ class MeasuresObserver : public ChaseObserver {
 };
 
 struct MetricsObserverOptions {
-  /// Also maintain a chase.treewidth.upper gauge per step (runs the
-  /// treewidth solver on every F_i — as costly as --measures).
-  bool treewidth_upper = false;
-  TreewidthOptions tw;
-
   /// When set, one JSON row per derivation step (step 0 = F_0) is written
   /// with the current value of every instrument, plus a final row at run
   /// end (its step is the run's step count) with the run's final values.
@@ -95,7 +90,6 @@ struct MetricsObserverOptions {
 ///              chase.plan.{core_proofs,core_certified,guard_nodes}
 ///   gauges     chase.round, chase.instance.size
 ///              chase.plan.guard_max_nodes
-///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
 /// The chase.match.* and chase.plan.* instruments publish the ChaseStats
 /// the run-begin, trigger-applied and run-end events carry (one table in
@@ -127,8 +121,7 @@ class MetricsObserver : public ChaseObserver {
   };
 
   void PublishStats(const ChaseStats* stats);
-  void UpdatePerStepGauges(size_t step, size_t instance_size,
-                           const AtomSet* instance);
+  void UpdatePerStepGauges(size_t step, size_t instance_size);
 
   MetricsRegistry* registry_;
   MetricsObserverOptions options_;
@@ -145,7 +138,6 @@ class MetricsObserver : public ChaseObserver {
   std::vector<StatsInstrument> stats_instruments_;
   Gauge* round_;
   Gauge* instance_size_;
-  Gauge* treewidth_upper_ = nullptr;
   Histogram* round_pending_;
   Histogram* step_added_atoms_;
 };

@@ -165,25 +165,29 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   // skipping and its execution planner are gone too, and neither changed a
   // run's matches or decisions. The radius only tuned the
   // incremental mode. A request for the removed incremental mode itself
-  // cannot be honoured, nor can core.core_initial false (the core chase
-  // always cores F_0) or core.core_at_round_end true (it cores only on the
-  // core_every schedule).
+  // cannot be honoured, nor can core.core_every other than 1,
+  // core.core_initial false or core.core_at_round_end true: the core chase
+  // cores F_0 and then after every application.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "core", &group));
   if (group != nullptr) {
     r.path = r.Join("core");
     TWCHASE_RETURN_IF_ERROR(r.CheckKeys(
         *group, {"core_every", "core_at_round_end", "core_initial",
                  "incremental_core", "dirty_radius"}));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadCount(*group, "core_every", &options->core.core_every));
+    size_t core_every = 1;
+    TWCHASE_RETURN_IF_ERROR(r.ReadCount(*group, "core_every", &core_every));
+    if (core_every != 1) {
+      return r.Fail(r.Join("core_every"),
+                    "is no longer supported other than as 1: the core chase "
+                    "cores after every application (Definition 2)");
+    }
     bool core_at_round_end = false;
     TWCHASE_RETURN_IF_ERROR(
         r.ReadBool(*group, "core_at_round_end", &core_at_round_end));
     if (core_at_round_end) {
       return r.Fail(r.Join("core_at_round_end"),
                     "is no longer supported: round-end coring was removed, "
-                    "the core chase cores after every core_every-th "
-                    "application");
+                    "the core chase cores after every application");
     }
     TWCHASE_RETURN_IF_ERROR(r.ReadFixedTrue(
         *group, "core_initial",
@@ -304,8 +308,8 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   root.Set("limits", std::move(limits));
 
   Json core = Json::Object();
-  core.Set("core_every", Json::Number(uint64_t{options.core.core_every}));
-  // Fixed false: kept so admit records stay byte-identical.
+  // Fixed values: kept so admit records stay byte-identical.
+  core.Set("core_every", Json::Number(uint64_t{1}));
   core.Set("core_at_round_end", Json::Bool(false));
   root.Set("core", std::move(core));
 
@@ -336,7 +340,7 @@ FieldError FieldErrorFromValidate(const Status& status,
   out.path = path_prefix;
   const std::string& message = status.message();
   // A Validate() message leads with the dotted field it concerns
-  // ("core.core_every must be ...") — lift it when present.
+  // ("preflight.auto_variant requires ...") — lift it when present.
   size_t space = message.find(' ');
   if (space != std::string::npos && space > 0) {
     const std::string head = message.substr(0, space);

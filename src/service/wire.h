@@ -10,11 +10,11 @@
 //
 // Structured errors: invalid payloads come back as
 //   {"error": {"code": "InvalidArgument", "message": ...,
-//              "fields": [{"path": "options.core.core_every",
-//                          "message": "must be positive"}]}}
+//              "fields": [{"path": "options.limits.max_steps",
+//                          "message": "must be a non-negative integer"}]}}
 // The field path is exact — the parser threads its position through every
 // descent, and ChaseOptions::Validate() messages lead with the nested field
-// path (limits. / core. / ...) precisely so this layer can lift them into
+// path (limits. / preflight. / ...) precisely so this layer can lift them into
 // the same shape without guessing.
 #ifndef TWCHASE_SERVICE_WIRE_H_
 #define TWCHASE_SERVICE_WIRE_H_

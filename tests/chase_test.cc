@@ -159,18 +159,6 @@ TEST(ChaseTest, FairnessOnPrefixes) {
   EXPECT_TRUE(IsFairPrefix(tc_run->derivation, tc, 0));
 }
 
-TEST(ChaseTest, CoreEveryTwoStillProducesCoreChase) {
-  auto kb = MakeFesNotBts();
-  ChaseOptions options;
-  options.variant = ChaseVariant::kCore;
-  options.core.core_every = 2;
-  options.limits.max_steps = 2000;
-  auto run = RunChase(kb, options);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run->stop_reason, StopReason::kFixpoint);
-  EXPECT_TRUE(kb.IsModel(run->derivation.Last()));
-}
-
 TEST(ChaseTest, ChaseVariantsAgreeOnEntailedQueries) {
   auto program = ParseProgram(R"(
     e(a, b). e(b, c).
@@ -237,7 +225,7 @@ TEST(ChaseTest, SizeGuardStopsRunawayChase) {
 TEST(ChaseTest, InvalidOptionsRejected) {
   auto kb = MakeTransitiveClosure(2);
   ChaseOptions options;
-  options.core.core_every = 0;
+  options.preflight.auto_variant = true;  // never resolved
   EXPECT_FALSE(RunChase(kb, options).ok());
   KnowledgeBase no_vocab;
   EXPECT_FALSE(RunChase(no_vocab, ChaseOptions()).ok());

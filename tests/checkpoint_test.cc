@@ -68,7 +68,7 @@ TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->variant, cp.variant);
   EXPECT_TRUE(parsed->datalog_first);
   EXPECT_TRUE(parsed->delta_enabled);
-  EXPECT_EQ(parsed->core_every, cp.core_every);
+  EXPECT_EQ(parsed->core_every, 1u);
   EXPECT_TRUE(parsed->core_initial);
   EXPECT_EQ(parsed->program_fingerprint, cp.program_fingerprint);
   EXPECT_EQ(parsed->stop_reason, cp.stop_reason);
@@ -233,14 +233,6 @@ TEST(ResumeChaseTest, RejectsMismatchedVariantAndOptions) {
     EXPECT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
   }
-  {
-    ChaseOptions wrong = options;
-    wrong.core.core_every = 2;
-    StaircaseWorld target;
-    auto resumed = ResumeChase(target.kb(), wrong, cp);
-    EXPECT_FALSE(resumed.ok());
-    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
-  }
 }
 
 TEST(ResumeChaseTest, RejectsDifferentProgram) {
@@ -304,6 +296,26 @@ TEST(ResumeChaseTest, RejectsACheckpointRecordedWithDeltaEvaluationOff) {
   auto resumed = ResumeChase(
       target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
   EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
+}
+
+// The core chase cores after every application. A checkpoint recorded while
+// the spacing was settable, at a spacing other than 1, parses and is refused
+// at resume with an error that names the coring schedule.
+TEST(ResumeChaseTest, RejectsACheckpointRecordedWithCoringEveryThirdStep) {
+  const std::string text = ReplaceOnce(RecordStaircaseCheckpoint(),
+                                       "\nschedule 1 1 1 0 1\n",
+                                       "\nschedule 1 1 3 0 1\n");
+  ExpectResumeRefused(text);
+  auto cp = ParseCheckpoint(text);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+  EXPECT_EQ(cp->core_every, 3u);
+  StaircaseWorld target;
+  auto resumed = ResumeChase(
+      target.kb(), RecordingOptions(ChaseVariant::kRestricted, 3), *cp);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_NE(resumed.status().message().find("coring schedule"),
+            std::string::npos)
+      << resumed.status().message();
 }
 
 // The v1 text of a default-schedule core run (staircase, 6 steps), as

@@ -161,8 +161,7 @@ std::vector<std::filesystem::path> DataPrograms() {
 
 // Every F_i rebuilt from the journal is the live run's F_i: same content
 // hash, same size, and the same atoms in the same order (the order trace
-// and measure output print in). Covers every bundled program, variant and
-// coring schedule (after every step, and after every third).
+// and measure output print in). Covers every bundled program and variant.
 TEST(DerivationJournalTest, JournalMatchesTheLiveRun) {
   const std::vector<std::filesystem::path> programs = DataPrograms();
   ASSERT_GE(programs.size(), 3u);
@@ -174,34 +173,30 @@ TEST(DerivationJournalTest, JournalMatchesTheLiveRun) {
     std::stringstream text;
     text << in.rdbuf();
     for (ChaseVariant variant : variants) {
-      for (int schedule = 0; schedule < 2; ++schedule) {
-        auto parsed = ParseProgram(text.str());
-        ASSERT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
-        LiveElements live;
-        ChaseOptions options;
-        options.variant = variant;
-        options.limits.max_steps = 60;
-        options.core.core_every = schedule == 1 ? 3 : 1;
-        options.observer = &live;
-        auto run = RunChase(parsed->kb, options);
-        ASSERT_TRUE(run.ok()) << run.status().ToString();
-        const Derivation& d = run->derivation;
-        const std::string context = path.filename().string() + "/" +
-                                    ChaseVariantName(variant) + "/schedule " +
-                                    std::to_string(schedule);
-        ASSERT_EQ(live.elements.size(), d.size()) << context;
-        for (DerivationCursor c(d); !c.done(); c.Next()) {
-          const LiveElements::Element& want = live.elements[c.index()];
-          ASSERT_EQ(c.instance().ContentHash(), want.hash)
-              << context << ", F_" << c.index();
-          ASSERT_EQ(c.instance().size(), want.size)
-              << context << ", F_" << c.index();
-          ASSERT_EQ(c.instance().Atoms(), want.atoms)
-              << context << ", F_" << c.index() << " lists its atoms in "
-              << "another order";
-        }
-        EXPECT_EQ(d.Instance(d.size() - 1), d.Last()) << context;
+      auto parsed = ParseProgram(text.str());
+      ASSERT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
+      LiveElements live;
+      ChaseOptions options;
+      options.variant = variant;
+      options.limits.max_steps = 60;
+      options.observer = &live;
+      auto run = RunChase(parsed->kb, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      const Derivation& d = run->derivation;
+      const std::string context =
+          path.filename().string() + "/" + ChaseVariantName(variant);
+      ASSERT_EQ(live.elements.size(), d.size()) << context;
+      for (DerivationCursor c(d); !c.done(); c.Next()) {
+        const LiveElements::Element& want = live.elements[c.index()];
+        ASSERT_EQ(c.instance().ContentHash(), want.hash)
+            << context << ", F_" << c.index();
+        ASSERT_EQ(c.instance().size(), want.size)
+            << context << ", F_" << c.index();
+        ASSERT_EQ(c.instance().Atoms(), want.atoms)
+            << context << ", F_" << c.index() << " lists its atoms in "
+            << "another order";
       }
+      EXPECT_EQ(d.Instance(d.size() - 1), d.Last()) << context;
     }
   }
 }

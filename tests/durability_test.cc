@@ -860,11 +860,11 @@ std::string FramedLine(const std::string& payload) {
 // A manifest as an earlier release wrote it: every admit record carries
 // that release's full options object, including the since-removed
 // core.incremental_core, core.dirty_radius and parallel.threads keys and the
-// since-fixed datalog_first and core.core_initial.
+// since-fixed datalog_first, core.core_every and core.core_initial.
 std::string LegacyAdmitLine(const std::string& id, const std::string& program,
                             size_t max_steps, bool incremental_core,
                             bool datalog_first = true,
-                            bool core_initial = true) {
+                            bool core_initial = true, size_t core_every = 1) {
   char fingerprint[24];
   std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
                 static_cast<unsigned long long>(FingerprintOf(program)));
@@ -878,8 +878,9 @@ std::string LegacyAdmitLine(const std::string& id, const std::string& program,
       R"(,"keep_snapshots":true,"limits":{"max_steps":)" +
       std::to_string(max_steps) +
       R"(,"max_instance_size":0,"memory_budget_bytes":0},)"
-      R"("core":{"core_every":1,"core_at_round_end":false,)"
-      R"("core_initial":)" + (core_initial ? "true" : "false") +
+      R"("core":{"core_every":)" + std::to_string(core_every) +
+      R"(,"core_at_round_end":false,"core_initial":)" +
+      (core_initial ? "true" : "false") +
       R"(,"incremental_core":)" +
       (incremental_core ? "true" : "false") +
       R"(,"dirty_radius":2},"delta":{"enabled":true},)"
@@ -1006,9 +1007,9 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
   const std::string& dir = state_dir.path();
   const std::string retained = R"({"state":"done","steps":5})";
   // j-1 finished before the restart, j-2 was admitted but never ran, j-3
-  // asked for the removed incremental core, j-4 was queued behind it, j-5
-  // and j-6 asked for the fixed schedule off (existential rules first, F_0
-  // left uncored).
+  // asked for the removed incremental core, j-4 was queued behind it, j-5,
+  // j-6 and j-7 asked for the fixed schedule off (existential rules first,
+  // F_0 left uncored, coring after every third application).
   std::string manifest =
       LegacyAdmitLine("j-1", kClosure, 5, false) +
       FramedLine(R"({"type":"terminal","id":"j-1","state":"done","result":)" +
@@ -1018,7 +1019,9 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
       LegacyAdmitLine("j-4", kClosure, 50, false) +
       LegacyAdmitLine("j-5", kClosure, 5, false, /*datalog_first=*/false) +
       LegacyAdmitLine("j-6", kClosure, 5, false, true,
-                      /*core_initial=*/false);
+                      /*core_initial=*/false) +
+      LegacyAdmitLine("j-7", kClosure, 5, false, true, true,
+                      /*core_every=*/3);
   WriteFileOrDie(dir + "/manifest.wal", manifest);
 
   DaemonOptions options;
@@ -1066,12 +1069,17 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
     // So do the jobs recorded off the fixed schedule, each naming its key.
     for (const auto& [id, key] :
          {std::pair<const char*, const char*>{"j-5", "options.datalog_first"},
-          {"j-6", "options.core.core_initial"}}) {
+          {"j-6", "options.core.core_initial"},
+          {"j-7", "options.core.core_every"}}) {
       EXPECT_EQ(client.AwaitTerminal(id), "failed") << id;
       Json failed = client.Result(id, 500);
       EXPECT_EQ(failed.Get("error").Get("code").string_value(),
                 "FailedPrecondition")
           << id;
+      EXPECT_EQ(failed.Get("error").Get("message").string_value().rfind(
+                    "unrecoverable after restart: ", 0),
+                0u)
+          << failed.Dump();
       EXPECT_NE(failed.Get("error").Get("message").string_value().find(key),
                 std::string::npos)
           << failed.Dump();
@@ -1101,6 +1109,7 @@ TEST(DurableDaemonTest, ParentFormatManifestIsServedAsBefore) {
   EXPECT_EQ(client.AwaitTerminal("j-3"), "failed");
   EXPECT_EQ(client.AwaitTerminal("j-5"), "failed");
   EXPECT_EQ(client.AwaitTerminal("j-6"), "failed");
+  EXPECT_EQ(client.AwaitTerminal("j-7"), "failed");
   EXPECT_EQ(client.AwaitTerminal("j-2"), "done");
   EXPECT_EQ(client.AwaitTerminal("j-4"), "done");
   again.Stop();

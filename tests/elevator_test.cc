@@ -3,10 +3,15 @@
 //   * Proposition 7's engine: the ceiling chain I^v* is a treewidth-1
 //     universal model — every chase element maps into it;
 //   * Proposition 8 / Corollary 1: the core-chase sequence's treewidth grows
-//     (1 → 2 → 3 within the test budget) and does not recur to a bound;
+//     (1 → 2 → 3 within the test budget) and does not recur to a bound, and
+//     the obstruction cores I^v_1 and I^v_2 appear inside it;
 //   * the restricted chase on K_v stays cheap per element but its elements
 //     contain the same obstructions.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <memory>
 
 #include "core/chase.h"
 #include "core/measures.h"
@@ -79,8 +84,8 @@ TEST_F(ElevatorChaseTest, ObstructionIsInducedSubsetOfUniversalModel) {
   // Definition 12 builds I^v_n inside I^v: it must embed *injectively*
   // (variables to variables) into the model prefix — a sharper check than
   // plain homomorphic embedding. (Proposition 8(3)'s appearance inside
-  // every core-chase sequence happens at steps f(n) beyond small prefixes;
-  // the chase-side growth is covered by the treewidth tests above.)
+  // the core-chase sequence happens at steps f(n) beyond small prefixes;
+  // ObstructionCoresFirstEmbedAtPinnedSteps pins f(1) and f(2).)
   for (int n = 1; n <= 3; ++n) {
     AtomSet obstruction = world_.CoreObstruction(n);
     AtomSet model = world_.UniversalModelPrefix(3 * n + 4);
@@ -105,13 +110,10 @@ TEST_F(ElevatorChaseTest, RestrictedChaseAlsoGrowsTreewidth) {
   EXPECT_GE(tw.lower_bound, 2);
 }
 
-TEST_F(ElevatorChaseTest, CoreEverySpacingPreservesGrowth) {
-  // The paper allows coring after any finite number of applications; with
-  // spacing 3 the sequence is still a core-chase sequence and its cored
-  // elements show the same growth.
+TEST_F(ElevatorChaseTest, GrowthReachesTreewidthThreeWithinSixtySteps) {
+  // The same growth over a 60-step run, measured every fifth element.
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
-  options.core.core_every = 3;
   options.limits.max_steps = 60;
   auto run = RunChase(world_.kb(), options);
   ASSERT_TRUE(run.ok());
@@ -121,6 +123,47 @@ TEST_F(ElevatorChaseTest, CoreEverySpacingPreservesGrowth) {
     max_tw = std::max(max_tw, ComputeTreewidth(c.instance()).upper_bound);
   }
   EXPECT_GE(max_tw, 3);
+}
+
+TEST_F(ElevatorChaseTest, ObstructionCoresFirstEmbedAtPinnedSteps) {
+  // Proposition 8(3), first half, on the live chase: the cores I^v_n of
+  // Definition 12 appear inside the core-chase sequence. I^v_1 first embeds
+  // (injectively, variables to variables) at step 67 and I^v_2 at step 373,
+  // so f(1) = 67 and f(2) = 373 at default options. A fresh world, because
+  // the fixture's run has already minted nulls in world_'s vocabulary.
+  ElevatorWorld world;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 373;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run->steps, 373u);
+  const AtomSet obstruction[] = {world.CoreObstruction(1),
+                                 world.CoreObstruction(2)};
+  HomOptions embedding;
+  embedding.limit = 1;
+  embedding.injective = true;
+  embedding.vars_to_vars = true;
+  struct Probe {
+    size_t step;
+    int n;
+    bool embeds;
+  };
+  const Probe probes[] = {{66, 1, false}, {67, 1, true},
+                          {372, 2, false}, {373, 2, true}};
+  size_t next = 0;
+  for (DerivationCursor c(run->derivation); !c.done(); c.Next()) {
+    if (next == std::size(probes)) break;
+    const Probe& probe = probes[next];
+    if (c.index() != probe.step) continue;
+    EXPECT_EQ(FindHomomorphism(obstruction[probe.n - 1], c.instance(),
+                               embedding)
+                  .has_value(),
+              probe.embeds)
+        << "I^v_" << probe.n << " into F_" << probe.step;
+    ++next;
+  }
+  EXPECT_EQ(next, std::size(probes));
 }
 
 }  // namespace

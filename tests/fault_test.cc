@@ -7,7 +7,6 @@
 // families.
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,25 +36,10 @@ KnowledgeBase FreshKb(Family family) {
   return ElevatorWorld().kb();
 }
 
-// A coring schedule layered over the default options. The default schedule
-// cores after every step; the others exercise the replay of per-step
-// corings skipped by the schedule.
-struct Schedule {
-  const char* name = "default";
-  size_t core_every = 1;
-};
-
-const Schedule kDefaultSchedule;
-const Schedule kOffDefaultSchedules[] = {
-    {"core-every-3", 3},
-};
-
-ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps,
-                        const Schedule& schedule) {
+ChaseOptions OptionsFor(ChaseVariant variant, size_t max_steps) {
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
-  options.core.core_every = schedule.core_every;
   return options;
 }
 
@@ -65,12 +49,11 @@ struct RunOutput {
 };
 
 RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
-                     bool record_log, FaultInjector* injector,
-                     const Schedule& schedule = kDefaultSchedule) {
+                     bool record_log, FaultInjector* injector) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
-  ChaseOptions options = OptionsFor(variant, max_steps, schedule);
+  ChaseOptions options = OptionsFor(variant, max_steps);
   options.resume.record_log = record_log;
   options.observer = &log;
   StatusOr<ChaseResult> run = Status::Internal("not run");
@@ -85,11 +68,11 @@ RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
 }
 
 RunOutput Resume(Family family, ChaseVariant variant, size_t max_steps,
-                 const ChaseCheckpoint& checkpoint, const Schedule& schedule) {
+                 const ChaseCheckpoint& checkpoint) {
   KnowledgeBase kb = FreshKb(family);
   std::ostringstream events;
   EventLogObserver log(&events);
-  ChaseOptions options = OptionsFor(variant, max_steps, schedule);
+  ChaseOptions options = OptionsFor(variant, max_steps);
   options.observer = &log;
   auto run = ResumeChase(kb, options, checkpoint);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
@@ -140,10 +123,9 @@ void ExpectBitIdentical(const RunOutput& resumed, const RunOutput& golden,
 bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
                                    size_t max_steps, FaultInjector injector,
                                    const RunOutput& golden,
-                                   const std::string& context,
-                                   const Schedule& schedule = kDefaultSchedule) {
+                                   const std::string& context) {
   RunOutput interrupted = RunVariant(family, variant, max_steps,
-                                     /*record_log=*/true, &injector, schedule);
+                                     /*record_log=*/true, &injector);
   if (injector.fired_count() == 0) {
     // Budget reached before the armed visit; nothing was injected.
     EXPECT_EQ(interrupted.result.stop_reason, golden.result.stop_reason)
@@ -159,7 +141,7 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
             std::string::npos)
       << context;
 
-  ChaseOptions recorded_options = OptionsFor(variant, max_steps, schedule);
+  ChaseOptions recorded_options = OptionsFor(variant, max_steps);
   recorded_options.resume.record_log = true;
   KnowledgeBase kb = FreshKb(family);
   ChaseCheckpoint checkpoint =
@@ -170,26 +152,24 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
   EXPECT_TRUE(parsed.ok()) << context << ": " << parsed.status().ToString();
   if (!parsed.ok()) return true;
 
-  RunOutput resumed =
-      Resume(family, variant, max_steps, parsed.value(), schedule);
+  RunOutput resumed = Resume(family, variant, max_steps, parsed.value());
   ExpectBitIdentical(resumed, golden, context);
   return true;
 }
 
 std::string Context(Family family, ChaseVariant variant,
-                    const std::string& what,
-                    const Schedule& schedule = kDefaultSchedule) {
+                    const std::string& what) {
   return std::string(family == Family::kStaircase ? "staircase" : "elevator") +
-         "/" + ChaseVariantName(variant) + "/" + schedule.name + "/" + what;
+         "/" + ChaseVariantName(variant) + "/" + what;
 }
 
 // Sweep every trigger boundary of a short prefix run: for visit v = 1, 2,
 // ... arm a cancellation (odd v) or an allocation failure (even v) at the
 // v-th trigger boundary and prove the stop is resumable.
 void SweepTriggerBoundaries(Family family, ChaseVariant variant,
-                            size_t max_steps, const Schedule& schedule) {
+                            size_t max_steps) {
   RunOutput golden = RunVariant(family, variant, max_steps,
-                                /*record_log=*/false, nullptr, schedule);
+                                /*record_log=*/false, nullptr);
   int verified = 0;
   for (uint64_t visit = 1;; ++visit) {
     FaultInjector injector;
@@ -198,9 +178,8 @@ void SweepTriggerBoundaries(Family family, ChaseVariant variant,
                                 : FaultAction::kAllocationFailure);
     if (!CheckInterruptResumeRoundTrip(
             family, variant, max_steps, injector, golden,
-            Context(family, variant, "trigger-visit-" + std::to_string(visit),
-                    schedule),
-            schedule)) {
+            Context(family, variant,
+                    "trigger-visit-" + std::to_string(visit)))) {
       break;
     }
     ++verified;
@@ -209,54 +188,33 @@ void SweepTriggerBoundaries(Family family, ChaseVariant variant,
   // The sweep must not pass vacuously: a run with max_steps applications
   // crosses at least max_steps trigger boundaries.
   EXPECT_GE(verified, static_cast<int>(max_steps))
-      << Context(family, variant, "sweep-coverage", schedule);
+      << Context(family, variant, "sweep-coverage");
 }
 
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnStaircase) {
   for (ChaseVariant variant : kAllVariants) {
-    SweepTriggerBoundaries(Family::kStaircase, variant, /*max_steps=*/6,
-                           kDefaultSchedule);
+    SweepTriggerBoundaries(Family::kStaircase, variant, /*max_steps=*/6);
   }
 }
 
 TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableOnElevator) {
   for (ChaseVariant variant : kAllVariants) {
-    SweepTriggerBoundaries(Family::kElevator, variant, /*max_steps=*/5,
-                           kDefaultSchedule);
-  }
-}
-
-// The retracting variants under the schedule the default sweep never
-// replays: a coring every third step.
-TEST(FaultInjectionTest, EveryTriggerBoundaryIsResumableUnderCoringSchedules) {
-  for (const Schedule& schedule : kOffDefaultSchedules) {
-    for (Family family : {Family::kStaircase, Family::kElevator}) {
-      for (ChaseVariant variant :
-           {ChaseVariant::kFrugal, ChaseVariant::kCore}) {
-        SweepTriggerBoundaries(family, variant, /*max_steps=*/8, schedule);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
+    SweepTriggerBoundaries(Family::kElevator, variant, /*max_steps=*/5);
   }
 }
 
 TEST(FaultInjectionTest, RoundBoundaryStopsAreResumable) {
-  std::vector<Schedule> schedules = {kDefaultSchedule};
-  schedules.insert(schedules.end(), std::begin(kOffDefaultSchedules),
-                   std::end(kOffDefaultSchedules));
-  for (const Schedule& schedule : schedules) {
-    for (ChaseVariant variant : kAllVariants) {
-      for (Family family : {Family::kStaircase, Family::kElevator}) {
-        const size_t max_steps = 6;
-        RunOutput golden = RunVariant(family, variant, max_steps,
-                                      /*record_log=*/false, nullptr, schedule);
-        FaultInjector injector;
-        injector.Arm(FaultSite::kRoundBoundary, 2, FaultAction::kCancel);
-        CheckInterruptResumeRoundTrip(
-            family, variant, max_steps, injector, golden,
-            Context(family, variant, "round-2", schedule), schedule);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+  for (ChaseVariant variant : kAllVariants) {
+    for (Family family : {Family::kStaircase, Family::kElevator}) {
+      const size_t max_steps = 6;
+      RunOutput golden = RunVariant(family, variant, max_steps,
+                                    /*record_log=*/false, nullptr);
+      FaultInjector injector;
+      injector.Arm(FaultSite::kRoundBoundary, 2, FaultAction::kCancel);
+      CheckInterruptResumeRoundTrip(family, variant, max_steps, injector,
+                                    golden,
+                                    Context(family, variant, "round-2"));
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -279,27 +237,6 @@ TEST(FaultInjectionTest, SeededSchedulesAreResumable) {
           Context(Family::kElevator, variant,
                   "seed-" + std::to_string(seed)));
       if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(FaultInjectionTest, SeededSchedulesAreResumableUnderCoringSchedules) {
-  for (const Schedule& schedule : kOffDefaultSchedules) {
-    for (ChaseVariant variant : {ChaseVariant::kFrugal, ChaseVariant::kCore}) {
-      const size_t max_steps = 8;
-      RunOutput golden = RunVariant(Family::kStaircase, variant, max_steps,
-                                    /*record_log=*/false, nullptr, schedule);
-      for (uint64_t seed = 1; seed <= 12; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        FaultInjector injector =
-            FaultInjector::FromSeed(seed, /*max_visit=*/40);
-        CheckInterruptResumeRoundTrip(
-            Family::kStaircase, variant, max_steps, injector, golden,
-            Context(Family::kStaircase, variant,
-                    "seed-" + std::to_string(seed), schedule),
-            schedule);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
     }
   }
 }

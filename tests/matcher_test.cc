@@ -658,6 +658,25 @@ TEST_F(SearchAllocationTest, RetractionSearchQueriesAfterTheFirstAllocateNothing
   EXPECT_EQ(second, 0u);
 }
 
+// A whole 50-step elevator core chase, counted on a thread whose search
+// buffers a first identical run has warmed (a cold thread counts the same).
+// Compiled searches took it from 37,432 allocations to 7,036; the pin is
+// the 6,645 measured before the coring-spacing option was removed, plus 2%.
+TEST_F(SearchAllocationTest, ElevatorCoreChaseStaysUnderItsPin) {
+  constexpr size_t kMeasured = 6645;
+  ElevatorWorld warm_world, counted_world;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 50;
+  ASSERT_TRUE(RunChase(warm_world.kb(), options).ok());
+  bool ok = false;
+  const size_t allocations = AllocationsOf([&] {
+    ok = RunChase(counted_world.kb(), options).ok();
+  });
+  ASSERT_TRUE(ok);
+  EXPECT_LE(allocations, kMeasured + kMeasured / 50);
+}
+
 // A search over a large pattern gives its buffers back when it ends, so a
 // thread that once ran one keeps no more than a small search's worth. The
 // path below is 1,000 atoms over variables numbered past 100,000: its

@@ -411,20 +411,19 @@ TEST(RobustRenameEventTest, OneEventPerAggregatedElement) {
   }
 }
 
-TEST(ChaseOptionsTest, ValidateRejectsInconsistentCoreOptions) {
-  ChaseOptions zero_every;
-  zero_every.core.core_every = 0;
-  auto status = zero_every.Validate();
+TEST(ChaseOptionsTest, ValidateRejectsAnUnresolvedAutoVariant) {
+  ChaseOptions unresolved;
+  unresolved.preflight.auto_variant = true;
+  auto status = unresolved.Validate();
   EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("core_every must be positive"),
-            std::string::npos);
+  EXPECT_NE(status.message().find("requires resolution"), std::string::npos);
 
   ChaseOptions defaults;
   EXPECT_TRUE(defaults.Validate().ok());
 
   // RunChase refuses invalid options up front.
   auto kb = MakeTransitiveClosure(2);
-  EXPECT_FALSE(RunChase(kb, zero_every).ok());
+  EXPECT_FALSE(RunChase(kb, unresolved).ok());
 }
 
 }  // namespace

@@ -183,7 +183,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.limits.max_instance_size = 456;
   options.limits.deadline_ms = 789;
   options.limits.memory_budget_bytes = 1u << 20;
-  options.core.core_every = 3;
   options.resume.record_log = true;
 
   Json wire = ChaseOptionsToJson(options);
@@ -201,7 +200,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.limits.deadline_ms, options.limits.deadline_ms);
   EXPECT_EQ(back.limits.memory_budget_bytes,
             options.limits.memory_budget_bytes);
-  EXPECT_EQ(back.core.core_every, options.core.core_every);
   EXPECT_EQ(back.resume.record_log, options.resume.record_log);
 
   // Defaults round-trip too (deadline_ms omitted when unset).
@@ -318,10 +316,12 @@ TEST(WireTest, LegacyOptionKeysAreReadAndIgnored) {
 // core.core_at_round_end named the removed round-end coring schedule, the
 // other way round: false is what every run does, true is refused, and the
 // writer keeps emitting false so admit records keep their bytes.
+// core.core_every named the coring spacing: 1 is what every run does, any
+// other count is refused, and the writer keeps emitting 1.
 TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
   for (const char* accepted :
        {R"({"datalog_first": true, "core": {"core_initial": true}})",
-        R"({"core": {"core_every": 2}})",
+        R"({"core": {"core_every": 1}})",
         R"({"core": {"core_at_round_end": false}})"}) {
     auto json = Json::Parse(accepted);
     ASSERT_TRUE(json.ok()) << accepted;
@@ -337,6 +337,9 @@ TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
       {R"({"datalog_first": 1})", "options.datalog_first"},
       {R"({"core": {"core_at_round_end": true}})",
        "options.core.core_at_round_end"},
+      {R"({"core": {"core_every": 0}})", "options.core.core_every"},
+      {R"({"core": {"core_every": 2}})", "options.core.core_every"},
+      {R"({"core": {"core_every": 3}})", "options.core.core_every"},
   };
   for (const auto& [payload, path] : refused) {
     auto json = Json::Parse(payload);
@@ -353,16 +356,19 @@ TEST(WireTest, FixedScheduleKeysAcceptOnlyTrue) {
   EXPECT_FALSE(wire.Get("core").Has("core_initial"));
   ASSERT_TRUE(wire.Get("core").Has("core_at_round_end"));
   EXPECT_FALSE(wire.Get("core").Get("core_at_round_end").bool_value());
+  ASSERT_TRUE(wire.Get("core").Has("core_every"));
+  EXPECT_EQ(wire.Get("core").Get("core_every").number_value(), 1.0);
 }
 
 TEST(WireTest, ValidateMessagesLiftIntoFieldErrors) {
   ChaseOptions options;
-  options.core.core_every = 0;
+  options.preflight.auto_variant = true;
   Status invalid = options.Validate();
   ASSERT_FALSE(invalid.ok());
   FieldError lifted = FieldErrorFromValidate(invalid, "options");
-  EXPECT_EQ(lifted.path, "options.core.core_every");
-  EXPECT_EQ(lifted.message, "must be positive");
+  EXPECT_EQ(lifted.path, "options.preflight.auto_variant");
+  EXPECT_EQ(lifted.message.rfind("requires resolution", 0), 0u)
+      << lifted.message;
 
   FieldError unprefixed =
       FieldErrorFromValidate(Status::InvalidArgument("Everything broke"), "o");
@@ -914,11 +920,12 @@ TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
                 .string_value(),
             "options.coar");
 
-  // Invalid option combination → 400 with the Validate path lifted.
-  ChaseOptions invalid;
-  invalid.core.core_every = 0;
-  HttpResponse bad_options = client.Fetch(
-      "POST", "/v1/jobs", MakeJobBody("t", "p(a).", invalid).Dump());
+  // A coring spacing other than 1 → 400 on its key.
+  body = MakeJobBody("t", "p(a).", ChaseOptions{});
+  auto spaced = Json::Parse(R"({"core": {"core_every": 0}})");
+  ASSERT_TRUE(spaced.ok());
+  body.Set("options", *spaced);
+  HttpResponse bad_options = client.Fetch("POST", "/v1/jobs", body.Dump());
   EXPECT_EQ(bad_options.status, 400);
   parsed = Json::Parse(bad_options.body);
   ASSERT_TRUE(parsed.ok());

@@ -10,7 +10,6 @@
 //                          auto runs the termination preflight and picks the
 //                          cheapest variant the analysis proves sound)
 //     --max-steps=N        rule-application budget        (default: 1000)
-//     --core-every=N       core chase: coring spacing     (default: 1)
 //     --measures           print per-step |F_i| and treewidth series
 //     --robust             print the robust aggregation summary
 //     --analyze            print static ruleset analysis
@@ -65,8 +64,8 @@ struct CliOptions {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--variant=V] [--max-steps=N] [--core-every=N] "
-               "[--measures] [--robust] [--analyze] [--trace] "
+               "usage: %s [--variant=V] [--max-steps=N] [--measures] "
+               "[--robust] [--analyze] [--trace] "
                "[--print-result] [--metrics-out=FILE] [--events-out=FILE] "
                "[--deadline-ms=N] [--memory-budget-mb=N] "
                "[--checkpoint-out=FILE] "
@@ -109,7 +108,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (m.SizeValue("--deadline-ms", &deadline_ms)) {
       options->chase.limits.deadline_ms = deadline_ms;
     } else if (m.SizeValue("--max-steps", &options->chase.limits.max_steps) ||
-               m.SizeValue("--core-every", &options->chase.core.core_every) ||
                // The MB→bytes scaling is range-checked inside the matcher; a
                // budget whose byte count overflows 64 bits is a flag error,
                // not a silently wrapped (near-zero) budget.

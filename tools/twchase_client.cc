@@ -18,7 +18,6 @@
 //     --tenant=NAME     tenant id                 (default: "smoke")
 //     --variant=V       chase variant             (default: core, as the CLI)
 //     --max-steps=N     rule-application budget   (default: 1000)
-//     --core-every=N    coring spacing            (default: 1)
 //     --deadline-ms=N   wall-clock budget
 //     --poll-ms=N       status poll interval      (default: 25)
 //     --metrics         print /v1/metrics instead of submitting
@@ -44,8 +43,8 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port=N [--host=H] [--tenant=T] [--variant=V] "
-               "[--max-steps=N] [--core-every=N] "
-               "[--deadline-ms=N] [--poll-ms=N] [--metrics|--health] "
+               "[--max-steps=N] [--deadline-ms=N] [--poll-ms=N] "
+               "[--metrics|--health] "
                "[--no-wait] [--await-job=ID] <program-file>\n",
                argv0);
   return 2;
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
     if (m.BoundedSizeValue("--port", &port, 1, 65535) ||
         m.Value("--host", &host) || m.Value("--tenant", &tenant) ||
         m.SizeValue("--max-steps", &options.limits.max_steps) ||
-        m.SizeValue("--core-every", &options.core.core_every) ||
         m.SizeValue("--poll-ms", &poll_ms) ||
         m.Flag("--metrics", &metrics) || m.Flag("--health", &health) ||
         m.Flag("--no-wait", &no_wait) || m.Value("--await-job", &await_job)) {
