@@ -51,10 +51,11 @@ Json ChaseOptionsToJson(const ChaseOptions& options);
 /// `path_prefix`, e.g. "options"). Keys written by earlier versions for
 /// removed options are read and ignored (see wire.cc); the legacy values
 /// that cannot be honoured (core.incremental_core true, datalog_first or
-/// core.core_initial false) are rejected. Absent groups/keys keep the defaults
-/// already in `*options`, so a payload may be sparse. Does NOT run
-/// Validate() — the daemon validates via ChaseSession::Create and lifts
-/// those messages with FieldErrorFromValidate.
+/// core.core_initial false, core.core_every other than 1) are rejected.
+/// Absent groups/keys keep the defaults already in `*options`, so a payload
+/// may be sparse. Does NOT run Validate() — the daemon validates via
+/// ChaseSession::Create and lifts those messages with
+/// FieldErrorFromValidate.
 Status ChaseOptionsFromJson(const Json& json, const std::string& path_prefix,
                             ChaseOptions* options, FieldError* error);
 

@@ -334,7 +334,9 @@ Query MakeQuery(uint64_t seed, Mode mode) {
 constexpr uint64_t kPropertySeeds = 150;
 
 // FNV over every query's results in the order the matcher returned them,
-// per mode; recorded before the legacy candidate path was deleted.
+// per mode; recorded before the legacy candidate path was deleted, and
+// recorded again with identity-first ordering on for every query before
+// its switch was deleted, with the same values.
 const uint64_t kPinnedOrderDigest[] = {
     0xbcd78ba2bcecb761ull,  // plain
     0xf59565317c7a21cdull,  // seed
